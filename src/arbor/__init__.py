@@ -8,8 +8,6 @@ generating-series extraction (``series``); plus the lattice-path view
 
 from arbor.counting import (
     EdgeComposition,
-    ForestCountQuery,
-    TreeCountQuery,
     binomial,
     compositions,
     count_forests,
@@ -29,11 +27,8 @@ from arbor.paths import (
 )
 from arbor.series import (
     MultiSeries,
-    coefficient,
     lagrange_extract,
     lagrange_extract_forest,
-    series_add,
-    series_mul,
     solve_G,
 )
 from arbor.treebank import (
@@ -57,17 +52,14 @@ __all__ = [
     "ConstraintError",
     "EdgeComposition",
     "Forest",
-    "ForestCountQuery",
     "HAVE_SPEEDUPS",
     "LatticePath",
     "MalformedPathError",
     "MultiSeries",
     "Step",
     "TAryTree",
-    "TreeCountQuery",
     "binomial",
     "census",
-    "coefficient",
     "compositions",
     "count_forests",
     "count_trees",
@@ -84,8 +76,6 @@ __all__ = [
     "residue_distribution_probe",
     "residue_stats",
     "serialize_tree",
-    "series_add",
-    "series_mul",
     "solve_G",
     "total_forests",
     "total_trees",

@@ -91,10 +91,9 @@ def _parse_composition(text: str, t: int) -> tuple[int, ...]:
 def cmd_count(args) -> int:
     comp = _parse_composition(args.composition, args.t)
     if args.forest is not None:
-        query = counting.ForestCountQuery(args.t, args.forest, args.n, comp)
+        print(counting.count_forests(args.t, args.forest, args.n, comp))
     else:
-        query = counting.TreeCountQuery(args.t, args.n, comp)
-    print(query.count())
+        print(counting.count_trees(args.t, args.n, comp))
     return EXIT_OK
 
 
@@ -268,6 +267,8 @@ def cmd_verify(args) -> int:
     counting.check_arity(t)
     if max_n < 1:
         raise ConstraintError(f"--max-n must be >= 1, got {max_n}")
+    if args.workers < 1:
+        raise ConstraintError(f"--workers must be >= 1, got {args.workers}")
     if args.forest is not None:
         if not 1 <= args.forest < t:
             raise ConstraintError(
@@ -311,16 +312,10 @@ def cmd_paths(args) -> int:
         print(report.to_csv())
         print(report.verdict_line())
         return EXIT_OK
-    counting.check_arity(t)
-    if n < 1:
-        raise ConstraintError(f"node count must be >= 1, got n={n}")
-    limit = treebank.resolve_budget(args.budget)
-    total = counting.total_trees(t, n)
-    if total > limit:
-        raise BudgetExceededError(
-            f"listing t={t} n={n} would enumerate {total} trees, budget is {limit}",
-            total=total,
-        )
+    counting.check_tree_shape(t, n)
+    treebank.check_budget(
+        f"listing t={t} n={n}", counting.total_trees(t, n), "trees", args.budget
+    )
     for tree in treebank.enumerate_trees(t, n):
         text = treebank.serialize_tree(tree)
         if args.dump:

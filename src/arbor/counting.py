@@ -5,8 +5,9 @@ divisions prescribed by the closed forms are checked to be exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
+from operator import add, sub
 from typing import Iterator, Mapping, Sequence
 
 from arbor.errors import ConstraintError
@@ -26,16 +27,35 @@ def check_arity(t: int) -> None:
         raise ConstraintError(f"arity must be <= {MAX_ARITY}, got t={t}")
 
 
-def validate_tree_composition(t: int, n: int, parts: Sequence[int]) -> EdgeComposition:
-    """Check the edge-type composition of an n-node tree; return it as a tuple."""
+def check_tree_shape(t: int, n: int) -> None:
+    """Reject an arity or node count that admits no t-ary tree."""
     check_arity(t)
     if n < 1:
         raise ConstraintError(f"node count must be >= 1, got n={n}")
+
+
+def check_forest_shape(t: int, m: int, n: int) -> None:
+    """Reject an arity, forest size or node count that admits no m-forest."""
+    check_arity(t)
+    if not 1 <= m < t:
+        raise ConstraintError(f"forest size must satisfy 1 <= m < t, got m={m} t={t}")
+    if n < m:
+        raise ConstraintError(f"node count must be >= m={m}, got n={n}")
+
+
+def _edge_parts(t: int, parts: Sequence[int]) -> EdgeComposition:
     a = tuple(parts)
     if len(a) != t:
         raise ConstraintError(f"composition has {len(a)} parts, arity is {t}")
     if min(a) < 0:
         raise ConstraintError(f"edge counts must be >= 0, got {a}")
+    return a
+
+
+def validate_tree_composition(t: int, n: int, parts: Sequence[int]) -> EdgeComposition:
+    """Check the edge-type composition of an n-node tree; return it as a tuple."""
+    check_tree_shape(t, n)
+    a = _edge_parts(t, parts)
     if sum(a) != n - 1:
         raise ConstraintError(
             f"edge counts sum to {sum(a)}, must equal n-1 = {n - 1}"
@@ -47,16 +67,8 @@ def validate_forest_composition(
     t: int, m: int, n: int, parts: Sequence[int]
 ) -> EdgeComposition:
     """Check the edge-type composition of an m-forest with n total nodes."""
-    check_arity(t)
-    if not 1 <= m < t:
-        raise ConstraintError(f"forest size must satisfy 1 <= m < t, got m={m} t={t}")
-    if n < m:
-        raise ConstraintError(f"node count must be >= m={m}, got n={n}")
-    a = tuple(parts)
-    if len(a) != t:
-        raise ConstraintError(f"composition has {len(a)} parts, arity is {t}")
-    if min(a) < 0:
-        raise ConstraintError(f"edge counts must be >= 0, got {a}")
+    check_forest_shape(t, m, n)
+    a = _edge_parts(t, parts)
     if sum(a) != n:
         raise ConstraintError(f"edge counts sum to {sum(a)}, must equal n = {n}")
     if min(a[:m]) < 1:
@@ -64,41 +76,6 @@ def validate_forest_composition(
             f"parts 1..{m} count root edges of the forest and must be >= 1, got {a}"
         )
     return a
-
-
-@dataclass(frozen=True)
-class TreeCountQuery:
-    """A validated request for the number of trees with a given edge profile."""
-
-    arity: int
-    nodes: int
-    composition: EdgeComposition
-
-    def __post_init__(self) -> None:
-        a = validate_tree_composition(self.arity, self.nodes, self.composition)
-        object.__setattr__(self, "composition", a)
-
-    def count(self) -> int:
-        return count_trees(self.arity, self.nodes, self.composition)
-
-
-@dataclass(frozen=True)
-class ForestCountQuery:
-    """A validated request for the number of m-forests with a given edge profile."""
-
-    arity: int
-    trees: int
-    nodes: int
-    composition: EdgeComposition
-
-    def __post_init__(self) -> None:
-        a = validate_forest_composition(
-            self.arity, self.trees, self.nodes, self.composition
-        )
-        object.__setattr__(self, "composition", a)
-
-    def count(self) -> int:
-        return count_forests(self.arity, self.trees, self.nodes, self.composition)
 
 
 def binomial(n: int, k: int) -> int:
@@ -144,9 +121,7 @@ def count_forests(t: int, m: int, n: int, parts: Sequence[int]) -> int:
 
 def total_trees(t: int, n: int) -> int:
     """Number of t-ary trees with n nodes: (1/n) * C(t*n, n-1)."""
-    check_arity(t)
-    if n < 1:
-        raise ConstraintError(f"node count must be >= 1, got n={n}")
+    check_tree_shape(t, n)
     q, r = divmod(comb(t * n, n - 1), n)
     if r:
         raise ArithmeticError("tree total not an integer; this cannot happen")
@@ -156,11 +131,7 @@ def total_trees(t: int, n: int) -> int:
 def total_forests(t: int, m: int, n: int) -> int:
     """Number of ordered m-tuples of non-empty t-ary trees with n total nodes:
     (m/n) * C(t*n, n-m)."""
-    check_arity(t)
-    if not 1 <= m < t:
-        raise ConstraintError(f"forest size must satisfy 1 <= m < t, got m={m} t={t}")
-    if n < m:
-        raise ConstraintError(f"node count must be >= m={m}, got n={n}")
+    check_forest_shape(t, m, n)
     q, r = divmod(m * comb(t * n, n - m), n)
     if r:
         raise ArithmeticError("forest total not an integer; this cannot happen")
@@ -175,9 +146,7 @@ def marginal_count(t: int, n: int, fixed: Mapping[int, int]) -> int:
     unfixed slots collapsing into one binomial.  An over-large fixed sum makes
     the trailing binomial vanish, so the result is 0 rather than an error.
     """
-    check_arity(t)
-    if n < 1:
-        raise ConstraintError(f"node count must be >= 1, got n={n}")
+    check_tree_shape(t, n)
     slots = sorted(fixed)
     for s in slots:
         if not 1 <= s <= t:
@@ -198,39 +167,24 @@ def marginal_count(t: int, n: int, fixed: Mapping[int, int]) -> int:
     return q
 
 
-def compositions(
-    t: int, total: int, m: int = 0, min_first: int = 1
-) -> Iterator[EdgeComposition]:
+def compositions(t: int, total: int, m: int = 0) -> Iterator[EdgeComposition]:
     """Weak compositions of `total` into t parts, lexicographically ascending.
 
-    With m > 0 the first m parts are each at least `min_first` (default 1,
-    the positivity forced on root-edge slots); m = 0 imposes no lower bound.
+    With m > 0 the first m parts are each at least 1 (the positivity forced
+    on root-edge slots); m = 0 imposes no lower bound.  Stars and bars: the
+    t-1 cut points rise weakly through 0..total, and cut order is part order.
     """
     check_arity(t)
     if total < 0:
         raise ConstraintError(f"total must be >= 0, got {total}")
-    if m:
-        if not 1 <= m < t:
-            raise ConstraintError(f"m must satisfy 1 <= m < t, got m={m} t={t}")
-        if min_first < 0:
-            raise ConstraintError(f"min_first must be >= 0, got {min_first}")
-    base = total - m * min_first
+    if m and not 1 <= m < t:
+        raise ConstraintError(f"m must satisfy 1 <= m < t, got m={m} t={t}")
+    base = total - m
     if base < 0:
         return
-    offsets = (min_first,) * m + (0,) * (t - m)
-    work = [0] * t
-    work[t - 1] = base
-    while True:
-        yield tuple(w + o for w, o in zip(work, offsets))
-        # successor: bump the rightmost position with mass strictly after it
-        sa = work[t - 1]
-        j = t - 2
-        while j >= 0 and sa == 0:
-            sa += work[j]
-            j -= 1
-        if j < 0:
-            return
-        work[j] += 1
-        for i in range(j + 1, t - 1):
-            work[i] = 0
-        work[t - 1] = sa - 1
+    # cut i moves up by one for each forced unit in the parts before it
+    lift = tuple(min(i, m) for i in range(1, t))
+    for cuts in combinations_with_replacement(range(base + 1), t - 1):
+        if m:
+            cuts = tuple(map(add, cuts, lift))
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))

@@ -17,7 +17,7 @@ from arbor.errors import ConstraintError
 class MultiSeries:
     """Sparse series in x and y1..yt, truncated at a fixed x-degree.
 
-    Terms map (n, (a1, ..., at)) to a nonzero integer coefficient; the
+    Direct inversion reuses the same ring with g in the place of x.  Terms map (n, (a1, ..., at)) to a nonzero integer coefficient; the
     representation is normalized (no stored zeros).  Values are immutable
     by convention; arithmetic returns new instances.
     """
@@ -129,14 +129,6 @@ class MultiSeries:
         )
 
 
-def series_add(a: MultiSeries, b: MultiSeries) -> MultiSeries:
-    return a + b
-
-
-def series_mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
-    return a * b
-
-
 def solve_G(t: int, N: int) -> MultiSeries:
     """Solve g = x * prod_i (1 + yi*g) through x-order N by fixed-point iteration.
 
@@ -157,60 +149,17 @@ def solve_G(t: int, N: int) -> MultiSeries:
     return g
 
 
-def coefficient(s: MultiSeries, n: int, parts: Sequence[int]) -> int:
-    return s.coefficient(n, parts)
-
-
-class Poly:
-    """Polynomial in one marker g with edge-marker multidegrees, truncated in g.
-
-    Terms map (g_power, (a1, ..., at)) to a nonzero integer.  Used to expand
-    prod_i (1 + yi*g)^n without ever touching x.
-    """
-
-    __slots__ = ("arity", "gmax", "_terms")
-
-    def __init__(self, arity: int, gmax: int, terms: dict | None = None):
-        self.arity = arity
-        self.gmax = gmax
-        self._terms = {k: v for k, v in (terms or {}).items() if v}
-
-    @classmethod
-    def one(cls, arity: int, gmax: int) -> "Poly":
-        return cls(arity, gmax, {(0, (0,) * arity): 1})
-
-    @classmethod
-    def binomial_factor(cls, arity: int, gmax: int, slot: int, power: int) -> "Poly":
-        """(1 + y_slot * g)^power truncated at g^gmax."""
-        zero = (0,) * arity
-        i = slot - 1
-        terms = {}
-        for k in range(min(power, gmax) + 1):
-            exps = zero[:i] + (k,) + zero[i + 1:]
-            terms[(k, exps)] = counting.binomial(power, k)
-        return cls(arity, gmax, terms)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.arity != other.arity or self.gmax != other.gmax:
-            raise ConstraintError("polynomial arity/truncation mismatch")
-        out: dict = {}
-        for (g1, a1), c1 in self._terms.items():
-            for (g2, a2), c2 in other._terms.items():
-                g = g1 + g2
-                if g > self.gmax:
-                    continue
-                key = (g, tuple(p + q for p, q in zip(a1, a2)))
-                out[key] = out.get(key, 0) + c1 * c2
-        return Poly(self.arity, self.gmax, out)
-
-    def coefficient(self, gpow: int, parts: Sequence[int]) -> int:
-        return self._terms.get((gpow, tuple(parts)), 0)
-
-
-def _expanded_product(t: int, gmax: int, power: int) -> Poly:
-    p = Poly.one(t, gmax)
-    for slot in range(1, t + 1):
-        p = p * Poly.binomial_factor(t, gmax, slot, power)
+def _expanded_product(t: int, gmax: int, power: int) -> MultiSeries:
+    """prod_i (1 + yi*g)^power with g in the truncated variable's place,
+    each factor written out from its binomial coefficients."""
+    zero = (0,) * t
+    p = MultiSeries.one(t, gmax)
+    for i in range(t):
+        factor = {
+            (k, zero[:i] + (k,) + zero[i + 1:]): counting.binomial(power, k)
+            for k in range(min(power, gmax) + 1)
+        }
+        p = p * MultiSeries(t, gmax, factor)
     return p
 
 

@@ -195,11 +195,10 @@ def enumerate_trees(t: int, n: int) -> Iterator[TAryTree]:
     compositions of n-1 lexicographically, and within one size split the
     leftmost slot varies slowest.  n = 0 yields nothing.
     """
-    counting.check_arity(t)
-    if n < 0:
-        raise ConstraintError(f"node count must be >= 0, got n={n}")
     if n == 0:
+        counting.check_arity(t)
         return
+    counting.check_tree_shape(t, n)
     for kids in _slot_tuples(t, n - 1, t):
         yield TAryTree(kids)
 
@@ -228,11 +227,7 @@ def enumerate_forests(t: int, m: int, n: int) -> Iterator[Forest]:
     Node splits run lexicographically; within a split the leftmost tree
     varies slowest.
     """
-    counting.check_arity(t)
-    if not 1 <= m < t:
-        raise ConstraintError(f"forest size must satisfy 1 <= m < t, got m={m} t={t}")
-    if n < m:
-        raise ConstraintError(f"node count must be >= m={m}, got n={n}")
+    counting.check_forest_shape(t, m, n)
     for split in counting.compositions(m, n - m):
         sizes = tuple(s + 1 for s in split)
         for combo in _forest_tuples(t, sizes):
@@ -267,6 +262,16 @@ def resolve_budget(budget: Optional[int] = None) -> int:
             raise ConstraintError(f"{BUDGET_ENV_VAR} must be >= 1, got {value}")
         return value
     return DEFAULT_BUDGET
+
+
+def check_budget(action: str, total: int, noun: str, budget: Optional[int] = None) -> None:
+    """Refuse up front when ``action`` would enumerate more than the budget allows."""
+    limit = resolve_budget(budget)
+    if total > limit:
+        raise BudgetExceededError(
+            f"{action} would enumerate {total} {noun}, budget is {limit}",
+            total=total,
+        )
 
 
 def segment_census_pure(
@@ -306,29 +311,29 @@ def _select_kernel(engine: str):
         return _segment_census_compiled or segment_census_pure
     if engine == "compiled":
         if _segment_census_compiled is None:
-            raise RuntimeError("compiled kernel requested but arbor._speedups is not built")
+            raise ConstraintError(
+                "compiled kernel requested but arbor._speedups is not built"
+            )
         return _segment_census_compiled
     if engine == "pure":
         return segment_census_pure
     raise ConstraintError(f"unknown engine {engine!r} (expected auto, compiled or pure)")
 
 
+def _run_chunk(kernel, t: int, chunk: list) -> Counter:
+    table: Counter = Counter()
+    for sizes, slots in chunk:
+        table.update(kernel(t, sizes, slots))
+    return table
+
+
 def _run_jobs(kernel, t: int, jobs: list, workers: int) -> Counter:
-    if workers <= 1 or len(jobs) <= 1:
-        total: Counter = Counter()
-        for sizes, slots in jobs:
-            total.update(kernel(t, sizes, slots))
-        return total
-
-    def run(chunk):
-        sub: Counter = Counter()
-        for sizes, slots in chunk:
-            sub.update(kernel(t, sizes, slots))
-        return sub
-
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        return _run_chunk(kernel, t, jobs)
     chunks = [jobs[i::workers] for i in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run, chunks))
+        parts = list(pool.map(lambda chunk: _run_chunk(kernel, t, chunk), chunks))
     total = Counter()
     for part in parts:
         total.update(part)
@@ -347,19 +352,12 @@ def census(
     trees with n nodes, by brute-force enumeration.
 
     Refuses up front when the object count exceeds the budget.  With
-    workers > 1 the root's size-split space is partitioned across threads;
-    the merged table is identical to the sequential one.
+    workers > 1 the root's size-split space is partitioned across threads,
+    never more threads than splits; the merged table is identical to the
+    sequential one.
     """
-    counting.check_arity(t)
-    if n < 1:
-        raise ConstraintError(f"node count must be >= 1, got n={n}")
-    limit = resolve_budget(budget)
-    total = counting.total_trees(t, n)
-    if total > limit:
-        raise BudgetExceededError(
-            f"census(t={t}, n={n}) would enumerate {total} trees, budget is {limit}",
-            total=total,
-        )
+    counting.check_tree_shape(t, n)
+    check_budget(f"census(t={t}, n={n})", counting.total_trees(t, n), "trees", budget)
     kernel = _select_kernel(engine)
     if workers <= 1:
         jobs = [((n,), (0,))]
@@ -385,19 +383,13 @@ def forest_census(
 ) -> dict:
     """Multiplicity of every realized edge-type composition over all ordered
     m-tuples of non-empty t-ary trees with n total nodes."""
-    counting.check_arity(t)
-    if not 1 <= m < t:
-        raise ConstraintError(f"forest size must satisfy 1 <= m < t, got m={m} t={t}")
-    if n < m:
-        raise ConstraintError(f"node count must be >= m={m}, got n={n}")
-    limit = resolve_budget(budget)
-    total = counting.total_forests(t, m, n)
-    if total > limit:
-        raise BudgetExceededError(
-            f"forest_census(t={t}, m={m}, n={n}) would enumerate {total} forests, "
-            f"budget is {limit}",
-            total=total,
-        )
+    counting.check_forest_shape(t, m, n)
+    check_budget(
+        f"forest_census(t={t}, m={m}, n={n})",
+        counting.total_forests(t, m, n),
+        "forests",
+        budget,
+    )
     kernel = _select_kernel(engine)
     root_slots = tuple(range(1, m + 1))
     jobs = []

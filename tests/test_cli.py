@@ -1,7 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 import pytest
 
-from arbor import cli, counting
+from arbor import cli, counting, treebank
 from arbor.cli import CountTable, main
 
 
@@ -40,10 +40,17 @@ def test_count_constraint_violation(capsys):
     assert "sum" in err
 
 
-def test_bad_flags_exit_1(capsys):
-    code, _, err = run(capsys, "count", "--t", "3")
-    assert code == 1
-    assert err.startswith("error:")
+def test_bad_flags_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(treebank, "_segment_census_compiled", None)
+    verify = ["verify", "--t", "3", "--max-n", "3", "--mode", "brute"]
+    for argv in (["count", "--t", "3"],
+                 verify + ["--workers", "0"],
+                 verify + ["--workers", "-3"],
+                 verify + ["--engine", "compiled"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
 
 def test_table_csv(capsys):

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from arbor import counting
 from arbor.counting import (
-    ForestCountQuery,
-    TreeCountQuery,
     binomial,
     compositions,
     count_forests,
@@ -133,12 +131,14 @@ def test_compositions_examples():
 
 
 def test_compositions_lexicographic_and_complete():
-    for t in range(1, 5):
-        for total in range(0, 8):
-            seq = list(compositions(t, total))
-            assert seq == sorted(seq)
-            assert len(seq) == len(set(seq)) == comb(total + t - 1, t - 1)
-            assert all(sum(a) == total and len(a) == t for a in seq)
+    for t in range(1, 7):
+        for m in range(t):
+            for total in range(0, 8):
+                seq = list(compositions(t, total, m=m))
+                assert seq == sorted(seq)
+                assert len(seq) == len(set(seq)) == comb(total - m + t - 1, t - 1)
+                assert all(sum(a) == total and len(a) == t for a in seq)
+                assert all(min(a[:m], default=1) >= 1 for a in seq)
 
 
 def test_compositions_positivity_constraint():
@@ -146,10 +146,6 @@ def test_compositions_positivity_constraint():
     assert all(a[0] >= 1 and a[1] >= 1 for a in seq)
     assert len(seq) == comb(3 + 3, 3)
     assert list(compositions(3, 1, m=2)) == []
-    # min_first raises the floor on the constrained parts
-    seq2 = list(compositions(3, 6, m=2, min_first=2))
-    assert all(a[0] >= 2 and a[1] >= 2 for a in seq2)
-    assert len(seq2) == comb(2 + 2, 2)
 
 
 def test_compositions_rejects_bad_m():
@@ -236,14 +232,3 @@ def test_m1_reduction():
                 shifted = (a[0] - 1,) + a[1:]
                 assert count_forests(t, 1, n, a) == count_trees(t, n, shifted)
 
-
-def test_query_dataclasses():
-    q = TreeCountQuery(3, 4, (1, 1, 1))
-    assert q.count() == 16
-    assert q.composition == (1, 1, 1)
-    with pytest.raises(ConstraintError):
-        TreeCountQuery(3, 4, (1, 1, 0))
-    fq = ForestCountQuery(3, 2, 3, (2, 1, 0))
-    assert fq.count() == 2
-    with pytest.raises(ConstraintError):
-        ForestCountQuery(3, 2, 3, (0, 2, 1))

@@ -180,12 +180,38 @@ def test_workers_do_not_change_tables():
     assert census(3, 1, workers=4) == {(0, 0, 0): 1}
 
 
-def test_engine_selection():
+def test_worker_pool_clamped_to_job_count(monkeypatch):
+    pool_sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(treebank, "ThreadPoolExecutor", RecordingPool)
+    # 10 root size splits for t=3 n=4, 4 node splits for t=3 m=2 n=5
+    assert census(3, 4, workers=1000) == census(3, 4)
+    assert forest_census(3, 2, 5, workers=1000) == forest_census(3, 2, 5)
+    assert pool_sizes == [10, 4]
+
+
+def test_engine_selection(monkeypatch):
     pure = census(4, 4, engine="pure")
     auto = census(4, 4, engine="auto")
     assert pure == auto
     with pytest.raises(ConstraintError):
         census(3, 3, engine="warp")
+    monkeypatch.setattr(treebank, "_segment_census_compiled", None)
+    with pytest.raises(ConstraintError):
+        census(3, 3, engine="compiled")
 
 
 @pytest.mark.skipif(not treebank.HAVE_SPEEDUPS, reason="compiled kernel not built")

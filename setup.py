@@ -1,24 +1,14 @@
-"""Build script: compiles the optional census kernel when Cython is present.
+"""Build script: compiles the optional census kernel from the shipped C.
 
-Set ARBOR_NO_EXT=1 to skip the extension; the package falls back to the
-pure-Python kernel at import time.
+``src/arbor/_speedups.c`` is generated from ``_speedups.pyx`` by
+``cython -3 src/arbor/_speedups.pyx`` and committed alongside it, so a build
+needs only a C compiler.  Without one the extension is skipped and the
+package falls back to the pure-Python kernel at import time.
 """
-import os
-
 from setuptools import Extension, setup
 
-extensions = []
-if not os.environ.get("ARBOR_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-    if cythonize is not None:
-        ext = Extension(
-            "arbor._speedups",
-            sources=["src/arbor/_speedups.pyx"],
-            optional=True,
-        )
-        extensions = cythonize(ext, language_level="3")
-
-setup(ext_modules=extensions)
+setup(
+    ext_modules=[
+        Extension("arbor._speedups", sources=["src/arbor/_speedups.c"], optional=True)
+    ]
+)

@@ -44,16 +44,16 @@ def tree_to_path(tree: treebank.TAryTree) -> LatticePath:
     """Preorder encoding of a tree; inverse of :func:`path_to_tree`."""
     up = tree.arity - 1
     steps: list[Step] = []
-
-    def walk(node, label):
-        steps.append(Step(up, label))
-        for i, ch in enumerate(node.children):
-            if ch is None:
-                steps.append(Step(-1, i + 1))
-            else:
-                walk(ch, i + 1)
-
-    walk(tree, None)
+    stack = [(tree, None)]
+    while stack:
+        node, label = stack.pop()
+        if node is None:
+            steps.append(Step(-1, label))
+        else:
+            steps.append(Step(up, label))
+            kids = node.children
+            for i in range(len(kids), 0, -1):
+                stack.append((kids[i - 1], i))
     return LatticePath(tuple(steps))
 
 

@@ -4,10 +4,11 @@ The censuses are the brute-force side of every cross-check: they generate
 each object and profile it, never touching the closed forms (the only
 closed-form use is the up-front budget guard).
 
-Census aggregation runs on one of two interchangeable kernels: a compiled
-backtracking enumerator (``arbor._speedups``, built from Cython) and the
-pure-Python reference below.  The compiled kernel is picked up at import
-time when available; both produce identical tables.
+Census aggregation runs one walk, backtracking over preorder words, in one
+of two kernels: the compiled ``arbor._speedups`` (Cython source
+``_speedups.pyx``, built from the generated C shipped next to it) and
+:func:`segment_census_pure`, its iterative Python port.  The compiled kernel
+is picked up at import time when available; both produce identical tables.
 """
 from __future__ import annotations
 
@@ -123,44 +124,40 @@ def serialize_tree(tree: TAryTree) -> str:
     ``o.o....``.
     """
     parts = []
-
-    def walk(node):
-        parts.append("o")
-        for ch in node.children:
-            if ch is None:
-                parts.append(".")
-            else:
-                walk(ch)
-
-    walk(tree)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            parts.append(".")
+        else:
+            parts.append("o")
+            stack.extend(reversed(node.children))
     return "".join(parts)
 
 
 def parse_tree(text: str, t: int) -> TAryTree:
     """Inverse of :func:`serialize_tree` for arity t."""
     counting.check_arity(t)
-    pos = 0
-
-    def node() -> TAryTree:
-        nonlocal pos
-        if pos >= len(text) or text[pos] != "o":
+    stack: list[list] = []  # child lists of the open nodes
+    for pos, ch in enumerate(text):
+        if ch == "o":
+            stack.append([])
+        elif ch == "." and stack:
+            stack[-1].append(None)
+        else:
             raise ConstraintError(f"expected 'o' at position {pos} of {text!r}")
-        pos += 1
-        kids = []
-        for _ in range(t):
-            if pos >= len(text):
-                raise ConstraintError(f"unexpected end of input in {text!r}")
-            if text[pos] == ".":
-                kids.append(None)
-                pos += 1
-            else:
-                kids.append(node())
-        return TAryTree(kids)
-
-    tree = node()
-    if pos != len(text):
-        raise ConstraintError(f"trailing characters at position {pos} of {text!r}")
-    return tree
+        while len(stack[-1]) == t:
+            node = TAryTree(stack.pop())
+            if not stack:
+                if pos + 1 != len(text):
+                    raise ConstraintError(
+                        f"trailing characters at position {pos + 1} of {text!r}"
+                    )
+                return node
+            stack[-1].append(node)
+    if not stack:
+        raise ConstraintError(f"expected 'o' at position 0 of {text!r}")
+    raise ConstraintError(f"unexpected end of input in {text!r}")
 
 
 def edge_profile(tree: TAryTree) -> counting.EdgeComposition:
@@ -277,44 +274,108 @@ def check_budget(action: str, total: int, noun: str, budget: Optional[int] = Non
 def segment_census_pure(
     t: int, sizes: Sequence[int], slots: Sequence[int]
 ) -> dict:
-    """Reference census kernel: profile every tuple of trees with the given sizes.
+    """Pure-Python census kernel: profile every tuple of trees with the given sizes.
 
     Segment j is a tree with exactly sizes[j] nodes; slots[j] > 0 adds one
     edge of that slot type for the segment's root attachment, slots[j] = 0
     marks a free-standing tree whose root has no incoming edge.
+
+    The same walk as the compiled kernel, without recursion: backtracking
+    over preorder words (a node symbol or an empty-slot symbol per step)
+    with a stack of per-node "children placed" counters and a running
+    profile, one table increment per tree tuple.  Once a segment has all
+    its nodes, the rest of its word is forced (empty slots only), so the
+    walk moves straight on to the next segment.
     """
     k = len(sizes)
     if len(slots) != k:
         raise ConstraintError("sizes and slots must have equal length")
+    profile = [0] * t
+    for nodes, slot in zip(sizes, slots):
+        if nodes < 1 or not 0 <= slot <= t:
+            raise ConstraintError(
+                f"segment of {nodes} nodes on slot {slot}: "
+                f"needs >= 1 node and a slot in 0..{t}"
+            )
+        if slot:
+            profile[slot - 1] += 1
     if k == 0:
-        return {(0,) * t: 1}
+        return {tuple(profile): 1}
+    node, segment = -1, -2
+    # one entry per choice: a node, a segment start, or an empty slot
+    # recorded as the number of full frames it closed
+    trail: list = []
+    finished: list = []   # (frames, free) of the segments before the open one
     table: Counter = Counter()
-    base = [0] * t
-    for s in slots:
-        if s:
-            base[s - 1] += 1
+    seg, size = 0, sizes[0]
+    frames = [0]          # children placed under each open node, root first
+    used = 1              # nodes placed in the open segment
+    free = t              # unfilled child slots in the open segment
+    while True:
+        while used < size:  # a node in the next slot
+            i = frames[-1]
+            profile[i] += 1
+            frames[-1] = i + 1
+            frames.append(0)
+            used += 1
+            free += t - 1
+            trail.append(node)
+        if seg + 1 < k:
+            finished.append((frames, free))
+            seg += 1
+            size = sizes[seg]
+            frames, used, free = [0], 1, t
+            trail.append(segment)
+            continue
+        table[tuple(profile)] += 1
+        # back up to the latest node whose slot can take an empty instead
+        while True:
+            if not trail:
+                return dict(table)
+            entry = trail.pop()
+            if entry == segment:
+                frames, free = finished.pop()
+                seg -= 1
+                size = used = sizes[seg]
+            elif entry == node:
+                frames.pop()
+                profile[frames[-1] - 1] -= 1
+                used -= 1
+                free -= t - 1
+                if free > 1:  # the tree stays open, so it can still grow
+                    free -= 1
+                    closed = 0
+                    while frames[-1] == t:
+                        frames.pop()
+                        closed += 1
+                    trail.append(closed)
+                    break
+                frames[-1] -= 1
+            else:
+                frames += [t] * entry
+                frames[-1] -= 1
+                free += 1
 
-    def rec(j, prof):
-        if j == k:
-            table[tuple(prof)] += 1
-            return
-        for tree in enumerate_trees(t, sizes[j]):
-            p = edge_profile(tree)
-            rec(j + 1, [a + b for a, b in zip(prof, p)])
 
-    rec(0, base)
-    return dict(table)
+def _segment_census_capped(t: int, sizes: Sequence[int], slots: Sequence[int]) -> dict:
+    """The compiled kernel, with its refusal of an oversized table as a ConstraintError."""
+    try:
+        return _segment_census_compiled(t, sizes, slots)
+    except ValueError as exc:
+        raise ConstraintError(str(exc)) from None
 
 
 def _select_kernel(engine: str):
     if engine == "auto":
-        return _segment_census_compiled or segment_census_pure
+        if _segment_census_compiled is None:
+            return segment_census_pure
+        return _segment_census_capped
     if engine == "compiled":
         if _segment_census_compiled is None:
             raise ConstraintError(
                 "compiled kernel requested but arbor._speedups is not built"
             )
-        return _segment_census_compiled
+        return _segment_census_capped
     if engine == "pure":
         return segment_census_pure
     raise ConstraintError(f"unknown engine {engine!r} (expected auto, compiled or pure)")
@@ -328,7 +389,7 @@ def _run_chunk(kernel, t: int, chunk: list) -> Counter:
 
 
 def _run_jobs(kernel, t: int, jobs: list, workers: int) -> Counter:
-    workers = min(workers, len(jobs))
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return _run_chunk(kernel, t, jobs)
     chunks = [jobs[i::workers] for i in range(workers)]
@@ -353,8 +414,8 @@ def census(
 
     Refuses up front when the object count exceeds the budget.  With
     workers > 1 the root's size-split space is partitioned across threads,
-    never more threads than splits; the merged table is identical to the
-    sequential one.
+    never more threads than splits or CPUs; the merged table is identical to
+    the sequential one.
     """
     counting.check_tree_shape(t, n)
     check_budget(f"census(t={t}, n={n})", counting.total_trees(t, n), "trees", budget)

@@ -53,6 +53,14 @@ def test_bad_flags_exit_1(capsys, monkeypatch):
         assert err.startswith("error:")
 
 
+def test_kernel_cell_cap_exit_1(capsys, compiled_kernel):
+    code, out, err = run(capsys, "paths", "--t", "16", "--n", "15", "--probe",
+                         "--budget", str(10**40))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: composition space too large")
+
+
 def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "--t", "3", "--n", "2",
                        "--format", "csv")

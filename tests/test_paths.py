@@ -17,7 +17,13 @@ from arbor.paths import (
     residue_stats,
     tree_to_path,
 )
-from arbor.treebank import TAryTree, edge_profile, enumerate_trees
+from arbor.treebank import (
+    TAryTree,
+    edge_profile,
+    enumerate_trees,
+    parse_tree,
+    serialize_tree,
+)
 
 
 def steps_of(path):
@@ -66,6 +72,19 @@ def test_round_trip_exhaustive_small():
         for n in range(1, 6):
             for tree in enumerate_trees(t, n):
                 assert path_to_tree(tree_to_path(tree), t) == tree
+
+
+def test_deep_chain_round_trip():
+    # a 3000-node unary chain: path -> tree -> text -> tree -> path
+    n = 3000
+    path = LatticePath((Step(0),) + (Step(0, 1),) * (n - 1) + (Step(-1, 1),))
+    tree = path_to_tree(path, 1)
+    text = serialize_tree(tree)
+    assert text == "o" * n + "."
+    again = parse_tree(text, 1)
+    assert again.size == n
+    assert repr(again) == f"TAryTree({text!r})"
+    assert tree_to_path(again) == path
 
 
 def test_path_to_tree_recomputes_labels():

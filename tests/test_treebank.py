@@ -1,4 +1,5 @@
 """Enumeration and census oracles: frozen tables, determinism, kernel parity."""
+import os
 from collections import Counter
 
 import pytest
@@ -197,10 +198,17 @@ def test_worker_pool_clamped_to_job_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(treebank, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     # 10 root size splits for t=3 n=4, 4 node splits for t=3 m=2 n=5
     assert census(3, 4, workers=1000) == census(3, 4)
     assert forest_census(3, 2, 5, workers=1000) == forest_census(3, 2, 5)
     assert pool_sizes == [10, 4]
+    # fewer CPUs than jobs: the CPU count binds; an unknown count means one
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert census(3, 4, workers=1000) == census(3, 4)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert census(3, 4, workers=1000) == census(3, 4)
+    assert pool_sizes == [10, 4, 3]
 
 
 def test_engine_selection(monkeypatch):
@@ -214,10 +222,8 @@ def test_engine_selection(monkeypatch):
         census(3, 3, engine="compiled")
 
 
-@pytest.mark.skipif(not treebank.HAVE_SPEEDUPS, reason="compiled kernel not built")
-def test_compiled_kernel_matches_reference():
-    from arbor._speedups import segment_census as fast
-
+def test_compiled_kernel_matches_reference(compiled_kernel):
+    fast = compiled_kernel
     cases = [
         (3, (5,), (0,)),
         (2, (6,), (0,)),
@@ -235,8 +241,29 @@ def test_compiled_kernel_matches_reference():
             forest_census(t, m, n, engine="pure")
 
 
+def test_compiled_kernel_cell_cap_is_a_constraint_error(compiled_kernel):
+    with pytest.raises(ConstraintError, match="composition space too large"):
+        census(16, 15, budget=10**40, engine="compiled")
+
+
+def test_pure_walk_matches_object_enumeration():
+    for t, n in [(1, 6), (2, 8), (3, 6), (4, 5)]:
+        direct = Counter(edge_profile(tr) for tr in enumerate_trees(t, n))
+        assert census(t, n, engine="pure") == direct
+    for t, m, n in [(2, 1, 6), (3, 1, 5), (3, 2, 6), (4, 3, 6)]:
+        direct = Counter(forest_profile(f) for f in enumerate_forests(t, m, n))
+        assert forest_census(t, m, n, engine="pure") == direct
+
+
+def test_pure_walk_deep_chain():
+    assert census(1, 3000, engine="pure") == {(2999,): 1}
+
+
 def test_segment_census_degenerate():
     assert segment_census_pure(3, (), ()) == {(0, 0, 0): 1}
+    for sizes, slots in [((2,), (0, 1)), ((0,), (0,)), ((2,), (4,)), ((2,), (-1,))]:
+        with pytest.raises(ConstraintError):
+            segment_census_pure(3, sizes, slots)
 
 
 def test_enumerate_rejects_bad_arguments():

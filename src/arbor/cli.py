@@ -99,8 +99,10 @@ def cmd_count(args) -> int:
 
 def cmd_table(args) -> int:
     if args.forest is not None:
+        counting.check_forest_shape(args.t, args.forest, args.n)
         table = CountTable.for_forests(args.t, args.forest, args.n)
     else:
+        counting.check_tree_shape(args.t, args.n)
         table = CountTable.for_trees(args.t, args.n)
     print(table.to_csv() if args.format == "csv" else table.to_pretty())
     return EXIT_OK

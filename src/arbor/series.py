@@ -8,6 +8,8 @@ direct coefficient extraction from the expanded product (the inversion rule
 """
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import add
 from typing import Iterator, Sequence
 
 from arbor import counting
@@ -17,7 +19,8 @@ from arbor.errors import ConstraintError
 class MultiSeries:
     """Sparse series in x and y1..yt, truncated at a fixed x-degree.
 
-    Direct inversion reuses the same ring with g in the place of x.  Terms map (n, (a1, ..., at)) to a nonzero integer coefficient; the
+    Direct inversion reuses the same ring with g in the place of x.
+    Terms map (n, (a1, ..., at)) to a nonzero integer coefficient; the
     representation is normalized (no stored zeros).  Values are immutable
     by convention; arithmetic returns new instances.
     """
@@ -65,14 +68,18 @@ class MultiSeries:
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         self._check_match(other)
         limit = self.truncation
+        # other's terms by x-degree, so pairs beyond the truncation are
+        # never formed
+        by_degree: dict[int, list] = {}
+        for (n2, a2), c2 in other._terms.items():
+            by_degree.setdefault(n2, []).append((a2, c2))
         out: dict = {}
+        get = out.get
         for (n1, a1), c1 in self._terms.items():
-            for (n2, a2), c2 in other._terms.items():
-                n = n1 + n2
-                if n > limit:
-                    continue
-                key = (n, tuple(p + q for p, q in zip(a1, a2)))
-                out[key] = out.get(key, 0) + c1 * c2
+            for n in range(n1, limit + 1):
+                for a2, c2 in by_degree.get(n - n1, ()):
+                    key = (n, tuple(map(add, a1, a2)))
+                    out[key] = get(key, 0) + c1 * c2
         return MultiSeries(self.arity, self.truncation, out)
 
     def times_y(self, slot: int) -> "MultiSeries":
@@ -132,26 +139,41 @@ class MultiSeries:
 def solve_G(t: int, N: int) -> MultiSeries:
     """Solve g = x * prod_i (1 + yi*g) through x-order N by fixed-point iteration.
 
-    Starting from 0, the coefficient of x^k is stable after k rounds, so
-    exactly N rounds are run; no convergence heuristic is involved.
+    Round k (k = 1..N) works at truncation k: it lifts the previous round's
+    g to truncation k and applies the right-hand side once.  This is exact,
+    not an approximation: g has no constant term, so [x^j] of the
+    right-hand side depends only on [x^(<j)] of g, and by induction round
+    k-1 already holds the final coefficients up to x^(k-1).  Round k thus
+    makes every coefficient through x^k final, and after round N the
+    result equals the fixed point truncated at N; no convergence heuristic
+    is involved.  Only the last round runs at full truncation.
     """
     counting.check_arity(t)
     if N < 1:
         raise ConstraintError(f"truncation must be >= 1, got N={N}")
-    one = MultiSeries.one(t, N)
-    x = MultiSeries.x(t, N)
-    g = MultiSeries.zero(t, N)
-    for _ in range(N):
-        p = x
+    g = MultiSeries.zero(t, 0)
+    for k in range(1, N + 1):
+        one = MultiSeries.one(t, k)
+        g = MultiSeries(t, k, g._terms)
+        p = MultiSeries.x(t, k)
         for slot in range(1, t + 1):
             p = p * (one + g.times_y(slot))
         g = p
     return g
 
 
+@lru_cache(maxsize=1)
 def _expanded_product(t: int, gmax: int, power: int) -> MultiSeries:
     """prod_i (1 + yi*g)^power with g in the truncated variable's place,
-    each factor written out from its binomial coefficients."""
+    each factor written out from its binomial coefficients.
+
+    Memoised: every composition of one (n, m) group reads the same product,
+    and callers walk the compositions of a group together, so one entry
+    saves all but the first build per group and keeps a single product
+    alive between calls.  Callers only read it (``MultiSeries`` values are
+    immutable by convention).  The memo lives inside the inversion oracle:
+    it caches nothing but this module's own ring arithmetic.
+    """
     zero = (0,) * t
     p = MultiSeries.one(t, gmax)
     for i in range(t):

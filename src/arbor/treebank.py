@@ -67,7 +67,22 @@ class TAryTree:
     def __eq__(self, other):
         if not isinstance(other, TAryTree):
             return NotImplemented
-        return self.size == other.size and self.children == other.children
+        # explicit stack of node pairs: deep trees must not hit the
+        # recursion limit
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.size != b.size or len(a.children) != len(b.children):
+                return False
+            for x, y in zip(a.children, b.children):
+                if x is None or y is None:
+                    if x is not y:
+                        return False
+                else:
+                    stack.append((x, y))
+        return True
 
     __hash__ = None
 

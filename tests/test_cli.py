@@ -43,14 +43,22 @@ def test_count_constraint_violation(capsys):
 def test_bad_flags_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(treebank, "_segment_census_compiled", None)
     verify = ["verify", "--t", "3", "--max-n", "3", "--mode", "brute"]
-    for argv in (["count", "--t", "3"],
-                 verify + ["--workers", "0"],
-                 verify + ["--workers", "-3"],
-                 verify + ["--engine", "compiled"]):
+    for argv, message in (
+        (["count", "--t", "3"], None),
+        (verify + ["--workers", "0"], None),
+        (verify + ["--workers", "-3"], None),
+        (verify + ["--engine", "compiled"], None),
+        # the shape is checked before any composition is built
+        (["table", "--t", "3", "--n", "0"], "node count must be >= 1, got n=0"),
+        (["table", "--t", "3", "--n", "-2", "--forest", "2"],
+         "node count must be >= m=2, got n=-2"),
+    ):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+        if message is not None:
+            assert err == f"error: {message}\n"
 
 
 def test_kernel_cell_cap_exit_1(capsys, compiled_kernel):

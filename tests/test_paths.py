@@ -82,9 +82,21 @@ def test_deep_chain_round_trip():
     text = serialize_tree(tree)
     assert text == "o" * n + "."
     again = parse_tree(text, 1)
-    assert again.size == n
+    assert again is not tree and again == tree
     assert repr(again) == f"TAryTree({text!r})"
     assert tree_to_path(again) == path
+
+
+def test_deep_trees_compare_without_recursion():
+    # two 3000-node binary trees that differ only in the deepest node:
+    # a left child in one, a right child in the other
+    n = 3000
+    left = parse_tree("o" * n + "." * (n + 1), 2)
+    right = parse_tree("o" * (n - 1) + ".o.." + "." * (n - 2), 2)
+    assert left.size == right.size == n
+    assert left != right
+    assert left == parse_tree(serialize_tree(left), 2)
+    assert treebank.Forest([left]) != treebank.Forest([right])
 
 
 def test_path_to_tree_recomputes_labels():

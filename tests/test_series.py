@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arbor import counting, series
+from arbor import cli, counting, series
 from arbor.errors import ConstraintError
 from arbor.series import (
     MultiSeries,
@@ -55,6 +55,36 @@ def test_mismatch_errors():
         MultiSeries.one(2, 3) + MultiSeries.one(3, 3)
     with pytest.raises(ConstraintError):
         MultiSeries.one(2, 3) * MultiSeries.one(2, 4)
+
+
+def reference_solve(t, N):
+    """The fixed-point loop run at full truncation N in every round."""
+    one = MultiSeries.one(t, N)
+    x = MultiSeries.x(t, N)
+    g = MultiSeries.zero(t, N)
+    for _ in range(N):
+        p = x
+        for slot in range(1, t + 1):
+            p = p * (one + g.times_y(slot))
+        g = p
+    return g
+
+
+def reference_mul(a, b):
+    """Every pair of terms formed, then the ones beyond the truncation dropped."""
+    out = {}
+    for (n1, a1), c1 in a._terms.items():
+        for (n2, a2), c2 in b._terms.items():
+            if n1 + n2 <= a.truncation:
+                key = (n1 + n2, tuple(p + q for p, q in zip(a1, a2)))
+                out[key] = out.get(key, 0) + c1 * c2
+    return MultiSeries(a.arity, a.truncation, out)
+
+
+def test_growing_precision_matches_full_truncation():
+    for t, max_N in [(1, 12), (2, 10), (3, 8), (4, 6), (5, 5)]:
+        for N in range(1, max_N + 1):
+            assert solve_G(t, N) == reference_solve(t, N)
 
 
 def test_coefficient_beyond_truncation():
@@ -129,6 +159,35 @@ def test_triple_agreement_small():
                 assert lagrange_extract(t, n, a) == want
 
 
+def test_interleaved_extraction_reuses_unchanged_products():
+    # n descending, forests (m descending) then trees, each group's
+    # compositions read forward and back: a read that altered the shared
+    # product would spoil the next read of it (m=1 and trees share one)
+    t = 4
+    for n in range(7, 0, -1):
+        groups = [
+            (lagrange_extract_forest, counting.count_forests, (t, m, n),
+             list(counting.compositions(t, n, m=m)))
+            for m in range(min(n, t - 1), 0, -1)
+        ]
+        groups.append((lagrange_extract, counting.count_trees, (t, n),
+                       list(counting.compositions(t, n - 1))))
+        for extract, closed, shape, comps in groups:
+            for a in comps + comps[::-1]:
+                assert extract(*shape, a) == closed(*shape, a)
+
+
+def test_expanded_product_built_once_per_group(capsys):
+    # verify --mode lagrange at t=3, n<=6 visits 17 (n, m) groups: 6 for
+    # trees, 6 for m=1 and 5 for m=2; without the memo it builds one
+    # product per composition, 147 in all
+    series._expanded_product.cache_clear()
+    code = cli.main(["verify", "--t", "3", "--max-n", "6", "--mode", "lagrange"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("summary: 3/3 checks passed\n")
+    assert series._expanded_product.cache_info().misses <= 17
+
+
 def test_forest_extraction_matches_closed_form():
     for t in (3, 4):
         for m in range(1, t):
@@ -161,11 +220,35 @@ def small_series(t=2, N=3):
     )
 
 
+def edge_series(t=2, N=5):
+    """Series with one term at x-degree 0 and one at the truncation N."""
+    exps = st.tuples(*[st.integers(0, 2) for _ in range(t)])
+    term = st.tuples(exps, st.integers(-4, 4).filter(bool))
+    rest = st.dictionaries(st.tuples(st.integers(0, N), exps),
+                           st.integers(-4, 4), max_size=4)
+    return st.builds(
+        lambda low, high, terms: MultiSeries(
+            t, N, {**terms, (0, low[0]): low[1], (N, high[0]): high[1]}
+        ),
+        term, term, rest,
+    )
+
+
+def check_ring_laws(a, b, c):
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a * b == b * a == reference_mul(a, b)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+
+
 @given(small_series(), small_series(), small_series())
 @settings(max_examples=120, deadline=None)
 def test_ring_laws(a, b, c):
-    assert a + b == b + a
-    assert (a + b) + c == a + (b + c)
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    check_ring_laws(a, b, c)
+
+
+@given(edge_series(), edge_series(), edge_series())
+@settings(max_examples=120, deadline=None)
+def test_ring_laws_at_truncation(a, b, c):
+    check_ring_laws(a, b, c)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
@@ -25,32 +26,17 @@ class CountTable:
     """Composition-count rows for one (t, n) in lexicographic order."""
 
     arity: int
-    nodes: int
-    forest_m: Optional[int]
     rows: list[tuple[counting.EdgeComposition, int]]
     total: int
 
     @classmethod
-    def for_trees(cls, t: int, n: int) -> "CountTable":
-        rows = [
-            (a, counting.count_trees(t, n, a))
-            for a in counting.compositions(t, n - 1)
-        ]
-        total = counting.total_trees(t, n)
+    def build(cls, t: int, n: int, m: Optional[int] = None) -> "CountTable":
+        """The closed-form rows of the n-node trees, or with m of the m-tree forests."""
+        total = _closed_total(t, n, m)  # checks the shape first
+        rows = list(_closed_form(t, n, m).items())
         if total != sum(c for _, c in rows):
-            raise ArithmeticError("table rows do not sum to the tree total")
-        return cls(t, n, None, rows, total)
-
-    @classmethod
-    def for_forests(cls, t: int, m: int, n: int) -> "CountTable":
-        rows = [
-            (a, counting.count_forests(t, m, n, a))
-            for a in counting.compositions(t, n, m=m)
-        ]
-        total = counting.total_forests(t, m, n)
-        if total != sum(c for _, c in rows):
-            raise ArithmeticError("table rows do not sum to the forest total")
-        return cls(t, n, m, rows, total)
+            raise ArithmeticError("table rows do not sum to the closed-form total")
+        return cls(t, rows, total)
 
     def to_csv(self) -> str:
         lines = [",".join(f"a{i + 1}" for i in range(self.arity)) + ",count"]
@@ -98,12 +84,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.forest is not None:
-        counting.check_forest_shape(args.t, args.forest, args.n)
-        table = CountTable.for_forests(args.t, args.forest, args.n)
-    else:
-        counting.check_tree_shape(args.t, args.n)
-        table = CountTable.for_trees(args.t, args.n)
+    table = CountTable.build(args.t, args.n, args.forest)
     print(table.to_csv() if args.format == "csv" else table.to_pretty())
     return EXIT_OK
 
@@ -139,129 +120,126 @@ def cmd_triangle(args) -> int:
     return EXIT_OK
 
 
-def _verify_trees_brute(t, max_n, budget, workers, engine, report):
-    checked = 0
-    for n in range(1, max_n + 1):
-        table = treebank.census(t, n, budget=budget, workers=workers, engine=engine)
-        comps = list(counting.compositions(t, n - 1))
-        if set(table) != set(comps):
-            report(False, f"tree census key set differs at t={t} n={n}")
-            return
-        for a in comps:
-            checked += 1
-            if table[a] != counting.count_trees(t, n, a):
-                report(False, f"tree census mismatch at t={t} n={n} a={a}")
-                return
-    report(True, f"tree census == closed form (t={t}, n<={max_n}, "
-                 f"{checked} compositions)")
+def _closed_form(t: int, n: int, m: Optional[int] = None) -> dict:
+    """Closed-form count of every composition of one group, in lexicographic
+    order: the n-node trees, or with m the m-tree forests."""
+    if m is None:
+        return {a: counting.count_trees(t, n, a)
+                for a in counting.compositions(t, n - 1)}
+    return {a: counting.count_forests(t, m, n, a)
+            for a in counting.compositions(t, n, m=m)}
 
 
-def _verify_forests_brute(t, ms, max_n, budget, workers, engine, report):
-    for m in ms:
-        checked = 0
-        for n in range(m, max_n + 1):
-            table = treebank.forest_census(
-                t, m, n, budget=budget, workers=workers, engine=engine
-            )
-            comps = list(counting.compositions(t, n, m=m))
-            if set(table) != set(comps):
-                report(False, f"forest census key set differs at t={t} m={m} n={n}")
-                return
-            for a in comps:
-                checked += 1
-                if table[a] != counting.count_forests(t, m, n, a):
-                    report(False, f"forest census mismatch at t={t} m={m} n={n} a={a}")
-                    return
-        report(True, f"forest census == closed form (t={t}, m={m}, n<={max_n}, "
-                     f"{checked} compositions)")
+def _closed_total(t: int, n: int, m: Optional[int] = None) -> int:
+    return counting.total_trees(t, n) if m is None else counting.total_forests(t, m, n)
 
 
-def _verify_series(t, max_n, dump, report):
+# A case yields (where, got, want) tables for the trees when ms is empty, else
+# for the forests of each m in ms.  got comes from the treebank or series
+# oracle, the closed form enters only as want; the sum identity and symmetry
+# cases test the closed form itself.
+
+def _groups(args, ms):
+    for m in ms or (None,):
+        for n in range(m or 1, args.max_n + 1):
+            yield n, m, f"t={args.t}{f' m={m}' if m else ''} n={n}"
+
+
+def _census(args, ms):
+    options = dict(budget=args.budget, workers=args.workers, engine=args.engine)
+    for n, m, where in _groups(args, ms):
+        got = (treebank.census(args.t, n, **options) if m is None
+               else treebank.forest_census(args.t, m, n, **options))
+        yield where, got, _closed_form(args.t, n, m)
+
+
+def _series(args, ms):
+    """The coefficients of the solved g and of x * prod (1 + yi*g) against the
+    closed form: both agree with it when g does and the residual is zero."""
+    t, max_n = args.t, args.max_n
     g = series.solve_G(t, max_n)
-    for n, a, _ in g.terms():
-        if sum(a) != n - 1:
-            report(False, f"homogeneity violated at term ({n}, {a})")
-            return
-    checked = 0
-    for n in range(1, max_n + 1):
-        for a in counting.compositions(t, n - 1):
-            checked += 1
-            if g.coefficient(n, a) != counting.count_trees(t, n, a):
-                report(False, f"series coefficient mismatch at n={n} a={a}")
-                return
-    one = series.MultiSeries.one(t, max_n)
-    x = series.MultiSeries.x(t, max_n)
-    p = x
+    one, rhs = series.MultiSeries.one(t, max_n), series.MultiSeries.x(t, max_n)
     for slot in range(1, t + 1):
-        p = p * (one + g.times_y(slot))
-    if p != g:
-        report(False, "fixed-point residual is nonzero")
-        return
-    report(True, f"series solution == closed form, residual zero "
-                 f"(t={t}, n<={max_n}, {checked} coefficients)")
-    if dump:
-        print("series dump:")
-        for line in g.dump_lines():
-            print(line)
+        rhs = rhs * (one + g.times_y(slot))
+    pairs: dict = {}  # n -> {a: [coefficient in g, coefficient in rhs]}
+    for side, s in enumerate((g, rhs)):
+        for n, a, c in s.terms():
+            pairs.setdefault(n, {}).setdefault(a, [0, 0])[side] = c
+    for n, _, where in _groups(args, ()):
+        want = {a: [c, c] for a, c in _closed_form(t, n).items()}
+        yield where, pairs.get(n, {}), want
 
 
-def _verify_lagrange(t, ms, max_n, report):
-    checked = 0
-    for n in range(1, max_n + 1):
-        for a in counting.compositions(t, n - 1):
-            checked += 1
-            if series.lagrange_extract(t, n, a) != counting.count_trees(t, n, a):
-                report(False, f"inversion mismatch at t={t} n={n} a={a}")
-                return
-    report(True, f"direct inversion == closed form (t={t}, n<={max_n}, "
-                 f"{checked} compositions)")
-    for m in ms:
-        checked = 0
-        for n in range(m, max_n + 1):
-            for a in counting.compositions(t, n, m=m):
-                checked += 1
-                if series.lagrange_extract_forest(t, m, n, a) != \
-                        counting.count_forests(t, m, n, a):
-                    report(False, f"forest inversion mismatch at "
-                                  f"t={t} m={m} n={n} a={a}")
-                    return
-        report(True, f"forest inversion == closed form (t={t}, m={m}, "
-                     f"n<={max_n}, {checked} compositions)")
+def _inversion(args, ms):
+    t = args.t
+    for n, m, where in _groups(args, ms):
+        want = _closed_form(t, n, m)
+        got = {a: series.lagrange_extract(t, n, a) if m is None
+               else series.lagrange_extract_forest(t, m, n, a) for a in want}
+        yield where, got, want
 
 
-def _verify_identities(t, ms, max_n, report):
-    for n in range(1, max_n + 1):
-        s = sum(counting.count_trees(t, n, a)
-                for a in counting.compositions(t, n - 1))
-        if s != counting.total_trees(t, n):
-            report(False, f"tree sum identity fails at t={t} n={n}")
-            return
-    report(True, f"tree counts sum to the closed-form total (t={t}, n<={max_n})")
-    for m in ms:
-        for n in range(m, max_n + 1):
-            s = sum(counting.count_forests(t, m, n, a)
-                    for a in counting.compositions(t, n, m=m))
-            if s != counting.total_forests(t, m, n):
-                report(False, f"forest sum identity fails at t={t} m={m} n={n}")
-                return
-    if ms:
-        report(True, f"forest counts sum to the closed-form total "
-                     f"(t={t}, m in {{{','.join(map(str, ms))}}}, n<={max_n})")
+def _sums(args, ms):
+    for m in ms or (None,):
+        ns = range(m or 1, args.max_n + 1)
+        yield (f"t={args.t}{f' m={m}' if m else ''}",
+               {n: sum(_closed_form(args.t, n, m).values()) for n in ns},
+               {n: _closed_total(args.t, n, m) for n in ns})
 
 
-def _verify_symmetry(t, max_n, report):
-    checked = 0
-    for n in range(1, max_n + 1):
-        for a in counting.compositions(t, n - 1):
-            base = counting.count_trees(t, n, a)
-            for perm in permutations(a):
-                checked += 1
-                if counting.count_trees(t, n, perm) != base:
-                    report(False, f"symmetry broken at t={t} n={n} "
-                                  f"a={a} perm={perm}")
-                    return
-    report(True, f"counts invariant under slot permutations "
-                 f"(t={t}, n<={max_n}, {checked} checks)")
+def _symmetry(args, ms):
+    orders = list(permutations(range(args.t)))
+    for n, _, where in _groups(args, ()):
+        rows = _closed_form(args.t, n)
+        for a, count in rows.items():
+            got = {p: rows[tuple(a[i] for i in p)] for p in orders}
+            yield f"{where} a={a}", got, dict.fromkeys(orders, count)
+
+
+# Every check in run order: its name, the --mode that runs it besides "all",
+# its entries ("trees", "each m" for one per forest size, "all m" for one
+# over all sizes), its case, what a table key is (for the FAIL line) and its
+# PASS text, with the fields t, n (the maximum), m and count.
+_Check = namedtuple("_Check", "name mode scope case label passed")
+CHECKS = (
+    _Check("tree census", "brute", "trees", _census, "a",
+           "tree census == closed form (t={t}, n<={n}, {count} compositions)"),
+    _Check("forest census", "brute", "each m", _census, "a",
+           "forest census == closed form (t={t}, m={m}, n<={n}, "
+           "{count} compositions)"),
+    _Check("series", "series", "trees", _series, "a",
+           "series solution == closed form, residual zero "
+           "(t={t}, n<={n}, {count} coefficients)"),
+    _Check("inversion", "lagrange", "trees", _inversion, "a",
+           "direct inversion == closed form (t={t}, n<={n}, {count} compositions)"),
+    _Check("forest inversion", "lagrange", "each m", _inversion, "a",
+           "forest inversion == closed form (t={t}, m={m}, n<={n}, "
+           "{count} compositions)"),
+    _Check("tree sum identity", "all", "trees", _sums, "n",
+           "tree counts sum to the closed-form total (t={t}, n<={n})"),
+    _Check("forest sum identity", "all", "all m", _sums, "n",
+           "forest counts sum to the closed-form total "
+           "(t={t}, m in {{{m}}}, n<={n})"),
+    _Check("symmetry", "all", "trees", _symmetry, "perm",
+           "counts invariant under slot permutations (t={t}, n<={n}, {count} checks)"),
+)
+
+
+def _compare(check: _Check, args, ms: tuple) -> bool:
+    """Run one table entry: key sets first, then values; one PASS or FAIL line.
+    The first failing table ends the entry; later entries still run."""
+    count = 0
+    for where, got, want in check.case(args, ms):
+        if got != want:
+            stray = got.keys() ^ want.keys()
+            key = min(stray) if stray else next(k for k in want if got[k] != want[k])
+            what = "key set differs" if stray else "mismatch"
+            print(f"FAIL {check.name} {what} at {where} {check.label}={key}")
+            return False
+        count += len(want)
+    print("PASS " + check.passed.format(t=args.t, n=args.max_n,
+                                        m=",".join(map(str, ms)), count=count))
+    return True
 
 
 def cmd_verify(args) -> int:
@@ -279,25 +257,18 @@ def cmd_verify(args) -> int:
         ms = [args.forest]
     else:
         ms = [m for m in range(1, t) if m <= max_n]
+    scopes = {"trees": [()], "each m": [(m,) for m in ms],
+              "all m": [tuple(ms)] if ms else []}
     results = []
-
-    def report(ok: bool, message: str) -> None:
-        results.append(ok)
-        print(("PASS " if ok else "FAIL ") + message)
-
-    if args.mode in ("brute", "all"):
-        _verify_trees_brute(t, max_n, args.budget, args.workers, args.engine, report)
-        _verify_forests_brute(
-            t, ms, max_n, args.budget, args.workers, args.engine, report
-        )
-    if args.mode in ("series", "all"):
-        _verify_series(t, max_n, args.dump_series, report)
-    if args.mode in ("lagrange", "all"):
-        _verify_lagrange(t, ms, max_n, report)
-    if args.mode == "all":
-        _verify_identities(t, ms, max_n, report)
-        _verify_symmetry(t, max_n, report)
-
+    for check in CHECKS:
+        if args.mode not in (check.mode, "all"):
+            continue
+        for group in scopes[check.scope]:
+            results.append(_compare(check, args, group))
+            if results[-1] and check.case is _series and args.dump_series:
+                print("series dump:")
+                for line in series.solve_G(t, max_n).dump_lines():
+                    print(line)
     passed = sum(results)
     print(f"summary: {passed}/{len(results)} checks passed")
     return EXIT_OK if passed == len(results) else EXIT_VERIFY

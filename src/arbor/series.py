@@ -20,7 +20,8 @@ class MultiSeries:
     """Sparse series in x and y1..yt, truncated at a fixed x-degree.
 
     Direct inversion reuses the same ring with g in the place of x.
-    Terms map (n, (a1, ..., at)) to a nonzero integer coefficient; the
+    Terms map (n, (a1, ..., at)), with 0 <= n <= truncation and t
+    non-negative parts, to a nonzero integer coefficient; the
     representation is normalized (no stored zeros).  Values are immutable
     by convention; arithmetic returns new instances.
     """
@@ -33,7 +34,17 @@ class MultiSeries:
             raise ConstraintError(f"truncation must be >= 0, got {truncation}")
         self.arity = arity
         self.truncation = truncation
+        for n, a in terms or ():
+            self._check_term(n, a)
         self._terms = {k: v for k, v in (terms or {}).items() if v}
+
+    def _check_term(self, n: int, a: tuple) -> None:
+        if not 0 <= n <= self.truncation:
+            raise ConstraintError(f"x-degree {n} outside 0..{self.truncation}")
+        if len(a) != self.arity or min(a) < 0:
+            raise ConstraintError(
+                f"exponent vector {a} is not {self.arity} non-negative parts"
+            )
 
     @classmethod
     def zero(cls, arity: int, truncation: int) -> "MultiSeries":
@@ -94,16 +105,9 @@ class MultiSeries:
         return MultiSeries(self.arity, self.truncation, out)
 
     def coefficient(self, n: int, parts: Sequence[int]) -> int:
-        """Stored coefficient of x^n * y^parts, or 0; n must be within truncation."""
-        if n > self.truncation:
-            raise ConstraintError(
-                f"x-degree {n} beyond truncation {self.truncation}"
-            )
+        """Stored coefficient of x^n * y^parts, or 0; the term must be in range."""
         a = tuple(parts)
-        if len(a) != self.arity:
-            raise ConstraintError(
-                f"exponent vector has {len(a)} parts, arity is {self.arity}"
-            )
+        self._check_term(n, a)
         return self._terms.get((n, a), 0)
 
     def terms(self) -> Iterator[tuple]:

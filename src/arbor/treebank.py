@@ -203,34 +203,16 @@ def forest_profile(forest: Forest) -> counting.EdgeComposition:
 def enumerate_trees(t: int, n: int) -> Iterator[TAryTree]:
     """Every t-ary tree with exactly n nodes, exactly once.
 
-    Order is deterministic: the root's children sizes run through weak
-    compositions of n-1 lexicographically, and within one size split the
-    leftmost slot varies slowest.  n = 0 yields nothing.
+    Order is deterministic: lexicographic on the preorder sequence of slot
+    sizes, that is the root's first slot size s1, then the same sequence for
+    the subtree in that slot, then s2, and so on.  n = 0 yields nothing.
     """
     if n == 0:
         counting.check_arity(t)
         return
     counting.check_tree_shape(t, n)
-    for kids in _slot_tuples(t, n - 1, t):
-        yield TAryTree(kids)
-
-
-def _slot_stream(t: int, size: int) -> Iterator[Optional[TAryTree]]:
-    if size == 0:
-        yield None
-    else:
-        yield from enumerate_trees(t, size)
-
-
-def _slot_tuples(t: int, total: int, slots: int) -> Iterator[tuple]:
-    if slots == 1:
-        for sub in _slot_stream(t, total):
-            yield (sub,)
-        return
-    for first_size in range(total + 1):
-        for first in _slot_stream(t, first_size):
-            for rest in _slot_tuples(t, total - first_size, slots - 1):
-                yield (first,) + rest
+    for (tree,) in _tree_tuples(t, (n,)):
+        yield tree
 
 
 def enumerate_forests(t: int, m: int, n: int) -> Iterator[Forest]:
@@ -241,19 +223,61 @@ def enumerate_forests(t: int, m: int, n: int) -> Iterator[Forest]:
     """
     counting.check_forest_shape(t, m, n)
     for split in counting.compositions(m, n - m):
-        sizes = tuple(s + 1 for s in split)
-        for combo in _forest_tuples(t, sizes):
-            yield Forest(combo)
+        for trees in _tree_tuples(t, tuple(s + 1 for s in split)):
+            yield Forest(trees)
 
 
-def _forest_tuples(t: int, sizes: tuple) -> Iterator[tuple]:
-    if len(sizes) == 1:
-        for tr in enumerate_trees(t, sizes[0]):
-            yield (tr,)
-        return
-    for tr in enumerate_trees(t, sizes[0]):
-        for rest in _forest_tuples(t, sizes[1:]):
-            yield (tr,) + rest
+def _tree_tuples(t: int, sizes: Sequence[int]) -> Iterator[tuple]:
+    """Every tuple of t-ary trees of the given sizes, the last varying fastest,
+    each tree in :func:`enumerate_trees` order: a backtracking walk over the
+    preorder slot sizes, without recursion, in O(t * sum(sizes)) memory.
+    Once every node is placed only empty slots remain, so the open nodes are
+    completed into copies; finished subtrees are shared between tuples.
+    """
+    stack = [[sum(sizes)]]  # per open node: nodes left to place, then children
+    unplaced = stack[0][0]
+    trail = []              # the size placed in each filled slot
+    size = None             # the size for the next slot, None for its least
+    while True:
+        while unplaced:
+            top = stack[-1]
+            if size is None:
+                if len(stack) == 1:
+                    size = sizes[len(top) - 1]
+                else:  # empty, except that the last slot takes the rest
+                    size = 0 if len(top) < t else top[0]
+            trail.append(size)
+            if size:
+                top[0] -= size
+                stack.append([size - 1])
+                unplaced -= 1
+            else:
+                top.append(None)
+                while len(top) > t and len(stack) > 1:  # close full nodes
+                    node = TAryTree(stack.pop()[1:])
+                    top = stack[-1]
+                    top.append(node)
+            size = None
+        below = []
+        for frame in stack[:0:-1]:
+            row = frame[1:] + below
+            below = [TAryTree(row + [None] * (t - len(row)))]
+        yield tuple(stack[0][1:] + below)
+        # back up to the latest slot that can take one node more
+        while size is None:
+            if not trail:
+                return
+            placed = trail.pop()
+            if placed:
+                stack.pop()
+                stack[-1][0] += placed
+                unplaced += 1
+            else:
+                while stack[-1][-1] is not None:  # reopen the nodes it closed
+                    stack.append([0, *stack[-1].pop().children])
+                stack[-1].pop()
+            if len(stack) > 1 and placed < stack[-1][0]:
+                size = placed + 1
 
 
 def resolve_budget(budget: Optional[int] = None) -> int:

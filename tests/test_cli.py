@@ -1,7 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 import pytest
 
-from arbor import cli, counting, treebank
+from arbor import cli, counting, series, treebank
 from arbor.cli import CountTable, main
 
 
@@ -104,7 +104,7 @@ def test_table_pretty_has_total(capsys):
 
 
 def test_count_table_invariants():
-    table = CountTable.for_trees(3, 4)
+    table = CountTable.build(3, 4)
     comps = [comp for comp, _ in table.rows]
     assert comps == sorted(comps)
     assert table.total == sum(c for _, c in table.rows) == 55
@@ -183,6 +183,133 @@ def test_verify_failure_exit_3(capsys, monkeypatch):
                        "--mode", "brute")
     assert code == 3
     assert any(line.startswith("FAIL") for line in out.splitlines())
+
+
+def off_by_one(real, n_at, n_index=1, parts=None):
+    """``real`` with its result raised by one at node count n_at (argument
+    n_index), and only for the given composition when parts is set."""
+    def lying(*args, **kwargs):
+        value = real(*args, **kwargs)
+        if args[n_index] != n_at or parts is not None and tuple(args[-1]) != parts:
+            return value
+        if isinstance(value, dict):  # a census: raise its first row
+            value = dict(value)
+            value[min(value)] += 1
+            return value
+        return value + 1
+    return lying
+
+
+def row_missing(real, n_at):
+    """``real`` (census) with its first row dropped at node count n_at."""
+    def lying(t, n, **kwargs):
+        table = dict(real(t, n, **kwargs))
+        if n == n_at:
+            del table[min(table)]
+        return table
+    return lying
+
+
+def series_off_by_one(real, n_at, parts):
+    """``real`` (solve_G) with the coefficient of x^n_at y^parts raised by one."""
+    def lying(t, N):
+        g = real(t, N)
+        terms = {(n, a): c for n, a, c in g.terms()}
+        terms[(n_at, parts)] = terms.get((n_at, parts), 0) + 1
+        return series.MultiSeries(t, N, terms)
+    return lying
+
+
+# One wrong oracle per case: the verify mode, the FAIL lines (each names the
+# check and its first failing index) and the summary.  Every table entry
+# reports on its own, so a failure hides no later entry.
+FAIL_CASES = {
+    "tree census": (
+        lambda: [(treebank, "census", off_by_one(treebank.census, 3))],
+        "all",
+        ["FAIL tree census mismatch at t=3 n=3 a=(0, 0, 2)"],
+        "summary: 9/10 checks passed"),
+    "tree census key set": (
+        lambda: [(treebank, "census", row_missing(treebank.census, 3))],
+        "brute",
+        ["FAIL tree census key set differs at t=3 n=3 a=(0, 0, 2)"],
+        "summary: 2/3 checks passed"),
+    "forest census": (
+        lambda: [(treebank, "forest_census",
+                  off_by_one(treebank.forest_census, 3, n_index=2))],
+        "brute",
+        ["FAIL forest census mismatch at t=3 m=1 n=3 a=(1, 0, 2)",
+         "FAIL forest census mismatch at t=3 m=2 n=3 a=(1, 1, 1)"],
+        "summary: 1/3 checks passed"),
+    "series": (
+        lambda: [(series, "solve_G", series_off_by_one(series.solve_G, 3, (0, 1, 1)))],
+        "all",
+        ["FAIL series mismatch at t=3 n=3 a=(0, 1, 1)"],
+        "summary: 9/10 checks passed"),
+    "inversion": (
+        lambda: [(series, "lagrange_extract", off_by_one(series.lagrange_extract, 3))],
+        "lagrange",
+        ["FAIL inversion mismatch at t=3 n=3 a=(0, 0, 2)"],
+        "summary: 2/3 checks passed"),
+    "forest inversion": (
+        lambda: [(series, "lagrange_extract_forest",
+                  off_by_one(series.lagrange_extract_forest, 4, n_index=2))],
+        "lagrange",
+        ["FAIL forest inversion mismatch at t=3 m=1 n=4 a=(1, 0, 3)",
+         "FAIL forest inversion mismatch at t=3 m=2 n=4 a=(1, 1, 2)"],
+        "summary: 1/3 checks passed"),
+    "tree sum identity": (
+        lambda: [(counting, "total_trees", off_by_one(counting.total_trees, 3))],
+        "all",
+        ["FAIL tree sum identity mismatch at t=3 n=3"],
+        "summary: 9/10 checks passed"),
+    "forest sum identity": (
+        lambda: [(counting, "total_forests",
+                  off_by_one(counting.total_forests, 4, n_index=2))],
+        "all",
+        ["FAIL forest sum identity mismatch at t=3 m=1 n=4"],
+        "summary: 9/10 checks passed"),
+    "symmetry": (
+        # the closed form itself breaks, so every tree check fails at n=2
+        lambda: [(counting, "count_trees",
+                  off_by_one(counting.count_trees, 2, parts=(1, 0, 0)))],
+        "all",
+        ["FAIL tree census mismatch at t=3 n=2 a=(1, 0, 0)",
+         "FAIL series mismatch at t=3 n=2 a=(1, 0, 0)",
+         "FAIL inversion mismatch at t=3 n=2 a=(1, 0, 0)",
+         "FAIL tree sum identity mismatch at t=3 n=2",
+         "FAIL symmetry mismatch at t=3 n=2 a=(0, 0, 1) perm=(2, 0, 1)"],
+        "summary: 5/10 checks passed"),
+    "series residual": (
+        # g and the closed form agree, but g does not solve the equation
+        lambda: [(counting, "count_trees",
+                  off_by_one(counting.count_trees, 3, parts=(0, 0, 2))),
+                 (series, "solve_G", series_off_by_one(series.solve_G, 3, (0, 0, 2)))],
+        "series",
+        ["FAIL series mismatch at t=3 n=3 a=(0, 0, 2)"],
+        "summary: 0/1 checks passed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAIL_CASES))
+def test_verify_fail_path(case, capsys, monkeypatch):
+    patches, mode, fails, summary = FAIL_CASES[case]
+    for module, name, lying in patches():
+        monkeypatch.setattr(module, name, lying)
+    code, out, _ = run(capsys, "verify", "--t", "3", "--max-n", "4",
+                       "--mode", mode)
+    lines = out.splitlines()
+    assert code == 3
+    assert [line for line in lines if not line.startswith("PASS")] == fails + [summary]
+
+
+def test_paths_deep_chain(capsys):
+    code, out, _ = run(capsys, "paths", "--t", "1", "--n", "3000", "--dump")
+    assert code == 0
+    assert out == "o" * 3000 + ".\n"
+    code, out, _ = run(capsys, "paths", "--t", "1", "--n", "3000", "--probe")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("verdict: ")
 
 
 def test_paths_listing(capsys):

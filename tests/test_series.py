@@ -57,6 +57,26 @@ def test_mismatch_errors():
         MultiSeries.one(2, 3) * MultiSeries.one(2, 4)
 
 
+def test_init_rejects_out_of_range_terms():
+    for terms in (
+        {(5, (0, 0)): 1, (-1, (9,)): 2},  # both terms out of range
+        {(4, (0, 0)): 1},                 # degree beyond the truncation
+        {(-1, (0, 0)): 1},                # negative degree
+        {(1, (9,)): 1},                   # one part at arity 2
+        {(1, (0, 0, 0)): 1},              # three parts at arity 2
+        {(1, (2, -1)): 1},                # a negative part
+        {(4, (0, 0)): 0},                 # zero coefficients are checked too
+    ):
+        with pytest.raises(ConstraintError):
+            MultiSeries(2, 3, terms)
+    edge = MultiSeries(2, 3, {(0, (0, 0)): 1, (3, (5, 0)): 2})
+    assert edge.dump_lines() == ["0;0,0;1", "3;5,0;2"]
+    # coefficient reads under the same rule
+    for n, parts in ((-1, (0, 0)), (4, (0, 0)), (1, (1, -1)), (1, (1,))):
+        with pytest.raises(ConstraintError):
+            edge.coefficient(n, parts)
+
+
 def reference_solve(t, N):
     """The fixed-point loop run at full truncation N in every round."""
     one = MultiSeries.one(t, N)

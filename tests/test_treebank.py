@@ -48,6 +48,89 @@ def test_enumeration_deterministic():
     assert first == second
 
 
+def reference_trees(t, n):
+    """The recursive enumerator the walk replaced, kept as the order reference."""
+    if n == 0:
+        return
+    for kids in reference_slot_tuples(t, n - 1, t):
+        yield TAryTree(kids)
+
+
+def reference_slot_stream(t, size):
+    if size == 0:
+        yield None
+    else:
+        yield from reference_trees(t, size)
+
+
+def reference_slot_tuples(t, total, slots):
+    if slots == 1:
+        for sub in reference_slot_stream(t, total):
+            yield (sub,)
+        return
+    for first_size in range(total + 1):
+        for first in reference_slot_stream(t, first_size):
+            for rest in reference_slot_tuples(t, total - first_size, slots - 1):
+                yield (first,) + rest
+
+
+def reference_forests(t, m, n):
+    for split in counting.compositions(m, n - m):
+        for combo in reference_forest_tuples(t, tuple(s + 1 for s in split)):
+            yield Forest(combo)
+
+
+def reference_forest_tuples(t, sizes):
+    if len(sizes) == 1:
+        for tr in reference_trees(t, sizes[0]):
+            yield (tr,)
+        return
+    for tr in reference_trees(t, sizes[0]):
+        for rest in reference_forest_tuples(t, sizes[1:]):
+            yield (tr,) + rest
+
+
+def slot_sizes(tree):
+    """Subtree size in every slot (0 when empty), each slot followed by the
+    slots of its subtree: the sequence the enumeration order sorts by."""
+    out, stack = [], list(reversed(tree.children))
+    while stack:
+        ch = stack.pop()
+        out.append(0 if ch is None else ch.size)
+        if ch is not None:
+            stack.extend(reversed(ch.children))
+    return out
+
+
+def test_enumeration_order_matches_recursive_reference():
+    limits = {1: 9, 2: 8, 3: 6, 4: 5, 5: 4}
+    for t, max_n in limits.items():
+        for n in range(max_n + 1):
+            got = [serialize_tree(tr) for tr in enumerate_trees(t, n)]
+            assert got == [serialize_tree(tr) for tr in reference_trees(t, n)]
+        for m in range(1, t):
+            for n in range(m, max_n + 1):
+                got = [repr(f) for f in enumerate_forests(t, m, n)]
+                assert got == [repr(f) for f in reference_forests(t, m, n)]
+
+
+def test_enumeration_order_is_lexicographic_on_slot_sizes():
+    for t, n in [(1, 4), (2, 7), (3, 5), (4, 4), (5, 4)]:
+        seqs = [slot_sizes(tr) for tr in enumerate_trees(t, n)]
+        assert all(len(seq) == t * n for seq in seqs)
+        assert all(a < b for a, b in zip(seqs, seqs[1:]))
+
+
+def test_enumeration_deep_chain():
+    (chain,) = enumerate_trees(1, 3000)
+    assert serialize_tree(chain) == "o" * 3000 + "."
+    # the first binary tree and the first one-tree forest are combs down
+    # the last slot; reaching them walks 3000 levels
+    comb = "o." * 3000 + "."
+    assert serialize_tree(next(enumerate_trees(2, 3000))) == comb
+    assert serialize_tree(next(enumerate_forests(2, 1, 3000)).trees[0]) == comb
+
+
 def test_tree_invariants():
     for n in range(1, 6):
         for tr in enumerate_trees(3, n):

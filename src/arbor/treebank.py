@@ -5,10 +5,11 @@ each object and profile it, never touching the closed forms (the only
 closed-form use is the up-front budget guard).
 
 Census aggregation runs one walk, backtracking over preorder words, in one
-of two kernels: the compiled ``arbor._speedups`` (Cython source
-``_speedups.pyx``, built from the generated C shipped next to it) and
-:func:`segment_census_pure`, its iterative Python port.  The compiled kernel
-is picked up at import time when available; both produce identical tables.
+of two kernels: the compiled ``arbor._speedups`` (hand-written C in
+``_speedups.c``) and :func:`segment_census_pure`.  They are the same walk
+step for step, forced tail included, written once in C and once in Python.
+The compiled kernel is picked up at import time when available; both
+produce identical tables.
 """
 from __future__ import annotations
 
@@ -319,12 +320,13 @@ def segment_census_pure(
     edge of that slot type for the segment's root attachment, slots[j] = 0
     marks a free-standing tree whose root has no incoming edge.
 
-    The same walk as the compiled kernel, without recursion: backtracking
-    over preorder words (a node symbol or an empty-slot symbol per step)
-    with a stack of per-node "children placed" counters and a running
-    profile, one table increment per tree tuple.  Once a segment has all
-    its nodes, the rest of its word is forced (empty slots only), so the
-    walk moves straight on to the next segment.
+    The compiled kernel in ``_speedups.c`` runs this walk step for step,
+    forced tail and trail included.  It backtracks over preorder words (a
+    node symbol or an empty-slot symbol per step; Knuth, TAOCP 4A,
+    7.2.1.6) without recursion, with a stack of per-node "children placed"
+    counters and a running profile, one table increment per tree tuple.
+    Once a segment has all its nodes, the rest of its word is forced
+    (empty slots only), so the walk moves straight on to the next segment.
     """
     k = len(sizes)
     if len(slots) != k:

@@ -62,11 +62,29 @@ def test_bad_flags_exit_1(capsys, monkeypatch):
 
 
 def test_kernel_cell_cap_exit_1(capsys, compiled_kernel):
-    code, out, err = run(capsys, "paths", "--t", "16", "--n", "15", "--probe",
-                         "--budget", str(10**40))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: composition space too large")
+    # an oversized table, then segments too large for the kernel's C types
+    # and for the sizes of its buffers
+    for argv, message in (
+        (["--t", "16", "--n", "15", "--budget", str(10**40)],
+         "composition space too large"),
+        (["--t", "1", "--n", str(10**20)],
+         f"segment size {10**20} does not fit the compiled kernel"),
+        (["--t", "1", "--n", str(2**62)],
+         f"segment size {2**62} does not fit the compiled kernel"),
+    ):
+        code, out, err = run(capsys, "paths", *argv, "--probe")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: " + message)
+
+
+def test_deep_chain_probe_with_either_kernel(capsys, monkeypatch, kernel_child):
+    argv = ["paths", "--t", "1", "--n", "100000", "--probe"]
+    done = kernel_child(f"from arbor.cli import main\nraise SystemExit(main({argv!r}))")
+    monkeypatch.setattr(treebank, "_segment_census_compiled", None)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert (done.returncode, done.stdout) == (code, out), done.stderr
 
 
 def test_table_csv(capsys):

@@ -319,9 +319,15 @@ def test_compiled_kernel_matches_reference(compiled_kernel):
         assert fast(t, sizes, slots) == segment_census_pure(t, sizes, slots)
     for t, n in [(2, 9), (3, 7), (4, 5)]:
         assert census(t, n, engine="compiled") == census(t, n, engine="pure")
-    for t, m, n in [(3, 1, 6), (3, 2, 6)]:
+    for t, m, n in [(3, 1, 6), (3, 2, 6)] + [(5, m, 6) for m in range(1, 5)]:
         assert forest_census(t, m, n, engine="compiled") == \
             forest_census(t, m, n, engine="pure")
+    # every root-split job of census(t, n, workers=2)
+    for t, max_n in [(1, 8), (2, 7), (3, 6), (4, 5), (5, 4)]:
+        for n in range(1, max_n + 1):
+            for comp in counting.compositions(t, n - 1):
+                sizes, slots = treebank._root_job(comp)
+                assert fast(t, sizes, slots) == segment_census_pure(t, sizes, slots)
 
 
 def test_compiled_kernel_cell_cap_is_a_constraint_error(compiled_kernel):
@@ -342,11 +348,18 @@ def test_pure_walk_deep_chain():
     assert census(1, 3000, engine="pure") == {(2999,): 1}
 
 
-def test_segment_census_degenerate():
-    assert segment_census_pure(3, (), ()) == {(0, 0, 0): 1}
-    for sizes, slots in [((2,), (0, 1)), ((0,), (0,)), ((2,), (4,)), ((2,), (-1,))]:
-        with pytest.raises(ConstraintError):
-            segment_census_pure(3, sizes, slots)
+def test_compiled_kernel_deep_chain(kernel_child):
+    done = kernel_child("print(treebank.census(1, 200_000, engine='compiled'))")
+    assert (done.returncode, done.stdout) == (0, "{(199999,): 1}\n"), done.stderr
+
+
+def test_segment_census_degenerate(compiled_kernel):
+    # the compiled kernel as census calls it, its ValueError a ConstraintError
+    for kernel in (segment_census_pure, treebank._segment_census_capped):
+        assert kernel(3, (), ()) == {(0, 0, 0): 1}
+        for sizes, slots in [((2,), (0, 1)), ((0,), (0,)), ((2,), (4,)), ((2,), (-1,))]:
+            with pytest.raises(ConstraintError):
+                kernel(3, sizes, slots)
 
 
 def test_enumerate_rejects_bad_arguments():

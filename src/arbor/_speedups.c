@@ -244,8 +244,9 @@ segment_census(PyObject *self, PyObject *args)
     }
     c.frames = PyMem_Calloc(N + t * N + k + (c.S + 1) * (t + 1), sizeof(Py_ssize_t));
     c.counts = PyMem_Calloc(cells, sizeof(u64));
-    if (c.frames == NULL || c.counts == NULL) {
-        PyErr_NoMemory();
+    if (c.frames == NULL || c.counts == NULL) {   /* refused like a size too large */
+        PyErr_Format(PyExc_ValueError,
+                     "%zd nodes do not fit the compiled kernel's memory", N);
         goto done;
     }
     c.trail = c.frames + N;

@@ -62,8 +62,8 @@ def test_bad_flags_exit_1(capsys, monkeypatch):
 
 
 def test_kernel_cell_cap_exit_1(capsys, compiled_kernel):
-    # an oversized table, then segments too large for the kernel's C types
-    # and for the sizes of its buffers
+    # an oversized table, then segments too large for the kernel's C types,
+    # for the sizes of its buffers and for the memory it can allocate
     for argv, message in (
         (["--t", "16", "--n", "15", "--budget", str(10**40)],
          "composition space too large"),
@@ -71,6 +71,8 @@ def test_kernel_cell_cap_exit_1(capsys, compiled_kernel):
          f"segment size {10**20} does not fit the compiled kernel"),
         (["--t", "1", "--n", str(2**62)],
          f"segment size {2**62} does not fit the compiled kernel"),
+        (["--t", "1", "--n", str(10**15)],
+         f"{10**15} nodes do not fit the compiled kernel's memory"),
     ):
         code, out, err = run(capsys, "paths", *argv, "--probe")
         assert code == 1

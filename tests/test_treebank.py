@@ -353,13 +353,20 @@ def test_compiled_kernel_deep_chain(kernel_child):
     assert (done.returncode, done.stdout) == (0, "{(199999,): 1}\n"), done.stderr
 
 
-def test_segment_census_degenerate(compiled_kernel):
+def check_degenerate(kernel):
+    assert kernel(3, (), ()) == {(0, 0, 0): 1}
+    for sizes, slots in [((2,), (0, 1)), ((0,), (0,)), ((2,), (4,)), ((2,), (-1,))]:
+        with pytest.raises(ConstraintError):
+            kernel(3, sizes, slots)
+
+
+def test_segment_census_degenerate():
+    check_degenerate(segment_census_pure)
+
+
+def test_compiled_segment_census_degenerate(compiled_kernel):
     # the compiled kernel as census calls it, its ValueError a ConstraintError
-    for kernel in (segment_census_pure, treebank._segment_census_capped):
-        assert kernel(3, (), ()) == {(0, 0, 0): 1}
-        for sizes, slots in [((2,), (0, 1)), ((0,), (0,)), ((2,), (4,)), ((2,), (-1,))]:
-            with pytest.raises(ConstraintError):
-                kernel(3, sizes, slots)
+    check_degenerate(treebank._segment_census_capped)
 
 
 def test_enumerate_rejects_bad_arguments():

@@ -1,10 +1,9 @@
 /* Compiled census kernel: the walk of treebank.segment_census_pure in C.
  *
- * segment_census(t, sizes, slots) profiles every ordered tuple of t-ary
- * trees in which tree j (segment j) has exactly sizes[j] nodes; slots[j] > 0
- * adds one edge of that slot type for the root attachment of tree j, and
- * slots[j] = 0 marks a free-standing tree.  It returns a dict mapping each
- * realized edge-type composition (a tuple) to its multiplicity (an int).
+ * segment_census(t, sizes) profiles every ordered tuple of t-ary trees in
+ * which tree j (segment j) has exactly sizes[j] nodes, counting the edges
+ * inside the trees only.  It returns a dict mapping each realized edge-type
+ * composition (a tuple) to its multiplicity (an int).
  *
  * The walk backtracks over preorder words (Knuth, TAOCP 4A, 7.2.1.6): a node
  * symbol or an empty-slot symbol per step, with a stack of per-node
@@ -190,23 +189,18 @@ segment_census(PyObject *self, PyObject *args)
 {
     /* bounds every buffer size below, so no size computation overflows */
     const Py_ssize_t limit = PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(Py_ssize_t) / 4;
-    PyObject *sizes_obj, *slots_obj, *sizes = NULL, *slots = NULL, *result = NULL;
+    PyObject *sizes_obj, *sizes = NULL, *result = NULL;
     struct census c = {0};
-    Py_ssize_t *words = NULL, *work, t, k, nodes, slot, N = 0, cells;
+    Py_ssize_t *words = NULL, *work, t, k, nodes, N = 0, cells;
 
-    if (!PyArg_ParseTuple(args, "nOO:segment_census", &t, &sizes_obj, &slots_obj))
+    if (!PyArg_ParseTuple(args, "nO:segment_census", &t, &sizes_obj))
         return NULL;
     if (t < 1 || t > limit)
         return PyErr_Format(PyExc_ValueError, "arity must lie in 1..%zd, got %zd", limit, t);
     sizes = PySequence_Fast(sizes_obj, "sizes must be a sequence");
-    slots = sizes ? PySequence_Fast(slots_obj, "slots must be a sequence") : NULL;
-    if (slots == NULL)
+    if (sizes == NULL)
         goto done;
     k = PySequence_Fast_GET_SIZE(sizes);
-    if (PySequence_Fast_GET_SIZE(slots) != k) {
-        PyErr_SetString(PyExc_ValueError, "sizes and slots must have equal length");
-        goto done;
-    }
     /* sizes, profile, the lexicographic work row and saved; frames, trail
        and numcomp follow once N is known */
     words = PyMem_Calloc(3 * k + 2 * t, sizeof(Py_ssize_t));
@@ -222,20 +216,16 @@ segment_census(PyObject *self, PyObject *args)
     c.saved = work + t;
     for (Py_ssize_t j = 0; j < k; j++) {
         if (to_ssize(PySequence_Fast_GET_ITEM(sizes, j),
-                     (limit - k) / t - 1 - N, "segment size", &nodes) < 0
-            || to_ssize(PySequence_Fast_GET_ITEM(slots, j), limit, "slot", &slot) < 0)
+                     (limit - k) / t - 1 - N, "segment size", &nodes) < 0)
             goto done;
-        if (nodes < 1 || slot < 0 || slot > t) {
-            PyErr_Format(PyExc_ValueError, "segment of %zd nodes on slot %zd: "
-                         "needs >= 1 node and a slot in 0..%zd", nodes, slot, t);
+        if (nodes < 1) {
+            PyErr_Format(PyExc_ValueError, "segment size %zd must be >= 1", nodes);
             goto done;
         }
         c.sizes[j] = nodes;
         N += nodes;
-        c.S += nodes - 1 + (slot > 0);
-        if (slot > 0)
-            c.profile[slot - 1]++;
     }
+    c.S = N - k;
     cells = cell_count(c.S, t);
     if (cells > CELL_CAP) {
         PyErr_Format(PyExc_ValueError, "composition space too large for the "
@@ -263,7 +253,6 @@ segment_census(PyObject *self, PyObject *args)
     result = table(&c, cells, work);
 done:
     Py_XDECREF(sizes);
-    Py_XDECREF(slots);
     PyMem_Free(words);
     PyMem_Free(c.frames);
     PyMem_Free(c.counts);
@@ -272,7 +261,7 @@ done:
 
 static PyMethodDef methods[] = {
     {"segment_census", segment_census, METH_VARARGS,
-     "segment_census(t, sizes, slots) -> {edge-type composition: multiplicity}"},
+     "segment_census(t, sizes) -> {edge-type composition: multiplicity}"},
     {NULL, NULL, 0, NULL},
 };
 

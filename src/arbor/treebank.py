@@ -10,12 +10,18 @@ of two kernels: the compiled ``arbor._speedups`` (hand-written C in
 step for step, forced tail included, written once in C and once in Python.
 The compiled kernel is picked up at import time when available; both
 produce identical tables.
+
+A census job is a pair (sizes, roots): the kernel profiles the edges inside
+every tuple of trees with those sizes, and each profile gains roots[i] edges
+in slot i + 1 (none for a whole tree, one per nonempty slot of a root split,
+one in each of slots 1..m for a forest).
 """
 from __future__ import annotations
 
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from operator import add
 from typing import Iterator, Optional, Sequence
 
 from arbor import counting
@@ -223,9 +229,16 @@ def enumerate_forests(t: int, m: int, n: int) -> Iterator[Forest]:
     varies slowest.
     """
     counting.check_forest_shape(t, m, n)
-    for split in counting.compositions(m, n - m):
-        for trees in _tree_tuples(t, tuple(s + 1 for s in split)):
+    for sizes in _forest_sizes(m, n):
+        for trees in _tree_tuples(t, sizes):
             yield Forest(trees)
+
+
+def _forest_sizes(m: int, n: int) -> Iterator[tuple]:
+    """The tree sizes of every node split of an m-forest with n nodes,
+    lexicographically."""
+    for split in counting.compositions(m, n - m):
+        yield tuple(s + 1 for s in split)
 
 
 def _tree_tuples(t: int, sizes: Sequence[int]) -> Iterator[tuple]:
@@ -311,14 +324,11 @@ def check_budget(action: str, total: int, noun: str, budget: Optional[int] = Non
         )
 
 
-def segment_census_pure(
-    t: int, sizes: Sequence[int], slots: Sequence[int]
-) -> dict:
+def segment_census_pure(t: int, sizes: Sequence[int]) -> dict:
     """Pure-Python census kernel: profile every tuple of trees with the given sizes.
 
-    Segment j is a tree with exactly sizes[j] nodes; slots[j] > 0 adds one
-    edge of that slot type for the segment's root attachment, slots[j] = 0
-    marks a free-standing tree whose root has no incoming edge.
+    Segment j is a tree with exactly sizes[j] nodes; only the edges inside
+    the trees are counted.
 
     The compiled kernel in ``_speedups.c`` runs this walk step for step,
     forced tail and trail included.  It backtracks over preorder words (a
@@ -329,17 +339,10 @@ def segment_census_pure(
     (empty slots only), so the walk moves straight on to the next segment.
     """
     k = len(sizes)
-    if len(slots) != k:
-        raise ConstraintError("sizes and slots must have equal length")
+    for nodes in sizes:
+        if nodes < 1:
+            raise ConstraintError(f"segment size {nodes} must be >= 1")
     profile = [0] * t
-    for nodes, slot in zip(sizes, slots):
-        if nodes < 1 or not 0 <= slot <= t:
-            raise ConstraintError(
-                f"segment of {nodes} nodes on slot {slot}: "
-                f"needs >= 1 node and a slot in 0..{t}"
-            )
-        if slot:
-            profile[slot - 1] += 1
     if k == 0:
         return {tuple(profile): 1}
     node, segment = -1, -2
@@ -398,10 +401,10 @@ def segment_census_pure(
                 free += 1
 
 
-def _segment_census_capped(t: int, sizes: Sequence[int], slots: Sequence[int]) -> dict:
+def _segment_census_capped(t: int, sizes: Sequence[int]) -> dict:
     """The compiled kernel, with its refusal of an oversized table as a ConstraintError."""
     try:
-        return _segment_census_compiled(t, sizes, slots)
+        return _segment_census_compiled(t, sizes)
     except ValueError as exc:
         raise ConstraintError(str(exc)) from None
 
@@ -424,8 +427,9 @@ def _select_kernel(engine: str):
 
 def _run_chunk(kernel, t: int, chunk: list) -> Counter:
     table: Counter = Counter()
-    for sizes, slots in chunk:
-        table.update(kernel(t, sizes, slots))
+    for sizes, roots in chunk:
+        for profile, count in kernel(t, sizes).items():
+            table[tuple(map(add, profile, roots))] += count
     return table
 
 
@@ -462,16 +466,11 @@ def census(
     check_budget(f"census(t={t}, n={n})", counting.total_trees(t, n), "trees", budget)
     kernel = _select_kernel(engine)
     if workers <= 1:
-        jobs = [((n,), (0,))]
-    else:
-        jobs = [_root_job(c) for c in counting.compositions(t, n - 1)]
+        jobs = [((n,), (0,) * t)]
+    else:  # one job per root split: the subtrees in the root's nonempty slots
+        jobs = [(tuple(s for s in comp if s), tuple(min(s, 1) for s in comp))
+                for comp in counting.compositions(t, n - 1)]
     return dict(_run_jobs(kernel, t, jobs, workers))
-
-
-def _root_job(comp: counting.EdgeComposition) -> tuple:
-    sizes = tuple(s for s in comp if s)
-    slots = tuple(i + 1 for i, s in enumerate(comp) if s)
-    return sizes, slots
 
 
 def forest_census(
@@ -493,8 +492,6 @@ def forest_census(
         budget,
     )
     kernel = _select_kernel(engine)
-    root_slots = tuple(range(1, m + 1))
-    jobs = []
-    for split in counting.compositions(m, n - m):
-        jobs.append((tuple(s + 1 for s in split), root_slots))
+    roots = (1,) * m + (0,) * (t - m)
+    jobs = [(sizes, roots) for sizes in _forest_sizes(m, n)]
     return dict(_run_jobs(kernel, t, jobs, workers))

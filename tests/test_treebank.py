@@ -307,27 +307,22 @@ def test_engine_selection(monkeypatch):
 
 def test_compiled_kernel_matches_reference(compiled_kernel):
     fast = compiled_kernel
-    cases = [
-        (3, (5,), (0,)),
-        (2, (6,), (0,)),
-        (4, (2, 3), (1, 2)),
-        (3, (1, 2, 1), (1, 2, 3)),
-        (3, (2, 2), (3, 0)),
-        (5, (4,), (0,)),
-    ]
-    for t, sizes, slots in cases:
-        assert fast(t, sizes, slots) == segment_census_pure(t, sizes, slots)
+    cases = [(3, (5,)), (2, (6,)), (4, (2, 3)), (3, (1, 2, 1)), (3, (2, 2)), (5, (4,))]
+    for t, sizes in cases:
+        assert fast(t, sizes) == segment_census_pure(t, sizes)
     for t, n in [(2, 9), (3, 7), (4, 5)]:
         assert census(t, n, engine="compiled") == census(t, n, engine="pure")
     for t, m, n in [(3, 1, 6), (3, 2, 6)] + [(5, m, 6) for m in range(1, 5)]:
         assert forest_census(t, m, n, engine="compiled") == \
             forest_census(t, m, n, engine="pure")
-    # every root-split job of census(t, n, workers=2)
+    # the sizes of every root-split job of census(t, n, workers=2)
     for t, max_n in [(1, 8), (2, 7), (3, 6), (4, 5), (5, 4)]:
         for n in range(1, max_n + 1):
             for comp in counting.compositions(t, n - 1):
-                sizes, slots = treebank._root_job(comp)
-                assert fast(t, sizes, slots) == segment_census_pure(t, sizes, slots)
+                sizes = tuple(s for s in comp if s)
+                assert fast(t, sizes) == segment_census_pure(t, sizes)
+        assert census(t, max_n, workers=2, engine="compiled") == \
+            census(t, max_n, workers=2, engine="pure")
 
 
 def test_compiled_kernel_cell_cap_is_a_constraint_error(compiled_kernel):
@@ -354,10 +349,10 @@ def test_compiled_kernel_deep_chain(kernel_child):
 
 
 def check_degenerate(kernel):
-    assert kernel(3, (), ()) == {(0, 0, 0): 1}
-    for sizes, slots in [((2,), (0, 1)), ((0,), (0,)), ((2,), (4,)), ((2,), (-1,))]:
-        with pytest.raises(ConstraintError):
-            kernel(3, sizes, slots)
+    assert kernel(3, ()) == {(0, 0, 0): 1}
+    for sizes, bad in [((0,), 0), ((-1,), -1), ((2, 0, -1), 0)]:
+        with pytest.raises(ConstraintError, match=f"^segment size {bad} must be >= 1$"):
+            kernel(3, sizes)
 
 
 def test_segment_census_degenerate():

@@ -61,12 +61,16 @@ class CountTable:
         return "\n".join(lines)
 
 
-def _parse_composition(text: str, t: int) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise ConstraintError(f"composition {text!r} is not a comma-separated "
+        raise ConstraintError(f"{what} {text!r} is not a comma-separated "
                               "list of integers") from None
+
+
+def _parse_composition(text: str, t: int) -> tuple[int, ...]:
+    parts = _parse_ints(text, "composition")
     if len(parts) != t:
         raise ConstraintError(
             f"composition {text!r} has {len(parts)} parts, arity is {t}"
@@ -98,6 +102,9 @@ def _triangle_rows(t: int, slot: int, rows: int) -> list[list[int]]:
 
 def cmd_triangle(args) -> int:
     t, slot = args.t, args.marginal
+    counting.check_arity(t)
+    if args.rows < 1:
+        raise ConstraintError(f"--rows must be >= 1, got {args.rows}")
     if not 1 <= slot <= t:
         raise ConstraintError(f"marginal slot {slot} outside 1..{t}")
     triangle = _triangle_rows(t, slot, args.rows)
@@ -254,6 +261,10 @@ def cmd_verify(args) -> int:
             raise ConstraintError(
                 f"--forest must satisfy 1 <= m < t, got m={args.forest} t={t}"
             )
+        if args.forest > max_n:
+            raise ConstraintError(
+                f"--forest must satisfy m <= max-n, got m={args.forest} max-n={max_n}"
+            )
         ms = [args.forest]
     else:
         ms = [m for m in range(1, t) if m <= max_n]
@@ -279,7 +290,7 @@ def cmd_paths(args) -> int:
     if args.probe:
         offset = None
         if args.offset is not None:
-            offset = _parse_composition(args.offset, t)
+            offset = _parse_ints(args.offset, "offset")
         report = paths.residue_distribution_probe(t, n, offset=offset,
                                                   budget=args.budget)
         print(report.to_csv())
@@ -287,7 +298,7 @@ def cmd_paths(args) -> int:
         return EXIT_OK
     counting.check_tree_shape(t, n)
     treebank.check_budget(
-        f"listing t={t} n={n}", counting.total_trees(t, n), "trees", args.budget
+        f"listing t={t} n={n}", counting.total_trees(t, n), "trees", n, args.budget
     )
     for tree in treebank.enumerate_trees(t, n):
         text = treebank.serialize_tree(tree)

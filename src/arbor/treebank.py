@@ -15,6 +15,10 @@ A census job is a pair (sizes, roots): the kernel profiles the edges inside
 every tuple of trees with those sizes, and each profile gains roots[i] edges
 in slot i + 1 (none for a whole tree, one per nonempty slot of a root split,
 one in each of slots 1..m for a forest).
+
+The listing (:func:`enumerate_trees`, :func:`enumerate_forests`) keeps its
+own walk over slot sizes: its order is pinned by the ``paths`` output, and
+that walk takes about twice the census walk's steps per tree.
 """
 from __future__ import annotations
 
@@ -314,13 +318,24 @@ def resolve_budget(budget: Optional[int] = None) -> int:
     return DEFAULT_BUDGET
 
 
-def check_budget(action: str, total: int, noun: str, budget: Optional[int] = None) -> None:
-    """Refuse up front when ``action`` would enumerate more than the budget allows."""
+def check_budget(
+    action: str, total: int, noun: str, nodes: int, budget: Optional[int] = None
+) -> None:
+    """Refuse up front when ``action`` would enumerate more objects, or place
+    more nodes, than the budget allows.
+
+    Every walk places all the nodes of an object, so the node count bounds
+    its memory even at t=1, where each size has a single tree.
+    """
     limit = resolve_budget(budget)
     if total > limit:
         raise BudgetExceededError(
             f"{action} would enumerate {total} {noun}, budget is {limit}",
             total=total,
+        )
+    if nodes > limit:
+        raise BudgetExceededError(
+            f"{action} would place {nodes} nodes, budget is {limit}", total=total
         )
 
 
@@ -463,7 +478,7 @@ def census(
     the sequential one.
     """
     counting.check_tree_shape(t, n)
-    check_budget(f"census(t={t}, n={n})", counting.total_trees(t, n), "trees", budget)
+    check_budget(f"census(t={t}, n={n})", counting.total_trees(t, n), "trees", n, budget)
     kernel = _select_kernel(engine)
     if workers <= 1:
         jobs = [((n,), (0,) * t)]
@@ -489,6 +504,7 @@ def forest_census(
         f"forest_census(t={t}, m={m}, n={n})",
         counting.total_forests(t, m, n),
         "forests",
+        n,
         budget,
     )
     kernel = _select_kernel(engine)

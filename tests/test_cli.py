@@ -1,8 +1,15 @@
 """Command-line surface: outputs, exit codes, determinism."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from arbor import cli, counting, series, treebank
 from arbor.cli import CountTable, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -52,6 +59,22 @@ def test_bad_flags_exit_1(capsys, monkeypatch):
         (["table", "--t", "3", "--n", "0"], "node count must be >= 1, got n=0"),
         (["table", "--t", "3", "--n", "-2", "--forest", "2"],
          "node count must be >= m=2, got n=-2"),
+        # the CLI parses the offset, the probe checks its length
+        (["paths", "--t", "3", "--n", "2", "--probe", "--offset", "1,2"],
+         "offset has 2 parts, arity is 3"),
+        (["paths", "--t", "3", "--n", "2", "--probe", "--offset", "1,x,0"],
+         "offset '1,x,0' is not a comma-separated list of integers"),
+        # the arity first, then the row count, then the slot
+        (["triangle", "--t", "0", "--rows", "2", "--marginal", "1"],
+         "arity must be >= 1, got t=0"),
+        (["triangle", "--t", "17", "--rows", "0", "--marginal", "1"],
+         "arity must be <= 16, got t=17"),
+        (["triangle", "--t", "3", "--rows", "0", "--marginal", "1"],
+         "--rows must be >= 1, got 0"),
+        (["triangle", "--t", "3", "--rows", "-2", "--marginal", "4"],
+         "--rows must be >= 1, got -2"),
+        (["verify", "--t", "4", "--max-n", "2", "--forest", "3"],
+         "--forest must satisfy m <= max-n, got m=3 max-n=2"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1
@@ -63,10 +86,10 @@ def test_bad_flags_exit_1(capsys, monkeypatch):
 
 def test_kernel_cell_cap_exit_1(capsys, compiled_kernel):
     # an oversized table, then segments too large for the kernel's C types,
-    # for the sizes of its buffers and for the memory it can allocate
+    # for the sizes of its buffers and for the memory it can allocate; the
+    # budget lets them past the node-count refusal
     for argv, message in (
-        (["--t", "16", "--n", "15", "--budget", str(10**40)],
-         "composition space too large"),
+        (["--t", "16", "--n", "15"], "composition space too large"),
         (["--t", "1", "--n", str(10**20)],
          f"segment size {10**20} does not fit the compiled kernel"),
         (["--t", "1", "--n", str(2**62)],
@@ -74,10 +97,44 @@ def test_kernel_cell_cap_exit_1(capsys, compiled_kernel):
         (["--t", "1", "--n", str(10**15)],
          f"{10**15} nodes do not fit the compiled kernel's memory"),
     ):
-        code, out, err = run(capsys, "paths", *argv, "--probe")
+        code, out, err = run(capsys, "paths", *argv, "--probe", "--budget", str(10**40))
         assert code == 1
         assert out == ""
         assert err.startswith("error: " + message)
+
+
+def test_unary_walks_refused_by_node_count(monkeypatch):
+    # t=1 has one tree of each size, so the tree count never refuses it; a
+    # walk that started would exhaust memory, so each command runs in a
+    # child limited to 1 GiB of address space and a regression fails fast
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from arbor import treebank\n"
+        "from arbor.cli import main\n"
+        "treebank._segment_census_compiled = None\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    monkeypatch.delenv(treebank.BUDGET_ENV_VAR, raising=False)
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    n = 10**11
+    for argv, code, err in (
+        ([], 2, f"error: listing t=1 n={n} would place {n} nodes, budget is 10000000\n"),
+        (["--dump"], 2,
+         f"error: listing t=1 n={n} would place {n} nodes, budget is 10000000\n"),
+        (["--probe"], 2,
+         f"error: census(t=1, n={n}) would place {n} nodes, budget is 10000000\n"),
+    ):
+        done = subprocess.run([sys.executable, "-c", child, "paths", "--t", "1",
+                               "--n", str(n), *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (code, "", err)
+    # walks within the budget still run under the same limit
+    for argv in (["--n", "3000"], ["--n", "100000", "--probe"]):
+        done = subprocess.run([sys.executable, "-c", child, "paths", "--t", "1", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
 
 
 def test_deep_chain_probe_with_either_kernel(capsys, monkeypatch, kernel_child):

@@ -3,7 +3,10 @@
  * segment_census(t, sizes) profiles every ordered tuple of t-ary trees in
  * which tree j (segment j) has exactly sizes[j] nodes, counting the edges
  * inside the trees only.  It returns a dict mapping each realized edge-type
- * composition (a tuple) to its multiplicity (an int).
+ * composition (a tuple) to its multiplicity (an int).  With residues=True
+ * the keys are (composition, residues) pairs instead, residues[r] counting
+ * the fall steps of the trees' Lukasiewicz paths that start at a height
+ * congruent to r mod t, as in segment_census_pure.
  *
  * The walk backtracks over preorder words (Knuth, TAOCP 4A, 7.2.1.6): a node
  * symbol or an empty-slot symbol per step, with a stack of per-node
@@ -14,6 +17,14 @@
  * same trail of node, segment and closed-frame entries, and it runs with the
  * GIL released.  Counts go to a dense table indexed by the lexicographic
  * rank of the profile among the weak compositions of its total.
+ *
+ * Residues mode also counts the non-root nodes by the height mod t at which
+ * their step starts, vacant - 1 in the open segment; every step lowers the
+ * height by 1 mod t, so residues[r] is the node count minus class r.  The
+ * classes sum to the profile's total, so the cell of a tree tuple is
+ * rank(profile) * P + rank(classes), P being the number of profiles.  One
+ * walk body serves both modes; it is inlined into one function per mode, so
+ * the plain census carries no residue bookkeeping.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -24,34 +35,57 @@
 #define NODE (-1)
 #define SEGMENT (-2)
 
+#if defined(__GNUC__) || defined(__clang__)
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE inline
+#endif
+
 typedef unsigned long long u64;
 
 struct census {
-    Py_ssize_t t, k, S;     /* arity, segments, edges per tuple */
+    Py_ssize_t t, k, N, S;  /* arity, segments, nodes and edges per tuple */
+    Py_ssize_t P;           /* weak compositions of S into t parts */
     Py_ssize_t *sizes;      /* k: nodes of each segment */
     Py_ssize_t *profile;    /* t: edges of each slot type */
+    Py_ssize_t *classes;    /* t: non-root nodes by starting height mod t */
     Py_ssize_t *frames;     /* N: children placed under each open node */
     Py_ssize_t *trail;      /* t*N + k: at most one entry per slot, plus segment starts */
     Py_ssize_t *saved;      /* 2k: top frame and vacant slots of finished segments */
     Py_ssize_t *numcomp;    /* (S+1) x (t+1): weak compositions of s into c parts */
-    u64 *counts;            /* one cell per weak composition of S into t parts */
+    u64 *counts;            /* P cells, P * P in residues mode */
 };
 
-/* Lexicographic rank of the profile among the weak compositions of S. */
+/* Lexicographic rank of parts among the weak compositions of S. */
 static Py_ssize_t
-rank(const struct census *c)
+rank(const struct census *c, const Py_ssize_t *parts)
 {
     Py_ssize_t r = 0, s = c->S, stride = c->t + 1;
     for (Py_ssize_t i = 0; i + 1 < c->t; i++) {
         r += c->numcomp[s * stride + c->t - i];
-        s -= c->profile[i];
+        s -= parts[i];
         r -= c->numcomp[s * stride + c->t - i];
     }
     return r;
 }
 
-static void
-walk(struct census *c)
+/* The residue bookkeeping: residues is a constant in each instance of walk. */
+static ALWAYS_INLINE void
+count_node(struct census *c, const int residues, Py_ssize_t vacant, Py_ssize_t delta)
+{
+    if (residues)
+        c->classes[(vacant - 1) % c->t] += delta;
+}
+
+static ALWAYS_INLINE Py_ssize_t
+cell(const struct census *c, const int residues)
+{
+    Py_ssize_t r = rank(c, c->profile);
+    return residues ? r * c->P + rank(c, c->classes) : r;
+}
+
+static ALWAYS_INLINE void
+walk(struct census *c, const int residues)
 {
     const Py_ssize_t t = c->t, k = c->k;
     if (k == 0) {                       /* the empty tuple */
@@ -68,6 +102,7 @@ walk(struct census *c)
             profile[frames[top]++]++;
             frames[++top] = 0;
             used++;
+            count_node(c, residues, vacant, 1);
             vacant += t - 1;
             trail[len++] = NODE;
         }
@@ -81,7 +116,7 @@ walk(struct census *c)
             trail[len++] = SEGMENT;
             continue;
         }
-        c->counts[rank(c)]++;
+        c->counts[cell(c, residues)]++;
         /* back up to the latest node whose slot can take an empty instead */
         for (;;) {
             if (len == 0)
@@ -98,6 +133,7 @@ walk(struct census *c)
                 profile[frames[top] - 1]--;
                 used--;
                 vacant -= t - 1;
+                count_node(c, residues, vacant, -1);
                 if (vacant > 1) {       /* the tree stays open, so it can still grow */
                     Py_ssize_t closed = 0;
                     vacant--;
@@ -118,6 +154,18 @@ walk(struct census *c)
             }
         }
     }
+}
+
+static void
+census_walk(struct census *c)
+{
+    walk(c, 0);
+}
+
+static void
+joint_walk(struct census *c)
+{
+    walk(c, 1);
 }
 
 /* A Python int as a Py_ssize_t no larger than max; one that does not fit is
@@ -149,51 +197,93 @@ cell_count(Py_ssize_t S, Py_ssize_t t)
     return cells <= CELL_CAP ? cells : CELL_CAP + 1;
 }
 
-/* The nonzero cells as {composition: count}, stepping work through the
-   compositions in lexicographic order. */
-static PyObject *
-table(const struct census *c, Py_ssize_t cells, Py_ssize_t *work)
+/* Step work to the next weak composition in lexicographic order; work must
+   not hold the last one, (S, 0, ..., 0). */
+static void
+next_composition(Py_ssize_t *work, Py_ssize_t t)
 {
-    const Py_ssize_t t = c->t;
+    Py_ssize_t rest = work[t - 1], j = t - 2;
+    for (; rest == 0; j--)
+        rest += work[j];
+    work[j]++;
+    for (Py_ssize_t i = j + 1; i < t - 1; i++)
+        work[i] = 0;
+    work[t - 1] = rest - 1;
+}
+
+/* The tuple of base + sign * parts[i]. */
+static PyObject *
+as_tuple(const Py_ssize_t *parts, Py_ssize_t t, Py_ssize_t base, Py_ssize_t sign)
+{
+    PyObject *tuple = PyTuple_New(t);
+    for (Py_ssize_t i = 0; tuple != NULL && i < t; i++) {
+        PyObject *part = PyLong_FromSsize_t(base + sign * parts[i]);
+        if (part == NULL)
+            Py_CLEAR(tuple);
+        else
+            PyTuple_SET_ITEM(tuple, i, part);
+    }
+    return tuple;
+}
+
+/* The nonzero cells as {composition: count}, or {(composition, residues):
+   count} in residues mode, stepping prow (and crow) through the
+   compositions in lexicographic order; both rows start zeroed. */
+static PyObject *
+table(const struct census *c, const int residues, Py_ssize_t *prow, Py_ssize_t *crow)
+{
+    const Py_ssize_t t = c->t, R = residues ? c->P : 1;
     PyObject *result = PyDict_New();
-    work[t - 1] = c->S;
-    for (Py_ssize_t idx = 0; result != NULL && idx < cells; idx++) {
-        if (idx) {
-            Py_ssize_t rest = work[t - 1], j = t - 2;
-            for (; rest == 0; j--)
-                rest += work[j];
-            work[j]++;
-            for (Py_ssize_t i = j + 1; i < t - 1; i++)
-                work[i] = 0;
-            work[t - 1] = rest - 1;
+    prow[t - 1] = c->S;
+    for (Py_ssize_t p = 0; result != NULL && p < c->P; p++) {
+        PyObject *profile = NULL;
+        if (p)
+            next_composition(prow, t);
+        for (Py_ssize_t i = 0; i < t; i++)
+            crow[i] = i + 1 < t ? 0 : c->S;
+        for (Py_ssize_t q = 0; result != NULL && q < R; q++) {
+            if (q)
+                next_composition(crow, t);
+            const u64 count = c->counts[p * R + q];
+            if (count == 0)
+                continue;
+            if (profile == NULL && (profile = as_tuple(prow, t, 0, 1)) == NULL) {
+                Py_CLEAR(result);
+                break;
+            }
+            PyObject *key, *value = PyLong_FromUnsignedLongLong(count);
+            if (residues) {
+                PyObject *res = as_tuple(crow, t, c->N, -1);
+                key = res != NULL ? PyTuple_Pack(2, profile, res) : NULL;
+                Py_XDECREF(res);
+            }
+            else {
+                key = profile;
+                Py_INCREF(key);
+            }
+            if (key == NULL || value == NULL || PyDict_SetItem(result, key, value) < 0)
+                Py_CLEAR(result);
+            Py_XDECREF(key);
+            Py_XDECREF(value);
         }
-        if (c->counts[idx] == 0)
-            continue;
-        PyObject *key = PyTuple_New(t), *value = PyLong_FromUnsignedLongLong(c->counts[idx]);
-        int ok = key != NULL && value != NULL;
-        for (Py_ssize_t i = 0; ok && i < t; i++) {
-            PyObject *part = PyLong_FromSsize_t(work[i]);
-            ok = part != NULL;
-            PyTuple_SET_ITEM(key, i, part);
-        }
-        if (!ok || PyDict_SetItem(result, key, value) < 0)
-            Py_CLEAR(result);
-        Py_XDECREF(key);
-        Py_XDECREF(value);
+        Py_XDECREF(profile);
     }
     return result;
 }
 
 static PyObject *
-segment_census(PyObject *self, PyObject *args)
+segment_census(PyObject *self, PyObject *args, PyObject *kwargs)
 {
+    static char *kwlist[] = {"t", "sizes", "residues", NULL};
     /* bounds every buffer size below, so no size computation overflows */
     const Py_ssize_t limit = PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(Py_ssize_t) / 4;
     PyObject *sizes_obj, *sizes = NULL, *result = NULL;
     struct census c = {0};
-    Py_ssize_t *words = NULL, *work, t, k, nodes, N = 0, cells;
+    Py_ssize_t *words = NULL, *prow, *crow, t, k, nodes, N = 0, cells;
+    int residues = 0;
 
-    if (!PyArg_ParseTuple(args, "nO:segment_census", &t, &sizes_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nO|p:segment_census", kwlist,
+                                     &t, &sizes_obj, &residues))
         return NULL;
     if (t < 1 || t > limit)
         return PyErr_Format(PyExc_ValueError, "arity must lie in 1..%zd, got %zd", limit, t);
@@ -201,9 +291,9 @@ segment_census(PyObject *self, PyObject *args)
     if (sizes == NULL)
         goto done;
     k = PySequence_Fast_GET_SIZE(sizes);
-    /* sizes, profile, the lexicographic work row and saved; frames, trail
-       and numcomp follow once N is known */
-    words = PyMem_Calloc(3 * k + 2 * t, sizeof(Py_ssize_t));
+    /* sizes, profile, classes, the two lexicographic rows of table and
+       saved; frames, trail and numcomp follow once N is known */
+    words = PyMem_Calloc(3 * k + 4 * t, sizeof(Py_ssize_t));
     if (words == NULL) {
         PyErr_NoMemory();
         goto done;
@@ -212,8 +302,10 @@ segment_census(PyObject *self, PyObject *args)
     c.k = k;
     c.sizes = words;
     c.profile = words + k;
-    work = c.profile + t;
-    c.saved = work + t;
+    c.classes = c.profile + t;
+    prow = c.classes + t;
+    crow = prow + t;
+    c.saved = crow + t;
     for (Py_ssize_t j = 0; j < k; j++) {
         if (to_ssize(PySequence_Fast_GET_ITEM(sizes, j),
                      (limit - k) / t - 1 - N, "segment size", &nodes) < 0)
@@ -225,13 +317,16 @@ segment_census(PyObject *self, PyObject *args)
         c.sizes[j] = nodes;
         N += nodes;
     }
+    c.N = N;
     c.S = N - k;
-    cells = cell_count(c.S, t);
-    if (cells > CELL_CAP) {
+    c.P = cells = cell_count(c.S, t);
+    if (cells > CELL_CAP || (residues && cells > CELL_CAP / cells)) {
         PyErr_Format(PyExc_ValueError, "composition space too large for the "
                      "compiled kernel (more than %zd cells)", CELL_CAP);
         goto done;
     }
+    if (residues)
+        cells *= cells;
     c.frames = PyMem_Calloc(N + t * N + k + (c.S + 1) * (t + 1), sizeof(Py_ssize_t));
     c.counts = PyMem_Calloc(cells, sizeof(u64));
     if (c.frames == NULL || c.counts == NULL) {   /* refused like a size too large */
@@ -248,9 +343,12 @@ segment_census(PyObject *self, PyObject *args)
             row[col] = row[col - 1] + (s ? row[col - t - 1] : 0);
     }
     Py_BEGIN_ALLOW_THREADS
-    walk(&c);
+    if (residues)
+        joint_walk(&c);
+    else
+        census_walk(&c);
     Py_END_ALLOW_THREADS
-    result = table(&c, cells, work);
+    result = table(&c, residues, prow, crow);
 done:
     Py_XDECREF(sizes);
     PyMem_Free(words);
@@ -260,8 +358,10 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"segment_census", segment_census, METH_VARARGS,
-     "segment_census(t, sizes) -> {edge-type composition: multiplicity}"},
+    {"segment_census", (PyCFunction)(void (*)(void))segment_census,
+     METH_VARARGS | METH_KEYWORDS,
+     "segment_census(t, sizes, residues=False) -> {edge-type composition: multiplicity},\n"
+     "or {(edge-type composition, residues): multiplicity} with residues=True"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -5,6 +5,12 @@ slot materialized as an external leaf): each node emits a rise of t-1, each
 external leaf a fall of 1.  The walk stays non-negative and first reaches -1
 at the very end.  Each step also carries the child-slot index it occupies
 under its parent; the root step is unlabeled.
+
+The probe builds no tree objects and no paths: both of its distributions
+are the marginals of ``treebank.joint_census``, one walk of the census
+kernel that also counts each tree's falls by starting height mod t.  The
+listing (``enumerate_trees``, :func:`tree_to_path`, :func:`residue_stats`)
+stays for ``paths`` output and as the tests' object-level reference.
 """
 from __future__ import annotations
 
@@ -203,8 +209,12 @@ def residue_distribution_probe(
     n: int,
     offset: Optional[Sequence[int]] = None,
     budget: Optional[int] = None,
+    engine: str = "auto",
 ) -> ProbeReport:
     """Compare edge-type counts with residue-class counts over all n-node trees.
+
+    Both distributions come from one :func:`treebank.joint_census` walk
+    with the given engine.
 
     The identification of residue classes with edge types is deliberately not
     baked in: raw residue vectors (minus a configurable affine offset,
@@ -216,10 +226,11 @@ def residue_distribution_probe(
     off = tuple(offset) if offset is not None else (0,) * t
     if len(off) != t:
         raise ConstraintError(f"offset has {len(off)} parts, arity is {t}")
-    edge_table = treebank.census(t, n, budget=budget)
+    edge_table: Counter = Counter()
     residue_table: Counter = Counter()
-    for tree in treebank.enumerate_trees(t, n):
-        residue_table[residue_stats(tree_to_path(tree), t)] += 1
+    for (profile, residues), count in treebank.joint_census(t, n, budget=budget, engine=engine).items():
+        edge_table[profile] += count
+        residue_table[residues] += count
 
     normalized = Counter()
     for vec, count in residue_table.items():

@@ -38,6 +38,16 @@ class MultiSeries:
             self._check_term(n, a)
         self._terms = {k: v for k, v in (terms or {}).items() if v}
 
+    @classmethod
+    def _ring_result(cls, arity: int, truncation: int, terms: dict) -> "MultiSeries":
+        """A series whose keys the ring built itself from in-range operands,
+        so they are not checked again; zero coefficients are dropped."""
+        out = cls.__new__(cls)
+        out.arity = arity
+        out.truncation = truncation
+        out._terms = {k: v for k, v in terms.items() if v}
+        return out
+
     def _check_term(self, n: int, a: tuple) -> None:
         if not 0 <= n <= self.truncation:
             raise ConstraintError(f"x-degree {n} outside 0..{self.truncation}")
@@ -74,7 +84,7 @@ class MultiSeries:
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, 0) + c
-        return MultiSeries(self.arity, self.truncation, out)
+        return MultiSeries._ring_result(self.arity, self.truncation, out)
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         self._check_match(other)
@@ -91,7 +101,7 @@ class MultiSeries:
                 for a2, c2 in by_degree.get(n - n1, ()):
                     key = (n, tuple(map(add, a1, a2)))
                     out[key] = get(key, 0) + c1 * c2
-        return MultiSeries(self.arity, self.truncation, out)
+        return MultiSeries._ring_result(self.arity, self.truncation, out)
 
     def times_y(self, slot: int) -> "MultiSeries":
         """Multiply by the edge marker of the given slot (1-based)."""
@@ -102,7 +112,7 @@ class MultiSeries:
         for (n, a), c in self._terms.items():
             b = a[:i] + (a[i] + 1,) + a[i + 1:]
             out[(n, b)] = c
-        return MultiSeries(self.arity, self.truncation, out)
+        return MultiSeries._ring_result(self.arity, self.truncation, out)
 
     def coefficient(self, n: int, parts: Sequence[int]) -> int:
         """Stored coefficient of x^n * y^parts, or 0; the term must be in range."""
@@ -158,7 +168,7 @@ def solve_G(t: int, N: int) -> MultiSeries:
     g = MultiSeries.zero(t, 0)
     for k in range(1, N + 1):
         one = MultiSeries.one(t, k)
-        g = MultiSeries(t, k, g._terms)
+        g = MultiSeries._ring_result(t, k, g._terms)
         p = MultiSeries.x(t, k)
         for slot in range(1, t + 1):
             p = p * (one + g.times_y(slot))

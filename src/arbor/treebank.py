@@ -16,6 +16,12 @@ every tuple of trees with those sizes, and each profile gains roots[i] edges
 in slot i + 1 (none for a whole tree, one per nonempty slot of a root split,
 one in each of slots 1..m for a forest).
 
+In residues mode the kernels also count each tree's non-root nodes by the
+height mod t at which the node's step of the Lukasiewicz path starts, which
+gives the path's falls per residue class; :func:`joint_census` returns the
+joint (edge profile, residue vector) table, and the ``paths`` probe reads
+both of its distributions from it instead of walking the listing.
+
 The listing (:func:`enumerate_trees`, :func:`enumerate_forests`) keeps its
 own walk over slot sizes: its order is pinned by the ``paths`` output, and
 that walk takes about twice the census walk's steps per tree.
@@ -339,7 +345,7 @@ def check_budget(
         )
 
 
-def segment_census_pure(t: int, sizes: Sequence[int]) -> dict:
+def segment_census_pure(t: int, sizes: Sequence[int], residues: bool = False) -> dict:
     """Pure-Python census kernel: profile every tuple of trees with the given sizes.
 
     Segment j is a tree with exactly sizes[j] nodes; only the edges inside
@@ -352,14 +358,25 @@ def segment_census_pure(t: int, sizes: Sequence[int]) -> dict:
     counters and a running profile, one table increment per tree tuple.
     Once a segment has all its nodes, the rest of its word is forced
     (empty slots only), so the walk moves straight on to the next segment.
+
+    With ``residues`` the keys are (profile, residues) pairs, where
+    residues[r] counts the fall steps of the trees' Lukasiewicz paths (each
+    tree its own path) that start at a height congruent to r mod t, as
+    ``paths.residue_stats`` does.  Every step, a rise of t - 1 or a fall of
+    1, lowers the height by 1 mod t, so each residue class holds a fixed
+    number of steps and residues[r] is the node count minus the non-root
+    nodes whose step starts at a height congruent to r.  The walk keeps
+    those node counts; the height before a step is the open segment's
+    unfilled slot count minus 1.
     """
     k = len(sizes)
     for nodes in sizes:
         if nodes < 1:
             raise ConstraintError(f"segment size {nodes} must be >= 1")
     profile = [0] * t
+    classes = [0] * t     # non-root nodes by starting height mod t
     if k == 0:
-        return {tuple(profile): 1}
+        return {(tuple(profile), tuple(classes)) if residues else tuple(profile): 1}
     node, segment = -1, -2
     # one entry per choice: a node, a segment start, or an empty slot
     # recorded as the number of full frames it closed
@@ -377,6 +394,8 @@ def segment_census_pure(t: int, sizes: Sequence[int]) -> dict:
             frames[-1] = i + 1
             frames.append(0)
             used += 1
+            if residues:
+                classes[(free - 1) % t] += 1
             free += t - 1
             trail.append(node)
         if seg + 1 < k:
@@ -386,10 +405,17 @@ def segment_census_pure(t: int, sizes: Sequence[int]) -> dict:
             frames, used, free = [0], 1, t
             trail.append(segment)
             continue
-        table[tuple(profile)] += 1
+        if residues:
+            table[tuple(profile), tuple(classes)] += 1
+        else:
+            table[tuple(profile)] += 1
         # back up to the latest node whose slot can take an empty instead
         while True:
             if not trail:
+                if residues:
+                    n = sum(sizes)
+                    return {(p, tuple(n - c for c in cls)): count
+                            for (p, cls), count in table.items()}
                 return dict(table)
             entry = trail.pop()
             if entry == segment:
@@ -401,6 +427,8 @@ def segment_census_pure(t: int, sizes: Sequence[int]) -> dict:
                 profile[frames[-1] - 1] -= 1
                 used -= 1
                 free -= t - 1
+                if residues:
+                    classes[(free - 1) % t] -= 1
                 if free > 1:  # the tree stays open, so it can still grow
                     free -= 1
                     closed = 0
@@ -416,10 +444,10 @@ def segment_census_pure(t: int, sizes: Sequence[int]) -> dict:
                 free += 1
 
 
-def _segment_census_capped(t: int, sizes: Sequence[int]) -> dict:
+def _segment_census_capped(t: int, sizes: Sequence[int], residues: bool = False) -> dict:
     """The compiled kernel, with its refusal of an oversized table as a ConstraintError."""
     try:
-        return _segment_census_compiled(t, sizes)
+        return _segment_census_compiled(t, sizes, residues=residues)
     except ValueError as exc:
         raise ConstraintError(str(exc)) from None
 
@@ -486,6 +514,26 @@ def census(
         jobs = [(tuple(s for s in comp if s), tuple(min(s, 1) for s in comp))
                 for comp in counting.compositions(t, n - 1)]
     return dict(_run_jobs(kernel, t, jobs, workers))
+
+
+def joint_census(
+    t: int,
+    n: int,
+    *,
+    budget: Optional[int] = None,
+    engine: str = "auto",
+) -> dict:
+    """Multiplicity of every realized (edge-type composition, residue vector)
+    pair over all t-ary trees with n nodes, by brute-force enumeration.
+
+    The residue vector is ``paths.residue_stats`` of the tree's Lukasiewicz
+    path: its fall steps counted by starting height mod t.  One walk of the
+    census kernel in its residues mode yields both; its edge marginal is
+    :func:`census`.  Shape and budget refusals are those of ``census``.
+    """
+    counting.check_tree_shape(t, n)
+    check_budget(f"census(t={t}, n={n})", counting.total_trees(t, n), "trees", n, budget)
+    return _select_kernel(engine)(t, (n,), residues=True)
 
 
 def forest_census(

@@ -237,3 +237,58 @@ def test_probe_csv_shape():
 def test_probe_budget_guard():
     with pytest.raises(treebank.BudgetExceededError):
         residue_distribution_probe(3, 8, budget=100)
+
+
+# every t <= 5 at small n, t = 1 deeper, and large arities whose residue
+# vectors range far wider than their edge profiles
+JOINT_SIZES = [(1, n) for n in range(1, 12)] + [
+    (t, n) for t, max_n in [(2, 8), (3, 6), (4, 5), (5, 4)] for n in range(1, max_n + 1)
+] + [(8, 4), (16, 2)]
+
+
+def object_joint(t, n):
+    """(edge profile, residue vector) of every tree, from the tree objects."""
+    return Counter((edge_profile(tree), residue_stats(tree_to_path(tree), t))
+                   for tree in enumerate_trees(t, n))
+
+
+def check_joint_census(engine):
+    for t, n in JOINT_SIZES:
+        assert treebank.joint_census(t, n, engine=engine) == object_joint(t, n), (t, n)
+
+
+def test_joint_census_matches_object_enumeration():
+    check_joint_census("pure")
+
+
+def test_compiled_joint_census_matches_object_enumeration(compiled_kernel):
+    check_joint_census("compiled")
+
+
+def check_probe_marginals():
+    for t, n in [(1, 7), (2, 7), (3, 5), (4, 4), (5, 4)]:
+        report = residue_distribution_probe(t, n)
+        assert report.edge_distribution == treebank.census(t, n)
+        # the residue counter the probe built from the tree objects
+        residues = Counter(residue_stats(tree_to_path(tree), t)
+                           for tree in enumerate_trees(t, n))
+        assert report.residue_distribution == residues
+
+
+def test_probe_marginals_with_pure_kernel(monkeypatch):
+    monkeypatch.setattr(treebank, "_segment_census_compiled", None)
+    check_probe_marginals()
+
+
+def test_probe_marginals_with_compiled_kernel(compiled_kernel):
+    check_probe_marginals()
+
+
+def test_probe_walks_no_tree_objects(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the probe walked the tree objects")
+
+    for name in ("enumerate_trees", "tree_to_path", "residue_stats"):
+        monkeypatch.setattr(treebank if name == "enumerate_trees" else paths, name, refuse)
+    report = residue_distribution_probe(3, 5)
+    assert sum(report.residue_distribution.values()) == counting.total_trees(3, 5)

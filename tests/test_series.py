@@ -77,6 +77,30 @@ def test_init_rejects_out_of_range_terms():
             edge.coefficient(n, parts)
 
 
+def test_ring_results_skip_the_term_check(monkeypatch):
+    a = MultiSeries(2, 3, {(0, (0, 0)): 1, (1, (1, 0)): 2})
+    b = MultiSeries(2, 3, {(1, (0, 1)): -1, (2, (1, 1)): 3})
+    want = reference_mul(a, MultiSeries(2, 3, {
+        (0, (0, 1)): 1, (1, (1, 1)): 2, (1, (0, 2)): -1, (2, (1, 2)): 3}))
+    checked = []
+    real = MultiSeries._check_term
+
+    def counting_check(self, n, parts):
+        checked.append((n, parts))
+        real(self, n, parts)
+
+    monkeypatch.setattr(MultiSeries, "_check_term", counting_check)
+    product = a * (a + b).times_y(2)
+    assert checked == []
+    assert product == want
+    # the public constructor and coefficient still check every term
+    with pytest.raises(ConstraintError, match=r"^x-degree 4 outside 0\.\.3$"):
+        MultiSeries(2, 3, {(4, (0, 0)): 1})
+    with pytest.raises(ConstraintError,
+                       match=r"^exponent vector \(1, -1\) is not 2 non-negative parts$"):
+        product.coefficient(1, (1, -1))
+
+
 def reference_solve(t, N):
     """The fixed-point loop run at full truncation N in every round."""
     one = MultiSeries.one(t, N)

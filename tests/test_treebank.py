@@ -1,4 +1,5 @@
 """Enumeration and census oracles: frozen tables, determinism, kernel parity."""
+import itertools
 import os
 from collections import Counter
 
@@ -15,6 +16,7 @@ from arbor.treebank import (
     enumerate_trees,
     forest_census,
     forest_profile,
+    joint_census,
     parse_tree,
     segment_census_pure,
     serialize_tree,
@@ -310,8 +312,10 @@ def test_compiled_kernel_matches_reference(compiled_kernel):
     cases = [(3, (5,)), (2, (6,)), (4, (2, 3)), (3, (1, 2, 1)), (3, (2, 2)), (5, (4,))]
     for t, sizes in cases:
         assert fast(t, sizes) == segment_census_pure(t, sizes)
+        assert fast(t, sizes, residues=True) == segment_census_pure(t, sizes, residues=True)
     for t, n in [(2, 9), (3, 7), (4, 5)]:
         assert census(t, n, engine="compiled") == census(t, n, engine="pure")
+        assert joint_census(t, n, engine="compiled") == joint_census(t, n, engine="pure")
     for t, m, n in [(3, 1, 6), (3, 2, 6)] + [(5, m, 6) for m in range(1, 5)]:
         assert forest_census(t, m, n, engine="compiled") == \
             forest_census(t, m, n, engine="pure")
@@ -321,6 +325,8 @@ def test_compiled_kernel_matches_reference(compiled_kernel):
             for comp in counting.compositions(t, n - 1):
                 sizes = tuple(s for s in comp if s)
                 assert fast(t, sizes) == segment_census_pure(t, sizes)
+                assert fast(t, sizes, residues=True) == \
+                    segment_census_pure(t, sizes, residues=True)
         assert census(t, max_n, workers=2, engine="compiled") == \
             census(t, max_n, workers=2, engine="pure")
 
@@ -328,6 +334,45 @@ def test_compiled_kernel_matches_reference(compiled_kernel):
 def test_compiled_kernel_cell_cap_is_a_constraint_error(compiled_kernel):
     with pytest.raises(ConstraintError, match="composition space too large"):
         census(16, 15, budget=10**40, engine="compiled")
+
+
+def test_compiled_residues_mode_refusals(compiled_kernel):
+    cap = r"^composition space too large for the compiled kernel \(more than 16777216 cells\)$"
+    # the profiles alone overflow the cap, then only their square does:
+    # 12376 profiles at t=12 n=8, 4368 at t=12 n=6
+    for t, n in [(16, 15), (12, 8), (12, 6)]:
+        with pytest.raises(ConstraintError, match=cap):
+            joint_census(t, n, budget=10**40, engine="compiled")
+    assert sum(joint_census(12, 5, engine="compiled").values()) == \
+        counting.total_trees(12, 5)
+    big = 10**20
+    with pytest.raises(ConstraintError,
+                       match=f"^segment size {big} does not fit the compiled kernel$"):
+        joint_census(1, big, budget=10**40, engine="compiled")
+
+
+def test_joint_census_refusals_match_census():
+    for args, kwargs in [((3, 6), {"budget": 100}), ((3, 0), {}), ((17, 2), {}),
+                         ((3, 3), {"engine": "warp"})]:
+        with pytest.raises((ConstraintError, BudgetExceededError)) as want:
+            census(*args, **kwargs)
+        with pytest.raises((ConstraintError, BudgetExceededError)) as got:
+            joint_census(*args, **kwargs)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_residues_mode_sums_the_path_of_each_tree():
+    # one Lukasiewicz path per segment, its falls counted from height 0
+    from arbor.paths import residue_stats, tree_to_path
+
+    for t, sizes in [(2, (2, 3)), (3, (1, 2, 1)), (3, (3, 2)), (4, (2, 2))]:
+        want = Counter()
+        for trees in itertools.product(*(list(enumerate_trees(t, n)) for n in sizes)):
+            profile = tuple(map(sum, zip(*(edge_profile(x) for x in trees))))
+            residues = tuple(map(sum, zip(*(residue_stats(tree_to_path(x), t)
+                                            for x in trees))))
+            want[profile, residues] += 1
+        assert segment_census_pure(t, sizes, residues=True) == want
 
 
 def test_pure_walk_matches_object_enumeration():
@@ -350,9 +395,11 @@ def test_compiled_kernel_deep_chain(kernel_child):
 
 def check_degenerate(kernel):
     assert kernel(3, ()) == {(0, 0, 0): 1}
+    assert kernel(3, (), residues=True) == {((0, 0, 0), (0, 0, 0)): 1}
     for sizes, bad in [((0,), 0), ((-1,), -1), ((2, 0, -1), 0)]:
-        with pytest.raises(ConstraintError, match=f"^segment size {bad} must be >= 1$"):
-            kernel(3, sizes)
+        for residues in (False, True):
+            with pytest.raises(ConstraintError, match=f"^segment size {bad} must be >= 1$"):
+                kernel(3, sizes, residues=residues)
 
 
 def test_segment_census_degenerate():

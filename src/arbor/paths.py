@@ -209,12 +209,11 @@ def residue_distribution_probe(
     n: int,
     offset: Optional[Sequence[int]] = None,
     budget: Optional[int] = None,
-    engine: str = "auto",
 ) -> ProbeReport:
     """Compare edge-type counts with residue-class counts over all n-node trees.
 
-    Both distributions come from one :func:`treebank.joint_census` walk
-    with the given engine.
+    Both distributions are marginals of one :func:`treebank.joint_census`
+    walk.
 
     The identification of residue classes with edge types is deliberately not
     baked in: raw residue vectors (minus a configurable affine offset,
@@ -228,7 +227,8 @@ def residue_distribution_probe(
         raise ConstraintError(f"offset has {len(off)} parts, arity is {t}")
     edge_table: Counter = Counter()
     residue_table: Counter = Counter()
-    for (profile, residues), count in treebank.joint_census(t, n, budget=budget, engine=engine).items():
+    joint = treebank.joint_census(t, n, budget=budget)
+    for (profile, residues), count in joint.items():
         edge_table[profile] += count
         residue_table[residues] += count
 

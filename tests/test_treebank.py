@@ -7,6 +7,7 @@ import pytest
 
 from arbor import counting, treebank
 from arbor.errors import BudgetExceededError, ConstraintError
+from arbor.paths import residue_stats, tree_to_path
 from arbor.treebank import (
     Forest,
     TAryTree,
@@ -338,9 +339,9 @@ def test_compiled_kernel_cell_cap_is_a_constraint_error(compiled_kernel):
 
 def test_compiled_residues_mode_refusals(compiled_kernel):
     cap = r"^composition space too large for the compiled kernel \(more than 16777216 cells\)$"
-    # the profiles alone overflow the cap, then only their square does:
-    # 12376 profiles at t=12 n=8, 4368 at t=12 n=6
-    for t, n in [(16, 15), (12, 8), (12, 6)]:
+    # the profiles alone pass the cap at t=16 n=15 (77.6M); at t=12 n=6 only
+    # their square does (4368 profiles, 19.1M cells)
+    for t, n in [(16, 15), (12, 6)]:
         with pytest.raises(ConstraintError, match=cap):
             joint_census(t, n, budget=10**40, engine="compiled")
     assert sum(joint_census(12, 5, engine="compiled").values()) == \
@@ -363,8 +364,6 @@ def test_joint_census_refusals_match_census():
 
 def test_residues_mode_sums_the_path_of_each_tree():
     # one Lukasiewicz path per segment, its falls counted from height 0
-    from arbor.paths import residue_stats, tree_to_path
-
     for t, sizes in [(2, (2, 3)), (3, (1, 2, 1)), (3, (3, 2)), (4, (2, 2))]:
         want = Counter()
         for trees in itertools.product(*(list(enumerate_trees(t, n)) for n in sizes)):

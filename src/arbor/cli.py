@@ -1,16 +1,18 @@
 """Command-line front end: exact counts, tables, triangles, cross-verification.
 
-Exit codes: 0 success, 1 constraint violation, 2 budget exceeded,
-3 verification failure.
+Exit codes: 0 success, 1 constraint violation or a closed output pipe,
+2 budget exceeded, 3 verification failure.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Optional
+from itertools import chain, permutations
+from math import comb
+from typing import ItemsView, Optional
 
 from arbor import counting, paths, series, treebank
 from arbor.errors import BudgetExceededError, ConstraintError
@@ -26,22 +28,22 @@ class CountTable:
     """Composition-count rows for one (t, n) in lexicographic order."""
 
     arity: int
-    rows: list[tuple[counting.EdgeComposition, int]]
+    rows: ItemsView[counting.EdgeComposition, int]  # of the closed-form dict
     total: int
 
     @classmethod
     def build(cls, t: int, n: int, m: Optional[int] = None) -> "CountTable":
         """The closed-form rows of the n-node trees, or with m of the m-tree forests."""
         total = _closed_total(t, n, m)  # checks the shape first
-        rows = list(_closed_form(t, n, m).items())
-        if total != sum(c for _, c in rows):
+        table = _closed_form(t, n, m)
+        if total != sum(table.values()):
             raise ArithmeticError("table rows do not sum to the closed-form total")
-        return cls(t, rows, total)
+        return cls(t, table.items(), total)
 
     def to_csv(self) -> str:
+        row = ",".join(["%d"] * (self.arity + 1))
         lines = [",".join(f"a{i + 1}" for i in range(self.arity)) + ",count"]
-        for comp, count in self.rows:
-            lines.append(",".join(str(x) for x in comp) + f",{count}")
+        lines += [row % (*comp, count) for comp, count in self.rows]
         lines.append("total," + "," * (self.arity - 1) + str(self.total))
         return "\n".join(lines)
 
@@ -88,16 +90,22 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
-    table = CountTable.build(args.t, args.n, args.forest)
+    t, n, m = args.t, args.n, args.forest
+    if m is None:
+        counting.check_tree_shape(t, n)
+        action, free = f"table(t={t}, n={n})", n - 1
+    else:
+        counting.check_forest_shape(t, m, n)
+        action, free = f"table(t={t}, m={m}, n={n})", n - m
+    # one row per weak composition of the free edge count into t parts
+    treebank.check_budget(action, comb(free + t - 1, t - 1), "rows")
+    table = CountTable.build(t, n, m)
     print(table.to_csv() if args.format == "csv" else table.to_pretty())
     return EXIT_OK
 
 
 def _triangle_rows(t: int, slot: int, rows: int) -> list[list[int]]:
-    return [
-        [counting.marginal_count(t, n, {slot: k}) for k in range(n)]
-        for n in range(1, rows + 1)
-    ]
+    return [counting.marginal_row(t, n, slot) for n in range(1, rows + 1)]
 
 
 def cmd_triangle(args) -> int:
@@ -107,6 +115,8 @@ def cmd_triangle(args) -> int:
         raise ConstraintError(f"--rows must be >= 1, got {args.rows}")
     if not 1 <= slot <= t:
         raise ConstraintError(f"marginal slot {slot} outside 1..{t}")
+    cells = args.rows * (args.rows + 1) // 2 * (t if args.self_check else 1)
+    treebank.check_budget(f"triangle(t={t}, rows={args.rows})", cells, "cells")
     triangle = _triangle_rows(t, slot, args.rows)
     if args.self_check:
         for other in range(1, t + 1):
@@ -115,26 +125,19 @@ def cmd_triangle(args) -> int:
                 return EXIT_VERIFY
         print(f"self-check: all {t} slot triangles agree")
     if args.format == "bfile":
-        index = args.b_offset
-        for row in triangle:
-            for value in row:
-                print(f"{index} {value}")
-                index += 1
+        values = chain.from_iterable(triangle)
+        lines = [f"{i} {v}" for i, v in enumerate(values, start=args.b_offset)]
     else:
-        for n, row in enumerate(triangle, start=1):
-            values = " ".join(str(v) for v in row)
-            print(f"n={n} (edges={n - 1}): {values}")
+        lines = [f"n={n} (edges={n - 1}): " + " ".join(map(str, row))
+                 for n, row in enumerate(triangle, start=1)]
+    print("\n".join(lines))
     return EXIT_OK
 
 
 def _closed_form(t: int, n: int, m: Optional[int] = None) -> dict:
     """Closed-form count of every composition of one group, in lexicographic
     order: the n-node trees, or with m the m-tree forests."""
-    if m is None:
-        return {a: counting.count_trees(t, n, a)
-                for a in counting.compositions(t, n - 1)}
-    return {a: counting.count_forests(t, m, n, a)
-            for a in counting.compositions(t, n, m=m)}
+    return counting.count_table(t, n, m)
 
 
 def _closed_total(t: int, n: int, m: Optional[int] = None) -> int:
@@ -386,7 +389,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left early (``arbor ... | head``): send the output still
+        # buffered to devnull so the flush at exit cannot fail again
+        # (the SIGPIPE recipe of the Python docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CONSTRAINT
     except ConstraintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT

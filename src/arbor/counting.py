@@ -5,10 +5,8 @@ divisions prescribed by the closed forms are checked to be exact.
 """
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from math import comb
-from operator import add, sub
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from arbor.errors import ConstraintError
 
@@ -93,7 +91,12 @@ def count_trees(t: int, n: int, parts: Sequence[int]) -> int:
     Evaluates (1/n) * C(n,a1) * ... * C(n,at).  The full product is computed
     first and divided once; the division is exact for every valid query.
     """
-    a = validate_tree_composition(t, n, parts)
+    a = tuple(parts)
+    # every check of validate_tree_composition in one expression; the full
+    # validation runs only to raise the message of the check that fails
+    if not (0 < t <= MAX_ARITY and len(a) == t and 0 < n == sum(a) + 1
+            and min(a) >= 0):
+        a = validate_tree_composition(t, n, parts)
     prod = 1
     for x in a:
         prod *= comb(n, x)
@@ -109,14 +112,67 @@ def count_forests(t: int, m: int, n: int, parts: Sequence[int]) -> int:
 
     Evaluates (m/n) * C(n,a1-1)...C(n,am-1) * C(n,a_{m+1})...C(n,at).
     """
-    a = validate_forest_composition(t, m, n, parts)
+    a = tuple(parts)
+    # as in count_trees: one expression, the full validation for the message
+    if not (0 < m < t <= MAX_ARITY and len(a) == t and m <= n == sum(a)
+            and min(a) >= 0 and min(a[:m]) >= 1):
+        a = validate_forest_composition(t, m, n, parts)
     prod = m
-    for i, x in enumerate(a):
-        prod *= comb(n, x - 1 if i < m else x)
+    for x in a[:m]:
+        prod *= comb(n, x - 1)
+    for x in a[m:]:
+        prod *= comb(n, x)
     q, r = divmod(prod, n)
     if r:
         raise ArithmeticError(f"count_forests product {prod} not divisible by n={n}")
     return q
+
+
+def count_table(t: int, n: int, m: Optional[int] = None) -> dict[EdgeComposition, int]:
+    """Closed-form count of every composition of one group, keyed in the order
+    of :func:`compositions`: the n-node trees, or with m the m-tree forests.
+
+    The rows of :func:`count_trees` or :func:`count_forests` called once per
+    composition, from one depth-first walk.  Writing b_i = a_i - 1 in the
+    root-edge slots 1..m of a forest and b_i = a_i elsewhere, every factor is
+    C(n, b_i) and the b_i sum to F = n - 1 (trees) or n - m (forests).  The
+    walk fixes the parts left to right, in lexicographic order, keeping the
+    product of the factors fixed so far (starting from m for a forest); the
+    last two parts come from a list of factor pairs per remainder.  So a row
+    costs one multiplication and one exact division by n.
+    """
+    if m is None:
+        check_tree_shape(t, n)
+        name, start, roots, free = "count_trees", 1, 0, n - 1
+    else:
+        check_forest_shape(t, m, n)
+        name, start, roots, free = "count_forests", m, m, n - m
+    if t == 1:  # a single row; no binomial row of n entries
+        return {(free,): count_trees(1, n, (free,))}
+    binom = [comb(n, k) for k in range(free + 1)]
+    # the last slot is never a root slot, as m < t
+    lift = 1 if t - 2 < roots else 0
+    lefts = range(free + 1) if t > 2 else (free,)
+    tails = {left: [(b + lift, left - b) for b in range(left + 1)] for left in lefts}
+    pairs = {left: [binom[b] * binom[left - b] for b in range(left + 1)]
+             for left in lefts}
+    table = {}
+
+    def walk(slot: int, prefix: tuple, product: int, left: int) -> None:
+        if slot == t - 2:
+            for tail, pair in zip(tails[left], pairs[left]):
+                q, r = divmod(product * pair, n)
+                if r:
+                    raise ArithmeticError(
+                        f"{name} product {product * pair} not divisible by n={n}")
+                table[prefix + tail] = q
+            return
+        part = 1 if slot < roots else 0
+        for b in range(left + 1):
+            walk(slot + 1, prefix + (b + part,), product * binom[b], left - b)
+
+    walk(0, (), start, free)
+    return table
 
 
 def total_trees(t: int, n: int) -> int:
@@ -167,12 +223,34 @@ def marginal_count(t: int, n: int, fixed: Mapping[int, int]) -> int:
     return q
 
 
+def marginal_row(t: int, n: int, slot: int) -> list[int]:
+    """``marginal_count(t, n, {slot: k})`` for k = 0..n-1: the n-node trees by
+    the edge count of one slot.
+
+    Evaluates (1/n) * C(n, k) * C((t-1)*n, n-1-k) per cell with ``math.comb``;
+    the checks and refusals are those of :func:`marginal_count`.
+    """
+    check_tree_shape(t, n)
+    if not 1 <= slot <= t:
+        raise ConstraintError(f"fixed slot {slot} outside 1..{t}")
+    rest = (t - 1) * n
+    row = []
+    for k in range(n):
+        prod = comb(n, k) * comb(rest, n - 1 - k)
+        q, r = divmod(prod, n)
+        if r:
+            raise ArithmeticError(f"marginal product {prod} not divisible by n={n}")
+        row.append(q)
+    return row
+
+
 def compositions(t: int, total: int, m: int = 0) -> Iterator[EdgeComposition]:
     """Weak compositions of `total` into t parts, lexicographically ascending.
 
     With m > 0 the first m parts are each at least 1 (the positivity forced
-    on root-edge slots); m = 0 imposes no lower bound.  Stars and bars: the
-    t-1 cut points rise weakly through 0..total, and cut order is part order.
+    on root-edge slots); m = 0 imposes no lower bound.  A depth-first walk
+    fixes the parts left to right, each counting up from its lower bound,
+    and yields the last two parts together; it holds one prefix per level.
     """
     check_arity(t)
     if total < 0:
@@ -182,9 +260,17 @@ def compositions(t: int, total: int, m: int = 0) -> Iterator[EdgeComposition]:
     base = total - m
     if base < 0:
         return
-    # cut i moves up by one for each forced unit in the parts before it
-    lift = tuple(min(i, m) for i in range(1, t))
-    for cuts in combinations_with_replacement(range(base + 1), t - 1):
-        if m:
-            cuts = tuple(map(add, cuts, lift))
-        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
+    if t == 1:
+        yield (total,)
+        return
+
+    def walk(slot: int, prefix: tuple, left: int) -> Iterator[EdgeComposition]:
+        lift = 1 if slot < m else 0  # never in the last slot, as m < t
+        if slot == t - 2:
+            for a in range(left + 1):
+                yield prefix + (a + lift, left - a)
+        else:
+            for a in range(left + 1):
+                yield from walk(slot + 1, prefix + (a + lift,), left - a)
+
+    yield from walk(0, (), base)

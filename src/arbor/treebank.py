@@ -325,13 +325,15 @@ def resolve_budget(budget: Optional[int] = None) -> int:
 
 
 def check_budget(
-    action: str, total: int, noun: str, nodes: int, budget: Optional[int] = None
+    action: str, total: int, noun: str, nodes: int = 0, budget: Optional[int] = None
 ) -> None:
     """Refuse up front when ``action`` would enumerate more objects, or place
     more nodes, than the budget allows.
 
     Every walk places all the nodes of an object, so the node count bounds
-    its memory even at t=1, where each size has a single tree.
+    its memory even at t=1, where each size has a single tree.  Work that
+    places no nodes, such as the closed-form rows of ``table`` and the cells
+    of ``triangle``, passes only its object count.
     """
     limit = resolve_budget(budget)
     if total > limit:

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -218,6 +219,64 @@ def test_triangle_self_check(capsys):
     assert "self-check: all 3 slot triangles agree" in out
 
 
+def test_table_and_triangle_refused_over_budget(capsys, monkeypatch):
+    # rows of a table, cells of a triangle (times t with --self-check)
+    monkeypatch.delenv(treebank.BUDGET_ENV_VAR, raising=False)
+    for argv, refusal in (
+        (["table", "--t", "16", "--n", "40"],
+         "table(t=16, n=40) would enumerate 8654327655120 rows"),
+        (["table", "--t", "16", "--n", "40", "--forest", "15"],
+         "table(t=16, m=15, n=40) would enumerate 40225345056 rows"),
+        (["triangle", "--t", "3", "--rows", "100000", "--marginal", "1"],
+         "triangle(t=3, rows=100000) would enumerate 5000050000 cells"),
+        (["triangle", "--t", "3", "--rows", "100000", "--marginal", "1",
+          "--self-check"],
+         "triangle(t=3, rows=100000) would enumerate 15000150000 cells"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (
+            2, "", f"error: {refusal}, budget is 10000000\n")
+    # $ARBOR_BUDGET moves the bound: a count equal to it runs
+    monkeypatch.setenv(treebank.BUDGET_ENV_VAR, "10")
+    for argv, code in (
+        (["table", "--t", "3", "--n", "4"], 0),          # 10 rows
+        (["table", "--t", "3", "--n", "5"], 2),          # 15 rows
+        (["table", "--t", "3", "--n", "5", "--forest", "2"], 0),  # 10 rows
+        (["triangle", "--t", "3", "--rows", "4", "--marginal", "1"], 0),  # 10 cells
+        (["triangle", "--t", "3", "--rows", "4", "--marginal", "1",
+          "--self-check"], 2),                            # 30 cells
+    ):
+        assert run(capsys, *argv)[0] == code, argv
+
+
+def test_closed_pipe_exit_1_without_traceback():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "arbor.cli", "triangle", "--t", "3", "--marginal", "2",
+           "--format", "bfile", "--rows"]
+    # the reader takes one line and leaves while the writer still has far
+    # more than a pipe buffer to write
+    proc = subprocess.Popen(cmd + ["150"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"0 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+    # the reader is gone before the first write; the output fits the
+    # stdout buffer, so the pipe breaks only when it is flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(cmd + ["3"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
 def test_triangle_bad_slot(capsys):
     code, _, err = run(capsys, "triangle", "--t", "3", "--rows", "3",
                        "--marginal", "4")
@@ -249,25 +308,33 @@ def test_verify_budget_exit_2(capsys):
 
 
 def test_verify_failure_exit_3(capsys, monkeypatch):
-    real = counting.count_trees
-
-    def lying(t, n, parts):
-        value = real(t, n, parts)
-        return value + 1 if n == 2 else value
-
-    monkeypatch.setattr(counting, "count_trees", lying)
+    monkeypatch.setattr(counting, "count_table", row_off_by_one(counting.count_table, 2))
     code, out, _ = run(capsys, "verify", "--t", "3", "--max-n", "3",
                        "--mode", "brute")
     assert code == 3
-    assert any(line.startswith("FAIL") for line in out.splitlines())
+    assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
+        "FAIL tree census mismatch at t=3 n=2 a=(0, 0, 1)",
+        "summary: 2/3 checks passed",
+    ]
 
 
-def off_by_one(real, n_at, n_index=1, parts=None):
+def row_off_by_one(real, n_at, parts=None):
+    """``real`` (count_table) with one tree row raised by one at node count
+    n_at: the row of parts, or the first row when parts is None."""
+    def lying(t, n, m=None):
+        table = real(t, n, m)
+        if m is None and n == n_at:
+            table[parts or min(table)] += 1
+        return table
+    return lying
+
+
+def off_by_one(real, n_at, n_index=1):
     """``real`` with its result raised by one at node count n_at (argument
-    n_index), and only for the given composition when parts is set."""
+    n_index)."""
     def lying(*args, **kwargs):
         value = real(*args, **kwargs)
-        if args[n_index] != n_at or parts is not None and tuple(args[-1]) != parts:
+        if args[n_index] != n_at:
             return value
         if isinstance(value, dict):  # a census: raise its first row
             value = dict(value)
@@ -348,8 +415,8 @@ FAIL_CASES = {
         "summary: 9/10 checks passed"),
     "symmetry": (
         # the closed form itself breaks, so every tree check fails at n=2
-        lambda: [(counting, "count_trees",
-                  off_by_one(counting.count_trees, 2, parts=(1, 0, 0)))],
+        lambda: [(counting, "count_table",
+                  row_off_by_one(counting.count_table, 2, parts=(1, 0, 0)))],
         "all",
         ["FAIL tree census mismatch at t=3 n=2 a=(1, 0, 0)",
          "FAIL series mismatch at t=3 n=2 a=(1, 0, 0)",
@@ -359,8 +426,8 @@ FAIL_CASES = {
         "summary: 5/10 checks passed"),
     "series residual": (
         # g and the closed form agree, but g does not solve the equation
-        lambda: [(counting, "count_trees",
-                  off_by_one(counting.count_trees, 3, parts=(0, 0, 2))),
+        lambda: [(counting, "count_table",
+                  row_off_by_one(counting.count_table, 3, parts=(0, 0, 2))),
                  (series, "solve_G", series_off_by_one(series.solve_G, 3, (0, 0, 2)))],
         "series",
         ["FAIL series mismatch at t=3 n=3 a=(0, 0, 2)"],

@@ -11,8 +11,10 @@ from arbor.counting import (
     binomial,
     compositions,
     count_forests,
+    count_table,
     count_trees,
     marginal_count,
+    marginal_row,
     total_forests,
     total_trees,
 )
@@ -122,6 +124,70 @@ def test_marginal_rejects_bad_slots():
         marginal_count(3, 2, {4: 1})
     with pytest.raises(ConstraintError):
         marginal_count(3, 2, {1: -1})
+
+
+def test_count_table_matches_per_composition_calls():
+    # same keys in the same order, same counts, for every group up to n=12
+    for t in range(1, 7):
+        for n in range(1, 13):
+            want = {a: count_trees(t, n, a) for a in compositions(t, n - 1)}
+            assert list(count_table(t, n).items()) == list(want.items())
+            for m in range(1, min(t - 1, n) + 1):
+                want = {a: count_forests(t, m, n, a)
+                        for a in compositions(t, n, m=m)}
+                assert list(count_table(t, n, m).items()) == list(want.items())
+
+
+@pytest.mark.parametrize("t, n, m", [
+    (0, 3, None), (17, 3, None), (3, 0, None), (3, -2, None),
+    (0, 3, 1), (3, 3, 0), (3, 3, 3), (3, 1, 2), (3, -2, 2),
+])
+def test_count_table_refusals_match_per_composition_calls(t, n, m):
+    # the shape checks come first, so any composition of the right length
+    # draws the message the per-composition call gives
+    parts = (1,) * max(t, 0)
+    with pytest.raises(ConstraintError) as want:
+        count_trees(t, n, parts) if m is None else count_forests(t, m, n, parts)
+    with pytest.raises(ConstraintError) as got:
+        count_table(t, n, m)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("t, n, m", [(3, 4, None), (2, 4, None), (3, 4, 2), (4, 5, 1)])
+def test_count_table_inexact_division_raises_like_per_composition_calls(
+        t, n, m, monkeypatch):
+    # a wrong C(n, 1) breaks the exact division; the table names the same
+    # product as the first per-composition call that fails
+    monkeypatch.setattr(counting, "comb", lambda n, k: comb(n, k) + (k == 1))
+    with pytest.raises(ArithmeticError) as want:
+        if m is None:
+            for a in compositions(t, n - 1):
+                count_trees(t, n, a)
+        else:
+            for a in compositions(t, n, m=m):
+                count_forests(t, m, n, a)
+    with pytest.raises(ArithmeticError) as got:
+        count_table(t, n, m)
+    assert str(got.value) == str(want.value)
+
+
+def test_marginal_row_matches_marginal_count():
+    for t in range(1, 6):
+        for n in range(1, 16):
+            for slot in range(1, t + 1):
+                assert marginal_row(t, n, slot) == [
+                    marginal_count(t, n, {slot: k}) for k in range(n)]
+
+
+@pytest.mark.parametrize("t, n, slot", [
+    (0, 3, 1), (17, 3, 1), (3, 0, 1), (3, 2, 0), (3, 2, 4),
+])
+def test_marginal_row_refusals_match_marginal_count(t, n, slot):
+    with pytest.raises(ConstraintError) as want:
+        marginal_count(t, n, {slot: 0})
+    with pytest.raises(ConstraintError) as got:
+        marginal_row(t, n, slot)
+    assert str(got.value) == str(want.value)
 
 
 def test_compositions_examples():

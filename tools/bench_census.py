@@ -1,21 +1,25 @@
-"""Census kernel timings, compiled against pure, appended to BENCH_census.json.
+"""Census kernel and closed-form row timings, appended to BENCH_census.json.
 
 Times, in-process, ``treebank.census`` and ``treebank.joint_census`` (the
 census with the residue vector of every tree's Lukasiewicz path) with each
-engine at a fixed set of sizes, and ``paths.residue_distribution_probe``
-with the default engine.  Each timing calls the function at least 3 times
-and until 0.2 s have elapsed, and reports the best call.  It checks that
-both engines give equal tables and that the joint table's edge marginal is
-the census, and appends one row set to ``BENCH_census.json`` at the
+engine at a fixed set of sizes, ``paths.residue_distribution_probe`` with
+the default engine, and the closed-form rows of ``table`` and ``triangle``
+(``cli._closed_form`` and ``cli._triangle_rows``).  Each timing calls the
+function at least 3 times and until 0.2 s have elapsed, and reports the
+best call.  It checks that both engines give equal tables, that the joint
+table's edge marginal is the census, and that the closed-form rows equal
+one ``count_trees``, ``count_forests`` or ``marginal_count`` call per row,
+in the same order.  It appends one row set to ``BENCH_census.json`` at the
 repository root.  The stamp carries the git SHA, ``"dirty": true`` when
 ``src`` or ``tools`` differ from that commit, the Python version and the
-CPU count.  The compiled kernel must be importable, for example after
+CPU count.  The census layers need the compiled kernel, for example after
 ``python setup.py build_ext --inplace``:
 
-    PYTHONPATH=src python tools/bench_census.py
+    PYTHONPATH=src python tools/bench_census.py               # every layer
+    PYTHONPATH=src python tools/bench_census.py closed_form   # some layers
 
 The pure engine needs about two minutes for the census sizes.  A checkout
-whose ``treebank`` has no ``joint_census`` gets census and probe rows only.
+whose ``treebank`` has no ``joint_census`` gets no joint rows.
 """
 import json
 import os
@@ -26,13 +30,16 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from arbor import counting, paths, treebank
+from arbor import cli, counting, paths, treebank
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_census.json"
 SIZES = [(3, 11), (2, 15), (4, 8), (3, 9)]
 JOINT_SIZES = [(3, 9), (3, 10)]
 PROBE_SIZES = [(3, 9)]
+CLOSED_FORM_SIZES = [(6, 22, None), (6, 30, None), (4, 30, 3)]  # (t, n, m)
+TRIANGLE_SIZES = [(3, 2, 150)]  # (t, slot, rows)
+LAYERS = ("census", "joint_census", "probe", "closed_form")
 REPEAT = 3
 MIN_SECONDS = 0.2
 
@@ -62,20 +69,53 @@ def engine_row(layer, fn, t, n):
     return row, compiled
 
 
+def closed_form_rows():
+    """The closed-form rows of table and triangle, each checked against one
+    per-composition (or per-cell) call."""
+    rows = []
+    for t, n, m in CLOSED_FORM_SIZES:
+        seconds, table = best(lambda: cli._closed_form(t, n, m))
+        if m is None:
+            want = {a: counting.count_trees(t, n, a)
+                    for a in counting.compositions(t, n - 1)}
+        else:
+            want = {a: counting.count_forests(t, m, n, a)
+                    for a in counting.compositions(t, n, m=m)}
+        if list(table.items()) != list(want.items()):
+            sys.exit(f"_closed_form({t}, {n}, {m}) differs from the per-composition counts")
+        rows.append({"layer": "closed_form", "call": "_closed_form", "t": t, "n": n,
+                     "m": m, "rows": len(table), "best_s": round(seconds, 5)})
+    for t, slot, size in TRIANGLE_SIZES:
+        seconds, triangle = best(lambda: cli._triangle_rows(t, slot, size))
+        want = [[counting.marginal_count(t, n, {slot: k}) for k in range(n)]
+                for n in range(1, size + 1)]
+        if triangle != want:
+            sys.exit(f"_triangle_rows({t}, {slot}, {size}) differs from marginal_count")
+        rows.append({"layer": "closed_form", "call": "_triangle_rows", "t": t,
+                     "slot": slot, "rows": size, "cells": size * (size + 1) // 2,
+                     "best_s": round(seconds, 5)})
+    return rows
+
+
 def git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
                           text=True).stdout.strip()
 
 
-def main():
-    if not treebank.HAVE_SPEEDUPS:
+def main(layers):
+    if set(layers) - set(LAYERS):
+        sys.exit(f"unknown layers {sorted(set(layers) - set(LAYERS))}; "
+                 f"choose from {', '.join(LAYERS)}")
+    layers = layers or LAYERS
+    kernel = {"census", "joint_census", "probe"} & set(layers)
+    if kernel and not treebank.HAVE_SPEEDUPS:
         sys.exit("arbor._speedups is not built; run `python setup.py build_ext --inplace`")
     rows = []
-    for t, n in SIZES:
+    for t, n in SIZES if "census" in layers else ():
         row, _ = engine_row("census", treebank.census, t, n)
         rows.append(row)
         print(json.dumps(row), flush=True)
-    if hasattr(treebank, "joint_census"):
+    if "joint_census" in layers and hasattr(treebank, "joint_census"):
         for t, n in JOINT_SIZES:
             row, joint = engine_row("joint_census", treebank.joint_census, t, n)
             edges = Counter()
@@ -85,11 +125,14 @@ def main():
                 sys.exit(f"joint_census t={t} n={n}: edge marginal differs from census")
             rows.append(row)
             print(json.dumps(row), flush=True)
-    for t, n in PROBE_SIZES:
+    for t, n in PROBE_SIZES if "probe" in layers else ():
         probe_s, _ = best(lambda: paths.residue_distribution_probe(t, n, budget=10**12))
         rows.append({"layer": "probe", "t": t, "n": n,
                      "trees": counting.total_trees(t, n), "auto_s": round(probe_s, 5)})
         print(json.dumps(rows[-1]), flush=True)
+    for row in closed_form_rows() if "closed_form" in layers else ():
+        rows.append(row)
+        print(json.dumps(row), flush=True)
     runs = json.loads(OUT.read_text()) if OUT.is_file() else []
     runs.append({
         "git_sha": git("rev-parse", "HEAD"),
@@ -105,4 +148,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -11,7 +11,6 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain, permutations
-from math import comb
 from typing import ItemsView, Optional
 
 from arbor import counting, paths, series, treebank
@@ -98,7 +97,7 @@ def cmd_table(args) -> int:
         counting.check_forest_shape(t, m, n)
         action, free = f"table(t={t}, m={m}, n={n})", n - m
     # one row per weak composition of the free edge count into t parts
-    treebank.check_budget(action, comb(free + t - 1, t - 1), "rows")
+    treebank.check_budget(action, counting.binomial(free + t - 1, t - 1), "rows")
     table = CountTable.build(t, n, m)
     print(table.to_csv() if args.format == "csv" else table.to_pretty())
     return EXIT_OK

@@ -135,8 +135,8 @@ def count_table(t: int, n: int, m: Optional[int] = None) -> dict[EdgeComposition
     The rows of :func:`count_trees` or :func:`count_forests` called once per
     composition, from one depth-first walk.  Writing b_i = a_i - 1 in the
     root-edge slots 1..m of a forest and b_i = a_i elsewhere, every factor is
-    C(n, b_i) and the b_i sum to F = n - 1 (trees) or n - m (forests).  The
-    walk fixes the parts left to right, in lexicographic order, keeping the
+    C(n, b_i) and the b_i sum to n - 1 (trees) or n - m (forests).  The walk
+    fixes the parts left to right, in lexicographic order, keeping the
     product of the factors fixed so far (starting from m for a forest); the
     last two parts come from a list of factor pairs per remainder.  So a row
     costs one multiplication and one exact division by n.
@@ -151,9 +151,10 @@ def count_table(t: int, n: int, m: Optional[int] = None) -> dict[EdgeComposition
         return {(free,): count_trees(1, n, (free,))}
     binom = [comb(n, k) for k in range(free + 1)]
     # the last slot is never a root slot, as m < t
-    lift = 1 if t - 2 < roots else 0
+    tail_lift = 1 if t - 2 < roots else 0
     lefts = range(free + 1) if t > 2 else (free,)
-    tails = {left: [(b + lift, left - b) for b in range(left + 1)] for left in lefts}
+    tails = {left: [(b + tail_lift, left - b) for b in range(left + 1)]
+             for left in lefts}
     pairs = {left: [binom[b] * binom[left - b] for b in range(left + 1)]
              for left in lefts}
     table = {}
@@ -167,9 +168,9 @@ def count_table(t: int, n: int, m: Optional[int] = None) -> dict[EdgeComposition
                         f"{name} product {product * pair} not divisible by n={n}")
                 table[prefix + tail] = q
             return
-        part = 1 if slot < roots else 0
+        lift = 1 if slot < roots else 0
         for b in range(left + 1):
-            walk(slot + 1, prefix + (b + part,), product * binom[b], left - b)
+            walk(slot + 1, prefix + (b + lift,), product * binom[b], left - b)
 
     walk(0, (), start, free)
     return table

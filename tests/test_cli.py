@@ -308,7 +308,8 @@ def test_verify_budget_exit_2(capsys):
 
 
 def test_verify_failure_exit_3(capsys, monkeypatch):
-    monkeypatch.setattr(counting, "count_table", row_off_by_one(counting.count_table, 2))
+    monkeypatch.setattr(counting, "count_table",
+                        row_off_by_one(counting.count_table, 2))
     code, out, _ = run(capsys, "verify", "--t", "3", "--max-n", "3",
                        "--mode", "brute")
     assert code == 3

@@ -82,7 +82,8 @@ def closed_form_rows():
             want = {a: counting.count_forests(t, m, n, a)
                     for a in counting.compositions(t, n, m=m)}
         if list(table.items()) != list(want.items()):
-            sys.exit(f"_closed_form({t}, {n}, {m}) differs from the per-composition counts")
+            sys.exit(f"_closed_form({t}, {n}, {m}) differs from the "
+                     "per-composition counts")
         rows.append({"layer": "closed_form", "call": "_closed_form", "t": t, "n": n,
                      "m": m, "rows": len(table), "best_s": round(seconds, 5)})
     for t, slot, size in TRIANGLE_SIZES:

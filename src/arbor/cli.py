@@ -34,7 +34,7 @@ class CountTable:
     def build(cls, t: int, n: int, m: Optional[int] = None) -> "CountTable":
         """The closed-form rows of the n-node trees, or with m of the m-tree forests."""
         total = _closed_total(t, n, m)  # checks the shape first
-        table = _closed_form(t, n, m)
+        table = counting.count_table(t, n, m)
         if total != sum(table.values()):
             raise ArithmeticError("table rows do not sum to the closed-form total")
         return cls(t, table.items(), total)
@@ -88,6 +88,21 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _check_counts(action: str, count: int, noun: str, bits: int) -> None:
+    """Refuse up front a table or triangle of more rows or cells than the
+    budget allows, or whose counts would fill more 64-bit words than it
+    allows.  No count of n-node trees in t slots reaches 2**(t*n), so with
+    ``bits`` the sum of t*n over the counts, they fill at most
+    ``count + ceil(bits / 64)`` words."""
+    treebank.check_budget(action, count, noun)
+    words = count - (-bits // 64)
+    limit = treebank.resolve_budget()
+    if words > limit:
+        raise BudgetExceededError(
+            f"{action} would compute {words} 64-bit words of counts, "
+            f"budget is {limit}", total=words)
+
+
 def cmd_table(args) -> int:
     t, n, m = args.t, args.n, args.forest
     if m is None:
@@ -97,7 +112,8 @@ def cmd_table(args) -> int:
         counting.check_forest_shape(t, m, n)
         action, free = f"table(t={t}, m={m}, n={n})", n - m
     # one row per weak composition of the free edge count into t parts
-    treebank.check_budget(action, counting.binomial(free + t - 1, t - 1), "rows")
+    rows = counting.binomial(free + t - 1, t - 1)
+    _check_counts(action, rows, "rows", rows * t * n)
     table = CountTable.build(t, n, m)
     print(table.to_csv() if args.format == "csv" else table.to_pretty())
     return EXIT_OK
@@ -114,12 +130,14 @@ def cmd_triangle(args) -> int:
         raise ConstraintError(f"--rows must be >= 1, got {args.rows}")
     if not 1 <= slot <= t:
         raise ConstraintError(f"marginal slot {slot} outside 1..{t}")
-    cells = args.rows * (args.rows + 1) // 2 * (t if args.self_check else 1)
-    treebank.check_budget(f"triangle(t={t}, rows={args.rows})", cells, "cells")
-    triangle = _triangle_rows(t, slot, args.rows)
+    # --self-check computes the triangle once per slot; row n has n cells
+    copies, rows = (t if args.self_check else 1), args.rows
+    _check_counts(f"triangle(t={t}, rows={rows})", copies * rows * (rows + 1) // 2,
+                  "cells", copies * t * rows * (rows + 1) * (2 * rows + 1) // 6)
+    triangle = _triangle_rows(t, slot, rows)
     if args.self_check:
         for other in range(1, t + 1):
-            if _triangle_rows(t, other, args.rows) != triangle:
+            if _triangle_rows(t, other, rows) != triangle:
                 print(f"FAIL slot {other} triangle differs from slot {slot}")
                 return EXIT_VERIFY
         print(f"self-check: all {t} slot triangles agree")
@@ -131,12 +149,6 @@ def cmd_triangle(args) -> int:
                  for n, row in enumerate(triangle, start=1)]
     print("\n".join(lines))
     return EXIT_OK
-
-
-def _closed_form(t: int, n: int, m: Optional[int] = None) -> dict:
-    """Closed-form count of every composition of one group, in lexicographic
-    order: the n-node trees, or with m the m-tree forests."""
-    return counting.count_table(t, n, m)
 
 
 def _closed_total(t: int, n: int, m: Optional[int] = None) -> int:
@@ -159,7 +171,7 @@ def _census(args, ms):
     for n, m, where in _groups(args, ms):
         got = (treebank.census(args.t, n, **options) if m is None
                else treebank.forest_census(args.t, m, n, **options))
-        yield where, got, _closed_form(args.t, n, m)
+        yield where, got, counting.count_table(args.t, n, m)
 
 
 def _series(args, ms):
@@ -175,14 +187,14 @@ def _series(args, ms):
         for n, a, c in s.terms():
             pairs.setdefault(n, {}).setdefault(a, [0, 0])[side] = c
     for n, _, where in _groups(args, ()):
-        want = {a: [c, c] for a, c in _closed_form(t, n).items()}
+        want = {a: [c, c] for a, c in counting.count_table(t, n).items()}
         yield where, pairs.get(n, {}), want
 
 
 def _inversion(args, ms):
     t = args.t
     for n, m, where in _groups(args, ms):
-        want = _closed_form(t, n, m)
+        want = counting.count_table(t, n, m)
         got = {a: series.lagrange_extract(t, n, a) if m is None
                else series.lagrange_extract_forest(t, m, n, a) for a in want}
         yield where, got, want
@@ -192,14 +204,14 @@ def _sums(args, ms):
     for m in ms or (None,):
         ns = range(m or 1, args.max_n + 1)
         yield (f"t={args.t}{f' m={m}' if m else ''}",
-               {n: sum(_closed_form(args.t, n, m).values()) for n in ns},
+               {n: sum(counting.count_table(args.t, n, m).values()) for n in ns},
                {n: _closed_total(args.t, n, m) for n in ns})
 
 
 def _symmetry(args, ms):
     orders = list(permutations(range(args.t)))
     for n, _, where in _groups(args, ()):
-        rows = _closed_form(args.t, n)
+        rows = counting.count_table(args.t, n)
         for a, count in rows.items():
             got = {p: rows[tuple(a[i] for i in p)] for p in orders}
             yield f"{where} a={a}", got, dict.fromkeys(orders, count)

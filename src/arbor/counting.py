@@ -133,13 +133,12 @@ def count_table(t: int, n: int, m: Optional[int] = None) -> dict[EdgeComposition
     of :func:`compositions`: the n-node trees, or with m the m-tree forests.
 
     The rows of :func:`count_trees` or :func:`count_forests` called once per
-    composition, from one depth-first walk.  Writing b_i = a_i - 1 in the
-    root-edge slots 1..m of a forest and b_i = a_i elsewhere, every factor is
-    C(n, b_i) and the b_i sum to n - 1 (trees) or n - m (forests).  The walk
-    fixes the parts left to right, in lexicographic order, keeping the
-    product of the factors fixed so far (starting from m for a forest); the
-    last two parts come from a list of factor pairs per remainder.  So a row
-    costs one multiplication and one exact division by n.
+    composition, from the walk of :func:`compositions`.  Writing b_i = a_i - 1
+    in the root-edge slots 1..m of a forest and b_i = a_i elsewhere, every
+    factor is C(n, b_i) and the b_i sum to n - 1 (trees) or n - m (forests).
+    The walk carries the product of the factors of each prefix, and the last
+    two factors, times m for a forest, come from a list per remainder.  So a
+    row costs one multiplication and one exact division by n.
     """
     if m is None:
         check_tree_shape(t, n)
@@ -150,29 +149,17 @@ def count_table(t: int, n: int, m: Optional[int] = None) -> dict[EdgeComposition
     if t == 1:  # a single row; no binomial row of n entries
         return {(free,): count_trees(1, n, (free,))}
     binom = [comb(n, k) for k in range(free + 1)]
-    # the last slot is never a root slot, as m < t
-    tail_lift = 1 if t - 2 < roots else 0
-    lefts = range(free + 1) if t > 2 else (free,)
-    tails = {left: [(b + tail_lift, left - b) for b in range(left + 1)]
-             for left in lefts}
-    pairs = {left: [binom[b] * binom[left - b] for b in range(left + 1)]
-             for left in lefts}
+    tails, prefixes = _walk(t, roots, free, binom)
+    pairs = {left: [start * binom[b] * binom[left - b] for b in range(left + 1)]
+             for left in tails}
     table = {}
-
-    def walk(slot: int, prefix: tuple, product: int, left: int) -> None:
-        if slot == t - 2:
-            for tail, pair in zip(tails[left], pairs[left]):
-                q, r = divmod(product * pair, n)
-                if r:
-                    raise ArithmeticError(
-                        f"{name} product {product * pair} not divisible by n={n}")
-                table[prefix + tail] = q
-            return
-        lift = 1 if slot < roots else 0
-        for b in range(left + 1):
-            walk(slot + 1, prefix + (b + lift,), product * binom[b], left - b)
-
-    walk(0, (), start, free)
+    for prefix, left, product in prefixes:
+        for tail, pair in zip(tails[left], pairs[left]):
+            q, r = divmod(product * pair, n)
+            if r:
+                raise ArithmeticError(
+                    f"{name} product {product * pair} not divisible by n={n}")
+            table[prefix + tail] = q
     return table
 
 
@@ -249,9 +236,7 @@ def compositions(t: int, total: int, m: int = 0) -> Iterator[EdgeComposition]:
     """Weak compositions of `total` into t parts, lexicographically ascending.
 
     With m > 0 the first m parts are each at least 1 (the positivity forced
-    on root-edge slots); m = 0 imposes no lower bound.  A depth-first walk
-    fixes the parts left to right, each counting up from its lower bound,
-    and yields the last two parts together; it holds one prefix per level.
+    on root-edge slots); m = 0 imposes no lower bound.
     """
     check_arity(t)
     if total < 0:
@@ -264,14 +249,35 @@ def compositions(t: int, total: int, m: int = 0) -> Iterator[EdgeComposition]:
     if t == 1:
         yield (total,)
         return
+    tails, prefixes = _walk(t, m, base, [1] * (base + 1))
+    for prefix, left, _ in prefixes:
+        for tail in tails[left]:
+            yield prefix + tail
 
-    def walk(slot: int, prefix: tuple, left: int) -> Iterator[EdgeComposition]:
-        lift = 1 if slot < m else 0  # never in the last slot, as m < t
+
+def _walk(t: int, m: int, free: int, factors: Sequence[int]) -> tuple[
+        dict[int, list[EdgeComposition]], Iterator[tuple[EdgeComposition, int, int]]]:
+    """The compositions of free + m into t >= 2 parts whose first m < t parts
+    are at least 1, as (tails, prefixes).
+
+    A depth-first walk fixes the first t - 2 parts left to right, each
+    counting up from its lower bound, and yields (prefix, left, product):
+    the last two parts sum to left plus their lower bounds, and product is
+    the product of factors[b] over the prefix, b being each part less its
+    lower bound.  tails[left] lists those last two parts in lexicographic
+    order.
+    """
+    lift = 1 if t - 2 < m else 0  # the last part is never lifted, as m < t
+    tails = {left: [(b + lift, left - b) for b in range(left + 1)]
+             for left in (range(free + 1) if t > 2 else (free,))}
+
+    def walk(slot: int, prefix: tuple, product: int, left: int):
         if slot == t - 2:
-            for a in range(left + 1):
-                yield prefix + (a + lift, left - a)
-        else:
-            for a in range(left + 1):
-                yield from walk(slot + 1, prefix + (a + lift,), left - a)
+            yield prefix, left, product
+            return
+        lift = 1 if slot < m else 0
+        for b in range(left + 1):
+            yield from walk(slot + 1, prefix + (b + lift,), product * factors[b],
+                            left - b)
 
-    yield from walk(0, (), base)
+    return tails, walk(0, (), 1, free)

@@ -220,7 +220,9 @@ def test_triangle_self_check(capsys):
 
 
 def test_table_and_triangle_refused_over_budget(capsys, monkeypatch):
-    # rows of a table, cells of a triangle (times t with --self-check)
+    # rows of a table, cells of a triangle (times t with --self-check), then
+    # the 64-bit words their counts fill: rows or cells plus t*n bits per
+    # count over 64, rounded up
     monkeypatch.delenv(treebank.BUDGET_ENV_VAR, raising=False)
     for argv, refusal in (
         (["table", "--t", "16", "--n", "40"],
@@ -232,23 +234,42 @@ def test_table_and_triangle_refused_over_budget(capsys, monkeypatch):
         (["triangle", "--t", "3", "--rows", "100000", "--marginal", "1",
           "--self-check"],
          "triangle(t=3, rows=100000) would enumerate 15000150000 cells"),
+        # 9682200 cells pass, their counts run to thousands of digits
+        (["triangle", "--t", "3", "--rows", "4400", "--marginal", "1"],
+         "triangle(t=3, rows=4400) would compute 1341135985 64-bit words of counts"),
+        (["triangle", "--t", "3", "--rows", "860", "--marginal", "1"],
+         "triangle(t=3, rows=860) would compute 10325947 64-bit words of counts"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out, err) == (
             2, "", f"error: {refusal}, budget is 10000000\n")
-    # $ARBOR_BUDGET moves the bound: a count equal to it runs
-    monkeypatch.setenv(treebank.BUDGET_ENV_VAR, "10")
-    for argv, code in (
-        (["table", "--t", "3", "--n", "4"], 0),          # 10 rows
-        (["table", "--t", "3", "--n", "5"], 2),          # 15 rows
-        (["table", "--t", "3", "--n", "5", "--forest", "2"], 0),  # 10 rows
-        (["triangle", "--t", "3", "--rows", "4", "--marginal", "1"], 0),  # 10 cells
-        (["triangle", "--t", "3", "--rows", "4", "--marginal", "1",
-          "--self-check"], 2),                            # 30 cells
+    # $ARBOR_BUDGET moves both bounds: rows or cells over it are refused
+    # first, and counts filling as many words as it allows run
+    table, forest = ["table", "--t", "3", "--n"], ["--forest", "2"]
+    triangle = ["triangle", "--t", "3", "--marginal", "1", "--rows", "4"]
+    for budget, argv, refusal in (
+        (14, table + ["5"], "table(t=3, n=5) would enumerate 15 rows"),
+        (12, table + ["4"], None),  # 10 rows, 10 + ceil(10*3*4 / 64) words
+        (11, table + ["4"], "table(t=3, n=4) would compute 12 64-bit words of counts"),
+        (13, table + ["5"] + forest, None),  # 10 rows, 10 + ceil(10*3*5 / 64)
+        (12, table + ["5"] + forest,
+         "table(t=3, m=2, n=5) would compute 13 64-bit words of counts"),
+        (9, triangle, "triangle(t=3, rows=4) would enumerate 10 cells"),
+        (12, triangle, None),  # 10 cells, 10 + ceil(3*(1+4+9+16) / 64)
+        (11, triangle, "triangle(t=3, rows=4) would compute 12 64-bit words of counts"),
+        (35, triangle + ["--self-check"], None),  # 3 copies: 30 + ceil(270 / 64)
+        (34, triangle + ["--self-check"],
+         "triangle(t=3, rows=4) would compute 35 64-bit words of counts"),
     ):
-        assert run(capsys, *argv)[0] == code, argv
+        monkeypatch.setenv(treebank.BUDGET_ENV_VAR, str(budget))
+        code, out, err = run(capsys, *argv)
+        if refusal is None:
+            assert (code, err) == (0, ""), argv
+        else:
+            assert (code, out, err) == (
+                2, "", f"error: {refusal}, budget is {budget}\n"), argv
 
 
 def test_closed_pipe_exit_1_without_traceback():

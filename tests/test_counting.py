@@ -190,6 +190,16 @@ def test_marginal_row_refusals_match_marginal_count(t, n, slot):
     assert str(got.value) == str(want.value)
 
 
+def test_counts_stay_below_two_to_the_t_n():
+    # the bound behind the word budget of table and triangle
+    for t in range(1, 7):
+        for n in range(1, 13):
+            counts = [*count_table(t, n).values(), *marginal_row(t, n, 1)]
+            for m in range(1, min(t, n + 1)):
+                counts += count_table(t, n, m).values()
+            assert max(counts).bit_length() <= t * n
+
+
 def test_compositions_examples():
     assert list(compositions(3, 1)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]

@@ -4,19 +4,19 @@ Times, in-process, ``treebank.census`` and ``treebank.joint_census`` (the
 census with the residue vector of every tree's Lukasiewicz path) with each
 engine at a fixed set of sizes, ``paths.residue_distribution_probe`` with
 the default engine, and the closed-form rows of ``table`` and ``triangle``
-(``cli._closed_form`` and ``cli._triangle_rows``).  Each timing calls the
-function at least 3 times and until 0.2 s have elapsed, and reports the
+(``counting.count_table`` and ``cli._triangle_rows``).  Each timing calls
+the function at least 3 times and until 0.2 s have elapsed, and reports the
 best call.  It checks that both engines give equal tables, that the joint
 table's edge marginal is the census, and that the closed-form rows equal
 one ``count_trees``, ``count_forests`` or ``marginal_count`` call per row,
 in the same order.  It appends one row set to ``BENCH_census.json`` at the
 repository root.  The stamp carries the git SHA, ``"dirty": true`` when
 ``src`` or ``tools`` differ from that commit, the Python version and the
-CPU count.  The census layers need the compiled kernel, for example after
-``python setup.py build_ext --inplace``:
+CPU count.  The census, joint and probe rows need the compiled kernel, for
+example after ``python setup.py build_ext --inplace``; without it only the
+closed-form rows are timed:
 
-    PYTHONPATH=src python tools/bench_census.py               # every layer
-    PYTHONPATH=src python tools/bench_census.py closed_form   # some layers
+    PYTHONPATH=src python tools/bench_census.py
 
 The pure engine needs about two minutes for the census sizes.  A checkout
 whose ``treebank`` has no ``joint_census`` gets no joint rows.
@@ -39,7 +39,6 @@ JOINT_SIZES = [(3, 9), (3, 10)]
 PROBE_SIZES = [(3, 9)]
 CLOSED_FORM_SIZES = [(6, 22, None), (6, 30, None), (4, 30, 3)]  # (t, n, m)
 TRIANGLE_SIZES = [(3, 2, 150)]  # (t, slot, rows)
-LAYERS = ("census", "joint_census", "probe", "closed_form")
 REPEAT = 3
 MIN_SECONDS = 0.2
 
@@ -74,7 +73,7 @@ def closed_form_rows():
     per-composition (or per-cell) call."""
     rows = []
     for t, n, m in CLOSED_FORM_SIZES:
-        seconds, table = best(lambda: cli._closed_form(t, n, m))
+        seconds, table = best(lambda: counting.count_table(t, n, m))
         if m is None:
             want = {a: counting.count_trees(t, n, a)
                     for a in counting.compositions(t, n - 1)}
@@ -82,9 +81,9 @@ def closed_form_rows():
             want = {a: counting.count_forests(t, m, n, a)
                     for a in counting.compositions(t, n, m=m)}
         if list(table.items()) != list(want.items()):
-            sys.exit(f"_closed_form({t}, {n}, {m}) differs from the "
+            sys.exit(f"count_table({t}, {n}, {m}) differs from the "
                      "per-composition counts")
-        rows.append({"layer": "closed_form", "call": "_closed_form", "t": t, "n": n,
+        rows.append({"layer": "closed_form", "call": "count_table", "t": t, "n": n,
                      "m": m, "rows": len(table), "best_s": round(seconds, 5)})
     for t, slot, size in TRIANGLE_SIZES:
         seconds, triangle = best(lambda: cli._triangle_rows(t, slot, size))
@@ -103,20 +102,14 @@ def git(*args):
                           text=True).stdout.strip()
 
 
-def main(layers):
-    if set(layers) - set(LAYERS):
-        sys.exit(f"unknown layers {sorted(set(layers) - set(LAYERS))}; "
-                 f"choose from {', '.join(LAYERS)}")
-    layers = layers or LAYERS
-    kernel = {"census", "joint_census", "probe"} & set(layers)
-    if kernel and not treebank.HAVE_SPEEDUPS:
-        sys.exit("arbor._speedups is not built; run `python setup.py build_ext --inplace`")
+def kernel_rows():
+    """The census, joint census and probe rows."""
     rows = []
-    for t, n in SIZES if "census" in layers else ():
+    for t, n in SIZES:
         row, _ = engine_row("census", treebank.census, t, n)
         rows.append(row)
         print(json.dumps(row), flush=True)
-    if "joint_census" in layers and hasattr(treebank, "joint_census"):
+    if hasattr(treebank, "joint_census"):
         for t, n in JOINT_SIZES:
             row, joint = engine_row("joint_census", treebank.joint_census, t, n)
             edges = Counter()
@@ -126,12 +119,22 @@ def main(layers):
                 sys.exit(f"joint_census t={t} n={n}: edge marginal differs from census")
             rows.append(row)
             print(json.dumps(row), flush=True)
-    for t, n in PROBE_SIZES if "probe" in layers else ():
+    for t, n in PROBE_SIZES:
         probe_s, _ = best(lambda: paths.residue_distribution_probe(t, n, budget=10**12))
         rows.append({"layer": "probe", "t": t, "n": n,
                      "trees": counting.total_trees(t, n), "auto_s": round(probe_s, 5)})
         print(json.dumps(rows[-1]), flush=True)
-    for row in closed_form_rows() if "closed_form" in layers else ():
+    return rows
+
+
+def main():
+    if treebank.HAVE_SPEEDUPS:
+        rows = kernel_rows()
+    else:
+        print("arbor._speedups is not built: timing the closed-form rows only",
+              file=sys.stderr)
+        rows = []
+    for row in closed_form_rows():
         rows.append(row)
         print(json.dumps(row), flush=True)
     runs = json.loads(OUT.read_text()) if OUT.is_file() else []
@@ -149,4 +152,4 @@ def main(layers):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

@@ -9,9 +9,8 @@ import argparse
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import chain, permutations
-from typing import ItemsView, Optional
+from typing import Optional
 
 from arbor import counting, paths, series, treebank
 from arbor.errors import BudgetExceededError, ConstraintError
@@ -20,46 +19,6 @@ EXIT_OK = 0
 EXIT_CONSTRAINT = 1
 EXIT_BUDGET = 2
 EXIT_VERIFY = 3
-
-
-@dataclass
-class CountTable:
-    """Composition-count rows for one (t, n) in lexicographic order."""
-
-    arity: int
-    rows: ItemsView[counting.EdgeComposition, int]  # of the closed-form dict
-    total: int
-
-    @classmethod
-    def build(cls, t: int, n: int, m: Optional[int] = None) -> "CountTable":
-        """The closed-form rows of the n-node trees, or with m of the m-tree forests."""
-        total = _closed_total(t, n, m)  # checks the shape first
-        table = counting.count_table(t, n, m)
-        if total != sum(table.values()):
-            raise ArithmeticError("table rows do not sum to the closed-form total")
-        return cls(t, table.items(), total)
-
-    def to_csv(self) -> str:
-        row = ",".join(["%d"] * (self.arity + 1))
-        lines = [",".join(f"a{i + 1}" for i in range(self.arity)) + ",count"]
-        lines += [row % (*comp, count) for comp, count in self.rows]
-        lines.append("total," + "," * (self.arity - 1) + str(self.total))
-        return "\n".join(lines)
-
-    def to_pretty(self) -> str:
-        width = max(
-            [len(str(self.total))]
-            + [len(str(x)) for comp, c in self.rows for x in comp + (c,)]
-        )
-        head = " ".join(f"a{i + 1}".rjust(width) for i in range(self.arity))
-        lines = [head + "  " + "count".rjust(width + 4)]
-        for comp, count in self.rows:
-            row = " ".join(str(x).rjust(width) for x in comp)
-            lines.append(row + "  " + str(count).rjust(width + 4))
-        label = "total"
-        pad = len(lines[0]) - len(label) - len(str(self.total))
-        lines.append(label + " " * max(pad, 2) + str(self.total))
-        return "\n".join(lines)
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -114,13 +73,64 @@ def cmd_table(args) -> int:
     # one row per weak composition of the free edge count into t parts
     rows = counting.binomial(free + t - 1, t - 1)
     _check_counts(action, rows, "rows", rows * t * n)
-    table = CountTable.build(t, n, m)
-    print(table.to_csv() if args.format == "csv" else table.to_pretty())
+    print(_table_csv(t, n, m) if args.format == "csv" else _table_pretty(t, n, m))
     return EXIT_OK
+
+
+def _check_row_sum(rows_sum: int, total: int) -> None:
+    if rows_sum != total:
+        raise ArithmeticError("table rows do not sum to the closed-form total")
+
+
+def _table_csv(t: int, n: int, m: Optional[int] = None) -> str:
+    """The table as CSV, each row written from the walk as its parts' text
+    plus its count."""
+    total = _closed_total(t, n, m)  # checks the shape first
+    lines = [",".join(f"a{i + 1}" for i in range(t)) + ",count"]
+    rows_sum = 0
+    for parts, count in counting.count_rows(t, n, m, text=True):
+        rows_sum += count
+        lines.append(parts + str(count))
+    _check_row_sum(rows_sum, total)
+    lines.append("total," + "," * (t - 1) + str(total))
+    return "\n".join(lines)
+
+
+def _table_pretty(t: int, n: int, m: Optional[int] = None) -> str:
+    """The table in columns right-aligned to its widest number."""
+    total = _closed_total(t, n, m)  # checks the shape first
+    rows = counting.count_table(t, n, m).items()
+    _check_row_sum(sum(count for _, count in rows), total)
+    width = max([len(str(total))]
+                + [len(str(x)) for comp, count in rows for x in comp + (count,)])
+    head = " ".join(f"a{i + 1}".rjust(width) for i in range(t))
+    lines = [head + "  " + "count".rjust(width + 4)]
+    for comp, count in rows:
+        row = " ".join(str(x).rjust(width) for x in comp)
+        lines.append(row + "  " + str(count).rjust(width + 4))
+    label = "total"
+    pad = len(lines[0]) - len(label) - len(str(total))
+    lines.append(label + " " * max(pad, 2) + str(total))
+    return "\n".join(lines)
 
 
 def _triangle_rows(t: int, slot: int, rows: int) -> list[list[int]]:
     return [counting.marginal_row(t, n, slot) for n in range(1, rows + 1)]
+
+
+def _triangle_failure(t: int, slot: int, triangle: list[list[int]]) -> Optional[str]:
+    """The FAIL line of ``--self-check``, or None when it passes.  Row n of
+    the triangle must sum to total_trees(t, n) (Vandermonde's identity), and
+    the triangle of every other slot must equal it, so every row of every
+    slot's triangle sums to the total.  The t triangles are computed once
+    each."""
+    for n, row in enumerate(triangle, start=1):
+        if sum(row) != counting.total_trees(t, n):
+            return f"FAIL slot {slot} row n={n} does not sum to total_trees(t={t}, n={n})"
+    for other in range(1, t + 1):
+        if other != slot and _triangle_rows(t, other, len(triangle)) != triangle:
+            return f"FAIL slot {other} triangle differs from slot {slot}"
+    return None
 
 
 def cmd_triangle(args) -> int:
@@ -136,10 +146,10 @@ def cmd_triangle(args) -> int:
                   "cells", copies * t * rows * (rows + 1) * (2 * rows + 1) // 6)
     triangle = _triangle_rows(t, slot, rows)
     if args.self_check:
-        for other in range(1, t + 1):
-            if _triangle_rows(t, other, rows) != triangle:
-                print(f"FAIL slot {other} triangle differs from slot {slot}")
-                return EXIT_VERIFY
+        failure = _triangle_failure(t, slot, triangle)
+        if failure:
+            print(failure)
+            return EXIT_VERIFY
         print(f"self-check: all {t} slot triangles agree")
     if args.format == "bfile":
         values = chain.from_iterable(triangle)

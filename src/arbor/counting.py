@@ -131,14 +131,24 @@ def count_forests(t: int, m: int, n: int, parts: Sequence[int]) -> int:
 def count_table(t: int, n: int, m: Optional[int] = None) -> dict[EdgeComposition, int]:
     """Closed-form count of every composition of one group, keyed in the order
     of :func:`compositions`: the n-node trees, or with m the m-tree forests.
+    The rows of :func:`count_rows`."""
+    return dict(count_rows(t, n, m))
 
-    The rows of :func:`count_trees` or :func:`count_forests` called once per
-    composition, from the walk of :func:`compositions`.  Writing b_i = a_i - 1
+
+def count_rows(t: int, n: int, m: Optional[int] = None, *,
+               text: bool = False) -> Iterator[tuple[EdgeComposition | str, int]]:
+    """(parts, count) for every composition of one group in the order of
+    :func:`compositions`, as :func:`count_trees` or :func:`count_forests`
+    gives it.  With text, the parts come written as a CSV row less its
+    count, ``"a1,...,at,"``.  The shape is checked before the first row.
+
+    Rows come from the walk of :func:`compositions`.  Writing b_i = a_i - 1
     in the root-edge slots 1..m of a forest and b_i = a_i elsewhere, every
     factor is C(n, b_i) and the b_i sum to n - 1 (trees) or n - m (forests).
     The walk carries the product of the factors of each prefix, and the last
     two factors, times m for a forest, come from a list per remainder.  So a
-    row costs one multiplication and one exact division by n.
+    row costs one multiplication and one exact division by n, and each
+    prefix and each pair of last parts is written once.
     """
     if m is None:
         check_tree_shape(t, n)
@@ -146,21 +156,26 @@ def count_table(t: int, n: int, m: Optional[int] = None) -> dict[EdgeComposition
     else:
         check_forest_shape(t, m, n)
         name, start, roots, free = "count_forests", m, m, n - m
+    write = _write_text if text else _write_tuple
     if t == 1:  # a single row; no binomial row of n entries
-        return {(free,): count_trees(1, n, (free,))}
+        return iter([(write(free), count_trees(1, n, (free,)))])
     binom = [comb(n, k) for k in range(free + 1)]
-    tails, prefixes = _walk(t, roots, free, binom)
+    tails, prefixes = _walk(t, roots, free, binom, write)
     pairs = {left: [start * binom[b] * binom[left - b] for b in range(left + 1)]
              for left in tails}
-    table = {}
+    return _divide(name, n, prefixes, tails, pairs)
+
+
+def _divide(name: str, n: int, prefixes, tails, pairs):
+    """The rows of :func:`count_rows`: each prefix product times each pair of
+    last factors, divided by n and checked exact."""
     for prefix, left, product in prefixes:
         for tail, pair in zip(tails[left], pairs[left]):
             q, r = divmod(product * pair, n)
             if r:
                 raise ArithmeticError(
                     f"{name} product {product * pair} not divisible by n={n}")
-            table[prefix + tail] = q
-    return table
+            yield prefix + tail, q
 
 
 def total_trees(t: int, n: int) -> int:
@@ -215,20 +230,28 @@ def marginal_row(t: int, n: int, slot: int) -> list[int]:
     """``marginal_count(t, n, {slot: k})`` for k = 0..n-1: the n-node trees by
     the edge count of one slot.
 
-    Evaluates (1/n) * C(n, k) * C((t-1)*n, n-1-k) per cell with ``math.comb``;
-    the checks and refusals are those of :func:`marginal_count`.
+    Cell k is (1/n) * C(n, k) * C(r, n-1-k) with r = (t-1)*n.  The walk
+    starts from cell n-1, which is 1, and goes down by the ratio of
+    neighbouring cells,
+
+        cell(k-1) = cell(k) * k * (r-n+1+k) / ((n-k+1) * (n-k)),
+
+    so a cell costs one multiplication and one exact division by a small
+    integer.  At t = 1 the factor r-n+1+k is 0 at k = n-1 and every lower
+    cell is 0.  The checks and refusals are those of :func:`marginal_count`.
     """
     check_tree_shape(t, n)
     if not 1 <= slot <= t:
         raise ConstraintError(f"fixed slot {slot} outside 1..{t}")
     rest = (t - 1) * n
-    row = []
-    for k in range(n):
-        prod = comb(n, k) * comb(rest, n - 1 - k)
-        q, r = divmod(prod, n)
+    cell, row = 1, [1]
+    for k in range(n - 1, 0, -1):
+        prod, den = cell * (k * (rest - n + 1 + k)), (n - k + 1) * (n - k)
+        cell, r = divmod(prod, den)
         if r:
-            raise ArithmeticError(f"marginal product {prod} not divisible by n={n}")
-        row.append(q)
+            raise ArithmeticError(f"marginal product {prod} not divisible by {den}")
+        row.append(cell)
+    row.reverse()
     return row
 
 
@@ -249,16 +272,25 @@ def compositions(t: int, total: int, m: int = 0) -> Iterator[EdgeComposition]:
     if t == 1:
         yield (total,)
         return
-    tails, prefixes = _walk(t, m, base, [1] * (base + 1))
+    tails, prefixes = _walk(t, m, base, [1] * (base + 1), _write_tuple)
     for prefix, left, _ in prefixes:
         for tail in tails[left]:
             yield prefix + tail
 
 
-def _walk(t: int, m: int, free: int, factors: Sequence[int]) -> tuple[
-        dict[int, list[EdgeComposition]], Iterator[tuple[EdgeComposition, int, int]]]:
+def _write_tuple(*parts: int) -> EdgeComposition:
+    return parts
+
+
+def _write_text(*parts: int) -> str:
+    return "%d," * len(parts) % parts
+
+
+def _walk(t: int, m: int, free: int, factors: Sequence[int], write) -> tuple[
+        dict[int, list], Iterator[tuple[object, int, int]]]:
     """The compositions of free + m into t >= 2 parts whose first m < t parts
-    are at least 1, as (tails, prefixes).
+    are at least 1, as (tails, prefixes), each run of parts written by
+    write(*parts) and joined by ``+``.
 
     A depth-first walk fixes the first t - 2 parts left to right, each
     counting up from its lower bound, and yields (prefix, left, product):
@@ -268,16 +300,16 @@ def _walk(t: int, m: int, free: int, factors: Sequence[int]) -> tuple[
     order.
     """
     lift = 1 if t - 2 < m else 0  # the last part is never lifted, as m < t
-    tails = {left: [(b + lift, left - b) for b in range(left + 1)]
+    tails = {left: [write(b + lift, left - b) for b in range(left + 1)]
              for left in (range(free + 1) if t > 2 else (free,))}
 
-    def walk(slot: int, prefix: tuple, product: int, left: int):
+    def walk(slot: int, prefix, product: int, left: int):
         if slot == t - 2:
             yield prefix, left, product
             return
         lift = 1 if slot < m else 0
         for b in range(left + 1):
-            yield from walk(slot + 1, prefix + (b + lift,), product * factors[b],
+            yield from walk(slot + 1, prefix + write(b + lift), product * factors[b],
                             left - b)
 
-    return tails, walk(0, (), 1, free)
+    return tails, walk(0, write(), 1, free)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from arbor import cli, counting, series, treebank
-from arbor.cli import CountTable, main
+from arbor.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -160,6 +160,32 @@ def test_table_csv(capsys):
     ]
 
 
+@pytest.mark.parametrize("t, n, m", [
+    (1, 5, None), (2, 6, None), (6, 7, None), (4, 6, 1), (4, 6, 3), (2, 4, 1),
+])
+def test_table_csv_written_from_the_walk(t, n, m):
+    # the text of each row equals per-row %d formatting of count_table
+    total = (counting.total_trees(t, n) if m is None
+             else counting.total_forests(t, m, n))
+    row = ",".join(["%d"] * (t + 1))
+    want = [",".join(f"a{i + 1}" for i in range(t)) + ",count"]
+    want += [row % (*comp, count) for comp, count in counting.count_table(t, n, m).items()]
+    want.append("total," + "," * (t - 1) + str(total))
+    assert cli._table_csv(t, n, m) == "\n".join(want)
+
+
+def test_table_csv_refuses_rows_off_the_total(monkeypatch):
+    def raised(t, n, m=None, *, text=False):
+        rows = list(real(t, n, m, text=text))
+        rows[0] = (rows[0][0], rows[0][1] + 1)
+        return iter(rows)
+
+    real = counting.count_rows
+    monkeypatch.setattr(counting, "count_rows", raised)
+    with pytest.raises(ArithmeticError, match="closed-form total"):
+        cli._table_csv(3, 4)
+
+
 def test_table_unary(capsys):
     code, out, _ = run(capsys, "table", "--t", "1", "--n", "5",
                        "--format", "csv")
@@ -182,10 +208,12 @@ def test_table_pretty_has_total(capsys):
 
 
 def test_count_table_invariants():
-    table = CountTable.build(3, 4)
-    comps = [comp for comp, _ in table.rows]
+    header, *rows, total = cli._table_csv(3, 4).splitlines()
+    rows = [tuple(map(int, row.split(","))) for row in rows]
+    comps = [row[:-1] for row in rows]
     assert comps == sorted(comps)
-    assert table.total == sum(c for _, c in table.rows) == 55
+    assert total == "total,,,55"
+    assert sum(row[-1] for row in rows) == 55
 
 
 def test_triangle_rows(capsys):
@@ -217,6 +245,40 @@ def test_triangle_self_check(capsys):
                        "--marginal", "1", "--self-check")
     assert code == 0
     assert "self-check: all 3 slot triangles agree" in out
+
+
+@pytest.mark.parametrize("corrupt, fail", [
+    (3, "FAIL slot 3 triangle differs from slot 1"),
+    (1, "FAIL slot 1 row n=2 does not sum to total_trees(t=3, n=2)"),
+])
+def test_triangle_self_check_fails_on_a_corrupt_slot(capsys, monkeypatch, corrupt, fail):
+    def marginal_row(t, n, slot):
+        row = real(t, n, slot)
+        if slot == corrupt and n == 2:
+            row[0] += 1
+        return row
+
+    real = counting.marginal_row
+    monkeypatch.setattr(counting, "marginal_row", marginal_row)
+    code, out, _ = run(capsys, "triangle", "--t", "3", "--rows", "4",
+                       "--marginal", "1", "--self-check")
+    assert (code, out.splitlines()) == (3, [fail])
+
+
+def test_triangle_self_check_computes_t_triangles(capsys, monkeypatch):
+    calls = []
+
+    def marginal_row(t, n, slot):
+        calls.append(slot)
+        return real(t, n, slot)
+
+    real = counting.marginal_row
+    monkeypatch.setattr(counting, "marginal_row", marginal_row)
+    code, out, _ = run(capsys, "triangle", "--t", "4", "--rows", "5",
+                       "--marginal", "2", "--self-check")
+    assert code == 0
+    assert out.splitlines()[0] == "self-check: all 4 slot triangles agree"
+    assert sorted(calls) == [1] * 5 + [2] * 5 + [3] * 5 + [4] * 5
 
 
 def test_table_and_triangle_refused_over_budget(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from arbor.counting import (
     binomial,
     compositions,
     count_forests,
+    count_rows,
     count_table,
     count_trees,
     marginal_count,
@@ -172,11 +173,27 @@ def test_count_table_inexact_division_raises_like_per_composition_calls(
 
 
 def test_marginal_row_matches_marginal_count():
-    for t in range(1, 6):
-        for n in range(1, 16):
+    # the cell-ratio walk against one product of binomials per cell, up to
+    # counts of several machine words and through t=1's zero cells
+    for t in range(1, 7):
+        for n in range(1, 81):
             for slot in range(1, t + 1):
                 assert marginal_row(t, n, slot) == [
                     marginal_count(t, n, {slot: k}) for k in range(n)]
+    assert marginal_row(6, 80, 1)[40].bit_length() > 128
+    assert marginal_row(1, 5, 1) == [0, 0, 0, 0, 1]
+
+
+def test_count_rows_text_writes_the_keys_of_count_table():
+    for t, n, m in [(1, 4, None), (2, 5, None), (4, 6, None), (3, 5, 1), (4, 6, 3)]:
+        want = [("%d," * t % a, c) for a, c in count_table(t, n, m).items()]
+        assert list(count_rows(t, n, m, text=True)) == want
+        assert list(count_rows(t, n, m)) == list(count_table(t, n, m).items())
+
+
+def test_count_rows_checks_the_shape_before_the_first_row():
+    with pytest.raises(ConstraintError, match="forest size"):
+        count_rows(3, 3, 3, text=True)
 
 
 @pytest.mark.parametrize("t, n, slot", [

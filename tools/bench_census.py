@@ -3,13 +3,15 @@
 Times, in-process, ``treebank.census`` and ``treebank.joint_census`` (the
 census with the residue vector of every tree's Lukasiewicz path) with each
 engine at a fixed set of sizes, ``paths.residue_distribution_probe`` with
-the default engine, and the closed-form rows of ``table`` and ``triangle``
-(``counting.count_table`` and ``cli._triangle_rows``).  Each timing calls
-the function at least 3 times and until 0.2 s have elapsed, and reports the
-best call.  It checks that both engines give equal tables, that the joint
-table's edge marginal is the census, and that the closed-form rows equal
-one ``count_trees``, ``count_forests`` or ``marginal_count`` call per row,
-in the same order.  It appends one row set to ``BENCH_census.json`` at the
+the default engine, the closed-form rows of ``table`` and ``triangle``
+(``counting.count_table`` and ``cli._triangle_rows``), and the text that
+``arbor table --format csv`` prints, through ``cli.main``.  Each timing
+calls the function at least 3 times and until 0.2 s have elapsed, and
+reports the best call.  It checks that both engines give equal tables, that
+the joint table's edge marginal is the census, that the closed-form rows
+equal one ``count_trees``, ``count_forests`` or ``marginal_count`` call per
+row, in the same order, and that the CSV text equals a ``%d`` formatting of
+each row of ``count_table``.  It appends one row set to ``BENCH_census.json`` at the
 repository root.  The stamp carries the git SHA, ``"dirty": true`` when
 ``src`` or ``tools`` differ from that commit, the Python version and the
 CPU count.  The census, joint and probe rows need the compiled kernel, for
@@ -21,6 +23,8 @@ closed-form rows are timed:
 The pure engine needs about two minutes for the census sizes.  A checkout
 whose ``treebank`` has no ``joint_census`` gets no joint rows.
 """
+import contextlib
+import io
 import json
 import os
 import platform
@@ -39,6 +43,7 @@ JOINT_SIZES = [(3, 9), (3, 10)]
 PROBE_SIZES = [(3, 9)]
 CLOSED_FORM_SIZES = [(6, 22, None), (6, 30, None), (4, 30, 3)]  # (t, n, m)
 TRIANGLE_SIZES = [(3, 2, 150)]  # (t, slot, rows)
+CSV_SIZES = [(6, 22, None), (4, 30, 3)]  # (t, n, m)
 REPEAT = 3
 MIN_SECONDS = 0.2
 
@@ -94,7 +99,29 @@ def closed_form_rows():
         rows.append({"layer": "closed_form", "call": "_triangle_rows", "t": t,
                      "slot": slot, "rows": size, "cells": size * (size + 1) // 2,
                      "best_s": round(seconds, 5)})
+    for t, n, m in CSV_SIZES:
+        seconds, text = best(lambda: table_csv(t, n, m))
+        line = ",".join(["%d"] * (t + 1))
+        table = counting.count_table(t, n, m)
+        want = [",".join(f"a{i + 1}" for i in range(t)) + ",count"]
+        want += [line % (*comp, count) for comp, count in table.items()]
+        want.append("total," + "," * (t - 1) + str(sum(table.values())))
+        if text != "\n".join(want) + "\n":
+            sys.exit(f"table_csv({t}, {n}, {m}) differs from the rows of count_table")
+        rows.append({"layer": "closed_form", "call": "table_csv", "t": t, "n": n,
+                     "m": m, "rows": len(table), "bytes": len(text),
+                     "best_s": round(seconds, 5)})
     return rows
+
+
+def table_csv(t, n, m):
+    """What ``arbor table --format csv`` prints for (t, n) or (t, m, n)."""
+    argv = ["table", "--t", str(t), "--n", str(n), "--format", "csv"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if cli.main(argv + (["--forest", str(m)] if m else [])):
+            sys.exit(f"{' '.join(argv)} failed")
+    return out.getvalue()
 
 
 def git(*args):

@@ -152,6 +152,9 @@ def test_count_table_refusals_match_per_composition_calls(t, n, m):
     with pytest.raises(ConstraintError) as got:
         count_table(t, n, m)
     assert str(got.value) == str(want.value)
+    with pytest.raises(ConstraintError) as got:
+        count_rows(t, n, m, text=True)  # before the first row is asked for
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("t, n, m", [(3, 4, None), (2, 4, None), (3, 4, 2), (4, 5, 1)])
@@ -182,18 +185,6 @@ def test_marginal_row_matches_marginal_count():
                     marginal_count(t, n, {slot: k}) for k in range(n)]
     assert marginal_row(6, 80, 1)[40].bit_length() > 128
     assert marginal_row(1, 5, 1) == [0, 0, 0, 0, 1]
-
-
-def test_count_rows_text_writes_the_keys_of_count_table():
-    for t, n, m in [(1, 4, None), (2, 5, None), (4, 6, None), (3, 5, 1), (4, 6, 3)]:
-        want = [("%d," * t % a, c) for a, c in count_table(t, n, m).items()]
-        assert list(count_rows(t, n, m, text=True)) == want
-        assert list(count_rows(t, n, m)) == list(count_table(t, n, m).items())
-
-
-def test_count_rows_checks_the_shape_before_the_first_row():
-    with pytest.raises(ConstraintError, match="forest size"):
-        count_rows(3, 3, 3, text=True)
 
 
 @pytest.mark.parametrize("t, n, slot", [

@@ -99,8 +99,9 @@ def _table_csv(t: int, n: int, m: Optional[int] = None) -> str:
 def _table_pretty(t: int, n: int, m: Optional[int] = None) -> str:
     """The table in columns right-aligned to its widest number."""
     total = _closed_total(t, n, m)  # checks the shape first
-    rows = counting.count_table(t, n, m).items()
-    _check_row_sum(sum(count for _, count in rows), total)
+    table = counting.count_table(t, n, m)
+    _check_row_sum(sum(table.values()), total)
+    rows = table.items()
     width = max([len(str(total))]
                 + [len(str(x)) for comp, count in rows for x in comp + (count,)])
     head = " ".join(f"a{i + 1}".rjust(width) for i in range(t))

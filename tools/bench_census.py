@@ -11,12 +11,13 @@ reports the best call.  It checks that both engines give equal tables, that
 the joint table's edge marginal is the census, that the closed-form rows
 equal one ``count_trees``, ``count_forests`` or ``marginal_count`` call per
 row, in the same order, and that the CSV text equals a ``%d`` formatting of
-each row of ``count_table``.  It appends one row set to ``BENCH_census.json`` at the
-repository root.  The stamp carries the git SHA, ``"dirty": true`` when
-``src`` or ``tools`` differ from that commit, the Python version and the
-CPU count.  The census, joint and probe rows need the compiled kernel, for
-example after ``python setup.py build_ext --inplace``; without it only the
-closed-form rows are timed:
+each row of ``count_table``.  It appends one row set to
+``BENCH_census.json`` at the repository root.  The stamp carries the git
+SHA, ``"dirty": true`` when ``src`` or ``tools`` differ from that commit,
+the Python version and the CPU count.  The census, joint and probe rows
+need the compiled kernel, for example after ``python setup.py build_ext
+--inplace``; without it only the closed-form rows and the CSV text are
+timed:
 
     PYTHONPATH=src python tools/bench_census.py
 

@@ -1,7 +1,8 @@
 """Command-line front end: exact counts, tables, triangles, cross-verification.
 
 Exit codes: 0 success, 1 constraint violation or a closed output pipe,
-2 budget exceeded, 3 verification failure.
+2 budget exceeded, 3 verification failure (a cross-check or a check of
+the closed form itself).
 """
 from __future__ import annotations
 
@@ -408,6 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
+        # the budget already bounds the counts; let any of them print
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -426,6 +430,11 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ArithmeticError as exc:
+        # a check of the closed form failed: a product it divides is not a
+        # multiple of n, or a table's rows miss its total
+        print(f"FAIL {exc}")
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ stays for ``paths`` output and as the tests' object-level reference.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from arbor import counting, treebank
@@ -27,9 +26,9 @@ class Step(NamedTuple):
     label: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class LatticePath:
-    """Sequence of rise/fall steps with optional child-slot labels."""
+class LatticePath(NamedTuple):
+    """Sequence of rise/fall steps with optional child-slot labels; its
+    length is its step count."""
 
     steps: tuple[Step, ...]
 
@@ -154,8 +153,7 @@ def cyclic_shift(vector: Sequence[int], s: int) -> tuple[int, ...]:
     return tuple(vector[(i + s) % t] for i in range(t))
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Side-by-side distributions with a descriptive (never asserted) verdict.
 
     ``edge_distribution`` is the edge-type census; ``residue_distribution``

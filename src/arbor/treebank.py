@@ -29,8 +29,8 @@ that walk takes about twice the census walk's steps per tree.
 from __future__ import annotations
 
 import os
+import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from operator import add
 from typing import Iterator, Optional, Sequence
 
@@ -483,10 +483,24 @@ def _run_jobs(kernel, t: int, jobs: list, workers: int) -> Counter:
     if workers <= 1:
         return _run_chunk(kernel, t, jobs)
     chunks = [jobs[i::workers] for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda chunk: _run_chunk(kernel, t, chunk), chunks))
+    parts: list = [None] * workers  # each chunk's table, or what it raised
+
+    def run(i: int) -> None:
+        try:
+            parts[i] = _run_chunk(kernel, t, chunks[i])
+        except BaseException as exc:  # re-raised in the caller below
+            parts[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
     total = Counter()
     for part in parts:
+        if isinstance(part, BaseException):
+            raise part
         total.update(part)
     return total
 

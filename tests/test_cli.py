@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -104,6 +105,22 @@ def test_kernel_cell_cap_exit_1(capsys, compiled_kernel):
         assert err.startswith("error: " + message)
 
 
+def test_kernel_cell_cap_under_workers_exit_1(capsys, monkeypatch, compiled_kernel):
+    # the kernel's refusal raised on a worker thread still exits 1 without a
+    # traceback: every job off the calling thread asks for an oversized table
+    def kernel(t, sizes, residues=False):
+        if threading.current_thread() is not threading.main_thread():
+            t, sizes = 16, (15,)
+        return compiled_kernel(t, sizes, residues=residues)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(treebank, "_segment_census_compiled", kernel)
+    code, out, err = run(capsys, "verify", "--t", "3", "--max-n", "7",
+                         "--mode", "brute", "--workers", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: composition space too large for the compiled kernel")
+
+
 def test_unary_walks_refused_by_node_count(monkeypatch):
     # t=1 has one tree of each size, so the tree count never refuses it; a
     # walk that started would exhaust memory, so each command runs in a
@@ -174,7 +191,7 @@ def test_table_csv_written_from_the_walk(t, n, m):
     assert cli._table_csv(t, n, m) == "\n".join(want)
 
 
-def test_table_csv_refuses_rows_off_the_total(monkeypatch):
+def test_table_csv_refuses_rows_off_the_total(capsys, monkeypatch):
     def raised(t, n, m=None, *, text=False):
         rows = list(real(t, n, m, text=text))
         rows[0] = (rows[0][0], rows[0][1] + 1)
@@ -184,6 +201,30 @@ def test_table_csv_refuses_rows_off_the_total(monkeypatch):
     monkeypatch.setattr(counting, "count_rows", raised)
     with pytest.raises(ArithmeticError, match="closed-form total"):
         cli._table_csv(3, 4)
+    # the command prints a FAIL line and exits 3, as verify does
+    for fmt in ("csv", "pretty"):
+        code, out, err = run(capsys, "table", "--t", "3", "--n", "4", "--format", fmt)
+        assert (code, out, err) == (
+            3, "FAIL table rows do not sum to the closed-form total\n", "")
+
+
+def test_triangle_closed_form_error_exit_3(capsys, monkeypatch):
+    def marginal_row(t, n, slot):
+        raise ArithmeticError(f"marginal product 7 not divisible by {n}")
+
+    monkeypatch.setattr(counting, "marginal_row", marginal_row)
+    code, out, err = run(capsys, "triangle", "--t", "3", "--rows", "4",
+                         "--marginal", "1")
+    assert (code, out, err) == (3, "FAIL marginal product 7 not divisible by 1\n", "")
+
+
+def test_count_prints_long_integers(capsys):
+    # the count has 12,033 digits, past the 4,300-digit limit that Python
+    # puts on converting an int to text by default
+    code, out, err = run(capsys, "count", "--t", "2", "--n", "20000",
+                         "--composition", "10000,9999")
+    assert (code, err) == (0, "")
+    assert out == f"{counting.count_trees(2, 20000, (10000, 9999))}\n"
 
 
 def test_table_unary(capsys):
@@ -600,3 +641,23 @@ def test_engine_flag_does_not_change_verify_output(capsys):
     _, auto_out, _ = run(capsys, "verify", "--t", "3", "--max-n", "4",
                          "--mode", "brute", "--engine", "auto")
     assert pure_out == auto_out
+
+
+def test_cli_imports_stay_lean():
+    # start-up cost is paid by every command: dataclasses pulls in inspect,
+    # concurrent.futures pulls in logging.  Without site (-S) only arbor's own
+    # imports can load them, through the module or a census on worker threads.
+    code = (
+        "import sys\n"
+        "from arbor import cli\n"
+        "cli.main(['verify', '--t', '3', '--max-n', '4', '--mode', 'brute',"
+        " '--workers', '2'])\n"
+        "heavy = ('dataclasses', 'concurrent.futures', 'inspect', 'logging')\n"
+        "print('loaded:', [m for m in heavy if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "loaded: []"

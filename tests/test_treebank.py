@@ -1,6 +1,7 @@
 """Enumeration and census oracles: frozen tables, determinism, kernel parity."""
 import itertools
 import os
+import threading
 from collections import Counter
 
 import pytest
@@ -268,33 +269,50 @@ def test_workers_do_not_change_tables():
 
 
 def test_worker_pool_clamped_to_job_count(monkeypatch):
-    pool_sizes = []
+    # a census runs one chunk on the calling thread and one on each thread it
+    # starts; record how many ran at once, or nothing when it ran sequentially
+    pool_sizes, started = [], []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pool_sizes.append(max_workers)
+    class RecordingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-        def __enter__(self):
-            return self
+    def run(call, *args):
+        del started[:]
+        assert call(*args, workers=1000) == call(*args)
+        assert not any(thread.is_alive() for thread in started)
+        if started:
+            pool_sizes.append(len(started) + 1)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(treebank, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     # 10 root size splits for t=3 n=4, 4 node splits for t=3 m=2 n=5
-    assert census(3, 4, workers=1000) == census(3, 4)
-    assert forest_census(3, 2, 5, workers=1000) == forest_census(3, 2, 5)
+    run(census, 3, 4)
+    run(forest_census, 3, 2, 5)
     assert pool_sizes == [10, 4]
     # fewer CPUs than jobs: the CPU count binds; an unknown count means one
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert census(3, 4, workers=1000) == census(3, 4)
+    run(census, 3, 4)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert census(3, 4, workers=1000) == census(3, 4)
+    run(census, 3, 4)
     assert pool_sizes == [10, 4, 3]
+
+
+@pytest.mark.parametrize("where", ["worker", "calling"])
+def test_kernel_error_under_workers_reaches_the_caller(monkeypatch, where):
+    def kernel(t, sizes):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker == (where == "worker"):
+            raise ValueError(f"kernel failed on the {where} thread")
+        return segment_census_pure(t, sizes)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(treebank, "_select_kernel", lambda engine: kernel)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=f"on the {where} thread"):
+        census(3, 4, workers=2)
+    assert threading.active_count() == before
 
 
 def test_engine_selection(monkeypatch):

@@ -7,7 +7,11 @@ the default engine, the closed-form rows of ``table`` and ``triangle``
 (``counting.count_table`` and ``cli._triangle_rows``), and the text that
 ``arbor table --format csv`` prints, through ``cli.main``.  Each timing
 calls the function at least 3 times and until 0.2 s have elapsed, and
-reports the best call.  It checks that both engines give equal tables, that
+reports the best call.  It also times, as fresh processes, start-up rows: a
+no-work ``arbor count``, ``arbor verify --t 3 --max-n 7 --mode brute
+--workers 2`` and ``python -c pass`` for calibration, each the best of 15
+runs that must exit 0, after one untimed run that fills a temporary
+bytecode cache.  It checks that both engines give equal tables, that
 the joint table's edge marginal is the census, that the closed-form rows
 equal one ``count_trees``, ``count_forests`` or ``marginal_count`` call per
 row, in the same order, and that the CSV text equals a ``%d`` formatting of
@@ -16,7 +20,7 @@ each row of ``count_table``.  It appends one row set to
 SHA, ``"dirty": true`` when ``src`` or ``tools`` differ from that commit,
 the Python version and the CPU count.  The census, joint and probe rows
 need the compiled kernel, for example after ``python setup.py build_ext
---inplace``; without it only the closed-form rows and the CSV text are
+--inplace``; without it only the closed-form, CSV and start-up rows are
 timed:
 
     PYTHONPATH=src python tools/bench_census.py
@@ -31,6 +35,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
@@ -45,15 +50,22 @@ PROBE_SIZES = [(3, 9)]
 CLOSED_FORM_SIZES = [(6, 22, None), (6, 30, None), (4, 30, 3)]  # (t, n, m)
 TRIANGLE_SIZES = [(3, 2, 150)]  # (t, slot, rows)
 CSV_SIZES = [(6, 22, None), (4, 30, 3)]  # (t, n, m)
+STARTUP_COMMANDS = [  # run as python <args>
+    ["-c", "pass"],
+    ["-m", "arbor.cli", "count", "--t", "2", "--n", "1", "--composition", "0,0"],
+    ["-m", "arbor.cli", "verify", "--t", "3", "--max-n", "7", "--mode", "brute",
+     "--workers", "2"],
+]
 REPEAT = 3
+STARTUP_REPEAT = 15
 MIN_SECONDS = 0.2
 
 
-def best(run):
-    """(best seconds per call, result) of run(), called at least REPEAT
+def best(run, repeat=REPEAT):
+    """(best seconds per call, result) of run(), called at least ``repeat``
     times and until MIN_SECONDS have elapsed."""
     times = []
-    while len(times) < REPEAT or sum(times) < MIN_SECONDS:
+    while len(times) < repeat or sum(times) < MIN_SECONDS:
         t0 = time.perf_counter()
         result = run()
         times.append(time.perf_counter() - t0)
@@ -125,6 +137,29 @@ def table_csv(t, n, m):
     return out.getvalue()
 
 
+def startup_rows():
+    """The start-up rows, each command checked by its exit code.  The
+    bytecode cache lives in a temporary directory, so the timed runs read
+    compiled modules as an installed package would."""
+    rows = []
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONPYCACHEPREFIX=cache)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        for args in STARTUP_COMMANDS:
+            command = [sys.executable, *args]
+
+            def run():
+                done = subprocess.run(command, env=env, stdout=subprocess.DEVNULL)
+                if done.returncode:
+                    sys.exit(f"{' '.join(args)} failed")
+
+            run()
+            seconds, _ = best(run, STARTUP_REPEAT)
+            rows.append({"layer": "startup", "command": "python " + " ".join(args),
+                         "repeat": STARTUP_REPEAT, "best_s": round(seconds, 5)})
+    return rows
+
+
 def git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
                           text=True).stdout.strip()
@@ -159,10 +194,10 @@ def main():
     if treebank.HAVE_SPEEDUPS:
         rows = kernel_rows()
     else:
-        print("arbor._speedups is not built: timing the closed-form rows only",
-              file=sys.stderr)
+        print("arbor._speedups is not built: timing the closed-form and "
+              "start-up rows only", file=sys.stderr)
         rows = []
-    for row in closed_form_rows():
+    for row in closed_form_rows() + startup_rows():
         rows.append(row)
         print(json.dumps(row), flush=True)
     runs = json.loads(OUT.read_text()) if OUT.is_file() else []

@@ -29,6 +29,8 @@ from arbor.series import (
     MultiSeries,
     lagrange_extract,
     lagrange_extract_forest,
+    lagrange_table,
+    lagrange_table_forest,
     solve_G,
 )
 from arbor.treebank import (
@@ -70,6 +72,8 @@ __all__ = [
     "forest_profile",
     "lagrange_extract",
     "lagrange_extract_forest",
+    "lagrange_table",
+    "lagrange_table_forest",
     "marginal_count",
     "parse_tree",
     "path_to_tree",

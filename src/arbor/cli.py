@@ -11,6 +11,7 @@ import os
 import sys
 from collections import namedtuple
 from itertools import chain, permutations
+from math import factorial
 from typing import Optional
 
 from arbor import counting, paths, series, treebank
@@ -204,12 +205,13 @@ def _series(args, ms):
 
 
 def _inversion(args, ms):
+    """Each (n, m) group read whole from its one expanded product, so the
+    compositions come from the product and the counts from inversion."""
     t = args.t
     for n, m, where in _groups(args, ms):
-        want = counting.count_table(t, n, m)
-        got = {a: series.lagrange_extract(t, n, a) if m is None
-               else series.lagrange_extract_forest(t, m, n, a) for a in want}
-        yield where, got, want
+        got = (series.lagrange_table(t, n) if m is None
+               else series.lagrange_table_forest(t, m, n))
+        yield where, got, counting.count_table(t, n, m)
 
 
 def _sums(args, ms):
@@ -221,18 +223,37 @@ def _sums(args, ms):
 
 
 def _symmetry(args, ms):
-    orders = list(permutations(range(args.t)))
+    """Each count against the count of its sorted composition.  The counts
+    are invariant under every slot permutation if and only if that holds
+    for every row, so one look per row stands for its t! checks.  When a
+    row breaks it, the first composition whose permutations hold two
+    counts is scanned over the slot orders, in the order of
+    ``itertools.permutations``, up to the first order that changes its
+    count, which names the same composition and order as comparing every
+    composition with all t! of its permutations would."""
+    t = args.t
     for n, _, where in _groups(args, ()):
-        rows = counting.count_table(args.t, n)
-        for a, count in rows.items():
-            got = {p: rows[tuple(a[i] for i in p)] for p in orders}
-            yield f"{where} a={a}", got, dict.fromkeys(orders, count)
+        rows = counting.count_table(t, n)
+        canon = {a: rows[tuple(sorted(a))] for a in rows}
+        if canon == rows:
+            yield where, canon, rows
+            continue
+        broken = {tuple(sorted(a)) for a in rows if canon[a] != rows[a]}
+        a = next(a for a in rows if tuple(sorted(a)) in broken)
+        got = {}
+        for p in permutations(range(t)):
+            got[p] = rows[tuple(a[i] for i in p)]
+            if got[p] != rows[a]:
+                break
+        yield f"{where} a={a}", got, dict.fromkeys(got, rows[a])
+        return
 
 
 # Every check in run order: its name, the --mode that runs it besides "all",
 # its entries ("trees", "each m" for one per forest size, "all m" for one
 # over all sizes), its case, what a table key is (for the FAIL line) and its
-# PASS text, with the fields t, n (the maximum), m and count.
+# PASS text, with the fields t, n (the maximum), m, count (the keys compared)
+# and orders (count times t!).
 _Check = namedtuple("_Check", "name mode scope case label passed")
 CHECKS = (
     _Check("tree census", "brute", "trees", _census, "a",
@@ -254,7 +275,8 @@ CHECKS = (
            "forest counts sum to the closed-form total "
            "(t={t}, m in {{{m}}}, n<={n})"),
     _Check("symmetry", "all", "trees", _symmetry, "perm",
-           "counts invariant under slot permutations (t={t}, n<={n}, {count} checks)"),
+           "counts invariant under slot permutations (t={t}, n<={n}, "
+           "{orders} checks)"),
 )
 
 
@@ -271,8 +293,61 @@ def _compare(check: _Check, args, ms: tuple) -> bool:
             return False
         count += len(want)
     print("PASS " + check.passed.format(t=args.t, n=args.max_n,
-                                        m=",".join(map(str, ms)), count=count))
+                                        m=",".join(map(str, ms)), count=count,
+                                        orders=count * factorial(args.t)))
     return True
+
+
+def _weak(total: int, parts: int) -> int:
+    """The weak compositions of total into parts: the terms of one grade."""
+    return counting.binomial(total + parts - 1, parts - 1) if total >= 0 else 0
+
+
+def _series_steps(t: int, N: int) -> int:
+    """The ring steps of ``solve_G(t, N)`` and of the residual
+    x * prod (1 + yj*g).  For each factor j, the solver visits d+1 pairs of
+    x-degrees in each round d < N, and the residual product d+1 for each
+    d <= N, t*N*(N+2) pairs in all.  [x^e] Q_(j-1) holds the compositions
+    of e into t parts whose first j-1 parts are not all zero (one term at
+    e=0), [x^k] g those of k-1, so g through x^r holds weak(r-1, t+1)
+    terms.  The solver multiplies each coefficient of [x^e] Q_(j-1) with g
+    through x^(N-1-e), the residual with 1 + yj*g through x^(N-1-e)."""
+    steps = t * N * (N + 2)
+    for j in range(1, t + 1):
+        for e in range(N):
+            q = _weak(e, t) - _weak(e, t - j + 1) if e else 1
+            steps += q * (2 * _weak(N - 2 - e, t + 1) + 1)
+    return steps
+
+
+def _inversion_steps(t: int, gmax: int) -> int:
+    """The ring steps of one expanded product: t factors of g-degree up to
+    gmax, one term per degree.  Each multiplication visits
+    (gmax+1)(gmax+2)/2 pairs of g-degrees, and factor j multiplies the
+    weak(e, j-1) terms of each degree e with the gmax-e+1 terms of degree
+    at most gmax-e, weak(gmax, j+1) products in all."""
+    return t * (gmax + 1) * (gmax + 2) // 2 + sum(
+        _weak(gmax, j + 1) for j in range(1, t + 1))
+
+
+def _check_ring_steps(args, ms) -> None:
+    """Refuse up front a series or inversion check that would take more
+    ring steps than the budget allows.  A step is one product of two
+    coefficients or one pair of degrees looked at; both are counted from
+    composition counts alone."""
+    t, max_n = args.t, args.max_n
+    steps = 0
+    if args.mode in ("series", "all"):
+        steps += _series_steps(t, max_n)
+    if args.mode in ("lagrange", "all"):
+        for n, m, _ in chain(_groups(args, ()), _groups(args, ms)):
+            steps += _inversion_steps(t, n - (m or 1))
+    if steps:
+        limit = treebank.resolve_budget(args.budget)
+        if steps > limit:
+            raise BudgetExceededError(
+                f"verify(t={t}, max-n={max_n}, mode={args.mode}) would take "
+                f"{steps} series ring steps, budget is {limit}", total=steps)
 
 
 def cmd_verify(args) -> int:
@@ -294,6 +369,7 @@ def cmd_verify(args) -> int:
         ms = [args.forest]
     else:
         ms = [m for m in range(1, t) if m <= max_n]
+    _check_ring_steps(args, ms)
     scopes = {"trees": [()], "each m": [(m,) for m in ms],
               "all m": [tuple(ms)] if ms else []}
     results = []

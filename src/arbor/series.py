@@ -8,7 +8,6 @@ direct coefficient extraction from the expanded product (the inversion rule
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import add
 from typing import Iterator, Sequence
 
@@ -16,17 +15,62 @@ from arbor import counting
 from arbor.errors import ConstraintError
 
 
+def _pack(parts: Sequence[int], base: int) -> int:
+    """The exponent vector as one int: a1 is the most significant digit, so
+    packed keys sort as their vectors do while every part is below base."""
+    key = 0
+    for p in parts:
+        key = key * base + p
+    return key
+
+
+def _unpack(key: int, base: int, arity: int) -> tuple:
+    parts = [0] * arity
+    for i in range(arity - 1, -1, -1):
+        key, parts[i] = divmod(key, base)
+    return tuple(parts)
+
+
+def _grade_product(a: list, b: list, d: int) -> dict:
+    """[x^d] of the product of two graded term lists (packed keys in one
+    base, large enough that no key sum carries).  Reads a[0..d] and
+    b[d-k] only where a[k] has terms, so b may still lack grades whose
+    partner grade in a is empty."""
+    out: dict = {}
+    get = out.get
+    for k in range(d + 1):
+        left = a[k]
+        if left:
+            right = b[d - k]
+            if right:
+                pairs = right.items()
+                for k1, c1 in left.items():
+                    for k2, c2 in pairs:
+                        key = k1 + k2
+                        out[key] = get(key, 0) + c1 * c2
+    return out
+
+
+def _nonzero(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if c} if 0 in terms.values() else terms
+
+
 class MultiSeries:
     """Sparse series in x and y1..yt, truncated at a fixed x-degree.
 
-    Direct inversion reuses the same ring with g in the place of x.
-    Terms map (n, (a1, ..., at)), with 0 <= n <= truncation and t
-    non-negative parts, to a nonzero integer coefficient; the
-    representation is normalized (no stored zeros).  Values are immutable
-    by convention; arithmetic returns new instances.
+    Direct inversion reuses the same ring with g in the place of x.  The
+    public form of a term is (n, (a1, ..., at)) with 0 <= n <= truncation
+    and t non-negative parts; parts may exceed the truncation.  Inside,
+    terms are graded by x-degree: ``_grades[n]`` maps each exponent vector
+    of degree n, packed as one int in base ``_base``, to its nonzero
+    coefficient, so multiplying monomials adds two ints.  ``_slack`` bounds
+    every part by its degree plus the slack, and the base always exceeds
+    truncation + max(slack, 0), so digits never carry; an operation that
+    would outgrow the base repacks into a larger one first.  Values are
+    immutable by convention; arithmetic returns new instances.
     """
 
-    __slots__ = ("arity", "truncation", "_terms")
+    __slots__ = ("arity", "truncation", "_base", "_slack", "_grades")
 
     def __init__(self, arity: int, truncation: int, terms: dict | None = None):
         counting.check_arity(arity)
@@ -34,18 +78,27 @@ class MultiSeries:
             raise ConstraintError(f"truncation must be >= 0, got {truncation}")
         self.arity = arity
         self.truncation = truncation
-        for n, a in terms or ():
+        terms = terms or {}
+        for n, a in terms:
             self._check_term(n, a)
-        self._terms = {k: v for k, v in (terms or {}).items() if v}
+        live = {(n, tuple(a)): c for (n, a), c in terms.items() if c}
+        self._slack = max((max(a) - n for n, a in live), default=0)
+        self._base = truncation + max(self._slack, 0) + 1
+        self._grades = [{} for _ in range(truncation + 1)]
+        for (n, a), c in live.items():
+            self._grades[n][_pack(a, self._base)] = c
 
     @classmethod
-    def _ring_result(cls, arity: int, truncation: int, terms: dict) -> "MultiSeries":
-        """A series whose keys the ring built itself from in-range operands,
-        so they are not checked again; zero coefficients are dropped."""
+    def _ring_result(cls, arity: int, truncation: int, base: int, slack: int,
+                     grades: list) -> "MultiSeries":
+        """A series the ring built itself from checked operands, so its
+        terms are not checked again; grades hold no zero coefficients."""
         out = cls.__new__(cls)
         out.arity = arity
         out.truncation = truncation
-        out._terms = {k: v for k, v in terms.items() if v}
+        out._base = base
+        out._slack = slack
+        out._grades = grades
         return out
 
     def _check_term(self, n: int, a: tuple) -> None:
@@ -79,51 +132,69 @@ class MultiSeries:
                 f"truncation mismatch: {self.truncation} vs {other.truncation}"
             )
 
+    def _in_base(self, base: int) -> list:
+        """The grades with every key repacked in ``base`` (at least the
+        series' own base)."""
+        old, t = self._base, self.arity
+        if base == old:
+            return self._grades
+        return [{_pack(_unpack(k, old, t), base): c for k, c in grade.items()}
+                for grade in self._grades]
+
     def __add__(self, other: "MultiSeries") -> "MultiSeries":
         self._check_match(other)
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0) + c
-        return MultiSeries._ring_result(self.arity, self.truncation, out)
+        base = max(self._base, other._base)
+        out = []
+        for mine, theirs in zip(self._in_base(base), other._in_base(base)):
+            grade = dict(mine)
+            get = grade.get
+            for key, c in theirs.items():
+                grade[key] = get(key, 0) + c
+            out.append(_nonzero(grade))
+        return MultiSeries._ring_result(self.arity, self.truncation, base,
+                                        max(self._slack, other._slack), out)
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         self._check_match(other)
         limit = self.truncation
-        # other's terms by x-degree, so pairs beyond the truncation are
-        # never formed
-        by_degree: dict[int, list] = {}
-        for (n2, a2), c2 in other._terms.items():
-            by_degree.setdefault(n2, []).append((a2, c2))
-        out: dict = {}
-        get = out.get
-        for (n1, a1), c1 in self._terms.items():
-            for n in range(n1, limit + 1):
-                for a2, c2 in by_degree.get(n - n1, ()):
-                    key = (n, tuple(map(add, a1, a2)))
-                    out[key] = get(key, 0) + c1 * c2
-        return MultiSeries._ring_result(self.arity, self.truncation, out)
+        slack = self._slack + other._slack
+        base = max(self._base, other._base,
+                   limit + max(slack, self._slack, other._slack, 0) + 1)
+        a, b = self._in_base(base), other._in_base(base)
+        out = [_nonzero(_grade_product(a, b, d)) for d in range(limit + 1)]
+        return MultiSeries._ring_result(self.arity, limit, base, slack, out)
 
     def times_y(self, slot: int) -> "MultiSeries":
         """Multiply by the edge marker of the given slot (1-based)."""
         if not 1 <= slot <= self.arity:
             raise ConstraintError(f"slot {slot} outside 1..{self.arity}")
-        i = slot - 1
-        out = {}
-        for (n, a), c in self._terms.items():
-            b = a[:i] + (a[i] + 1,) + a[i + 1:]
-            out[(n, b)] = c
-        return MultiSeries._ring_result(self.arity, self.truncation, out)
+        slack = self._slack + 1
+        base = max(self._base, self.truncation + slack + 1)
+        shift = base ** (self.arity - slot)
+        out = [{k + shift: c for k, c in grade.items()}
+               for grade in self._in_base(base)]
+        return MultiSeries._ring_result(self.arity, self.truncation, base,
+                                        slack, out)
 
     def coefficient(self, n: int, parts: Sequence[int]) -> int:
         """Stored coefficient of x^n * y^parts, or 0; the term must be in range."""
         a = tuple(parts)
         self._check_term(n, a)
-        return self._terms.get((n, a), 0)
+        if max(a) >= self._base:  # no stored term has a part this large
+            return 0
+        return self._grades[n].get(_pack(a, self._base), 0)
+
+    def _grade_terms(self, n: int) -> Iterator[tuple]:
+        """(parts, coefficient) pairs of x-degree n in sorted order."""
+        base, t, grade = self._base, self.arity, self._grades[n]
+        for key in sorted(grade):
+            yield _unpack(key, base, t), grade[key]
 
     def terms(self) -> Iterator[tuple]:
         """(n, parts, coefficient) triples in sorted key order."""
-        for n, a in sorted(self._terms):
-            yield n, a, self._terms[(n, a)]
+        for n in range(self.truncation + 1):
+            for a, c in self._grade_terms(n):
+                yield n, a, c
 
     def dump_lines(self) -> list[str]:
         """Sorted ``n;a1,...,at;coef`` lines (the debug dump format)."""
@@ -135,100 +206,114 @@ class MultiSeries:
     def __eq__(self, other):
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        return (
-            self.arity == other.arity
-            and self.truncation == other.truncation
-            and self._terms == other._terms
-        )
+        if self.arity != other.arity or self.truncation != other.truncation:
+            return False
+        base = max(self._base, other._base)
+        return self._in_base(base) == other._in_base(base)
 
     __hash__ = None
 
     def __repr__(self) -> str:
         return (
             f"MultiSeries(arity={self.arity}, truncation={self.truncation}, "
-            f"terms={len(self._terms)})"
+            f"terms={sum(map(len, self._grades))})"
         )
 
 
 def solve_G(t: int, N: int) -> MultiSeries:
-    """Solve g = x * prod_i (1 + yi*g) through x-order N by fixed-point iteration.
+    """Solve g = x * prod_i (1 + yi*g) through x-order N by online fixed-point
+    iteration.
 
-    Round k (k = 1..N) works at truncation k: it lifts the previous round's
-    g to truncation k and applies the right-hand side once.  This is exact,
-    not an approximation: g has no constant term, so [x^j] of the
-    right-hand side depends only on [x^(<j)] of g, and by induction round
-    k-1 already holds the final coefficients up to x^(k-1).  Round k thus
-    makes every coefficient through x^k final, and after round N the
-    result equals the fixed point truncated at N; no convergence heuristic
-    is involved.  Only the last round runs at full truncation.
+    With Q_0 = 1 and Q_j = Q_(j-1) * (1 + yj*g), the equation reads
+    [x^(d+1)] g = [x^d] Q_t, and [x^d] Q_j = [x^d] Q_(j-1)
+    + yj * [x^d] (g * Q_(j-1)).  g has no constant term, so [x^d] of
+    g * Q_(j-1) needs g only through x^d and Q_(j-1) only below x^d.  Round
+    d therefore forms just [x^d] of Q_1, ..., Q_t from coefficients that
+    earlier rounds made final, and yields [x^(d+1)] g exactly: each round
+    adds one x-degree, no coefficient is recomputed and no convergence
+    heuristic is involved (the relaxed fixed point of van der Hoeven,
+    "Relax, but don't be too lazy", JSC 34, 2002).
     """
     counting.check_arity(t)
     if N < 1:
         raise ConstraintError(f"truncation must be >= 1, got N={N}")
-    g = MultiSeries.zero(t, 0)
-    for k in range(1, N + 1):
-        one = MultiSeries.one(t, k)
-        g = MultiSeries._ring_result(t, k, g._terms)
-        p = MultiSeries.x(t, k)
-        for slot in range(1, t + 1):
-            p = p * (one + g.times_y(slot))
-        g = p
-    return g
+    # parts of g stay below the degree, those of Q_j at most equal it
+    base = N + 1
+    empty = [{} for _ in range(N + 1)]
+    g = [{}, {0: 1}] + empty[2:]
+    q = [[{0: 1}] + empty[1:]] + [[{0: 1}] for _ in range(t)]
+    for d in range(1, N):
+        for j in range(1, t + 1):
+            prev = q[j - 1]
+            grade = dict(prev[d])
+            get = grade.get
+            shift = base ** (t - j)
+            for key, c in _grade_product(g, prev, d).items():
+                key += shift
+                grade[key] = get(key, 0) + c
+            q[j].append(grade)
+        g[d + 1] = q[t][d]
+    return MultiSeries._ring_result(t, N, base, -1, g)
 
 
-@lru_cache(maxsize=1)
 def _expanded_product(t: int, gmax: int, power: int) -> MultiSeries:
     """prod_i (1 + yi*g)^power with g in the truncated variable's place,
-    each factor written out from its binomial coefficients.
-
-    Memoised: every composition of one (n, m) group reads the same product,
-    and callers walk the compositions of a group together, so one entry
-    saves all but the first build per group and keeps a single product
-    alive between calls.  Callers only read it (``MultiSeries`` values are
-    immutable by convention).  The memo lives inside the inversion oracle:
-    it caches nothing but this module's own ring arithmetic.
-    """
-    zero = (0,) * t
+    each factor written out from its binomial coefficients."""
+    base = gmax + 1
     p = MultiSeries.one(t, gmax)
     for i in range(t):
-        factor = {
-            (k, zero[:i] + (k,) + zero[i + 1:]): counting.binomial(power, k)
-            for k in range(min(power, gmax) + 1)
-        }
-        p = p * MultiSeries(t, gmax, factor)
+        weight = base ** (t - 1 - i)
+        factor = [{k * weight: counting.binomial(power, k)} if k <= power else {}
+                  for k in range(gmax + 1)]
+        p = p * MultiSeries._ring_result(t, gmax, base, 0, factor)
     return p
 
 
-def lagrange_extract(t: int, n: int, parts: Sequence[int]) -> int:
-    """Tree count by direct inversion: expand prod_i (1 + yi*g)^n with g
-    truncated at n-1, read the coefficient of g^(n-1) * y^parts, divide by n.
+def _read_group(t: int, n: int, m: int, roots: tuple) -> dict:
+    """One (n, m) group by direct inversion: every term of g-degree n-m of
+    prod_i (1 + yi*g)^n, its parts raised by ``roots``, times m over n."""
+    counts = {}
+    for parts, c in _expanded_product(t, n - m, n)._grade_terms(n - m):
+        q, r = divmod(m * c, n)
+        if r:
+            raise ArithmeticError(
+                f"extracted coefficient {m * c} not divisible by n={n}"
+            )
+        counts[tuple(map(add, parts, roots))] = q
+    return counts
 
-    Agrees with the closed-form product of binomials but is computed by
-    polynomial expansion, so it serves as an independent check.
+
+def lagrange_table(t: int, n: int) -> dict:
+    """Every n-node tree count by direct inversion, keyed by composition:
+    expand prod_i (1 + yi*g)^n with g truncated at n-1, read each
+    coefficient of g^(n-1), divide by n.
+
+    The compositions come from the expanded product itself, and the counts
+    agree with the closed-form product of binomials but are computed by
+    polynomial expansion, so they serve as an independent check.
     """
-    a = counting.validate_tree_composition(t, n, parts)
-    p = _expanded_product(t, n - 1, n)
-    c = p.coefficient(n - 1, a)
-    q, r = divmod(c, n)
-    if r:
-        raise ArithmeticError(f"extracted coefficient {c} not divisible by n={n}")
-    return q
+    counting.check_tree_shape(t, n)
+    return _read_group(t, n, 1, (0,) * t)
 
 
-def lagrange_extract_forest(t: int, m: int, n: int, parts: Sequence[int]) -> int:
-    """Forest count by direct inversion.
+def lagrange_table_forest(t: int, m: int, n: int) -> dict:
+    """Every n-node m-forest count by direct inversion.
 
     The m-tuple generating series is (y1*g)...(ym*g); inverting it gives
     (m/n) times the coefficient of g^(n-m) * y^(parts - e1 - ... - em) in
     prod_i (1 + yi*g)^n, again by expansion.
     """
+    counting.check_forest_shape(t, m, n)
+    return _read_group(t, n, m, (1,) * m + (0,) * (t - m))
+
+
+def lagrange_extract(t: int, n: int, parts: Sequence[int]) -> int:
+    """One tree count by direct inversion, read from ``lagrange_table``."""
+    a = counting.validate_tree_composition(t, n, parts)
+    return lagrange_table(t, n)[a]
+
+
+def lagrange_extract_forest(t: int, m: int, n: int, parts: Sequence[int]) -> int:
+    """One forest count by direct inversion, read from ``lagrange_table_forest``."""
     a = counting.validate_forest_composition(t, m, n, parts)
-    reduced = tuple(x - 1 if i < m else x for i, x in enumerate(a))
-    p = _expanded_product(t, n - m, n)
-    c = p.coefficient(n - m, reduced)
-    q, r = divmod(m * c, n)
-    if r:
-        raise ArithmeticError(
-            f"extracted coefficient {m * c} not divisible by n={n}"
-        )
-    return q
+    return lagrange_table_forest(t, m, n)[a]

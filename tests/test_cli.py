@@ -1,9 +1,12 @@
 """Command-line surface: outputs, exit codes, determinism."""
+import argparse
+import json
 import os
 import subprocess
 import sys
 import threading
 import time
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -431,6 +434,126 @@ def test_verify_budget_exit_2(capsys):
     assert "budget" in err
 
 
+def test_verify_series_and_inversion_refused_over_budget(capsys, monkeypatch):
+    # series ring steps: coefficient products plus pairs of degrees looked
+    # at, counted from composition counts before any check runs
+    monkeypatch.delenv(treebank.BUDGET_ENV_VAR, raising=False)
+    for argv, refusal in (
+        (["--t", "2", "--max-n", "120", "--mode", "series"],
+         "verify(t=2, max-n=120, mode=series) would take 17055802 series ring steps"),
+        (["--t", "16", "--max-n", "10", "--mode", "lagrange"],
+         "verify(t=16, max-n=10, mode=lagrange) would take 21574278 series ring steps"),
+        (["--t", "16", "--max-n", "10"],
+         "verify(t=16, max-n=10, mode=all) would take 1836835892 series ring steps"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (
+            2, "", f"error: {refusal}, budget is 10000000\n")
+    # at t=3, n<=4 the series check takes 201 steps and the two inversion
+    # checks 311; --budget and $ARBOR_BUDGET move the bound, and the
+    # censuses of --mode brute take none
+    verify = ["verify", "--t", "3", "--max-n", "4", "--mode"]
+    for budget, mode, steps in ((201, "series", None), (200, "series", 201),
+                                (311, "lagrange", None), (310, "lagrange", 311),
+                                (511, "all", 512), (100, "brute", None)):
+        for flag in (True, False):
+            monkeypatch.delenv(treebank.BUDGET_ENV_VAR, raising=False)
+            if flag:
+                code, out, err = run(capsys, *verify, mode, "--budget", str(budget))
+            else:
+                monkeypatch.setenv(treebank.BUDGET_ENV_VAR, str(budget))
+                code, out, err = run(capsys, *verify, mode)
+            if steps is None:
+                assert (code, err) == (0, ""), (budget, mode)
+            else:
+                assert (code, out, err) == (2, "", (
+                    f"error: verify(t=3, max-n=4, mode={mode}) would take "
+                    f"{steps} series ring steps, budget is {budget}\n"))
+
+
+def test_ring_steps_count_what_the_ring_does(monkeypatch):
+    # every pair of degrees _grade_product looks at and every product of
+    # coefficients it forms, against the budget's count from compositions
+    steps = []
+    real = series._grade_product
+
+    def counted(a, b, d):
+        steps.append(d + 1 + sum(len(a[k]) * len(b[d - k])
+                                 for k in range(d + 1) if a[k] and b[d - k]))
+        return real(a, b, d)
+
+    monkeypatch.setattr(series, "_grade_product", counted)
+    for t, N in [(1, 9), (2, 7), (3, 6), (4, 5), (6, 3), (16, 2)]:
+        steps.clear()
+        g = series.solve_G(t, N)
+        one, rhs = series.MultiSeries.one(t, N), series.MultiSeries.x(t, N)
+        for slot in range(1, t + 1):
+            rhs = rhs * (one + g.times_y(slot))
+        assert sum(steps) == cli._series_steps(t, N), (t, N)
+        for m in [None] + list(range(1, min(t, N + 1))):
+            for n in range(m or 1, N + 1):
+                steps.clear()
+                if m is None:
+                    series.lagrange_table(t, n)
+                else:
+                    series.lagrange_table_forest(t, m, n)
+                assert sum(steps) == cli._inversion_steps(t, n - (m or 1)), (t, m, n)
+
+
+def test_benchmark_verify_commands_far_below_the_budget():
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    parser = cli.build_parser()
+    for command in golden["commands"]:
+        args = parser.parse_args(command.split())
+        if args.command != "verify":
+            continue
+        ms = [m for m in range(1, args.t) if m <= args.max_n]
+        budget = treebank.DEFAULT_BUDGET // 100
+        args.budget = budget
+        cli._check_ring_steps(args, ms)  # raises when over
+
+
+def test_verify_symmetry_at_large_arity(capsys, monkeypatch):
+    # one look per row stands for its t! permutation checks
+    monkeypatch.delenv(treebank.BUDGET_ENV_VAR, raising=False)
+    for t, checks in ((9, 19958400), (16, 3201186852864000)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--t", str(t), "--max-n", "3",
+                             "--mode", "all")
+        assert time.perf_counter() - start < 10.0
+        assert (code, err) == (0, "")
+        assert (f"PASS counts invariant under slot permutations (t={t}, n<=3, "
+                f"{checks} checks)") in out.splitlines()
+
+
+def per_permutation_failure(t, max_n):
+    """The FAIL line of every composition against all t! of its permutations,
+    the scan the sorted-composition check stands for."""
+    orders = list(permutations(range(t)))
+    for n in range(1, max_n + 1):
+        rows = counting.count_table(t, n)
+        for a, count in rows.items():
+            for p in orders:
+                if rows[tuple(a[i] for i in p)] != count:
+                    return f"FAIL symmetry mismatch at t={t} n={n} a={a} perm={p}"
+    return None
+
+
+@pytest.mark.parametrize("t, n", [(3, 4), (4, 3), (2, 5)])
+def test_symmetry_failure_matches_the_per_permutation_scan(t, n, capsys, monkeypatch):
+    real = counting.count_table
+    check = next(c for c in cli.CHECKS if c.name == "symmetry")
+    args = argparse.Namespace(t=t, max_n=n)
+    for parts in real(t, n):
+        monkeypatch.setattr(counting, "count_table", row_off_by_one(real, n, parts))
+        want = per_permutation_failure(t, n)  # None when parts are all equal
+        assert cli._compare(check, args, ()) is (want is None)
+        out = capsys.readouterr().out
+        assert out.startswith("PASS") if want is None else out == want + "\n"
+
+
 def test_verify_failure_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(counting, "count_table",
                         row_off_by_one(counting.count_table, 2))
@@ -489,6 +612,20 @@ def series_off_by_one(real, n_at, parts):
     return lying
 
 
+def term_missing(real, gmax_at, power_at):
+    """``real`` (the inversion's expanded product) without its first term of
+    top g-degree when truncated at g-degree gmax_at and raised to the power
+    power_at."""
+    def lying(t, gmax, power):
+        p = real(t, gmax, power)
+        if (gmax, power) != (gmax_at, power_at):
+            return p
+        terms = {(n, a): c for n, a, c in p.terms()}
+        del terms[min(key for key in terms if key[0] == gmax)]
+        return series.MultiSeries(t, gmax, terms)
+    return lying
+
+
 # One wrong oracle per case: the verify mode, the FAIL lines (each names the
 # check and its first failing index) and the summary.  Every table entry
 # reports on its own, so a failure hides no later entry.
@@ -516,13 +653,22 @@ FAIL_CASES = {
         ["FAIL series mismatch at t=3 n=3 a=(0, 1, 1)"],
         "summary: 9/10 checks passed"),
     "inversion": (
-        lambda: [(series, "lagrange_extract", off_by_one(series.lagrange_extract, 3))],
+        lambda: [(series, "lagrange_table", off_by_one(series.lagrange_table, 3))],
         "lagrange",
         ["FAIL inversion mismatch at t=3 n=3 a=(0, 0, 2)"],
         "summary: 2/3 checks passed"),
+    "inversion key set": (
+        # the expanded product of n=3 lacks a term: the tree group and the
+        # m=1 forest group read that one product (g-degree 2, power 3)
+        lambda: [(series, "_expanded_product",
+                  term_missing(series._expanded_product, 2, 3))],
+        "lagrange",
+        ["FAIL inversion key set differs at t=3 n=3 a=(0, 0, 2)",
+         "FAIL forest inversion key set differs at t=3 m=1 n=3 a=(1, 0, 2)"],
+        "summary: 1/3 checks passed"),
     "forest inversion": (
-        lambda: [(series, "lagrange_extract_forest",
-                  off_by_one(series.lagrange_extract_forest, 4, n_index=2))],
+        lambda: [(series, "lagrange_table_forest",
+                  off_by_one(series.lagrange_table_forest, 4, n_index=2))],
         "lagrange",
         ["FAIL forest inversion mismatch at t=3 m=1 n=4 a=(1, 0, 3)",
          "FAIL forest inversion mismatch at t=3 m=2 n=4 a=(1, 1, 2)"],

@@ -37,10 +37,11 @@ def test_add_identity_and_normalization():
     s = MultiSeries(2, 3, {term_key(1, (1, 0)): 2, term_key(2, (1, 1)): -1})
     zero = MultiSeries.zero(2, 3)
     assert s + zero == s
-    neg = MultiSeries(2, 3, {k: -v for k, v in s._terms.items()})
+    neg = MultiSeries(2, 3, {(n, a): -c for n, a, c in s.terms()})
     total = s + neg
     assert total == zero
-    assert total._terms == {}
+    assert list(total.terms()) == []
+    assert not any(total._grades)  # no stored zeros
 
 
 def test_truncation_drops_high_orders():
@@ -117,16 +118,22 @@ def reference_solve(t, N):
 def reference_mul(a, b):
     """Every pair of terms formed, then the ones beyond the truncation dropped."""
     out = {}
-    for (n1, a1), c1 in a._terms.items():
-        for (n2, a2), c2 in b._terms.items():
+    for n1, a1, c1 in a.terms():
+        for n2, a2, c2 in b.terms():
             if n1 + n2 <= a.truncation:
                 key = (n1 + n2, tuple(p + q for p, q in zip(a1, a2)))
                 out[key] = out.get(key, 0) + c1 * c2
     return MultiSeries(a.arity, a.truncation, out)
 
 
+def reference_times_y(s, slot):
+    return MultiSeries(s.arity, s.truncation, {
+        (n, a[:slot - 1] + (a[slot - 1] + 1,) + a[slot:]): c
+        for n, a, c in s.terms()})
+
+
 def test_growing_precision_matches_full_truncation():
-    for t, max_N in [(1, 12), (2, 10), (3, 8), (4, 6), (5, 5)]:
+    for t, max_N in [(1, 12), (2, 10), (3, 8), (4, 6), (5, 5), (6, 4)]:
         for N in range(1, max_N + 1):
             assert solve_G(t, N) == reference_solve(t, N)
 
@@ -221,15 +228,22 @@ def test_interleaved_extraction_reuses_unchanged_products():
                 assert extract(*shape, a) == closed(*shape, a)
 
 
-def test_expanded_product_built_once_per_group(capsys):
+def test_expanded_product_built_once_per_group(capsys, monkeypatch):
     # verify --mode lagrange at t=3, n<=6 visits 17 (n, m) groups: 6 for
-    # trees, 6 for m=1 and 5 for m=2; without the memo it builds one
-    # product per composition, 147 in all
-    series._expanded_product.cache_clear()
+    # trees, 6 for m=1 and 5 for m=2; one product per composition would
+    # be 147 in all
+    built = []
+    real = series._expanded_product
+
+    def counted(t, gmax, power):
+        built.append((gmax, power))
+        return real(t, gmax, power)
+
+    monkeypatch.setattr(series, "_expanded_product", counted)
     code = cli.main(["verify", "--t", "3", "--max-n", "6", "--mode", "lagrange"])
     assert code == 0
     assert capsys.readouterr().out.endswith("summary: 3/3 checks passed\n")
-    assert series._expanded_product.cache_info().misses <= 17
+    assert len(built) == 17
 
 
 def test_forest_extraction_matches_closed_form():
@@ -255,9 +269,11 @@ def test_dump_lines_sorted_format():
 
 
 def small_series(t=2, N=3):
+    """Series whose parts reach past the truncation N, which forces the
+    packed keys of some operands into a larger base than others."""
     keys = st.tuples(
         st.integers(0, N),
-        st.tuples(*[st.integers(0, 2) for _ in range(t)]),
+        st.tuples(*[st.integers(0, N + 3) for _ in range(t)]),
     )
     return st.dictionaries(keys, st.integers(-4, 4), max_size=5).map(
         lambda terms: MultiSeries(t, N, terms)
@@ -266,7 +282,7 @@ def small_series(t=2, N=3):
 
 def edge_series(t=2, N=5):
     """Series with one term at x-degree 0 and one at the truncation N."""
-    exps = st.tuples(*[st.integers(0, 2) for _ in range(t)])
+    exps = st.tuples(*[st.integers(0, N + 2) for _ in range(t)])
     term = st.tuples(exps, st.integers(-4, 4).filter(bool))
     rest = st.dictionaries(st.tuples(st.integers(0, N), exps),
                            st.integers(-4, 4), max_size=4)
@@ -284,15 +300,40 @@ def check_ring_laws(a, b, c):
     assert a * b == b * a == reference_mul(a, b)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    for slot in range(1, a.arity + 1):
+        assert a.times_y(slot) == reference_times_y(a, slot)
+        assert (a * b).times_y(slot) == a.times_y(slot) * b
+    for n, parts, coefficient in (a * b).terms():
+        assert reference_mul(a, b).coefficient(n, parts) == coefficient
 
 
-@given(small_series(), small_series(), small_series())
-@settings(max_examples=120, deadline=None)
-def test_ring_laws(a, b, c):
-    check_ring_laws(a, b, c)
+def triples(strategy):
+    """Three series of one arity, t = 1, 2 or 3."""
+    return st.integers(1, 3).flatmap(
+        lambda t: st.tuples(strategy(t), strategy(t), strategy(t)))
 
 
-@given(edge_series(), edge_series(), edge_series())
-@settings(max_examples=120, deadline=None)
-def test_ring_laws_at_truncation(a, b, c):
-    check_ring_laws(a, b, c)
+@given(triples(small_series))
+@settings(max_examples=150, deadline=None)
+def test_ring_laws(abc):
+    check_ring_laws(*abc)
+
+
+@given(triples(edge_series))
+@settings(max_examples=150, deadline=None)
+def test_ring_laws_at_truncation(abc):
+    check_ring_laws(*abc)
+
+
+def test_parts_beyond_the_truncation_survive_repacking():
+    # a part of 40 at truncation 3 and one of 7 at degree 0 force bases far
+    # above the one solve_G uses; products, sums and reads must not carry
+    wide = MultiSeries(2, 3, {(0, (40, 0)): 3, (1, (0, 7)): -2})
+    g = solve_G(2, 3)
+    assert g * wide == reference_mul(g, wide)
+    assert (g + wide).coefficient(0, (40, 0)) == 3
+    assert (g * wide).coefficient(3, (41, 1)) == 3 * g.coefficient(3, (1, 1))
+    assert (g * wide).coefficient(3, (0, 0)) == 0
+    assert wide.coefficient(2, (99, 99)) == 0
+    assert wide.times_y(1).dump_lines() == ["0;41,0;3", "1;1,7;-2"]
+    assert (g + wide) + MultiSeries(2, 3, {(0, (40, 0)): -3, (1, (0, 7)): 2}) == g

@@ -5,7 +5,10 @@ census with the residue vector of every tree's Lukasiewicz path) with each
 engine at a fixed set of sizes, ``paths.residue_distribution_probe`` with
 the default engine, the closed-form rows of ``table`` and ``triangle``
 (``counting.count_table`` and ``cli._triangle_rows``), and the text that
-``arbor table --format csv`` prints, through ``cli.main``.  Each timing
+``arbor table --format csv`` prints, through ``cli.main``, and the series
+layer: ``series.solve_G``, the residual product x * prod (1 + yi*g) that
+``verify --mode series`` forms from the solved g, and direct inversion of
+one (n, m) group at a time, as ``verify --mode lagrange`` reads it.  Each timing
 calls the function at least 3 times and until 0.2 s have elapsed, and
 reports the best call.  It also times, as fresh processes, start-up rows: a
 no-work ``arbor count``, ``arbor verify --t 3 --max-n 7 --mode brute
@@ -14,8 +17,9 @@ runs that must exit 0, after one untimed run that fills a temporary
 bytecode cache.  It checks that both engines give equal tables, that
 the joint table's edge marginal is the census, that the closed-form rows
 equal one ``count_trees``, ``count_forests`` or ``marginal_count`` call per
-row, in the same order, and that the CSV text equals a ``%d`` formatting of
-each row of ``count_table``.  It appends one row set to
+row, in the same order, that the CSV text equals a ``%d`` formatting of
+each row of ``count_table``, and that the solved series, its residual
+product and every inversion group equal the closed-form tables.  It appends one row set to
 ``BENCH_census.json`` at the repository root.  The stamp carries the git
 SHA, ``"dirty": true`` when ``src`` or ``tools`` differ from that commit,
 the Python version and the CPU count.  The census, joint and probe rows
@@ -26,7 +30,10 @@ timed:
     PYTHONPATH=src python tools/bench_census.py
 
 The pure engine needs about two minutes for the census sizes.  A checkout
-whose ``treebank`` has no ``joint_census`` gets no joint rows.
+whose ``treebank`` has no ``joint_census`` gets no joint rows, and one
+whose ``series`` has no ``lagrange_table`` is timed with one
+``lagrange_extract`` call per composition, from an empty memo, as its
+``verify`` did.
 """
 import contextlib
 import io
@@ -40,7 +47,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from arbor import cli, counting, paths, treebank
+from arbor import cli, counting, paths, series, treebank
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_census.json"
@@ -50,6 +57,10 @@ PROBE_SIZES = [(3, 9)]
 CLOSED_FORM_SIZES = [(6, 22, None), (6, 30, None), (4, 30, 3)]  # (t, n, m)
 TRIANGLE_SIZES = [(3, 2, 150)]  # (t, slot, rows)
 CSV_SIZES = [(6, 22, None), (4, 30, 3)]  # (t, n, m)
+SOLVE_SIZES = [(3, 12), (4, 8), (2, 40)]  # (t, N)
+RESIDUAL_SIZES = [(3, 12)]  # (t, N)
+INVERSION_GROUPS = [(3, 12, None), (3, 12, 1), (3, 12, 2),
+                    (4, 8, None), (4, 8, 1), (4, 8, 2), (4, 8, 3)]  # (t, n, m)
 STARTUP_COMMANDS = [  # run as python <args>
     ["-c", "pass"],
     ["-m", "arbor.cli", "count", "--t", "2", "--n", "1", "--composition", "0,0"],
@@ -127,6 +138,61 @@ def closed_form_rows():
     return rows
 
 
+def series_rows():
+    """The solve_G, residual and inversion rows, each checked against the
+    closed-form tables."""
+    rows = []
+    for t, N in SOLVE_SIZES:
+        seconds, g = best(lambda: series.solve_G(t, N))
+        if by_degree(g) != {n: counting.count_table(t, n) for n in range(1, N + 1)}:
+            sys.exit(f"solve_G({t}, {N}) differs from the closed form")
+        rows.append({"layer": "series", "call": "solve_G", "t": t, "N": N,
+                     "terms": sum(1 for _ in g.terms()), "best_s": round(seconds, 5)})
+    for t, N in RESIDUAL_SIZES:
+        g = series.solve_G(t, N)
+        seconds, rhs = best(lambda: residual(g, t, N))
+        if rhs != g:
+            sys.exit(f"x * prod (1 + yi*g) differs from g at t={t} N={N}")
+        rows.append({"layer": "series", "call": "residual", "t": t, "N": N,
+                     "best_s": round(seconds, 5)})
+    for t, n, m in INVERSION_GROUPS:
+        seconds, got = best(lambda: inversion_group(t, n, m))
+        if got != counting.count_table(t, n, m):
+            sys.exit(f"inversion of t={t} n={n} m={m} differs from the closed form")
+        rows.append({"layer": "series", "call": "inversion_group", "t": t, "n": n,
+                     "m": m, "rows": len(got), "best_s": round(seconds, 5)})
+    return rows
+
+
+def by_degree(g):
+    """{n: {parts: coefficient}} of a series."""
+    out = {}
+    for n, a, c in g.terms():
+        out.setdefault(n, {})[a] = c
+    return out
+
+
+def residual(g, t, N):
+    """x * prod (1 + yi*g), formed as ``verify --mode series`` forms it."""
+    one, rhs = series.MultiSeries.one(t, N), series.MultiSeries.x(t, N)
+    for slot in range(1, t + 1):
+        rhs = rhs * (one + g.times_y(slot))
+    return rhs
+
+
+def inversion_group(t, n, m):
+    """One (n, m) group by direct inversion."""
+    if hasattr(series, "lagrange_table"):
+        return (series.lagrange_table(t, n) if m is None
+                else series.lagrange_table_forest(t, m, n))
+    series._expanded_product.cache_clear()
+    if m is None:
+        return {a: series.lagrange_extract(t, n, a)
+                for a in counting.compositions(t, n - 1)}
+    return {a: series.lagrange_extract_forest(t, m, n, a)
+            for a in counting.compositions(t, n, m=m)}
+
+
 def table_csv(t, n, m):
     """What ``arbor table --format csv`` prints for (t, n) or (t, m, n)."""
     argv = ["table", "--t", str(t), "--n", str(n), "--format", "csv"]
@@ -197,7 +263,7 @@ def main():
         print("arbor._speedups is not built: timing the closed-form and "
               "start-up rows only", file=sys.stderr)
         rows = []
-    for row in closed_form_rows() + startup_rows():
+    for row in series_rows() + closed_form_rows() + startup_rows():
         rows.append(row)
         print(json.dumps(row), flush=True)
     runs = json.loads(OUT.read_text()) if OUT.is_file() else []

@@ -239,9 +239,10 @@ def solve_G(t: int, N: int) -> MultiSeries:
         raise ConstraintError(f"truncation must be >= 1, got N={N}")
     # parts of g stay below the degree, those of Q_j at most equal it
     base = N + 1
-    empty = [{} for _ in range(N + 1)]
-    g = [{}, {0: 1}] + empty[2:]
-    q = [[{0: 1}] + empty[1:]] + [[{0: 1}] for _ in range(t)]
+    g = [{} for _ in range(N + 1)]
+    g[1] = {0: 1}
+    # q[j] holds [x^0..x^d] Q_j; Q_0 = 1 is written out through x^N
+    q = [[{0: 1}] + [{} for _ in range(N)]] + [[{0: 1}] for _ in range(t)]
     for d in range(1, N):
         for j in range(1, t + 1):
             prev = q[j - 1]

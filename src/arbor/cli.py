@@ -387,7 +387,19 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed == len(results) else EXIT_VERIFY
 
 
+def _check_paths_flags(args) -> None:
+    """Refuse a flag the chosen ``paths`` output cannot use."""
+    if args.offset is not None and not args.probe:
+        raise ConstraintError("--offset applies only to --probe")
+    if args.probe and args.dump:
+        raise ConstraintError("--dump does not apply to --probe")
+    if args.labels and (args.probe or args.dump):
+        raise ConstraintError(
+            f"--labels does not apply to {'--probe' if args.probe else '--dump'}")
+
+
 def cmd_paths(args) -> int:
+    _check_paths_flags(args)
     t, n = args.t, args.n
     if args.probe:
         offset = None
@@ -402,13 +414,7 @@ def cmd_paths(args) -> int:
     treebank.check_budget(
         f"listing t={t} n={n}", counting.total_trees(t, n), "trees", n, args.budget
     )
-    for tree in treebank.enumerate_trees(t, n):
-        text = treebank.serialize_tree(tree)
-        if args.dump:
-            print(text)
-        else:
-            path = paths.tree_to_path(tree)
-            print(f"{text} | {paths.format_path(path, with_labels=args.labels)}")
+    paths.write_listing(t, n, sys.stdout.write, labels=args.labels, dump=args.dump)
     return EXIT_OK
 
 

@@ -9,13 +9,15 @@ under its parent; the root step is unlabeled.
 The probe builds no tree objects and no paths: both of its distributions
 are the marginals of ``treebank.joint_census``, one walk of the census
 kernel that also counts each tree's falls by starting height mod t.  The
-listing (``enumerate_trees``, :func:`tree_to_path`, :func:`residue_stats`)
-stays for ``paths`` output and as the tests' object-level reference.
+listing builds no paths either: :func:`write_listing` writes each line from
+one preorder pass over the tree.  :func:`tree_to_path`, :func:`format_path`
+and :func:`residue_stats` stay as the object-level API and the tests'
+reference.
 """
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from arbor import counting, treebank
 from arbor.errors import ConstraintError, MalformedPathError
@@ -146,6 +148,66 @@ def parse_path(text: str) -> LatticePath:
             raise ConstraintError(f"bad step token {token!r}") from None
         steps.append(Step(rise, label))
     return LatticePath(tuple(steps))
+
+
+def write_listing(
+    t: int, n: int, write: Callable[[str], object], labels: bool = False,
+    dump: bool = False,
+) -> None:
+    """Write the ``paths`` listing of every n-node t-ary tree, one line per
+    :func:`treebank.enumerate_trees` tree, each through its own ``write``
+    call: ``serialize_tree(tree) + " | " + format_path(tree_to_path(tree),
+    with_labels=labels)``, or the serialization alone with ``dump``.
+
+    One preorder pass per tree, over a stack of child iterators, emits the
+    ``o``/``.`` text and, with ``labels``, each step's token, picked from
+    per-slot tokens made once per call.  Without labels the step text is
+    the serialization translated symbol for symbol.  No step or path
+    objects are built.
+    """
+    counting.check_arity(t)
+    labels = labels and not dump  # a dump has no step text
+    rise = "%+d" % (t - 1)
+    if labels:
+        rises = [f"{rise}:{slot}" for slot in range(1, t + 1)]
+        falls = [f"-1:{slot}" for slot in range(1, t + 1)]
+    else:
+        steps = str.maketrans({"o": rise + ",", ".": "-1,"})
+    for tree in treebank.enumerate_trees(t, n):
+        text = ["o"]
+        mark = text.append
+        if labels:
+            tokens = [rise]
+            step = tokens.append
+            stack = [zip(tree.children, rises, falls)]
+            while stack:
+                for child, up, down in stack[-1]:
+                    if child is None:
+                        mark(".")
+                        step(down)
+                    else:
+                        mark("o")
+                        step(up)
+                        stack.append(zip(child.children, rises, falls))
+                        break
+                else:
+                    stack.pop()
+            write(f"{''.join(text)} | {','.join(tokens)}\n")
+        else:
+            stack = [iter(tree.children)]
+            while stack:
+                for child in stack[-1]:
+                    if child is None:
+                        mark(".")
+                    else:
+                        mark("o")
+                        stack.append(iter(child.children))
+                        break
+                else:
+                    stack.pop()
+            serial = "".join(text)
+            write(f"{serial}\n" if dump
+                  else f"{serial} | {serial.translate(steps)[:-1]}\n")
 
 
 def cyclic_shift(vector: Sequence[int], s: int) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from arbor import cli, counting, series, treebank
+from arbor import cli, counting, paths, series, treebank
 from arbor.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,6 +69,17 @@ def test_bad_flags_exit_1(capsys, monkeypatch):
          "offset has 2 parts, arity is 3"),
         (["paths", "--t", "3", "--n", "2", "--probe", "--offset", "1,x,0"],
          "offset '1,x,0' is not a comma-separated list of integers"),
+        # a flag the chosen output cannot use is refused, not dropped
+        (["paths", "--t", "3", "--n", "2", "--offset", "1,0,0"],
+         "--offset applies only to --probe"),
+        (["paths", "--t", "3", "--n", "2", "--dump", "--offset", "1,0,0"],
+         "--offset applies only to --probe"),
+        (["paths", "--t", "3", "--n", "2", "--probe", "--labels"],
+         "--labels does not apply to --probe"),
+        (["paths", "--t", "3", "--n", "2", "--dump", "--labels"],
+         "--labels does not apply to --dump"),
+        (["paths", "--t", "3", "--n", "2", "--probe", "--dump"],
+         "--dump does not apply to --probe"),
         # the arity first, then the row count, then the slot
         (["triangle", "--t", "0", "--rows", "2", "--marginal", "1"],
          "arity must be >= 1, got t=0"),
@@ -402,6 +413,19 @@ def test_closed_pipe_exit_1_without_traceback():
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, b"")
+    # the listing writes each line as it is made, so its 246,675 lines stop
+    # at the first write after the reader leaves
+    first = next(treebank.enumerate_trees(3, 9))
+    line = f"{treebank.serialize_tree(first)} | "
+    line += paths.format_path(paths.tree_to_path(first), with_labels=True)
+    proc = subprocess.Popen([sys.executable, "-m", "arbor.cli", "paths", "--t", "3",
+                             "--n", "9", "--labels"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == f"{line}\n".encode()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_triangle_bad_slot(capsys):

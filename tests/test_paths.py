@@ -292,3 +292,72 @@ def test_probe_walks_no_tree_objects(monkeypatch):
         monkeypatch.setattr(treebank if name == "enumerate_trees" else paths, name, refuse)
     report = residue_distribution_probe(3, 5)
     assert sum(report.residue_distribution.values()) == counting.total_trees(3, 5)
+
+
+# every t <= 5 and every n whose listing has at most 5,000 trees (t = 1 to
+# n = 40), against the object-level join of each listing line
+LISTING_LIMIT = 5000
+LISTING_SIZES = [(1, n) for n in range(1, 41)] + [
+    (t, n) for t in range(2, 6) for n in range(1, 12)
+    if counting.total_trees(t, n) <= LISTING_LIMIT
+]
+
+
+def listing(t, n, **flags):
+    lines = []
+    paths.write_listing(t, n, lines.append, **flags)
+    return lines
+
+
+def reference_listing(t, n):
+    """{mode: lines} from serialize_tree, tree_to_path and format_path."""
+    want = {"labels": [], "bare": [], "dump": []}
+    for tree in enumerate_trees(t, n):
+        text = serialize_tree(tree)
+        path = tree_to_path(tree)
+        want["labels"].append(f"{text} | {format_path(path, with_labels=True)}\n")
+        want["bare"].append(f"{text} | {format_path(path)}\n")
+        want["dump"].append(f"{text}\n")
+    return want
+
+
+def test_listing_matches_the_object_join():
+    assert (2, 9) in LISTING_SIZES and (5, 5) in LISTING_SIZES
+    assert (3, 7) not in LISTING_SIZES
+    for t, n in LISTING_SIZES:
+        want = reference_listing(t, n)
+        assert listing(t, n, labels=True) == want["labels"], (t, n)
+        assert listing(t, n) == want["bare"], (t, n)
+        assert listing(t, n, dump=True) == want["dump"], (t, n)
+        # a dump carries no step text to label
+        assert listing(t, n, labels=True, dump=True) == want["dump"], (t, n)
+
+
+def test_listing_deep_chain_without_recursion():
+    # one 3000-node unary chain, deeper than the default recursion limit
+    (line,) = listing(1, 3000, labels=True)
+    assert line == "o" * 3000 + ". | +0" + ",+0:1" * 2999 + ",-1:1\n"
+    assert line == reference_listing(1, 3000)["labels"][0]
+
+
+def test_listing_stops_at_the_first_failed_write():
+    calls = []
+
+    def write(text):
+        calls.append(text)
+        if len(calls) == 2:
+            raise BrokenPipeError
+
+    with pytest.raises(BrokenPipeError):
+        paths.write_listing(3, 9, write, labels=True)
+    assert len(calls) == 2
+
+
+def test_listing_builds_no_path_objects(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the listing built path objects")
+
+    for name in ("tree_to_path", "format_path", "Step", "LatticePath"):
+        monkeypatch.setattr(paths, name, refuse)
+    monkeypatch.setattr(treebank, "serialize_tree", refuse)
+    assert len(listing(3, 4, labels=True)) == counting.total_trees(3, 4)

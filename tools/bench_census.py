@@ -8,7 +8,8 @@ the default engine, the closed-form rows of ``table`` and ``triangle``
 ``arbor table --format csv`` prints, through ``cli.main``, and the series
 layer: ``series.solve_G``, the residual product x * prod (1 + yi*g) that
 ``verify --mode series`` forms from the solved g, and direct inversion of
-one (n, m) group at a time, as ``verify --mode lagrange`` reads it.  Each timing
+one (n, m) group at a time, as ``verify --mode lagrange`` reads it, and the
+``arbor paths`` listing through ``cli.main``.  Each timing
 calls the function at least 3 times and until 0.2 s have elapsed, and
 reports the best call.  It also times, as fresh processes, start-up rows: a
 no-work ``arbor count``, ``arbor verify --t 3 --max-n 7 --mode brute
@@ -19,13 +20,15 @@ the joint table's edge marginal is the census, that the closed-form rows
 equal one ``count_trees``, ``count_forests`` or ``marginal_count`` call per
 row, in the same order, that the CSV text equals a ``%d`` formatting of
 each row of ``count_table``, and that the solved series, its residual
-product and every inversion group equal the closed-form tables.  It appends one row set to
+product and every inversion group equal the closed-form tables, and that
+each listing equals, byte for byte, the join of ``serialize_tree`` and
+``format_path(tree_to_path(tree))`` over ``enumerate_trees``.  It appends one row set to
 ``BENCH_census.json`` at the repository root.  The stamp carries the git
 SHA, ``"dirty": true`` when ``src`` or ``tools`` differ from that commit,
 the Python version and the CPU count.  The census, joint and probe rows
 need the compiled kernel, for example after ``python setup.py build_ext
---inplace``; without it only the closed-form, CSV and start-up rows are
-timed:
+--inplace``; without it only the series, closed-form, CSV, listing and
+start-up rows are timed:
 
     PYTHONPATH=src python tools/bench_census.py
 
@@ -59,6 +62,7 @@ TRIANGLE_SIZES = [(3, 2, 150)]  # (t, slot, rows)
 CSV_SIZES = [(6, 22, None), (4, 30, 3)]  # (t, n, m)
 SOLVE_SIZES = [(3, 12), (4, 8), (2, 40)]  # (t, N)
 RESIDUAL_SIZES = [(3, 12)]  # (t, N)
+LISTING_SIZES = [(3, 6, True), (3, 7, True), (4, 5, False)]  # (t, n, labels)
 INVERSION_GROUPS = [(3, 12, None), (3, 12, 1), (3, 12, 2),
                     (4, 8, None), (4, 8, 1), (4, 8, 2), (4, 8, 3)]  # (t, n, m)
 STARTUP_COMMANDS = [  # run as python <args>
@@ -124,14 +128,15 @@ def closed_form_rows():
                      "slot": slot, "rows": size, "cells": size * (size + 1) // 2,
                      "best_s": round(seconds, 5)})
     for t, n, m in CSV_SIZES:
-        seconds, text = best(lambda: table_csv(t, n, m))
+        argv = ["table", "--t", str(t), "--n", str(n), "--format", "csv"]
+        seconds, text = best(lambda: cli_text(argv + (["--forest", str(m)] if m else [])))
         line = ",".join(["%d"] * (t + 1))
         table = counting.count_table(t, n, m)
         want = [",".join(f"a{i + 1}" for i in range(t)) + ",count"]
         want += [line % (*comp, count) for comp, count in table.items()]
         want.append("total," + "," * (t - 1) + str(sum(table.values())))
         if text != "\n".join(want) + "\n":
-            sys.exit(f"table_csv({t}, {n}, {m}) differs from the rows of count_table")
+            sys.exit(f"{' '.join(argv)} differs from the rows of count_table")
         rows.append({"layer": "closed_form", "call": "table_csv", "t": t, "n": n,
                      "m": m, "rows": len(table), "bytes": len(text),
                      "best_s": round(seconds, 5)})
@@ -193,12 +198,30 @@ def inversion_group(t, n, m):
             for a in counting.compositions(t, n, m=m)}
 
 
-def table_csv(t, n, m):
-    """What ``arbor table --format csv`` prints for (t, n) or (t, m, n)."""
-    argv = ["table", "--t", str(t), "--n", str(n), "--format", "csv"]
+def listing_rows():
+    """The ``paths`` listing rows, each checked against the object-level
+    join of its lines."""
+    rows = []
+    for t, n, labels in LISTING_SIZES:
+        argv = ["paths", "--t", str(t), "--n", str(n)] + (["--labels"] if labels else [])
+        seconds, text = best(lambda: cli_text(argv))
+        want = "".join(
+            f"{treebank.serialize_tree(tree)} | "
+            f"{paths.format_path(paths.tree_to_path(tree), with_labels=labels)}\n"
+            for tree in treebank.enumerate_trees(t, n))
+        if text.encode() != want.encode():
+            sys.exit(f"{' '.join(argv)} differs from the object-level listing")
+        rows.append({"layer": "paths_listing", "t": t, "n": n, "labels": labels,
+                     "trees": counting.total_trees(t, n), "bytes": len(text),
+                     "best_s": round(seconds, 5)})
+    return rows
+
+
+def cli_text(argv):
+    """What ``arbor <argv>`` prints, run in-process through ``cli.main``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        if cli.main(argv + (["--forest", str(m)] if m else [])):
+        if cli.main(argv):
             sys.exit(f"{' '.join(argv)} failed")
     return out.getvalue()
 
@@ -260,10 +283,10 @@ def main():
     if treebank.HAVE_SPEEDUPS:
         rows = kernel_rows()
     else:
-        print("arbor._speedups is not built: timing the closed-form and "
-              "start-up rows only", file=sys.stderr)
+        print("arbor._speedups is not built: timing the series, closed-form, "
+              "listing and start-up rows only", file=sys.stderr)
         rows = []
-    for row in series_rows() + closed_form_rows() + startup_rows():
+    for row in series_rows() + closed_form_rows() + listing_rows() + startup_rows():
         rows.append(row)
         print(json.dumps(row), flush=True)
     runs = json.loads(OUT.read_text()) if OUT.is_file() else []

@@ -159,55 +159,53 @@ def write_listing(
     call: ``serialize_tree(tree) + " | " + format_path(tree_to_path(tree),
     with_labels=labels)``, or the serialization alone with ``dump``.
 
-    One preorder pass per tree, over a stack of child iterators, emits the
-    ``o``/``.`` text and, with ``labels``, each step's token, picked from
-    per-slot tokens made once per call.  Without labels the step text is
-    the serialization translated symbol for symbol.  No step or path
-    objects are built.
+    One preorder pass per tree, over a stack of child iterators, emits one
+    of the two texts and a translation symbol by symbol gives the other.
+    With ``labels`` the pass emits the steps, each picked from per-slot
+    tokens made once per call, and each step reads back as its ``o`` or
+    ``.``; otherwise it emits the serialization, each ``o`` and ``.`` of
+    which reads as a rise or a fall.  No step or path objects are built.
     """
     counting.check_arity(t)
-    labels = labels and not dump  # a dump has no step text
     rise = "%+d" % (t - 1)
-    if labels:
+    if labels and not dump:  # a dump has no step text to label
         rises = [f"{rise}:{slot}" for slot in range(1, t + 1)]
         falls = [f"-1:{slot}" for slot in range(1, t + 1)]
-    else:
-        steps = str.maketrans({"o": rise + ",", ".": "-1,"})
-    for tree in treebank.enumerate_trees(t, n):
-        text = ["o"]
-        mark = text.append
-        if labels:
+        symbols = str.maketrans("+-", "o.", "0123456789:,")
+        for tree in treebank.enumerate_trees(t, n):
             tokens = [rise]
             step = tokens.append
             stack = [zip(tree.children, rises, falls)]
             while stack:
                 for child, up, down in stack[-1]:
                     if child is None:
-                        mark(".")
                         step(down)
                     else:
-                        mark("o")
                         step(up)
                         stack.append(zip(child.children, rises, falls))
                         break
                 else:
                     stack.pop()
-            write(f"{''.join(text)} | {','.join(tokens)}\n")
-        else:
-            stack = [iter(tree.children)]
-            while stack:
-                for child in stack[-1]:
-                    if child is None:
-                        mark(".")
-                    else:
-                        mark("o")
-                        stack.append(iter(child.children))
-                        break
+            text = ",".join(tokens)
+            write(f"{text.translate(symbols)} | {text}\n")
+        return
+    steps = str.maketrans({"o": rise + ",", ".": "-1,"})
+    for tree in treebank.enumerate_trees(t, n):
+        marks = ["o"]
+        mark = marks.append
+        stack = [iter(tree.children)]
+        while stack:
+            for child in stack[-1]:
+                if child is None:
+                    mark(".")
                 else:
-                    stack.pop()
-            serial = "".join(text)
-            write(f"{serial}\n" if dump
-                  else f"{serial} | {serial.translate(steps)[:-1]}\n")
+                    mark("o")
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
+        text = "".join(marks)
+        write(f"{text}\n" if dump else f"{text} | {text.translate(steps)[:-1]}\n")
 
 
 def cyclic_shift(vector: Sequence[int], s: int) -> tuple[int, ...]:

@@ -295,12 +295,13 @@ def test_probe_walks_no_tree_objects(monkeypatch):
 
 
 # every t <= 5 and every n whose listing has at most 5,000 trees (t = 1 to
-# n = 40), against the object-level join of each listing line
+# n = 40), and arities whose rises and labels take two digits, against the
+# object-level join of each listing line
 LISTING_LIMIT = 5000
 LISTING_SIZES = [(1, n) for n in range(1, 41)] + [
     (t, n) for t in range(2, 6) for n in range(1, 12)
     if counting.total_trees(t, n) <= LISTING_LIMIT
-]
+] + [(12, 3), (16, 2)]
 
 
 def listing(t, n, **flags):

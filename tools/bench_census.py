@@ -9,9 +9,9 @@ the default engine, the closed-form rows of ``table`` and ``triangle``
 layer: ``series.solve_G``, the residual product x * prod (1 + yi*g) that
 ``verify --mode series`` forms from the solved g, and direct inversion of
 one (n, m) group at a time, as ``verify --mode lagrange`` reads it, and the
-``arbor paths`` listing through ``cli.main``.  Each timing
-calls the function at least 3 times and until 0.2 s have elapsed, and
-reports the best call.  It also times, as fresh processes, start-up rows: a
+``arbor paths`` listing through ``cli.main``.  Each timing calls the
+function at least 3 times and until 0.2 s have elapsed, and reports the
+best call.  It also times, as fresh processes, start-up rows: a
 no-work ``arbor count``, ``arbor verify --t 3 --max-n 7 --mode brute
 --workers 2`` and ``python -c pass`` for calibration, each the best of 15
 runs that must exit 0, after one untimed run that fills a temporary
@@ -22,10 +22,10 @@ row, in the same order, that the CSV text equals a ``%d`` formatting of
 each row of ``count_table``, and that the solved series, its residual
 product and every inversion group equal the closed-form tables, and that
 each listing equals, byte for byte, the join of ``serialize_tree`` and
-``format_path(tree_to_path(tree))`` over ``enumerate_trees``.  It appends one row set to
-``BENCH_census.json`` at the repository root.  The stamp carries the git
-SHA, ``"dirty": true`` when ``src`` or ``tools`` differ from that commit,
-the Python version and the CPU count.  The census, joint and probe rows
+``format_path(tree_to_path(tree))`` over ``enumerate_trees``.  It appends
+one row set to ``BENCH_census.json`` at the repository root.  The stamp
+carries the git SHA, ``"dirty": true`` when ``src`` or ``tools`` differ
+from that commit, the Python version and the CPU count.  The census, joint and probe rows
 need the compiled kernel, for example after ``python setup.py build_ext
 --inplace``; without it only the series, closed-form, CSV, listing and
 start-up rows are timed:
@@ -209,7 +209,7 @@ def listing_rows():
             f"{treebank.serialize_tree(tree)} | "
             f"{paths.format_path(paths.tree_to_path(tree), with_labels=labels)}\n"
             for tree in treebank.enumerate_trees(t, n))
-        if text.encode() != want.encode():
+        if text != want:
             sys.exit(f"{' '.join(argv)} differs from the object-level listing")
         rows.append({"layer": "paths_listing", "t": t, "n": n, "labels": labels,
                      "trees": counting.total_trees(t, n), "bytes": len(text),

@@ -159,53 +159,36 @@ def write_listing(
     call: ``serialize_tree(tree) + " | " + format_path(tree_to_path(tree),
     with_labels=labels)``, or the serialization alone with ``dump``.
 
-    One preorder pass per tree, over a stack of child iterators, emits one
-    of the two texts and a translation symbol by symbol gives the other.
-    With ``labels`` the pass emits the steps, each picked from per-slot
-    tokens made once per call, and each step reads back as its ``o`` or
-    ``.``; otherwise it emits the serialization, each ``o`` and ``.`` of
-    which reads as a rise or a fall.  No step or path objects are built.
+    One preorder pass per tree, over a stack of child iterators, emits the
+    step text from per-slot tokens made once per call (unlabeled tokens when
+    ``labels`` is off), and a translation symbol by symbol reads each step
+    back as its ``o`` or ``.``.  No step or path objects are built.
     """
     counting.check_arity(t)
     rise = "%+d" % (t - 1)
-    if labels and not dump:  # a dump has no step text to label
+    if labels:
         rises = [f"{rise}:{slot}" for slot in range(1, t + 1)]
         falls = [f"-1:{slot}" for slot in range(1, t + 1)]
-        symbols = str.maketrans("+-", "o.", "0123456789:,")
-        for tree in treebank.enumerate_trees(t, n):
-            tokens = [rise]
-            step = tokens.append
-            stack = [zip(tree.children, rises, falls)]
-            while stack:
-                for child, up, down in stack[-1]:
-                    if child is None:
-                        step(down)
-                    else:
-                        step(up)
-                        stack.append(zip(child.children, rises, falls))
-                        break
-                else:
-                    stack.pop()
-            text = ",".join(tokens)
-            write(f"{text.translate(symbols)} | {text}\n")
-        return
-    steps = str.maketrans({"o": rise + ",", ".": "-1,"})
+    else:
+        rises, falls = [rise] * t, ["-1"] * t
+    symbols = str.maketrans("+-", "o.", "0123456789:,")
     for tree in treebank.enumerate_trees(t, n):
-        marks = ["o"]
-        mark = marks.append
-        stack = [iter(tree.children)]
+        tokens = [rise]
+        step = tokens.append
+        stack = [zip(tree.children, rises, falls)]
         while stack:
-            for child in stack[-1]:
+            for child, up, down in stack[-1]:
                 if child is None:
-                    mark(".")
+                    step(down)
                 else:
-                    mark("o")
-                    stack.append(iter(child.children))
+                    step(up)
+                    stack.append(zip(child.children, rises, falls))
                     break
             else:
                 stack.pop()
-        text = "".join(marks)
-        write(f"{text}\n" if dump else f"{text} | {text.translate(steps)[:-1]}\n")
+        text = ",".join(tokens)
+        serial = text.translate(symbols)
+        write(f"{serial}\n" if dump else f"{serial} | {text}\n")
 
 
 def cyclic_shift(vector: Sequence[int], s: int) -> tuple[int, ...]:

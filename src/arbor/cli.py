@@ -55,13 +55,9 @@ def _check_counts(action: str, count: int, noun: str, bits: int) -> None:
     allows.  No count of n-node trees in t slots reaches 2**(t*n), so with
     ``bits`` the sum of t*n over the counts, they fill at most
     ``count + ceil(bits / 64)`` words."""
-    treebank.check_budget(action, count, noun)
-    words = count - (-bits // 64)
-    limit = treebank.resolve_budget()
-    if words > limit:
-        raise BudgetExceededError(
-            f"{action} would compute {words} 64-bit words of counts, "
-            f"budget is {limit}", total=words)
+    treebank.check_budget(action, [(count, f"enumerate %d {noun}"),
+                                   (count - (-bits // 64),
+                                    "compute %d 64-bit words of counts")])
 
 
 def cmd_table(args) -> int:
@@ -75,45 +71,37 @@ def cmd_table(args) -> int:
     # one row per weak composition of the free edge count into t parts
     rows = counting.binomial(free + t - 1, t - 1)
     _check_counts(action, rows, "rows", rows * t * n)
-    print(_table_csv(t, n, m) if args.format == "csv" else _table_pretty(t, n, m))
+    print(_table_text(args.format, t, n, m))
     return EXIT_OK
 
 
-def _check_row_sum(rows_sum: int, total: int) -> None:
+def _table_text(fmt: str, t: int, n: int, m: Optional[int] = None) -> str:
+    """The table as CSV or in right-aligned columns, each row written from
+    the walk of ``count_rows`` as its parts' text plus its count cell.  The
+    rows must sum to the closed-form total, checked before anything is
+    printed.
+
+    No count exceeds the total and no part exceeds the free edge count, n-1
+    for trees and n-m+1 in a forest's root slots, and both are reached, so
+    the pretty columns are as wide as the longer of the two."""
+    total = _closed_total(t, n, m)  # checks the shape first
+    names = [f"a{i + 1}" for i in range(t)]
+    if fmt == "csv":
+        head, part, cell = ",".join(names) + ",count", "%d,", "%d"
+        foot = "total," + "," * (t - 1) + str(total)
+    else:
+        width = max(len(str(total)), len(str(n - 1 if m is None else n - m + 1)))
+        head = " ".join(x.rjust(width) for x in names) + "  " + "count".rjust(width + 4)
+        part, cell = f"%{width}d ", f"%{width + 5}d"
+        foot = "total" + str(total).rjust(len(head) - len("total"))
+    lines, rows_sum = [head], 0
+    for parts, count in counting.count_rows(
+            t, n, m, write=lambda *parts: part * len(parts) % parts):
+        rows_sum += count
+        lines.append(parts + cell % count)
     if rows_sum != total:
         raise ArithmeticError("table rows do not sum to the closed-form total")
-
-
-def _table_csv(t: int, n: int, m: Optional[int] = None) -> str:
-    """The table as CSV, each row written from the walk as its parts' text
-    plus its count."""
-    total = _closed_total(t, n, m)  # checks the shape first
-    lines = [",".join(f"a{i + 1}" for i in range(t)) + ",count"]
-    rows_sum = 0
-    for parts, count in counting.count_rows(t, n, m, text=True):
-        rows_sum += count
-        lines.append(parts + str(count))
-    _check_row_sum(rows_sum, total)
-    lines.append("total," + "," * (t - 1) + str(total))
-    return "\n".join(lines)
-
-
-def _table_pretty(t: int, n: int, m: Optional[int] = None) -> str:
-    """The table in columns right-aligned to its widest number."""
-    total = _closed_total(t, n, m)  # checks the shape first
-    table = counting.count_table(t, n, m)
-    _check_row_sum(sum(table.values()), total)
-    rows = table.items()
-    width = max([len(str(total))]
-                + [len(str(x)) for comp, count in rows for x in comp + (count,)])
-    head = " ".join(f"a{i + 1}".rjust(width) for i in range(t))
-    lines = [head + "  " + "count".rjust(width + 4)]
-    for comp, count in rows:
-        row = " ".join(str(x).rjust(width) for x in comp)
-        lines.append(row + "  " + str(count).rjust(width + 4))
-    label = "total"
-    pad = len(lines[0]) - len(label) - len(str(total))
-    lines.append(label + " " * max(pad, 2) + str(total))
+    lines.append(foot)
     return "\n".join(lines)
 
 
@@ -342,12 +330,8 @@ def _check_ring_steps(args, ms) -> None:
     if args.mode in ("lagrange", "all"):
         for n, m, _ in chain(_groups(args, ()), _groups(args, ms)):
             steps += _inversion_steps(t, n - (m or 1))
-    if steps:
-        limit = treebank.resolve_budget(args.budget)
-        if steps > limit:
-            raise BudgetExceededError(
-                f"verify(t={t}, max-n={max_n}, mode={args.mode}) would take "
-                f"{steps} series ring steps, budget is {limit}", total=steps)
+    treebank.check_budget(f"verify(t={t}, max-n={max_n}, mode={args.mode})",
+                          [(steps, "take %d series ring steps")], args.budget)
 
 
 def cmd_verify(args) -> int:
@@ -411,9 +395,11 @@ def cmd_paths(args) -> int:
         print(report.verdict_line())
         return EXIT_OK
     counting.check_tree_shape(t, n)
-    treebank.check_budget(
-        f"listing t={t} n={n}", counting.total_trees(t, n), "trees", n, args.budget
-    )
+    trees = counting.total_trees(t, n)
+    chars = trees * paths.listing_line_length(t, n, labels=args.labels, dump=args.dump)
+    treebank.check_budget(f"listing t={t} n={n}", [
+        (trees, "enumerate %d trees"), (n, "place %d nodes"),
+        (-(-chars // 8), "write %d 64-bit words of text")], args.budget)
     paths.write_listing(t, n, sys.stdout.write, labels=args.labels, dump=args.dump)
     return EXIT_OK
 

@@ -135,12 +135,17 @@ def count_table(t: int, n: int, m: Optional[int] = None) -> dict[EdgeComposition
     return dict(count_rows(t, n, m))
 
 
+def _write_tuple(*parts: int) -> EdgeComposition:
+    return parts
+
+
 def count_rows(t: int, n: int, m: Optional[int] = None, *,
-               text: bool = False) -> Iterator[tuple[EdgeComposition | str, int]]:
+               write=_write_tuple) -> Iterator[tuple[object, int]]:
     """(parts, count) for every composition of one group in the order of
     :func:`compositions`, as :func:`count_trees` or :func:`count_forests`
-    gives it.  With text, the parts come written as a CSV row less its
-    count, ``"a1,...,at,"``.  The shape is checked before the first row.
+    gives it.  The parts come as ``write(*parts)`` writes each run of them,
+    joined by ``+``: a tuple by default, or text such as a CSV row less its
+    count.  The shape is checked before the first row.
 
     Rows come from the walk of :func:`compositions`.  Writing b_i = a_i - 1
     in the root-edge slots 1..m of a forest and b_i = a_i elsewhere, every
@@ -156,7 +161,6 @@ def count_rows(t: int, n: int, m: Optional[int] = None, *,
     else:
         check_forest_shape(t, m, n)
         name, start, roots, free = "count_forests", m, m, n - m
-    write = _write_text if text else _write_tuple
     if t == 1:  # a single row; no binomial row of n entries
         return iter([(write(free), count_trees(1, n, (free,)))])
     binom = [comb(n, k) for k in range(free + 1)]
@@ -276,14 +280,6 @@ def compositions(t: int, total: int, m: int = 0) -> Iterator[EdgeComposition]:
     for prefix, left, _ in prefixes:
         for tail in tails[left]:
             yield prefix + tail
-
-
-def _write_tuple(*parts: int) -> EdgeComposition:
-    return parts
-
-
-def _write_text(*parts: int) -> str:
-    return "%d," * len(parts) % parts
 
 
 def _walk(t: int, m: int, free: int, factors: Sequence[int], write) -> tuple[

@@ -191,6 +191,22 @@ def write_listing(
         write(f"{serial}\n" if dump else f"{serial} | {text}\n")
 
 
+def listing_line_length(t: int, n: int, labels: bool = False, dump: bool = False) -> int:
+    """The length of every line :func:`write_listing` writes for the n-node
+    t-ary trees.  The serialization has n ``o`` and (t-1)n+1 ``.``; a
+    ``dump`` line is that and its newline.  Otherwise ``" | "`` and the step
+    text follow: tn+1 steps joined by tn commas, the root's and n-1 other
+    rises written ``%+d`` of t-1 and (t-1)n+1 falls ``-1``.  ``labels``
+    adds ``:s`` to the n steps out of each slot s."""
+    serial = t * n + 1
+    if dump:
+        return serial + 1
+    steps = n * len("%+d" % (t - 1)) + 2 * ((t - 1) * n + 1) + t * n
+    if labels:
+        steps += n * sum(1 + len(str(s)) for s in range(1, t + 1))
+    return serial + len(" | ") + steps + 1
+
+
 def cyclic_shift(vector: Sequence[int], s: int) -> tuple[int, ...]:
     t = len(vector)
     return tuple(vector[(i + s) % t] for i in range(t))

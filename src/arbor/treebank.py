@@ -324,27 +324,21 @@ def resolve_budget(budget: Optional[int] = None) -> int:
     return DEFAULT_BUDGET
 
 
-def check_budget(
-    action: str, total: int, noun: str, nodes: int = 0, budget: Optional[int] = None
-) -> None:
-    """Refuse up front when ``action`` would enumerate more objects, or place
-    more nodes, than the budget allows.
+def check_budget(action: str, bounds, budget: Optional[int] = None) -> None:
+    """Refuse up front when ``action`` would go past the budget.  ``bounds``
+    holds (amount, phrase) pairs in check order; the first amount over the
+    budget raises ``<action> would <phrase % amount>, budget is <limit>``,
+    with that amount as the error's ``total``.
 
-    Every walk places all the nodes of an object, so the node count bounds
-    its memory even at t=1, where each size has a single tree.  Work that
-    places no nodes, such as the closed-form rows of ``table`` and the cells
-    of ``triangle``, passes only its object count.
+    A census bounds the objects it enumerates, then the nodes it places:
+    every walk places all the nodes of an object, so the node count bounds
+    its memory even at t=1, where each size has a single tree.
     """
     limit = resolve_budget(budget)
-    if total > limit:
-        raise BudgetExceededError(
-            f"{action} would enumerate {total} {noun}, budget is {limit}",
-            total=total,
-        )
-    if nodes > limit:
-        raise BudgetExceededError(
-            f"{action} would place {nodes} nodes, budget is {limit}", total=total
-        )
+    for amount, phrase in bounds:
+        if amount > limit:
+            raise BudgetExceededError(
+                f"{action} would {phrase % amount}, budget is {limit}", total=amount)
 
 
 def segment_census_pure(t: int, sizes: Sequence[int], residues: bool = False) -> dict:
@@ -522,7 +516,8 @@ def census(
     the sequential one.
     """
     counting.check_tree_shape(t, n)
-    check_budget(f"census(t={t}, n={n})", counting.total_trees(t, n), "trees", n, budget)
+    check_budget(f"census(t={t}, n={n})", [
+        (counting.total_trees(t, n), "enumerate %d trees"), (n, "place %d nodes")], budget)
     kernel = _select_kernel(engine)
     if workers <= 1:
         jobs = [((n,), (0,) * t)]
@@ -548,7 +543,8 @@ def joint_census(
     :func:`census`.  Shape and budget refusals are those of ``census``.
     """
     counting.check_tree_shape(t, n)
-    check_budget(f"census(t={t}, n={n})", counting.total_trees(t, n), "trees", n, budget)
+    check_budget(f"census(t={t}, n={n})", [
+        (counting.total_trees(t, n), "enumerate %d trees"), (n, "place %d nodes")], budget)
     return _select_kernel(engine)(t, (n,), residues=True)
 
 
@@ -564,13 +560,9 @@ def forest_census(
     """Multiplicity of every realized edge-type composition over all ordered
     m-tuples of non-empty t-ary trees with n total nodes."""
     counting.check_forest_shape(t, m, n)
-    check_budget(
-        f"forest_census(t={t}, m={m}, n={n})",
-        counting.total_forests(t, m, n),
-        "forests",
-        n,
-        budget,
-    )
+    check_budget(f"forest_census(t={t}, m={m}, n={n})", [
+        (counting.total_forests(t, m, n), "enumerate %d forests"), (n, "place %d nodes")],
+        budget)
     kernel = _select_kernel(engine)
     roots = (1,) * m + (0,) * (t - m)
     jobs = [(sizes, roots) for sizes in _forest_sizes(m, n)]

@@ -191,32 +191,54 @@ def test_table_csv(capsys):
     ]
 
 
-@pytest.mark.parametrize("t, n, m", [
-    (1, 5, None), (2, 6, None), (6, 7, None), (4, 6, 1), (4, 6, 3), (2, 4, 1),
-])
-def test_table_csv_written_from_the_walk(t, n, m):
-    # the text of each row equals per-row %d formatting of count_table
+def old_rule_table(fmt, t, n, m=None):
+    """The table rendered from count_table: CSV by per-row %d formatting,
+    pretty with every column as wide as the longest of the total and every
+    part and count."""
     total = (counting.total_trees(t, n) if m is None
              else counting.total_forests(t, m, n))
-    row = ",".join(["%d"] * (t + 1))
-    want = [",".join(f"a{i + 1}" for i in range(t)) + ",count"]
-    want += [row % (*comp, count) for comp, count in counting.count_table(t, n, m).items()]
-    want.append("total," + "," * (t - 1) + str(total))
-    assert cli._table_csv(t, n, m) == "\n".join(want)
+    rows = counting.count_table(t, n, m).items()
+    if fmt == "csv":
+        row = ",".join(["%d"] * (t + 1))
+        lines = [",".join(f"a{i + 1}" for i in range(t)) + ",count"]
+        lines += [row % (*comp, count) for comp, count in rows]
+        lines.append("total," + "," * (t - 1) + str(total))
+        return "\n".join(lines)
+    width = max([len(str(total))]
+                + [len(str(x)) for comp, count in rows for x in comp + (count,)])
+    head = " ".join(f"a{i + 1}".rjust(width) for i in range(t))
+    lines = [head + "  " + "count".rjust(width + 4)]
+    for comp, count in rows:
+        lines.append(" ".join(str(x).rjust(width) for x in comp)
+                     + "  " + str(count).rjust(width + 4))
+    pad = len(lines[0]) - len("total") - len(str(total))
+    lines.append("total" + " " * max(pad, 2) + str(total))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pretty"])
+@pytest.mark.parametrize("t, n, m", [
+    (1, 1, None), (1, 5, None), (2, 6, None), (6, 7, None), (4, 6, 1), (4, 6, 3),
+    (2, 4, 1), (4, 3, 3), (3, 40, None), (16, 1, None), (16, 2, None),
+    (16, 3, None), (16, 15, 15), (16, 16, 15),
+])
+def test_table_csv_written_from_the_walk(fmt, t, n, m):
+    # each row is written from the walk; the pretty width is fixed before it
+    assert cli._table_text(fmt, t, n, m) == old_rule_table(fmt, t, n, m)
 
 
 def test_table_csv_refuses_rows_off_the_total(capsys, monkeypatch):
-    def raised(t, n, m=None, *, text=False):
-        rows = list(real(t, n, m, text=text))
+    def raised(t, n, m=None, **options):
+        rows = list(real(t, n, m, **options))
         rows[0] = (rows[0][0], rows[0][1] + 1)
         return iter(rows)
 
     real = counting.count_rows
     monkeypatch.setattr(counting, "count_rows", raised)
-    with pytest.raises(ArithmeticError, match="closed-form total"):
-        cli._table_csv(3, 4)
-    # the command prints a FAIL line and exits 3, as verify does
     for fmt in ("csv", "pretty"):
+        with pytest.raises(ArithmeticError, match="closed-form total"):
+            cli._table_text(fmt, 3, 4)
+        # the command prints only a FAIL line and exits 3, as verify does
         code, out, err = run(capsys, "table", "--t", "3", "--n", "4", "--format", fmt)
         assert (code, out, err) == (
             3, "FAIL table rows do not sum to the closed-form total\n", "")
@@ -263,7 +285,7 @@ def test_table_pretty_has_total(capsys):
 
 
 def test_count_table_invariants():
-    header, *rows, total = cli._table_csv(3, 4).splitlines()
+    header, *rows, total = cli._table_text("csv", 3, 4).splitlines()
     rows = [tuple(map(int, row.split(","))) for row in rows]
     comps = [row[:-1] for row in rows]
     assert comps == sorted(comps)
@@ -771,6 +793,30 @@ def test_paths_budget_exit(capsys):
     code, _, err = run(capsys, "paths", "--t", "3", "--n", "7",
                        "--budget", "50")
     assert code == 2
+
+
+def test_paths_listing_refused_by_the_text_it_writes(capsys, monkeypatch):
+    # after trees and nodes, the listing's trees times its line length in
+    # 64-bit words: 1430715 lines of 187 chars at t=3 n=10 with labels
+    monkeypatch.delenv(treebank.BUDGET_ENV_VAR, raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "paths", "--t", "3", "--n", "10", "--labels")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", "error: listing t=3 n=10 would write "
+                                "33442964 64-bit words of text, budget is 10000000\n")
+    # the 55 lines at t=3 n=4 fill 544 words with labels (79 chars each),
+    # 97 as a dump (14 chars each)
+    for budget, argv, words in ((544, ["--labels"], None), (543, ["--labels"], 544),
+                                (97, ["--dump"], None), (96, ["--dump"], 97)):
+        code, out, err = run(capsys, "paths", "--t", "3", "--n", "4", *argv,
+                             "--budget", str(budget))
+        if words is None:
+            assert (code, err) == (0, "")
+            assert len(out) == 55 * paths.listing_line_length(3, 4, "--labels" in argv,
+                                                               "--dump" in argv)
+        else:
+            assert (code, out, err) == (2, "", f"error: listing t=3 n=4 would write "
+                                        f"{words} 64-bit words of text, budget is {budget}\n")
 
 
 def test_paths_probe(capsys):

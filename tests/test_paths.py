@@ -334,6 +334,18 @@ def test_listing_matches_the_object_join():
         assert listing(t, n, labels=True, dump=True) == want["dump"], (t, n)
 
 
+def test_listing_line_length_matches_real_listings():
+    # every line of one listing has the length the budget is sized from,
+    # at every arity, in every mode
+    sizes = [(t, n) for t in range(1, 17) for n in range(1, 41)
+             if counting.total_trees(t, n) <= LISTING_LIMIT]
+    assert (16, 3) in sizes and (1, 40) in sizes
+    for t, n in sizes:
+        for flags in ({}, {"labels": True}, {"dump": True}):
+            lengths = {len(line) for line in listing(t, n, **flags)}
+            assert lengths == {paths.listing_line_length(t, n, **flags)}, (t, n, flags)
+
+
 def test_listing_deep_chain_without_recursion():
     # one 3000-node unary chain, deeper than the default recursion limit
     (line,) = listing(1, 3000, labels=True)

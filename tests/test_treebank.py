@@ -249,6 +249,11 @@ def test_budget_guard_names_total():
     assert info.value.total == 1428
     with pytest.raises(BudgetExceededError):
         forest_census(3, 2, 6, budget=10)
+    # the amount that tripped: a node refusal carries the node count
+    with pytest.raises(BudgetExceededError) as info:
+        census(1, 20, budget=10)
+    assert str(info.value) == "census(t=1, n=20) would place 20 nodes, budget is 10"
+    assert info.value.total == 20
 
 
 def test_budget_env_var(monkeypatch):

@@ -5,7 +5,7 @@ census with the residue vector of every tree's Lukasiewicz path) with each
 engine at a fixed set of sizes, ``paths.residue_distribution_probe`` with
 the default engine, the closed-form rows of ``table`` and ``triangle``
 (``counting.count_table`` and ``cli._triangle_rows``), and the text that
-``arbor table --format csv`` prints, through ``cli.main``, and the series
+``arbor table`` prints as CSV and pretty, through ``cli.main``, and the series
 layer: ``series.solve_G``, the residual product x * prod (1 + yi*g) that
 ``verify --mode series`` forms from the solved g, and direct inversion of
 one (n, m) group at a time, as ``verify --mode lagrange`` reads it, and the
@@ -18,8 +18,10 @@ runs that must exit 0, after one untimed run that fills a temporary
 bytecode cache.  It checks that both engines give equal tables, that
 the joint table's edge marginal is the census, that the closed-form rows
 equal one ``count_trees``, ``count_forests`` or ``marginal_count`` call per
-row, in the same order, that the CSV text equals a ``%d`` formatting of
-each row of ``count_table``, and that the solved series, its residual
+row, in the same order, that the table text equals the rendering of
+``count_table`` by the rule it replaced (a ``%d`` formatting of each row
+for CSV; pretty columns as wide as the longest of the total and every part
+and count), and that the solved series, its residual
 product and every inversion group equal the closed-form tables, and that
 each listing equals, byte for byte, the join of ``serialize_tree`` and
 ``format_path(tree_to_path(tree))`` over ``enumerate_trees``.  It appends
@@ -60,6 +62,7 @@ PROBE_SIZES = [(3, 9)]
 CLOSED_FORM_SIZES = [(6, 22, None), (6, 30, None), (4, 30, 3)]  # (t, n, m)
 TRIANGLE_SIZES = [(3, 2, 150)]  # (t, slot, rows)
 CSV_SIZES = [(6, 22, None), (4, 30, 3)]  # (t, n, m)
+PRETTY_SIZES = [(6, 22, None), (6, 30, None), (4, 30, 3)]  # (t, n, m)
 SOLVE_SIZES = [(3, 12), (4, 8), (2, 40)]  # (t, N)
 RESIDUAL_SIZES = [(3, 12)]  # (t, N)
 LISTING_SIZES = [(3, 6, True), (3, 7, True), (4, 5, False)]  # (t, n, labels)
@@ -127,20 +130,41 @@ def closed_form_rows():
         rows.append({"layer": "closed_form", "call": "_triangle_rows", "t": t,
                      "slot": slot, "rows": size, "cells": size * (size + 1) // 2,
                      "best_s": round(seconds, 5)})
-    for t, n, m in CSV_SIZES:
-        argv = ["table", "--t", str(t), "--n", str(n), "--format", "csv"]
-        seconds, text = best(lambda: cli_text(argv + (["--forest", str(m)] if m else [])))
-        line = ",".join(["%d"] * (t + 1))
-        table = counting.count_table(t, n, m)
-        want = [",".join(f"a{i + 1}" for i in range(t)) + ",count"]
-        want += [line % (*comp, count) for comp, count in table.items()]
-        want.append("total," + "," * (t - 1) + str(sum(table.values())))
-        if text != "\n".join(want) + "\n":
-            sys.exit(f"{' '.join(argv)} differs from the rows of count_table")
-        rows.append({"layer": "closed_form", "call": "table_csv", "t": t, "n": n,
-                     "m": m, "rows": len(table), "bytes": len(text),
-                     "best_s": round(seconds, 5)})
+    for fmt, sizes in (("csv", CSV_SIZES), ("pretty", PRETTY_SIZES)):
+        for t, n, m in sizes:
+            argv = ["table", "--t", str(t), "--n", str(n), "--format", fmt]
+            argv += ["--forest", str(m)] if m else []
+            seconds, text = best(lambda: cli_text(argv))
+            table = counting.count_table(t, n, m)
+            if text != table_text(fmt, t, table) + "\n":
+                sys.exit(f"{' '.join(argv)} differs from the rows of count_table")
+            rows.append({"layer": "closed_form", "call": f"table_{fmt}", "t": t,
+                         "n": n, "m": m, "rows": len(table), "bytes": len(text),
+                         "best_s": round(seconds, 5)})
     return rows
+
+
+def table_text(fmt, t, table):
+    """``count_table`` rendered as ``table`` rendered it before its rows were
+    written from the walk: CSV by a ``%d`` formatting of each row, pretty
+    with every column as wide as the longest of the total and every part
+    and count."""
+    total = sum(table.values())
+    if fmt == "csv":
+        line = ",".join(["%d"] * (t + 1))
+        lines = [",".join(f"a{i + 1}" for i in range(t)) + ",count"]
+        lines += [line % (*comp, count) for comp, count in table.items()]
+        lines.append("total," + "," * (t - 1) + str(total))
+        return "\n".join(lines)
+    width = max([len(str(total))] + [len(str(x)) for comp, count in table.items()
+                                     for x in comp + (count,)])
+    lines = [" ".join(f"a{i + 1}".rjust(width) for i in range(t))
+             + "  " + "count".rjust(width + 4)]
+    lines += [" ".join(str(x).rjust(width) for x in comp) + "  "
+              + str(count).rjust(width + 4) for comp, count in table.items()]
+    pad = len(lines[0]) - len("total") - len(str(total))
+    lines.append("total" + " " * max(pad, 2) + str(total))
+    return "\n".join(lines)
 
 
 def series_rows():

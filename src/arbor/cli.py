@@ -87,18 +87,18 @@ def _table_text(fmt: str, t: int, n: int, m: Optional[int] = None) -> str:
     total = _closed_total(t, n, m)  # checks the shape first
     names = [f"a{i + 1}" for i in range(t)]
     if fmt == "csv":
-        head, part, cell = ",".join(names) + ",count", "%d,", "%d"
+        head, part, cell = ",".join(names) + ",count", "%d,", ""
         foot = "total," + "," * (t - 1) + str(total)
     else:
         width = max(len(str(total)), len(str(n - 1 if m is None else n - m + 1)))
         head = " ".join(x.rjust(width) for x in names) + "  " + "count".rjust(width + 4)
-        part, cell = f"%{width}d ", f"%{width + 5}d"
+        part, cell = f"%{width}d ", f">{width + 5}"
         foot = "total" + str(total).rjust(len(head) - len("total"))
     lines, rows_sum = [head], 0
     for parts, count in counting.count_rows(
             t, n, m, write=lambda *parts: part * len(parts) % parts):
         rows_sum += count
-        lines.append(parts + cell % count)
+        lines.append(f"{parts}{count:{cell}}")
     if rows_sum != total:
         raise ArithmeticError("table rows do not sum to the closed-form total")
     lines.append(foot)

@@ -324,7 +324,8 @@ def resolve_budget(budget: Optional[int] = None) -> int:
     return DEFAULT_BUDGET
 
 
-def check_budget(action: str, bounds, budget: Optional[int] = None) -> None:
+def check_budget(action: str, bounds: Sequence[tuple[int, str]],
+                 budget: Optional[int] = None) -> None:
     """Refuse up front when ``action`` would go past the budget.  ``bounds``
     holds (amount, phrase) pairs in check order; the first amount over the
     budget raises ``<action> would <phrase % amount>, budget is <limit>``,

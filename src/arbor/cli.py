@@ -77,7 +77,7 @@ def cmd_table(args) -> int:
 
 def _table_text(fmt: str, t: int, n: int, m: Optional[int] = None) -> str:
     """The table as CSV or in right-aligned columns, each row written from
-    the walk of ``count_rows`` as its parts' text plus its count cell.  The
+    a block of ``count_rows`` as its parts' text plus its count cell.  The
     rows must sum to the closed-form total, checked before anything is
     printed.
 
@@ -94,15 +94,21 @@ def _table_text(fmt: str, t: int, n: int, m: Optional[int] = None) -> str:
         head = " ".join(x.rjust(width) for x in names) + "  " + "count".rjust(width + 4)
         part, cell = f"%{width}d ", f">{width + 5}"
         foot = "total" + str(total).rjust(len(head) - len("total"))
-    lines, rows_sum = [head], 0
-    for parts, count in counting.count_rows(
+    lines, chunks, rows_sum = [head], [], 0
+    for prefix, tails, p, quotients in counting.count_rows(
             t, n, m, write=lambda *parts: part * len(parts) % parts):
-        rows_sum += count
-        lines.append(f"{parts}{count:{cell}}")
+        for tail, q in zip(tails, quotients):
+            count = p * q
+            rows_sum += count
+            lines.append(f"{prefix}{tail}{count:{cell}}")
+        if len(lines) >= 4096:  # one string per chunk holds less than one per row
+            chunks.append("\n".join(lines))
+            lines.clear()
     if rows_sum != total:
         raise ArithmeticError("table rows do not sum to the closed-form total")
     lines.append(foot)
-    return "\n".join(lines)
+    chunks.append("\n".join(lines))
+    return "\n".join(chunks)
 
 
 def _triangle_rows(t: int, slot: int, rows: int) -> list[list[int]]:

@@ -5,7 +5,7 @@ divisions prescribed by the closed forms are checked to be exact.
 """
 from __future__ import annotations
 
-from math import comb
+from math import comb, gcd
 from typing import Iterator, Mapping, Optional, Sequence
 
 from arbor.errors import ConstraintError
@@ -131,8 +131,9 @@ def count_forests(t: int, m: int, n: int, parts: Sequence[int]) -> int:
 def count_table(t: int, n: int, m: Optional[int] = None) -> dict[EdgeComposition, int]:
     """Closed-form count of every composition of one group, keyed in the order
     of :func:`compositions`: the n-node trees, or with m the m-tree forests.
-    The rows of :func:`count_rows`."""
-    return dict(count_rows(t, n, m))
+    The rows of the blocks of :func:`count_rows`."""
+    return {prefix + tail: p * q for prefix, tails, p, quotients in count_rows(t, n, m)
+            for tail, q in zip(tails, quotients)}
 
 
 def _write_tuple(*parts: int) -> EdgeComposition:
@@ -140,20 +141,28 @@ def _write_tuple(*parts: int) -> EdgeComposition:
 
 
 def count_rows(t: int, n: int, m: Optional[int] = None, *,
-               write=_write_tuple) -> Iterator[tuple[object, int]]:
-    """(parts, count) for every composition of one group in the order of
-    :func:`compositions`, as :func:`count_trees` or :func:`count_forests`
-    gives it.  The parts come as ``write(*parts)`` writes each run of them,
-    joined by ``+``: a tuple by default, or text such as a CSV row less its
-    count.  The shape is checked before the first row.
+               write=_write_tuple) -> Iterator[tuple[object, list, int, list[int]]]:
+    """Every composition of one group with its count, in the order of
+    :func:`compositions` and as :func:`count_trees` or :func:`count_forests`
+    gives it, in blocks (prefix, tails, p, quotients): row j of a block is
+    the composition prefix + tails[j], and its count is p * quotients[j].
+    The parts come as ``write(*parts)`` writes each run of them, joined by
+    ``+``: tuples by default, or text such as a CSV row less its count.  The
+    shape is checked before the first block.
 
     Rows come from the walk of :func:`compositions`.  Writing b_i = a_i - 1
     in the root-edge slots 1..m of a forest and b_i = a_i elsewhere, every
     factor is C(n, b_i) and the b_i sum to n - 1 (trees) or n - m (forests).
-    The walk carries the product of the factors of each prefix, and the last
-    two factors, times m for a forest, come from a list per remainder.  So a
-    row costs one multiplication and one exact division by n, and each
-    prefix and each pair of last parts is written once.
+    The walk carries the product of the factors of each prefix, and the
+    products of the last two factors, times m for a forest, make the pair
+    list of the remainder it leaves; each prefix and each pair of last parts
+    is written once.  With g = gcd(product, n) and d = n // g, product * pair
+    is a multiple of n exactly when pair is a multiple of d, and the count
+    is then (product / g) * (pair / d).  So a block's pair list is divided
+    by d and checked in one place, and a row costs one multiplication.  From
+    t = 4 on a remainder recurs under many prefixes, and the quotient lists
+    are kept per (remainder, d); below that each remainder comes once, and
+    keeping them would only hold every quotient of the table.
     """
     if m is None:
         check_tree_shape(t, n)
@@ -162,24 +171,33 @@ def count_rows(t: int, n: int, m: Optional[int] = None, *,
         check_forest_shape(t, m, n)
         name, start, roots, free = "count_forests", m, m, n - m
     if t == 1:  # a single row; no binomial row of n entries
-        return iter([(write(free), count_trees(1, n, (free,)))])
+        return iter([(write(), [write(free)], 1, [count_trees(1, n, (free,))])])
     binom = [comb(n, k) for k in range(free + 1)]
     tails, prefixes = _walk(t, roots, free, binom, write)
-    pairs = {left: [start * binom[b] * binom[left - b] for b in range(left + 1)]
-             for left in tails}
-    return _divide(name, n, prefixes, tails, pairs)
+    return _blocks(name, n, start, binom, prefixes, tails, keep=t >= 4)
 
 
-def _divide(name: str, n: int, prefixes, tails, pairs):
-    """The rows of :func:`count_rows`: each prefix product times each pair of
-    last factors, divided by n and checked exact."""
+def _blocks(name: str, n: int, start: int, binom: list[int], prefixes, tails,
+            keep: bool):
+    """The blocks of :func:`count_rows`: each prefix product over g, with
+    the pair list of its remainder divided by d and checked exact, kept
+    per (remainder, d) when ``keep``."""
+    memo: dict[tuple[int, int], list[int]] = {}
     for prefix, left, product in prefixes:
-        for tail, pair in zip(tails[left], pairs[left]):
-            q, r = divmod(product * pair, n)
-            if r:
-                raise ArithmeticError(
-                    f"{name} product {product * pair} not divisible by n={n}")
-            yield prefix + tail, q
+        g = gcd(product, n)
+        d = n // g
+        quotients = memo.get((left, d))
+        if quotients is None:
+            quotients = [start * binom[b] * binom[left - b] for b in range(left + 1)]
+            if d > 1:
+                if any([pair % d for pair in quotients]):
+                    pair = next(pair for pair in quotients if pair % d)
+                    raise ArithmeticError(
+                        f"{name} product {product * pair} not divisible by n={n}")
+                quotients = [pair // d for pair in quotients]
+            if keep:
+                memo[left, d] = quotients
+        yield prefix, tails[left], product // g, quotients
 
 
 def total_trees(t: int, n: int) -> int:
@@ -293,19 +311,29 @@ def _walk(t: int, m: int, free: int, factors: Sequence[int], write) -> tuple[
     the last two parts sum to left plus their lower bounds, and product is
     the product of factors[b] over the prefix, b being each part less its
     lower bound.  tails[left] lists those last two parts in lexicographic
-    order.
+    order.  The last prefix part is fixed by a plain loop, and each part's
+    text is written once per value.
     """
     lift = 1 if t - 2 < m else 0  # the last part is never lifted, as m < t
     tails = {left: [write(b + lift, left - b) for b in range(left + 1)]
              for left in (range(free + 1) if t > 2 else (free,))}
+    if t == 2:
+        return tails, iter([(write(), free, 1)])
+    # texts[slot < m][b]: the text of a part b above its lower bound
+    texts = [[write(b + lift) for b in range(free + 1)] for lift in (0, 1)]
+    return tails, _prefixes(t - 3, m, texts, factors, 0, write(), 1, free)
 
-    def walk(slot: int, prefix, product: int, left: int):
-        if slot == t - 2:
-            yield prefix, left, product
-            return
-        lift = 1 if slot < m else 0
+
+def _prefixes(last: int, m: int, texts, factors, slot: int, prefix, product: int,
+              left: int):
+    """The prefixes of :func:`_walk` from part ``slot`` on.  A module-level
+    generator, not a closure over itself, so no reference cycle keeps the
+    walk's texts and factors alive once it is done."""
+    text = texts[slot < m]
+    if slot == last:
         for b in range(left + 1):
-            yield from walk(slot + 1, prefix + write(b + lift), product * factors[b],
-                            left - b)
-
-    return tails, walk(0, write(), 1, free)
+            yield prefix + text[b], left - b, product * factors[b]
+    else:
+        for b in range(left + 1):
+            yield from _prefixes(last, m, texts, factors, slot + 1, prefix + text[b],
+                                 product * factors[b], left - b)

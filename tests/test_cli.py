@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -219,7 +220,8 @@ def old_rule_table(fmt, t, n, m=None):
 @pytest.mark.parametrize("t, n, m", [
     (1, 1, None), (1, 5, None), (2, 6, None), (6, 7, None), (4, 6, 1), (4, 6, 3),
     (2, 4, 1), (4, 3, 3), (3, 40, None), (16, 1, None), (16, 2, None),
-    (16, 3, None), (16, 15, 15), (16, 16, 15),
+    (16, 3, None), (16, 15, 15), (16, 16, 15), (4, 24, None), (5, 12, 2),
+    (6, 12, None),
 ])
 def test_table_csv_written_from_the_walk(t, n, m):
     # each row is written from the walk; the pretty width is fixed before it
@@ -229,9 +231,14 @@ def test_table_csv_written_from_the_walk(t, n, m):
 
 def test_table_csv_refuses_rows_off_the_total(capsys, monkeypatch):
     def raised(t, n, m=None, **options):
-        rows = list(real(t, n, m, **options))
-        rows[0] = (rows[0][0], rows[0][1] + 1)
-        return iter(rows)
+        # the first row's count raised by one: its block as p = 1 and the
+        # counts themselves as quotients
+        blocks = list(real(t, n, m, **options))
+        prefix, tails, p, quotients = blocks[0]
+        counts = [p * q for q in quotients]
+        counts[0] += 1
+        blocks[0] = (prefix, tails, 1, counts)
+        return iter(blocks)
 
     real = counting.count_rows
     monkeypatch.setattr(counting, "count_rows", raised)
@@ -242,6 +249,28 @@ def test_table_csv_refuses_rows_off_the_total(capsys, monkeypatch):
         code, out, err = run(capsys, "table", "--t", "3", "--n", "4", "--format", fmt)
         assert (code, out, err) == (
             3, "FAIL table rows do not sum to the closed-form total\n", "")
+
+
+@pytest.mark.parametrize("t, n, m", [(4, 12, None), (3, 4, None), (4, 12, 2),
+                                     (3, 6, 1)])
+def test_table_inexact_division_fails_like_per_composition_calls(
+        t, n, m, capsys, monkeypatch):
+    # a wrong C(n, 1) breaks the exact division in rows whose prefix leaves
+    # a divisor of n to their pair of last factors; the table prints the
+    # FAIL line of the first per-composition call that fails, and exits 3
+    monkeypatch.setattr(counting, "comb", lambda n, k: math.comb(n, k) + (k == 1))
+    with pytest.raises(ArithmeticError) as want:
+        if m is None:
+            for a in counting.compositions(t, n - 1):
+                counting.count_trees(t, n, a)
+        else:
+            for a in counting.compositions(t, n, m=m):
+                counting.count_forests(t, m, n, a)
+    forest = ["--forest", str(m)] if m else []
+    for fmt in ("csv", "pretty"):
+        code, out, err = run(capsys, "table", "--t", str(t), "--n", str(n),
+                             *forest, "--format", fmt)
+        assert (code, out, err) == (3, f"FAIL {want.value}\n", "")
 
 
 def test_triangle_closed_form_error_exit_3(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Closed-form counters: frozen brute-force values, structure, properties."""
+from collections import Counter
 from itertools import permutations
-from math import comb
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -158,7 +159,29 @@ def test_count_table_refusals_match_per_composition_calls(t, n, m):
     assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("t, n, m", [(3, 4, None), (2, 4, None), (3, 4, 2), (4, 5, 1)])
+@pytest.mark.parametrize("t, n, m", [(4, 24, None), (5, 12, 2), (6, 12, None),
+                                     (4, 30, 3)])
+def test_count_table_matches_per_composition_calls_where_quotients_recur(t, n, m):
+    # n with many divisors: the quotient lists kept per (remainder, d) at
+    # t >= 4 are read again under later prefixes, some of them divided by
+    # d > 1, as counted here from the prefixes of the table
+    free, lift = (n - 1, 0) if m is None else (n - m, m)
+    table = compositions(t, n - 1) if m is None else compositions(t, n, m=m)
+    seen = Counter()
+    for prefix in {a[:t - 2] for a in table}:
+        b = [x - (i < lift) for i, x in enumerate(prefix)]
+        product = prod(comb(n, x) for x in b)
+        seen[free - sum(b), n // gcd(product, n)] += 1
+    assert any(count > 1 for (_, d), count in seen.items() if d > 1)
+    if m is None:
+        want = {a: count_trees(t, n, a) for a in compositions(t, n - 1)}
+    else:
+        want = {a: count_forests(t, m, n, a) for a in compositions(t, n, m=m)}
+    assert list(count_table(t, n, m).items()) == list(want.items())
+
+
+@pytest.mark.parametrize("t, n, m", [(3, 4, None), (2, 4, None), (3, 4, 2), (4, 5, 1),
+                                     (4, 12, None), (5, 12, 2), (6, 12, None)])
 def test_count_table_inexact_division_raises_like_per_composition_calls(
         t, n, m, monkeypatch):
     # a wrong C(n, 1) breaks the exact division; the table names the same

@@ -3,7 +3,8 @@
 Times, in-process, ``treebank.census`` and ``treebank.joint_census`` (the
 census with the residue vector of every tree's Lukasiewicz path) with each
 engine at a fixed set of sizes, ``paths.residue_distribution_probe`` with
-the default engine, the closed-form rows of ``table`` and ``triangle``
+the default engine, ``counting.compositions`` consumed whole, the
+closed-form rows of ``table`` and ``triangle``
 (``counting.count_table`` and ``cli._triangle_rows``), and the text that
 ``arbor table`` prints as CSV and pretty, through ``cli.main``, and the series
 layer: ``series.solve_G``, the residual product x * prod (1 + yi*g) that
@@ -16,7 +17,9 @@ no-work ``arbor count``, ``arbor verify --t 3 --max-n 7 --mode brute
 --workers 2`` and ``python -c pass`` for calibration, each the best of 15
 runs that must exit 0, after one untimed run that fills a temporary
 bytecode cache.  It checks that both engines give equal tables, that
-the joint table's edge marginal is the census, that the closed-form rows
+the joint table's edge marginal is the census, that the compositions are
+as many as the binomial count of weak compositions and come distinct, in
+lexicographic order, each summing to its total, that the closed-form rows
 equal one ``count_trees``, ``count_forests`` or ``marginal_count`` call per
 row, in the same order, that the table text equals the rendering of
 ``count_table`` by the rule it replaced (a ``%d`` formatting of each row
@@ -29,8 +32,8 @@ one row set to ``BENCH_census.json`` at the repository root.  The stamp
 carries the git SHA, ``"dirty": true`` when ``src`` or ``tools`` differ
 from that commit, the Python version and the CPU count.  The census, joint and probe rows
 need the compiled kernel, for example after ``python setup.py build_ext
---inplace``; without it only the series, closed-form, CSV, listing and
-start-up rows are timed:
+--inplace``; without it only the series, compositions, closed-form, CSV,
+listing and start-up rows are timed:
 
     PYTHONPATH=src python tools/bench_census.py
 
@@ -59,9 +62,10 @@ OUT = ROOT / "BENCH_census.json"
 SIZES = [(3, 11), (2, 15), (4, 8), (3, 9)]
 JOINT_SIZES = [(3, 9), (3, 10)]
 PROBE_SIZES = [(3, 9)]
+COMPOSITION_SIZES = [(6, 21, 0), (6, 29, 0), (4, 30, 3)]  # (t, total, m)
 CLOSED_FORM_SIZES = [(6, 22, None), (6, 30, None), (4, 30, 3)]  # (t, n, m)
 TRIANGLE_SIZES = [(3, 2, 150)]  # (t, slot, rows)
-CSV_SIZES = [(6, 22, None), (4, 30, 3)]  # (t, n, m)
+CSV_SIZES = [(6, 22, None), (4, 30, 3), (3, 300, None)]  # (t, n, m)
 PRETTY_SIZES = [(6, 22, None), (6, 30, None), (4, 30, 3)]  # (t, n, m)
 SOLVE_SIZES = [(3, 12), (4, 8), (2, 40)]  # (t, N)
 RESIDUAL_SIZES = [(3, 12)]  # (t, N)
@@ -102,6 +106,22 @@ def engine_row(layer, fn, t, n):
         "pure_over_compiled": round(pure_s / compiled_s, 1),
     }
     return row, compiled
+
+
+def composition_rows():
+    """The ``compositions`` rows, each checked against the binomial count of
+    its items."""
+    rows = []
+    for t, total, m in COMPOSITION_SIZES:
+        seconds, items = best(lambda: list(counting.compositions(t, total, m)))
+        want = counting.binomial(total - m + t - 1, t - 1)
+        if (len(items) != want or items != sorted(set(items))
+                or any(sum(a) != total or min(a[:m], default=1) < 1 for a in items)):
+            sys.exit(f"compositions({t}, {total}, m={m}) are not the {want} "
+                     "weak compositions in lexicographic order")
+        rows.append({"layer": "compositions", "t": t, "total": total, "m": m,
+                     "items": len(items), "best_s": round(seconds, 5)})
+    return rows
 
 
 def closed_form_rows():
@@ -307,10 +327,11 @@ def main():
     if treebank.HAVE_SPEEDUPS:
         rows = kernel_rows()
     else:
-        print("arbor._speedups is not built: timing the series, closed-form, "
-              "listing and start-up rows only", file=sys.stderr)
+        print("arbor._speedups is not built: timing the series, compositions, "
+              "closed-form, listing and start-up rows only", file=sys.stderr)
         rows = []
-    for row in series_rows() + closed_form_rows() + listing_rows() + startup_rows():
+    for row in (series_rows() + composition_rows() + closed_form_rows()
+                + listing_rows() + startup_rows()):
         rows.append(row)
         print(json.dumps(row), flush=True)
     runs = json.loads(OUT.read_text()) if OUT.is_file() else []

@@ -188,13 +188,14 @@ def _blocks(name: str, n: int, start: int, binom: list[int], prefixes, tails,
         d = n // g
         quotients = memo.get((left, d))
         if quotients is None:
-            quotients = [start * binom[b] * binom[left - b] for b in range(left + 1)]
+            pairs = [start * binom[b] * binom[left - b] for b in range(left + 1)]
+            quotients = pairs
             if d > 1:
-                if any([pair % d for pair in quotients]):
-                    pair = next(pair for pair in quotients if pair % d)
+                inexact = [pair for pair in pairs if pair % d]
+                if inexact:
                     raise ArithmeticError(
-                        f"{name} product {product * pair} not divisible by n={n}")
-                quotients = [pair // d for pair in quotients]
+                        f"{name} product {product * inexact[0]} not divisible by n={n}")
+                quotients = [pair // d for pair in pairs]
             if keep:
                 memo[left, d] = quotients
         yield prefix, tails[left], product // g, quotients

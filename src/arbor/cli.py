@@ -10,12 +10,14 @@ import argparse
 import os
 import sys
 from collections import namedtuple
-from itertools import chain, permutations
+from itertools import chain, islice, permutations
 from math import factorial
 from typing import Optional
 
-from arbor import counting, paths, series, treebank
-from arbor.errors import BudgetExceededError, ConstraintError
+# treebank, series and paths are imported by the commands that run them, so
+# count, table and triangle load neither the census kernel nor the series ring
+from arbor import counting
+from arbor.errors import BudgetExceededError, ConstraintError, check_budget
 
 EXIT_OK = 0
 EXIT_CONSTRAINT = 1
@@ -55,9 +57,8 @@ def _check_counts(action: str, count: int, noun: str, bits: int) -> None:
     allows.  No count of n-node trees in t slots reaches 2**(t*n), so with
     ``bits`` the sum of t*n over the counts, they fill at most
     ``count + ceil(bits / 64)`` words."""
-    treebank.check_budget(action, [(count, f"enumerate %d {noun}"),
-                                   (count - (-bits // 64),
-                                    "compute %d 64-bit words of counts")])
+    check_budget(action, [(count, f"enumerate %d {noun}"),
+                          (count - (-bits // 64), "compute %d 64-bit words of counts")])
 
 
 def cmd_table(args) -> int:
@@ -71,15 +72,19 @@ def cmd_table(args) -> int:
     # one row per weak composition of the free edge count into t parts
     rows = counting.binomial(free + t - 1, t - 1)
     _check_counts(action, rows, "rows", rows * t * n)
-    print(_table_text(args.format, t, n, m))
+    write = sys.stdout.write
+    for chunk in _table_chunks(args.format, t, n, m):
+        write(chunk)
     return EXIT_OK
 
 
-def _table_text(fmt: str, t: int, n: int, m: Optional[int] = None) -> str:
-    """The table as CSV or in right-aligned columns, each row written from
-    a block of ``count_rows`` as its parts' text plus its count cell.  The
-    rows must sum to the closed-form total, checked before anything is
-    printed.
+def _table_chunks(fmt: str, t: int, n: int, m: Optional[int] = None) -> list[str]:
+    """The table as CSV or in right-aligned columns, in pieces of up to 4,096
+    lines that join into the whole output, each line ending in a newline.
+    Each row is written from a block of ``count_rows`` as its parts' text
+    plus its count cell.  The rows must sum to the closed-form total,
+    checked before the pieces are returned, so a failing table prints
+    nothing of itself.
 
     No count exceeds the total and no part exceeds the free edge count, n-1
     for trees and n-m+1 in a forest's root slots, and both are reached, so
@@ -94,21 +99,21 @@ def _table_text(fmt: str, t: int, n: int, m: Optional[int] = None) -> str:
         head = " ".join(x.rjust(width) for x in names) + "  " + "count".rjust(width + 4)
         part, cell = f"%{width}d ", f">{width + 5}"
         foot = "total" + str(total).rjust(len(head) - len("total"))
-    lines, chunks, rows_sum = [head], [], 0
+    lines, chunks, rows_sum = [head + "\n"], [], 0
     for prefix, tails, p, quotients in counting.count_rows(
             t, n, m, write=lambda *parts: part * len(parts) % parts):
         for tail, q in zip(tails, quotients):
             count = p * q
             rows_sum += count
-            lines.append(f"{prefix}{tail}{count:{cell}}")
+            lines.append(f"{prefix}{tail}{count:{cell}}\n")
         if len(lines) >= 4096:  # one string per chunk holds less than one per row
-            chunks.append("\n".join(lines))
+            chunks.append("".join(lines))
             lines.clear()
     if rows_sum != total:
         raise ArithmeticError("table rows do not sum to the closed-form total")
-    lines.append(foot)
-    chunks.append("\n".join(lines))
-    return "\n".join(chunks)
+    lines.append(foot + "\n")
+    chunks.append("".join(lines))
+    return chunks
 
 
 def _triangle_rows(t: int, slot: int, rows: int) -> list[list[int]]:
@@ -119,13 +124,14 @@ def _triangle_failure(t: int, slot: int, triangle: list[list[int]]) -> Optional[
     """The FAIL line of ``--self-check``, or None when it passes.  Row n of
     the triangle must sum to total_trees(t, n) (Vandermonde's identity), and
     the triangle of every other slot must equal it, so every row of every
-    slot's triangle sums to the total.  The t triangles are computed once
-    each."""
+    slot's triangle sums to the total.  Each other slot's rows are computed
+    once and compared as they come, so one triangle is held."""
     for n, row in enumerate(triangle, start=1):
         if sum(row) != counting.total_trees(t, n):
             return f"FAIL slot {slot} row n={n} does not sum to total_trees(t={t}, n={n})"
     for other in range(1, t + 1):
-        if other != slot and _triangle_rows(t, other, len(triangle)) != triangle:
+        if other != slot and any(counting.marginal_row(t, n, other) != row
+                                 for n, row in enumerate(triangle, start=1)):
             return f"FAIL slot {other} triangle differs from slot {slot}"
     return None
 
@@ -141,6 +147,8 @@ def cmd_triangle(args) -> int:
     copies, rows = (t if args.self_check else 1), args.rows
     _check_counts(f"triangle(t={t}, rows={rows})", copies * rows * (rows + 1) // 2,
                   "cells", copies * t * rows * (rows + 1) * (2 * rows + 1) // 6)
+    # the whole triangle before any output, so a failing check prints only
+    # its FAIL line
     triangle = _triangle_rows(t, slot, rows)
     if args.self_check:
         failure = _triangle_failure(t, slot, triangle)
@@ -148,13 +156,14 @@ def cmd_triangle(args) -> int:
             print(failure)
             return EXIT_VERIFY
         print(f"self-check: all {t} slot triangles agree")
+    write = sys.stdout.write
     if args.format == "bfile":
-        values = chain.from_iterable(triangle)
-        lines = [f"{i} {v}" for i, v in enumerate(values, start=args.b_offset)]
+        cells = enumerate(chain.from_iterable(triangle), start=args.b_offset)
+        while batch := list(islice(cells, 4096)):
+            write("".join([f"{i} {v}\n" for i, v in batch]))
     else:
-        lines = [f"n={n} (edges={n - 1}): " + " ".join(map(str, row))
-                 for n, row in enumerate(triangle, start=1)]
-    print("\n".join(lines))
+        for n, row in enumerate(triangle, start=1):
+            write(f"n={n} (edges={n - 1}): {' '.join(map(str, row))}\n")
     return EXIT_OK
 
 
@@ -174,6 +183,7 @@ def _groups(args, ms):
 
 
 def _census(args, ms):
+    from arbor import treebank
     options = dict(budget=args.budget, workers=args.workers, engine=args.engine)
     for n, m, where in _groups(args, ms):
         got = (treebank.census(args.t, n, **options) if m is None
@@ -184,6 +194,7 @@ def _census(args, ms):
 def _series(args, ms):
     """The coefficients of the solved g and of x * prod (1 + yi*g) against the
     closed form: both agree with it when g does and the residual is zero."""
+    from arbor import series
     t, max_n = args.t, args.max_n
     g = series.solve_G(t, max_n)
     one, rhs = series.MultiSeries.one(t, max_n), series.MultiSeries.x(t, max_n)
@@ -201,6 +212,7 @@ def _series(args, ms):
 def _inversion(args, ms):
     """Each (n, m) group read whole from its one expanded product, so the
     compositions come from the product and the counts from inversion."""
+    from arbor import series
     t = args.t
     for n, m, where in _groups(args, ms):
         got = (series.lagrange_table(t, n) if m is None
@@ -336,8 +348,8 @@ def _check_ring_steps(args, ms) -> None:
     if args.mode in ("lagrange", "all"):
         for n, m, _ in chain(_groups(args, ()), _groups(args, ms)):
             steps += _inversion_steps(t, n - (m or 1))
-    treebank.check_budget(f"verify(t={t}, max-n={max_n}, mode={args.mode})",
-                          [(steps, "take %d series ring steps")], args.budget)
+    check_budget(f"verify(t={t}, max-n={max_n}, mode={args.mode})",
+                 [(steps, "take %d series ring steps")], args.budget)
 
 
 def cmd_verify(args) -> int:
@@ -369,6 +381,7 @@ def cmd_verify(args) -> int:
         for group in scopes[check.scope]:
             results.append(_compare(check, args, group))
             if results[-1] and check.case is _series and args.dump_series:
+                from arbor import series
                 print("series dump:")
                 for line in series.solve_G(t, max_n).dump_lines():
                     print(line)
@@ -389,6 +402,7 @@ def _check_paths_flags(args) -> None:
 
 
 def cmd_paths(args) -> int:
+    from arbor import paths
     _check_paths_flags(args)
     t, n = args.t, args.n
     if args.probe:
@@ -403,7 +417,7 @@ def cmd_paths(args) -> int:
     counting.check_tree_shape(t, n)
     trees = counting.total_trees(t, n)
     chars = trees * paths.listing_line_length(t, n, labels=args.labels, dump=args.dump)
-    treebank.check_budget(f"listing t={t} n={n}", [
+    check_budget(f"listing t={t} n={n}", [
         (trees, "enumerate %d trees"), (n, "place %d nodes"),
         (-(-chars // 8), "write %d 64-bit words of text")], args.budget)
     paths.write_listing(t, n, sys.stdout.write, labels=args.labels, dump=args.dump)

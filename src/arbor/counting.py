@@ -85,6 +85,18 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
+def binomial_row(n: int, top: int) -> list[int]:
+    """C(n, k) for k = 0..top, 0 <= top <= n, each from the one before by
+    C(n, k+1) = C(n, k) * (n-k) / (k+1): one multiplication and one exact
+    division by a small integer per entry, where ``comb`` would build every
+    entry from scratch."""
+    cell, row = 1, [1]
+    for k in range(top):
+        cell = cell * (n - k) // (k + 1)
+        row.append(cell)
+    return row
+
+
 def count_trees(t: int, n: int, parts: Sequence[int]) -> int:
     """Number of t-ary trees with n nodes and exactly parts[i] edges in slot i+1.
 
@@ -172,7 +184,7 @@ def count_rows(t: int, n: int, m: Optional[int] = None, *,
         name, start, roots, free = "count_forests", m, m, n - m
     if t == 1:  # a single row; no binomial row of n entries
         return iter([(write(), [write(free)], 1, [count_trees(1, n, (free,))])])
-    binom = [comb(n, k) for k in range(free + 1)]
+    binom = binomial_row(n, free)
     tails, prefixes = _walk(t, roots, free, binom, write)
     return _blocks(name, n, start, binom, prefixes, tails, keep=t >= 4)
 

@@ -35,10 +35,16 @@ from operator import add
 from typing import Iterator, Optional, Sequence
 
 from arbor import counting
-from arbor.errors import BudgetExceededError, ConstraintError
-
-DEFAULT_BUDGET = 10_000_000
-BUDGET_ENV_VAR = "ARBOR_BUDGET"
+# the budget guard lives beside its error, so the commands that only check
+# it need not load this module; these names stay reachable from here
+from arbor.errors import (  # noqa: F401
+    BUDGET_ENV_VAR,
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    ConstraintError,
+    check_budget,
+    resolve_budget,
+)
 
 try:
     from arbor._speedups import segment_census as _segment_census_compiled
@@ -302,44 +308,6 @@ def _tree_tuples(t: int, sizes: Sequence[int]) -> Iterator[tuple]:
                 stack[-1].pop()
             if len(stack) > 1 and placed < stack[-1][0]:
                 size = placed + 1
-
-
-def resolve_budget(budget: Optional[int] = None) -> int:
-    """Effective enumeration budget: explicit value, else $ARBOR_BUDGET, else default."""
-    if budget is not None:
-        if budget < 1:
-            raise ConstraintError(f"budget must be >= 1, got {budget}")
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConstraintError(
-                f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-        if value < 1:
-            raise ConstraintError(f"{BUDGET_ENV_VAR} must be >= 1, got {value}")
-        return value
-    return DEFAULT_BUDGET
-
-
-def check_budget(action: str, bounds: Sequence[tuple[int, str]],
-                 budget: Optional[int] = None) -> None:
-    """Refuse up front when ``action`` would go past the budget.  ``bounds``
-    holds (amount, phrase) pairs in check order; the first amount over the
-    budget raises ``<action> would <phrase % amount>, budget is <limit>``,
-    with that amount as the error's ``total``.
-
-    A census bounds the objects it enumerates, then the nodes it places:
-    every walk places all the nodes of an object, so the node count bounds
-    its memory even at t=1, where each size has a single tree.
-    """
-    limit = resolve_budget(budget)
-    for amount, phrase in bounds:
-        if amount > limit:
-            raise BudgetExceededError(
-                f"{action} would {phrase % amount}, budget is {limit}", total=amount)
 
 
 def segment_census_pure(t: int, sizes: Sequence[int], residues: bool = False) -> dict:

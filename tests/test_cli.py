@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import subprocess
 import sys
 import threading
 import time
-from itertools import permutations
+from itertools import chain, permutations, product
 from pathlib import Path
 
 import pytest
@@ -226,7 +227,8 @@ def old_rule_table(fmt, t, n, m=None):
 def test_table_csv_written_from_the_walk(t, n, m):
     # each row is written from the walk; the pretty width is fixed before it
     for fmt in ("csv", "pretty"):
-        assert cli._table_text(fmt, t, n, m) == old_rule_table(fmt, t, n, m), fmt
+        text = "".join(cli._table_chunks(fmt, t, n, m))
+        assert text == old_rule_table(fmt, t, n, m) + "\n", fmt
 
 
 def test_table_csv_refuses_rows_off_the_total(capsys, monkeypatch):
@@ -242,23 +244,76 @@ def test_table_csv_refuses_rows_off_the_total(capsys, monkeypatch):
 
     real = counting.count_rows
     monkeypatch.setattr(counting, "count_rows", raised)
-    for fmt in ("csv", "pretty"):
+    # (6, 12) has 4,368 rows: a piece of its text is made before the check
+    for (t, n), fmt in product(((3, 4), (6, 12)), ("csv", "pretty")):
         with pytest.raises(ArithmeticError, match="closed-form total"):
-            cli._table_text(fmt, 3, 4)
+            cli._table_chunks(fmt, t, n)
         # the command prints only a FAIL line and exits 3, as verify does
-        code, out, err = run(capsys, "table", "--t", "3", "--n", "4", "--format", fmt)
+        code, out, err = run(capsys, "table", "--t", str(t), "--n", str(n),
+                             "--format", fmt)
         assert (code, out, err) == (
             3, "FAIL table rows do not sum to the closed-form total\n", "")
+
+
+class Writes:
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def old_triangle_text(fmt, t, slot, rows, offset=0):
+    """The triangle as the one string it was printed as before it was
+    written in pieces."""
+    triangle = [counting.marginal_row(t, n, slot) for n in range(1, rows + 1)]
+    if fmt == "bfile":
+        lines = [f"{i} {v}" for i, v in enumerate(chain.from_iterable(triangle),
+                                                  start=offset)]
+    else:
+        lines = [f"n={n} (edges={n - 1}): " + " ".join(map(str, row))
+                 for n, row in enumerate(triangle, start=1)]
+    return "\n".join(lines) + "\n"
+
+
+def test_table_and_triangle_written_in_pieces():
+    # each write is whole lines: 4,370 table lines in two pieces, the first
+    # of at least 4,096 lines, 11,325 b-file lines in batches of 4,096, one
+    # write per pretty row; no write holds the whole text
+    triangle = ["triangle", "--t", "3", "--marginal"]
+    for argv, want, writes in (
+        (["table", "--t", "6", "--n", "12", "--format", "csv"],
+         old_rule_table("csv", 6, 12) + "\n", 2),
+        (["table", "--t", "6", "--n", "12"], old_rule_table("pretty", 6, 12) + "\n", 2),
+        (triangle + ["2", "--rows", "150", "--format", "bfile", "--b-offset", "5"],
+         old_triangle_text("bfile", 3, 2, 150, offset=5), 3),
+        (triangle + ["1", "--rows", "40"], old_triangle_text("pretty", 3, 1, 40), 40),
+    ):
+        out = Writes()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert "".join(out.writes) == want, argv
+        assert len(out.writes) == writes, argv
+        assert all(text.endswith("\n") for text in out.writes), argv
 
 
 @pytest.mark.parametrize("t, n, m", [(4, 12, None), (3, 4, None), (4, 12, 2),
                                      (3, 6, 1)])
 def test_table_inexact_division_fails_like_per_composition_calls(
         t, n, m, capsys, monkeypatch):
-    # a wrong C(n, 1) breaks the exact division in rows whose prefix leaves
+    # a wrong C(n, 1), in the per-composition calls and in the table's
+    # binomial row, breaks the exact division in rows whose prefix leaves
     # a divisor of n to their pair of last factors; the table prints the
     # FAIL line of the first per-composition call that fails, and exits 3
     monkeypatch.setattr(counting, "comb", lambda n, k: math.comb(n, k) + (k == 1))
+    monkeypatch.setattr(counting, "binomial_row", lambda n, top: [
+        math.comb(n, k) + (k == 1) for k in range(top + 1)])
     with pytest.raises(ArithmeticError) as want:
         if m is None:
             for a in counting.compositions(t, n - 1):
@@ -314,7 +369,7 @@ def test_table_pretty_has_total(capsys):
 
 
 def test_count_table_invariants():
-    header, *rows, total = cli._table_text("csv", 3, 4).splitlines()
+    header, *rows, total = "".join(cli._table_chunks("csv", 3, 4)).splitlines()
     rows = [tuple(map(int, row.split(","))) for row in rows]
     comps = [row[:-1] for row in rows]
     assert comps == sorted(comps)
@@ -443,40 +498,43 @@ def test_table_and_triangle_refused_over_budget(capsys, monkeypatch):
 def test_closed_pipe_exit_1_without_traceback():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    cmd = [sys.executable, "-m", "arbor.cli", "triangle", "--t", "3", "--marginal", "2",
-           "--format", "bfile", "--rows"]
+    arbor = [sys.executable, "-m", "arbor.cli"]
+    first = next(treebank.enumerate_trees(3, 9))
+    line = f"{treebank.serialize_tree(first)} | "
+    line += paths.format_path(paths.tree_to_path(first), with_labels=True)
     # the reader takes one line and leaves while the writer still has far
-    # more than a pipe buffer to write
-    proc = subprocess.Popen(cmd + ["150"], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"0 1\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(timeout=60), err) == (1, b"")
+    # more than a pipe buffer to write.  The table and the triangles are
+    # written in pieces after their checks, so the pipe breaks partway
+    # through their text; the listing writes each line as it is made, so
+    # its 246,675 lines stop at the first write after the reader leaves
+    for argv, head in (
+        (["triangle", "--t", "3", "--marginal", "2", "--format", "bfile",
+          "--rows", "150"], "0 1"),
+        (["triangle", "--t", "3", "--rows", "300", "--marginal", "1"],
+         "n=1 (edges=0): 1"),
+        (["table", "--t", "6", "--n", "12", "--format", "csv"],
+         "a1,a2,a3,a4,a5,a6,count"),
+        (["paths", "--t", "3", "--n", "9", "--labels"], line),
+    ):
+        proc = subprocess.Popen(arbor + argv, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == f"{head}\n".encode(), argv
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (1, b""), argv
     # the reader is gone before the first write; the output fits the
     # stdout buffer, so the pipe breaks only when it is flushed
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = subprocess.run(cmd + ["3"], stdout=write_end,
-                              stderr=subprocess.PIPE, env=env, timeout=60)
+        done = subprocess.run(arbor + ["triangle", "--t", "3", "--marginal", "2",
+                                       "--format", "bfile", "--rows", "3"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, b"")
-    # the listing writes each line as it is made, so its 246,675 lines stop
-    # at the first write after the reader leaves
-    first = next(treebank.enumerate_trees(3, 9))
-    line = f"{treebank.serialize_tree(first)} | "
-    line += paths.format_path(paths.tree_to_path(first), with_labels=True)
-    proc = subprocess.Popen([sys.executable, "-m", "arbor.cli", "paths", "--t", "3",
-                             "--n", "9", "--labels"], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == f"{line}\n".encode()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_triangle_bad_slot(capsys):
@@ -886,6 +944,28 @@ def test_engine_flag_does_not_change_verify_output(capsys):
     _, auto_out, _ = run(capsys, "verify", "--t", "3", "--max-n", "4",
                          "--mode", "brute", "--engine", "auto")
     assert pure_out == auto_out
+
+
+def test_closed_form_commands_load_only_the_closed_form_layer():
+    # count, table and triangle need neither the census kernel nor the
+    # series ring nor the lattice paths, so they do not import them
+    code = (
+        "import sys\n"
+        "from arbor.cli import main\n"
+        "for argv in (['table', '--t', '3', '--n', '5', '--format', 'csv'],\n"
+        "             ['triangle', '--t', '3', '--rows', '4', '--marginal', '1',\n"
+        "              '--self-check'],\n"
+        "             ['count', '--t', '2', '--n', '1', '--composition', '0,0']):\n"
+        "    assert main(argv) == 0\n"
+        "print('loaded:', sorted(m for m in sys.modules if m.split('.')[0] == 'arbor'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == (
+        "loaded: ['arbor', 'arbor.cli', 'arbor.counting', 'arbor.errors']")
 
 
 def test_cli_imports_stay_lean():

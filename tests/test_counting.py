@@ -39,6 +39,12 @@ def test_binomial_pascal_recurrence():
             assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
+def test_binomial_row_matches_comb():
+    for n in (*range(40), 997, 3000):
+        for top in {0, n // 3, n}:
+            assert counting.binomial_row(n, top) == [comb(n, k) for k in range(top + 1)]
+
+
 # expected values below were frozen from direct enumeration of the trees
 def test_count_trees_spot_values():
     assert count_trees(3, 1, (0, 0, 0)) == 1
@@ -184,9 +190,12 @@ def test_count_table_matches_per_composition_calls_where_quotients_recur(t, n, m
                                      (4, 12, None), (5, 12, 2), (6, 12, None)])
 def test_count_table_inexact_division_raises_like_per_composition_calls(
         t, n, m, monkeypatch):
-    # a wrong C(n, 1) breaks the exact division; the table names the same
+    # a wrong C(n, 1), in the per-composition calls and in the table's
+    # binomial row, breaks the exact division; the table names the same
     # product as the first per-composition call that fails
     monkeypatch.setattr(counting, "comb", lambda n, k: comb(n, k) + (k == 1))
+    monkeypatch.setattr(counting, "binomial_row", lambda n, top: [
+        comb(n, k) + (k == 1) for k in range(top + 1)])
     with pytest.raises(ArithmeticError) as want:
         if m is None:
             for a in compositions(t, n - 1):

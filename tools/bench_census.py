@@ -5,18 +5,23 @@ census with the residue vector of every tree's Lukasiewicz path) with each
 engine at a fixed set of sizes, ``paths.residue_distribution_probe`` with
 the default engine, ``counting.compositions`` consumed whole, the
 closed-form rows of ``table`` and ``triangle``
-(``counting.count_table`` and ``cli._triangle_rows``), and the text that
+(``counting.binomial_row``, ``counting.count_table`` and
+``cli._triangle_rows``), and the text that
 ``arbor table`` prints as CSV and pretty, through ``cli.main``, and the series
 layer: ``series.solve_G``, the residual product x * prod (1 + yi*g) that
 ``verify --mode series`` forms from the solved g, and direct inversion of
 one (n, m) group at a time, as ``verify --mode lagrange`` reads it, and the
 ``arbor paths`` listing through ``cli.main``.  Each timing calls the
 function at least 3 times and until 0.2 s have elapsed, and reports the
-best call.  It also times, as fresh processes, start-up rows: a
+best call.  It also runs fresh processes, each forked from a minimal
+launcher that reads its peak RSS (``ru_maxrss``) through ``wait4``, after
+one untimed run that fills a temporary bytecode cache: start-up rows, a
 no-work ``arbor count``, ``arbor verify --t 3 --max-n 7 --mode brute
 --workers 2`` and ``python -c pass`` for calibration, each the best of 15
-runs that must exit 0, after one untimed run that fills a temporary
-bytecode cache.  It checks that both engines give equal tables, that
+runs that must exit 0, and process rows, whole ``table`` and ``triangle``
+commands at the sizes of the ``tables`` benchmark workload and at sizes
+users run, 3 runs each; each row has the best wall time and the lowest
+and highest peak RSS of its runs.  It checks that both engines give equal tables, that
 the joint table's edge marginal is the census, that the compositions are
 as many as the binomial count of weak compositions and come distinct, in
 lexicographic order, each summing to its total, that the closed-form rows
@@ -24,7 +29,10 @@ equal one ``count_trees``, ``count_forests`` or ``marginal_count`` call per
 row, in the same order, that the table text equals the rendering of
 ``count_table`` by the rule it replaced (a ``%d`` formatting of each row
 for CSV; pretty columns as wide as the longest of the total and every part
-and count), and that the solved series, its residual
+and count), that each process row exits 0 and prints the same bytes as
+that rendering, or as the one-string rendering of the triangle, that the
+binomial row equals one ``comb`` call per entry, and that the solved
+series, its residual
 product and every inversion group equal the closed-form tables, and that
 each listing equals, byte for byte, the join of ``serialize_tree`` and
 ``format_path(tree_to_path(tree))`` over ``enumerate_trees``.  It appends
@@ -33,7 +41,7 @@ carries the git SHA, ``"dirty": true`` when ``src`` or ``tools`` differ
 from that commit, the Python version and the CPU count.  The census, joint and probe rows
 need the compiled kernel, for example after ``python setup.py build_ext
 --inplace``; without it only the series, compositions, closed-form, CSV,
-listing and start-up rows are timed:
+listing, start-up and process rows are timed:
 
     PYTHONPATH=src python tools/bench_census.py
 
@@ -41,9 +49,11 @@ The pure engine needs about two minutes for the census sizes.  A checkout
 whose ``treebank`` has no ``joint_census`` gets no joint rows, and one
 whose ``series`` has no ``lagrange_table`` is timed with one
 ``lagrange_extract`` call per composition, from an empty memo, as its
-``verify`` did.
+``verify`` did; one whose ``counting`` has no ``binomial_row`` is timed
+with the row of one ``comb`` call per entry that its ``count_rows`` built.
 """
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -53,6 +63,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from math import comb
 from pathlib import Path
 
 from arbor import cli, counting, paths, series, treebank
@@ -72,6 +83,12 @@ RESIDUAL_SIZES = [(3, 12)]  # (t, N)
 LISTING_SIZES = [(3, 6, True), (3, 7, True), (4, 5, False)]  # (t, n, labels)
 INVERSION_GROUPS = [(3, 12, None), (3, 12, 1), (3, 12, 2),
                     (4, 8, None), (4, 8, 1), (4, 8, 2), (4, 8, 3)]  # (t, n, m)
+BINOMIAL_ROWS = [(3000, 2999), (8000, 7999)]  # (n, top)
+PROCESS_TABLES = [("csv", 6, 22, None), ("pretty", 4, 30, 3), ("csv", 6, 30, None),
+                  ("pretty", 6, 30, None), ("csv", 2, 8000, None)]  # (format, t, n, m)
+PROCESS_TRIANGLES = [("bfile", 3, 2, 150, True), ("bfile", 3, 2, 300, True),
+                     ("pretty", 3, 1, 600, False)]  # (format, t, slot, rows, self-check)
+PROCESS_REPEAT = 3
 STARTUP_COMMANDS = [  # run as python <args>
     ["-c", "pass"],
     ["-m", "arbor.cli", "count", "--t", "2", "--n", "1", "--composition", "0,0"],
@@ -128,6 +145,16 @@ def closed_form_rows():
     """The closed-form rows of table and triangle, each checked against one
     per-composition (or per-cell) call."""
     rows = []
+    # a checkout without binomial_row built the row of count_rows by comb
+    row_of = getattr(counting, "binomial_row", None)
+    by = "ratio" if row_of else "comb"
+    row_of = row_of or (lambda n, top: [comb(n, k) for k in range(top + 1)])
+    for n, top in BINOMIAL_ROWS:
+        seconds, row = best(lambda: row_of(n, top))
+        if row != [comb(n, k) for k in range(top + 1)]:
+            sys.exit(f"binomial_row({n}, {top}) differs from comb")
+        rows.append({"layer": "closed_form", "call": "binomial_row", "by": by, "n": n,
+                     "top": top, "best_s": round(seconds, 5)})
     for t, n, m in CLOSED_FORM_SIZES:
         seconds, table = best(lambda: counting.count_table(t, n, m))
         if m is None:
@@ -270,27 +297,106 @@ def cli_text(argv):
     return out.getvalue()
 
 
-def startup_rows():
-    """The start-up rows, each command checked by its exit code.  The
-    bytecode cache lives in a temporary directory, so the timed runs read
+# A child's ru_maxrss includes the resident size of the process it was
+# forked from, and the peak of one spawned by vfork, so each command is
+# started from this minimal interpreter (``python -S``), which forks, execs
+# the command, reaps it with wait4 and reports exit code, wall time and
+# peak RSS on the descriptor it is given.
+LAUNCHER = r"""
+import os, sys, time
+fd = int(sys.argv[1])
+t0 = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    try:
+        os.close(fd)
+        os.execv(sys.argv[2], sys.argv[2:])
+    finally:
+        os._exit(127)
+_, status, usage = os.wait4(pid, 0)
+wall = time.perf_counter() - t0
+os.write(fd, b"%d %r %d" % (os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss))
+"""
+
+
+def launch(command, env):
+    """(exit code, wall seconds, peak RSS in MB, stdout SHA-256) of one
+    fresh process."""
+    read_fd, write_fd = os.pipe()
+    try:
+        proc = subprocess.Popen([sys.executable, "-S", "-c", LAUNCHER, str(write_fd),
+                                 *command], env=env, stdout=subprocess.PIPE,
+                                pass_fds=(write_fd,))
+        os.close(write_fd)
+        write_fd = None
+        sha = hashlib.sha256()
+        while chunk := proc.stdout.read(1 << 16):
+            sha.update(chunk)
+        proc.stdout.close()
+        if proc.wait():
+            sys.exit(f"the launcher failed for {' '.join(command)}")
+        exit_code, wall, rss_kb = os.read(read_fd, 256).split()
+    finally:
+        os.close(read_fd)
+        if write_fd is not None:
+            os.close(write_fd)
+    return int(exit_code), float(wall), int(rss_kb) / 1024, sha.hexdigest()
+
+
+def process_rows():
+    """The start-up rows, each the best of STARTUP_REPEAT runs that must
+    exit 0, and the rows of whole ``table`` and ``triangle`` commands, each
+    of PROCESS_REPEAT runs checked by exit code and stdout digest against
+    the rendering of ``count_table`` or of the triangle by the rule each
+    replaced.  Every command runs once untimed first, which fills a
+    bytecode cache in a temporary directory, so the timed runs read
     compiled modules as an installed package would."""
+    commands = [(args, STARTUP_REPEAT, None) for args in STARTUP_COMMANDS]
+    for fmt, t, n, m in PROCESS_TABLES:
+        argv = ["table", "--t", str(t), "--n", str(n), "--format", fmt]
+        argv += ["--forest", str(m)] if m else []
+        want = table_text(fmt, t, counting.count_table(t, n, m)) + "\n"
+        commands.append((["-m", "arbor.cli", *argv], PROCESS_REPEAT, digest(want)))
+    for fmt, t, slot, size, check in PROCESS_TRIANGLES:
+        argv = ["triangle", "--t", str(t), "--rows", str(size), "--marginal", str(slot),
+                "--format", fmt] + (["--self-check"] if check else [])
+        want = (f"self-check: all {t} slot triangles agree\n" if check else "")
+        want += triangle_text(fmt, cli._triangle_rows(t, slot, size))
+        commands.append((["-m", "arbor.cli", *argv], PROCESS_REPEAT, digest(want)))
     rows = []
     with tempfile.TemporaryDirectory() as cache:
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONPYCACHEPREFIX=cache)
         env.pop("PYTHONDONTWRITEBYTECODE", None)
-        for args in STARTUP_COMMANDS:
-            command = [sys.executable, *args]
-
-            def run():
-                done = subprocess.run(command, env=env, stdout=subprocess.DEVNULL)
-                if done.returncode:
-                    sys.exit(f"{' '.join(args)} failed")
-
-            run()
-            seconds, _ = best(run, STARTUP_REPEAT)
-            rows.append({"layer": "startup", "command": "python " + " ".join(args),
-                         "repeat": STARTUP_REPEAT, "best_s": round(seconds, 5)})
+        env.pop("ARBOR_BUDGET", None)
+        for args, repeat, want in commands:
+            runs = [launch([sys.executable, *args], env) for _ in range(repeat + 1)]
+            if any((code, sha if want else None) != (0, want)
+                   for code, _, _, sha in runs):
+                sys.exit(f"python {' '.join(args)} failed or printed other text")
+            runs = runs[1:]
+            row = {"layer": "startup" if want is None else "process",
+                   "command": "python " + " ".join(args), "repeat": repeat,
+                   "best_s": round(min(wall for _, wall, _, _ in runs), 5),
+                   "peak_rss_mb": [round(f(rss for _, _, rss, _ in runs), 2)
+                                   for f in (min, max)]}
+            rows.append(row)
     return rows
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def triangle_text(fmt, triangle):
+    """A triangle rendered as one string, as ``triangle`` printed it before
+    it wrote its output in pieces."""
+    if fmt == "bfile":
+        lines = [f"{i} {v}" for i, v in enumerate(
+            (v for row in triangle for v in row))]
+    else:
+        lines = [f"n={n} (edges={n - 1}): " + " ".join(map(str, row))
+                 for n, row in enumerate(triangle, start=1)]
+    return "\n".join(lines) + "\n"
 
 
 def git(*args):
@@ -324,6 +430,8 @@ def kernel_rows():
 
 
 def main():
+    if hasattr(sys, "set_int_max_str_digits"):  # as arbor.cli does: some
+        sys.set_int_max_str_digits(0)           # counts run past 4,300 digits
     if treebank.HAVE_SPEEDUPS:
         rows = kernel_rows()
     else:
@@ -331,7 +439,7 @@ def main():
               "closed-form, listing and start-up rows only", file=sys.stderr)
         rows = []
     for row in (series_rows() + composition_rows() + closed_form_rows()
-                + listing_rows() + startup_rows()):
+                + listing_rows() + process_rows()):
         rows.append(row)
         print(json.dumps(row), flush=True)
     runs = json.loads(OUT.read_text()) if OUT.is_file() else []

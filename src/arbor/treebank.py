@@ -37,7 +37,7 @@ from typing import Iterator, Optional, Sequence
 from arbor import counting
 # the budget guard lives beside its error, so the commands that only check
 # it need not load this module; these names stay reachable from here
-from arbor.errors import (  # noqa: F401
+from arbor.errors import (
     BUDGET_ENV_VAR,
     DEFAULT_BUDGET,
     BudgetExceededError,

@@ -20,28 +20,28 @@ no-work ``arbor count``, ``arbor verify --t 3 --max-n 7 --mode brute
 --workers 2`` and ``python -c pass`` for calibration, each the best of 15
 runs that must exit 0, and process rows, whole ``table`` and ``triangle``
 commands at the sizes of the ``tables`` benchmark workload and at sizes
-users run, 3 runs each; each row has the best wall time and the lowest
-and highest peak RSS of its runs.  It checks that both engines give equal tables, that
-the joint table's edge marginal is the census, that the compositions are
-as many as the binomial count of weak compositions and come distinct, in
-lexicographic order, each summing to its total, that the closed-form rows
-equal one ``count_trees``, ``count_forests`` or ``marginal_count`` call per
-row, in the same order, that the table text equals the rendering of
-``count_table`` by the rule it replaced (a ``%d`` formatting of each row
-for CSV; pretty columns as wide as the longest of the total and every part
-and count), that each process row exits 0 and prints the same bytes as
-that rendering, or as the one-string rendering of the triangle, that the
-binomial row equals one ``comb`` call per entry, and that the solved
-series, its residual
-product and every inversion group equal the closed-form tables, and that
-each listing equals, byte for byte, the join of ``serialize_tree`` and
-``format_path(tree_to_path(tree))`` over ``enumerate_trees``.  It appends
-one row set to ``BENCH_census.json`` at the repository root.  The stamp
-carries the git SHA, ``"dirty": true`` when ``src`` or ``tools`` differ
-from that commit, the Python version and the CPU count.  The census, joint and probe rows
-need the compiled kernel, for example after ``python setup.py build_ext
---inplace``; without it only the series, compositions, closed-form, CSV,
-listing, start-up and process rows are timed:
+users run, 3 runs each; each row has the best wall time and the lowest and
+highest peak RSS of its runs.  It checks that both engines give equal
+tables, that the joint table's edge marginal is the census, that the
+compositions are as many as the binomial count of weak compositions and come
+distinct, in lexicographic order, each summing to its total, that the
+closed-form rows equal one ``count_trees``, ``count_forests`` or
+``marginal_count`` call per row, in the same order, that the table text
+equals the rendering of ``count_table`` by the rule it replaced (a ``%d``
+formatting of each row for CSV; pretty columns as wide as the longest of the
+total and every part and count), that each process row exits 0 and prints
+the same bytes as that rendering, or as the one-string rendering of the
+triangle, that the binomial row equals one ``comb`` call per entry, and that
+the solved series, its residual product and every inversion group equal the
+closed-form tables, and that each listing equals, byte for byte, the join of
+``serialize_tree`` and ``format_path(tree_to_path(tree))`` over
+``enumerate_trees``.  It appends one row set to ``BENCH_census.json`` at
+the repository root.  The stamp carries the git SHA, ``"dirty": true`` when
+``src`` or ``tools`` differ from that commit, the Python version and the CPU
+count.  The census, joint and probe rows need the compiled kernel, for
+example after ``python setup.py build_ext --inplace``; without it only the
+series, compositions, closed-form, CSV, listing, start-up and process rows
+are timed:
 
     PYTHONPATH=src python tools/bench_census.py
 
@@ -391,8 +391,7 @@ def triangle_text(fmt, triangle):
     """A triangle rendered as one string, as ``triangle`` printed it before
     it wrote its output in pieces."""
     if fmt == "bfile":
-        lines = [f"{i} {v}" for i, v in enumerate(
-            (v for row in triangle for v in row))]
+        lines = [f"{i} {v}" for i, v in enumerate(v for row in triangle for v in row)]
     else:
         lines = [f"n={n} (edges={n - 1}): " + " ".join(map(str, row))
                  for n, row in enumerate(triangle, start=1)]
@@ -436,7 +435,7 @@ def main():
         rows = kernel_rows()
     else:
         print("arbor._speedups is not built: timing the series, compositions, "
-              "closed-form, listing and start-up rows only", file=sys.stderr)
+              "closed-form, listing, start-up and process rows only", file=sys.stderr)
         rows = []
     for row in (series_rows() + composition_rows() + closed_form_rows()
                 + listing_rows() + process_rows()):

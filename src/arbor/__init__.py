@@ -30,6 +30,8 @@ __all__ = sorted(_HOME)
 
 
 def __getattr__(name):
+    if name in _HOMES:  # a layer itself, as ``arbor.treebank``
+        return import_module(f"{__name__}.{name}")
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -39,4 +41,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_HOME))
+    return sorted(set(globals()) | set(_HOMES) | set(_HOME))

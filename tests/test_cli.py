@@ -968,6 +968,30 @@ def test_closed_form_commands_load_only_the_closed_form_layer():
         "loaded: ['arbor', 'arbor.cli', 'arbor.counting', 'arbor.errors']")
 
 
+def test_package_names_load_on_first_use():
+    # import arbor loads no layer; each exported name and each layer is then
+    # the object its module holds
+    code = (
+        "import sys\n"
+        "import arbor\n"
+        "print(sorted(m for m in sys.modules if m.startswith('arbor')))\n"
+        "names = {name: getattr(arbor, name) for name in arbor.__all__}\n"
+        "layers = [arbor.counting, arbor.errors, arbor.paths, arbor.series,\n"
+        "          arbor.treebank]\n"
+        "assert layers[-1] is sys.modules['arbor.treebank']\n"
+        "for name, value in names.items():\n"
+        "    assert name in dir(arbor), name\n"
+        "    assert any(vars(layer).get(name) is value for layer in layers), name\n"
+        "print(arbor.HAVE_SPEEDUPS is arbor.treebank.HAVE_SPEEDUPS)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["['arbor']", "True"]
+
+
 def test_cli_imports_stay_lean():
     # start-up cost is paid by every command: dataclasses pulls in inspect,
     # concurrent.futures pulls in logging.  Without site (-S) only arbor's own

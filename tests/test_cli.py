@@ -502,11 +502,13 @@ def test_closed_pipe_exit_1_without_traceback():
     first = next(treebank.enumerate_trees(3, 9))
     line = f"{treebank.serialize_tree(first)} | "
     line += paths.format_path(paths.tree_to_path(first), with_labels=True)
-    # the reader takes one line and leaves while the writer still has far
-    # more than a pipe buffer to write.  The table and the triangles are
-    # written in pieces after their checks, so the pipe breaks partway
-    # through their text; the listing writes each line as it is made, so
-    # its 246,675 lines stop at the first write after the reader leaves
+    # the reader takes one line and leaves while the writer still has more
+    # than a pipe buffer to write (the table's 88,872 bytes are the least of
+    # them, over 64 KiB of pipe and 8 KiB of read-ahead).  The table and the
+    # triangles are written in pieces after their checks, so the pipe breaks
+    # partway through their text; the listing writes each line as it is
+    # made, so its 246,675 lines stop at the first write after the reader
+    # leaves
     for argv, head in (
         (["triangle", "--t", "3", "--marginal", "2", "--format", "bfile",
           "--rows", "150"], "0 1"),

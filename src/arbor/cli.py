@@ -193,19 +193,16 @@ def _census(args, ms):
 
 def _series(args, ms):
     """The coefficients of the solved g and of x * prod (1 + yi*g) against the
-    closed form: both agree with it when g does and the residual is zero."""
+    closed form: both agree with it when g does and the residual is zero.
+    The solved g is kept on ``args`` for ``--dump-series``."""
     from arbor import series
-    t, max_n = args.t, args.max_n
-    g = series.solve_G(t, max_n)
-    one, rhs = series.MultiSeries.one(t, max_n), series.MultiSeries.x(t, max_n)
-    for slot in range(1, t + 1):
-        rhs = rhs * (one + g.times_y(slot))
+    g = args.solved = series.solve_G(args.t, args.max_n)
     pairs: dict = {}  # n -> {a: [coefficient in g, coefficient in rhs]}
-    for side, s in enumerate((g, rhs)):
+    for side, s in enumerate((g, series.residual(g))):
         for n, a, c in s.terms():
             pairs.setdefault(n, {}).setdefault(a, [0, 0])[side] = c
     for n, _, where in _groups(args, ()):
-        want = {a: [c, c] for a, c in counting.count_table(t, n).items()}
+        want = {a: [c, c] for a, c in counting.count_table(args.t, n).items()}
         yield where, pairs.get(n, {}), want
 
 
@@ -304,50 +301,19 @@ def _compare(check: _Check, args, ms: tuple) -> bool:
     return True
 
 
-def _weak(total: int, parts: int) -> int:
-    """The weak compositions of total into parts: the terms of one grade."""
-    return counting.binomial(total + parts - 1, parts - 1) if total >= 0 else 0
-
-
-def _series_steps(t: int, N: int) -> int:
-    """The ring steps of ``solve_G(t, N)`` and of the residual
-    x * prod (1 + yj*g).  For each factor j, the solver visits d+1 pairs of
-    x-degrees in each round d < N, and the residual product d+1 for each
-    d <= N, t*N*(N+2) pairs in all.  [x^e] Q_(j-1) holds the compositions
-    of e into t parts whose first j-1 parts are not all zero (one term at
-    e=0), [x^k] g those of k-1, so g through x^r holds weak(r-1, t+1)
-    terms.  The solver multiplies each coefficient of [x^e] Q_(j-1) with g
-    through x^(N-1-e), the residual with 1 + yj*g through x^(N-1-e)."""
-    steps = t * N * (N + 2)
-    for j in range(1, t + 1):
-        for e in range(N):
-            q = _weak(e, t) - _weak(e, t - j + 1) if e else 1
-            steps += q * (2 * _weak(N - 2 - e, t + 1) + 1)
-    return steps
-
-
-def _inversion_steps(t: int, gmax: int) -> int:
-    """The ring steps of one expanded product: t factors of g-degree up to
-    gmax, one term per degree.  Each multiplication visits
-    (gmax+1)(gmax+2)/2 pairs of g-degrees, and factor j multiplies the
-    weak(e, j-1) terms of each degree e with the gmax-e+1 terms of degree
-    at most gmax-e, weak(gmax, j+1) products in all."""
-    return t * (gmax + 1) * (gmax + 2) // 2 + sum(
-        _weak(gmax, j + 1) for j in range(1, t + 1))
-
-
 def _check_ring_steps(args, ms) -> None:
     """Refuse up front a series or inversion check that would take more
-    ring steps than the budget allows.  A step is one product of two
-    coefficients or one pair of degrees looked at; both are counted from
-    composition counts alone."""
+    ring steps than the budget allows.  ``--mode brute`` takes none, so it
+    does not load the series ring."""
     t, max_n = args.t, args.max_n
     steps = 0
-    if args.mode in ("series", "all"):
-        steps += _series_steps(t, max_n)
-    if args.mode in ("lagrange", "all"):
-        for n, m, _ in chain(_groups(args, ()), _groups(args, ms)):
-            steps += _inversion_steps(t, n - (m or 1))
+    if args.mode != "brute":
+        from arbor import series
+        if args.mode in ("series", "all"):
+            steps += series.solve_steps(t, max_n)
+        if args.mode in ("lagrange", "all"):
+            steps += sum(series.inversion_steps(t, n - (m or 1)) for n, m, _
+                         in chain(_groups(args, ()), _groups(args, ms)))
     check_budget(f"verify(t={t}, max-n={max_n}, mode={args.mode})",
                  [(steps, "take %d series ring steps")], args.budget)
 
@@ -381,10 +347,7 @@ def cmd_verify(args) -> int:
         for group in scopes[check.scope]:
             results.append(_compare(check, args, group))
             if results[-1] and check.case is _series and args.dump_series:
-                from arbor import series
-                print("series dump:")
-                for line in series.solve_G(t, max_n).dump_lines():
-                    print(line)
+                print("series dump:", *args.solved.dump_lines(), sep="\n")
     passed = sum(results)
     print(f"summary: {passed}/{len(results)} checks passed")
     return EXIT_OK if passed == len(results) else EXIT_VERIFY

@@ -208,6 +208,7 @@ def _blocks(name: str, n: int, start: int, binom: list[int], prefixes, tails,
                     raise ArithmeticError(
                         f"{name} product {product * inexact[0]} not divisible by n={n}")
                 quotients = [pair // d for pair in pairs]
+            del pairs  # the suspended frame would hold it while the rows are read
             if keep:
                 memo[left, d] = quotients
         yield prefix, tails[left], product // g, quotients

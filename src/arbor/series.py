@@ -33,7 +33,7 @@ def _unpack(key: int, base: int, arity: int) -> tuple:
 
 def _grade_product(a: list, b: list, d: int) -> dict:
     """[x^d] of the product of two graded term lists (packed keys in one
-    base, large enough that no key sum carries).  Reads a[0..d] and
+    base above every part, so no key sum carries).  Reads a[0..d] and
     b[d-k] only where a[k] has terms, so b may still lack grades whose
     partner grade in a is empty."""
     out: dict = {}
@@ -60,17 +60,16 @@ class MultiSeries:
 
     Direct inversion reuses the same ring with g in the place of x.  The
     public form of a term is (n, (a1, ..., at)) with 0 <= n <= truncation
-    and t non-negative parts; parts may exceed the truncation.  Inside,
+    and 0 <= ai <= n: a term of the tree series counts n nodes (or g-degree
+    n) and ai edges of type i, so no part exceeds its degree.  Inside,
     terms are graded by x-degree: ``_grades[n]`` maps each exponent vector
-    of degree n, packed as one int in base ``_base``, to its nonzero
-    coefficient, so multiplying monomials adds two ints.  ``_slack`` bounds
-    every part by its degree plus the slack, and the base always exceeds
-    truncation + max(slack, 0), so digits never carry; an operation that
-    would outgrow the base repacks into a larger one first.  Values are
+    of degree n, packed as one int in base truncation + 1, to its nonzero
+    coefficient, so multiplying monomials adds two ints.  Sums and products
+    keep every part at most its degree, so digits never carry.  Values are
     immutable by convention; arithmetic returns new instances.
     """
 
-    __slots__ = ("arity", "truncation", "_base", "_slack", "_grades")
+    __slots__ = ("arity", "truncation", "_base", "_grades")
 
     def __init__(self, arity: int, truncation: int, terms: dict | None = None):
         counting.check_arity(arity)
@@ -78,26 +77,20 @@ class MultiSeries:
             raise ConstraintError(f"truncation must be >= 0, got {truncation}")
         self.arity = arity
         self.truncation = truncation
-        terms = terms or {}
-        for n, a in terms:
-            self._check_term(n, a)
-        live = {(n, tuple(a)): c for (n, a), c in terms.items() if c}
-        self._slack = max((max(a) - n for n, a in live), default=0)
-        self._base = truncation + max(self._slack, 0) + 1
+        self._base = truncation + 1
         self._grades = [{} for _ in range(truncation + 1)]
-        for (n, a), c in live.items():
-            self._grades[n][_pack(a, self._base)] = c
+        for (n, a), c in (terms or {}).items():
+            self._check_term(n, a)
+            if max(a) > n:
+                raise ConstraintError(f"exponent vector {a} has a part above x-degree {n}")
+            if c:
+                self._grades[n][_pack(a, self._base)] = c
 
     @classmethod
-    def _ring_result(cls, arity: int, truncation: int, base: int, slack: int,
-                     grades: list) -> "MultiSeries":
+    def _ring_result(cls, arity: int, truncation: int, grades: list) -> "MultiSeries":
         """A series the ring built itself from checked operands, so its
         terms are not checked again; grades hold no zero coefficients."""
-        out = cls.__new__(cls)
-        out.arity = arity
-        out.truncation = truncation
-        out._base = base
-        out._slack = slack
+        out = cls(arity, truncation)
         out._grades = grades
         return out
 
@@ -124,63 +117,48 @@ class MultiSeries:
 
     def _check_match(self, other: "MultiSeries") -> None:
         if self.arity != other.arity:
-            raise ConstraintError(
-                f"arity mismatch: {self.arity} vs {other.arity}"
-            )
+            raise ConstraintError(f"arity mismatch: {self.arity} vs {other.arity}")
         if self.truncation != other.truncation:
             raise ConstraintError(
-                f"truncation mismatch: {self.truncation} vs {other.truncation}"
-            )
-
-    def _in_base(self, base: int) -> list:
-        """The grades with every key repacked in ``base`` (at least the
-        series' own base)."""
-        old, t = self._base, self.arity
-        if base == old:
-            return self._grades
-        return [{_pack(_unpack(k, old, t), base): c for k, c in grade.items()}
-                for grade in self._grades]
+                f"truncation mismatch: {self.truncation} vs {other.truncation}")
 
     def __add__(self, other: "MultiSeries") -> "MultiSeries":
         self._check_match(other)
-        base = max(self._base, other._base)
         out = []
-        for mine, theirs in zip(self._in_base(base), other._in_base(base)):
+        for mine, theirs in zip(self._grades, other._grades):
             grade = dict(mine)
             get = grade.get
             for key, c in theirs.items():
                 grade[key] = get(key, 0) + c
             out.append(_nonzero(grade))
-        return MultiSeries._ring_result(self.arity, self.truncation, base,
-                                        max(self._slack, other._slack), out)
+        return MultiSeries._ring_result(self.arity, self.truncation, out)
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         self._check_match(other)
-        limit = self.truncation
-        slack = self._slack + other._slack
-        base = max(self._base, other._base,
-                   limit + max(slack, self._slack, other._slack, 0) + 1)
-        a, b = self._in_base(base), other._in_base(base)
-        out = [_nonzero(_grade_product(a, b, d)) for d in range(limit + 1)]
-        return MultiSeries._ring_result(self.arity, limit, base, slack, out)
+        a, b = self._grades, other._grades
+        out = [_nonzero(_grade_product(a, b, d)) for d in range(self.truncation + 1)]
+        return MultiSeries._ring_result(self.arity, self.truncation, out)
 
     def times_y(self, slot: int) -> "MultiSeries":
-        """Multiply by the edge marker of the given slot (1-based)."""
+        """Multiply by the edge marker of the given slot (1-based).  Refused
+        when a term's part in that slot already equals its degree, since
+        the product would hold a part above its degree."""
         if not 1 <= slot <= self.arity:
             raise ConstraintError(f"slot {slot} outside 1..{self.arity}")
-        slack = self._slack + 1
-        base = max(self._base, self.truncation + slack + 1)
+        base = self._base
         shift = base ** (self.arity - slot)
-        out = [{k + shift: c for k, c in grade.items()}
-               for grade in self._in_base(base)]
-        return MultiSeries._ring_result(self.arity, self.truncation, base,
-                                        slack, out)
+        for n, grade in enumerate(self._grades):
+            if any(key // shift % base == n for key in grade):
+                raise ConstraintError(f"part {slot} of a term equals its x-degree {n}")
+        out = [{k + shift: c for k, c in grade.items()} for grade in self._grades]
+        return MultiSeries._ring_result(self.arity, self.truncation, out)
 
     def coefficient(self, n: int, parts: Sequence[int]) -> int:
-        """Stored coefficient of x^n * y^parts, or 0; the term must be in range."""
+        """Stored coefficient of x^n * y^parts, or 0; the term must be in
+        range.  A part above n cannot be stored, so such a term reads 0."""
         a = tuple(parts)
         self._check_term(n, a)
-        if max(a) >= self._base:  # no stored term has a part this large
+        if max(a) > n:
             return 0
         return self._grades[n].get(_pack(a, self._base), 0)
 
@@ -206,18 +184,14 @@ class MultiSeries:
     def __eq__(self, other):
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        if self.arity != other.arity or self.truncation != other.truncation:
-            return False
-        base = max(self._base, other._base)
-        return self._in_base(base) == other._in_base(base)
+        # equal grade lists are equally long, so their truncations agree
+        return self.arity == other.arity and self._grades == other._grades
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return (
-            f"MultiSeries(arity={self.arity}, truncation={self.truncation}, "
-            f"terms={sum(map(len, self._grades))})"
-        )
+        return (f"MultiSeries(arity={self.arity}, truncation={self.truncation}, "
+                f"terms={sum(map(len, self._grades))})")
 
 
 def solve_G(t: int, N: int) -> MultiSeries:
@@ -254,7 +228,50 @@ def solve_G(t: int, N: int) -> MultiSeries:
                 grade[key] = get(key, 0) + c
             q[j].append(grade)
         g[d + 1] = q[t][d]
-    return MultiSeries._ring_result(t, N, base, -1, g)
+    return MultiSeries._ring_result(t, N, g)
+
+
+def residual(g: MultiSeries) -> MultiSeries:
+    """x * prod_j (1 + yj*g) as a full ring product: g when g solves it."""
+    t, N = g.arity, g.truncation
+    one, rhs = MultiSeries.one(t, N), MultiSeries.x(t, N)
+    for slot in range(1, t + 1):
+        rhs = rhs * (one + g.times_y(slot))
+    return rhs
+
+
+def _weak(total: int, parts: int) -> int:
+    """The weak compositions of total into parts: the terms of one grade."""
+    return counting.binomial(total + parts - 1, parts - 1) if total >= 0 else 0
+
+
+def solve_steps(t: int, N: int) -> int:
+    """The ring steps of ``solve_G(t, N)`` and of its ``residual``, from
+    composition counts alone: a step is one product of two coefficients or
+    one pair of degrees looked at.  For each factor j, the solver visits
+    d+1 pairs of x-degrees in each round d < N, and the residual product
+    d+1 for each d <= N, t*N*(N+2) pairs in all.  [x^e] Q_(j-1) holds the
+    compositions of e into t parts whose first j-1 parts are not all zero
+    (one term at e=0), [x^k] g those of k-1, so g through x^r holds
+    weak(r-1, t+1) terms.  The solver multiplies each coefficient of
+    [x^e] Q_(j-1) with g through x^(N-1-e), the residual with 1 + yj*g
+    through x^(N-1-e)."""
+    steps = t * N * (N + 2)
+    for j in range(1, t + 1):
+        for e in range(N):
+            q = _weak(e, t) - _weak(e, t - j + 1) if e else 1
+            steps += q * (2 * _weak(N - 2 - e, t + 1) + 1)
+    return steps
+
+
+def inversion_steps(t: int, gmax: int) -> int:
+    """The ring steps of one expanded product: t factors of g-degree up to
+    gmax, one term per degree.  Each multiplication visits
+    (gmax+1)(gmax+2)/2 pairs of g-degrees, and factor j multiplies the
+    weak(e, j-1) terms of each degree e with the gmax-e+1 terms of degree
+    at most gmax-e, weak(gmax, j+1) products in all."""
+    return t * (gmax + 1) * (gmax + 2) // 2 + sum(
+        _weak(gmax, j + 1) for j in range(1, t + 1))
 
 
 def _expanded_product(t: int, gmax: int, power: int) -> MultiSeries:
@@ -266,7 +283,7 @@ def _expanded_product(t: int, gmax: int, power: int) -> MultiSeries:
         weight = base ** (t - 1 - i)
         factor = [{k * weight: counting.binomial(power, k)} if k <= power else {}
                   for k in range(gmax + 1)]
-        p = p * MultiSeries._ring_result(t, gmax, base, 0, factor)
+        p = p * MultiSeries._ring_result(t, gmax, factor)
     return p
 
 

@@ -622,11 +622,8 @@ def test_ring_steps_count_what_the_ring_does(monkeypatch):
     monkeypatch.setattr(series, "_grade_product", counted)
     for t, N in [(1, 9), (2, 7), (3, 6), (4, 5), (6, 3), (16, 2)]:
         steps.clear()
-        g = series.solve_G(t, N)
-        one, rhs = series.MultiSeries.one(t, N), series.MultiSeries.x(t, N)
-        for slot in range(1, t + 1):
-            rhs = rhs * (one + g.times_y(slot))
-        assert sum(steps) == cli._series_steps(t, N), (t, N)
+        series.residual(series.solve_G(t, N))
+        assert sum(steps) == series.solve_steps(t, N), (t, N)
         for m in [None] + list(range(1, min(t, N + 1))):
             for n in range(m or 1, N + 1):
                 steps.clear()
@@ -634,7 +631,7 @@ def test_ring_steps_count_what_the_ring_does(monkeypatch):
                     series.lagrange_table(t, n)
                 else:
                     series.lagrange_table_forest(t, m, n)
-                assert sum(steps) == cli._inversion_steps(t, n - (m or 1)), (t, m, n)
+                assert sum(steps) == series.inversion_steps(t, n - (m or 1)), (t, m, n)
 
 
 def test_benchmark_verify_commands_far_below_the_budget():
@@ -968,6 +965,25 @@ def test_closed_form_commands_load_only_the_closed_form_layer():
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[-1] == (
         "loaded: ['arbor', 'arbor.cli', 'arbor.counting', 'arbor.errors']")
+
+
+def test_brute_verify_loads_no_series_ring():
+    # the censuses of --mode brute take no ring steps, so counting them
+    # loads neither the series ring nor the lattice paths
+    code = (
+        "import sys\n"
+        "from arbor.cli import main\n"
+        "assert main(['verify', '--t', '3', '--max-n', '4', '--mode', 'brute']) == 0\n"
+        "print('loaded:', sorted(m for m in sys.modules if m.split('.')[0] == 'arbor'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    loaded = done.stdout.splitlines()[-1]
+    assert "'arbor.treebank'" in loaded
+    assert "'arbor.series'" not in loaded and "'arbor.paths'" not in loaded
 
 
 def test_package_names_load_on_first_use():

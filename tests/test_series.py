@@ -67,22 +67,31 @@ def test_init_rejects_out_of_range_terms():
         {(1, (0, 0, 0)): 1},              # three parts at arity 2
         {(1, (2, -1)): 1},                # a negative part
         {(4, (0, 0)): 0},                 # zero coefficients are checked too
+        {(3, (5, 0)): 2},                 # a part above its degree
+        {(0, (0, 1)): 1},                 # any part above degree 0
+        {(2, (1, 3)): 0},
     ):
         with pytest.raises(ConstraintError):
             MultiSeries(2, 3, terms)
-    edge = MultiSeries(2, 3, {(0, (0, 0)): 1, (3, (5, 0)): 2})
-    assert edge.dump_lines() == ["0;0,0;1", "3;5,0;2"]
-    # coefficient reads under the same rule
+    with pytest.raises(ConstraintError,
+                       match=r"^exponent vector \(1, 3\) has a part above x-degree 2$"):
+        MultiSeries(2, 3, {(2, (1, 3)): 1})
+    edge = MultiSeries(2, 3, {(0, (0, 0)): 1, (3, (3, 0)): 2})
+    assert edge.dump_lines() == ["0;0,0;1", "3;3,0;2"]
+    # coefficient reads under the same rule, and a term with a part above
+    # its degree, which cannot be stored, reads 0
     for n, parts in ((-1, (0, 0)), (4, (0, 0)), (1, (1, -1)), (1, (1,))):
         with pytest.raises(ConstraintError):
             edge.coefficient(n, parts)
+    for n, parts in ((3, (4, 0)), (3, (0, 9)), (0, (1, 0)), (2, (3, 0))):
+        assert edge.coefficient(n, parts) == 0
 
 
 def test_ring_results_skip_the_term_check(monkeypatch):
-    a = MultiSeries(2, 3, {(0, (0, 0)): 1, (1, (1, 0)): 2})
-    b = MultiSeries(2, 3, {(1, (0, 1)): -1, (2, (1, 1)): 3})
-    want = reference_mul(a, MultiSeries(2, 3, {
-        (0, (0, 1)): 1, (1, (1, 1)): 2, (1, (0, 2)): -1, (2, (1, 2)): 3}))
+    a = MultiSeries(2, 5, {(1, (0, 0)): 1, (2, (1, 0)): 2})
+    b = MultiSeries(2, 5, {(2, (0, 1)): -1, (3, (1, 1)): 3})
+    want = reference_mul(a, MultiSeries(2, 5, {
+        (1, (0, 1)): 1, (2, (1, 1)): 2, (2, (0, 2)): -1, (3, (1, 2)): 3}))
     checked = []
     real = MultiSeries._check_term
 
@@ -95,8 +104,8 @@ def test_ring_results_skip_the_term_check(monkeypatch):
     assert checked == []
     assert product == want
     # the public constructor and coefficient still check every term
-    with pytest.raises(ConstraintError, match=r"^x-degree 4 outside 0\.\.3$"):
-        MultiSeries(2, 3, {(4, (0, 0)): 1})
+    with pytest.raises(ConstraintError, match=r"^x-degree 6 outside 0\.\.5$"):
+        MultiSeries(2, 5, {(6, (0, 0)): 1})
     with pytest.raises(ConstraintError,
                        match=r"^exponent vector \(1, -1\) is not 2 non-negative parts$"):
         product.coefficient(1, (1, -1))
@@ -268,13 +277,15 @@ def test_dump_lines_sorted_format():
         assert int(c) == g.coefficient(int(n), tuple(int(x) for x in a.split(",")))
 
 
+def domain_term(t, n):
+    """A term of degree n: t parts, each in 0..n."""
+    return st.tuples(st.just(n), st.tuples(*[st.integers(0, n) for _ in range(t)]))
+
+
 def small_series(t=2, N=3):
-    """Series whose parts reach past the truncation N, which forces the
-    packed keys of some operands into a larger base than others."""
-    keys = st.tuples(
-        st.integers(0, N),
-        st.tuples(*[st.integers(0, N + 3) for _ in range(t)]),
-    )
+    """Series of up to 5 terms, each part at most its degree, with negative
+    coefficients."""
+    keys = st.integers(0, N).flatmap(lambda n: domain_term(t, n))
     return st.dictionaries(keys, st.integers(-4, 4), max_size=5).map(
         lambda terms: MultiSeries(t, N, terms)
     )
@@ -282,16 +293,21 @@ def small_series(t=2, N=3):
 
 def edge_series(t=2, N=5):
     """Series with one term at x-degree 0 and one at the truncation N."""
-    exps = st.tuples(*[st.integers(0, N + 2) for _ in range(t)])
-    term = st.tuples(exps, st.integers(-4, 4).filter(bool))
-    rest = st.dictionaries(st.tuples(st.integers(0, N), exps),
+    coefficient = st.integers(-4, 4).filter(bool)
+    term = lambda n: st.tuples(domain_term(t, n), coefficient)
+    rest = st.dictionaries(st.integers(0, N).flatmap(lambda n: domain_term(t, n)),
                            st.integers(-4, 4), max_size=4)
     return st.builds(
-        lambda low, high, terms: MultiSeries(
-            t, N, {**terms, (0, low[0]): low[1], (N, high[0]): high[1]}
-        ),
-        term, term, rest,
+        lambda low, high, terms: MultiSeries(t, N, {**terms, low[0]: low[1],
+                                                    high[0]: high[1]}),
+        term(0), term(N), rest,
     )
+
+
+def below_degree(s, slot):
+    """Whether every term's part in the slot lies below its degree, which
+    is when ``times_y(slot)`` stays in the ring."""
+    return all(a[slot - 1] < n for n, a, _ in s.terms())
 
 
 def check_ring_laws(a, b, c):
@@ -300,9 +316,15 @@ def check_ring_laws(a, b, c):
     assert a * b == b * a == reference_mul(a, b)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    x = MultiSeries.x(a.arity, a.truncation)
     for slot in range(1, a.arity + 1):
-        assert a.times_y(slot) == reference_times_y(a, slot)
-        assert (a * b).times_y(slot) == a.times_y(slot) * b
+        for s in (a, a * b, a * x):  # every part of a * x is below its degree
+            if below_degree(s, slot):
+                assert s.times_y(slot) == reference_times_y(s, slot)
+                assert (s * b).times_y(slot) == s.times_y(slot) * b
+            else:
+                with pytest.raises(ConstraintError):
+                    s.times_y(slot)
     for n, parts, coefficient in (a * b).terms():
         assert reference_mul(a, b).coefficient(n, parts) == coefficient
 
@@ -325,15 +347,16 @@ def test_ring_laws_at_truncation(abc):
     check_ring_laws(*abc)
 
 
-def test_parts_beyond_the_truncation_survive_repacking():
-    # a part of 40 at truncation 3 and one of 7 at degree 0 force bases far
-    # above the one solve_G uses; products, sums and reads must not carry
-    wide = MultiSeries(2, 3, {(0, (40, 0)): 3, (1, (0, 7)): -2})
-    g = solve_G(2, 3)
-    assert g * wide == reference_mul(g, wide)
-    assert (g + wide).coefficient(0, (40, 0)) == 3
-    assert (g * wide).coefficient(3, (41, 1)) == 3 * g.coefficient(3, (1, 1))
-    assert (g * wide).coefficient(3, (0, 0)) == 0
-    assert wide.coefficient(2, (99, 99)) == 0
-    assert wide.times_y(1).dump_lines() == ["0;41,0;3", "1;1,7;-2"]
-    assert (g + wide) + MultiSeries(2, 3, {(0, (40, 0)): -3, (1, (0, 7)): 2}) == g
+def test_times_y_refused_at_a_part_equal_to_its_degree():
+    # y1 * x^2 y1^2 would hold a part above its degree; once a sum cancels
+    # that term, the same slot is accepted again
+    with pytest.raises(ConstraintError,
+                       match=r"^part 1 of a term equals its x-degree 2$"):
+        MultiSeries(2, 3, {(2, (2, 0)): 1, (3, (1, 1)): 1}).times_y(1)
+    with pytest.raises(ConstraintError, match=r"x-degree 0$"):
+        MultiSeries.one(2, 3).times_y(2)
+    s = MultiSeries(2, 3, {(2, (2, 0)): 1, (3, (1, 1)): 1})
+    s = s + MultiSeries(2, 3, {(2, (2, 0)): -1})
+    assert s.times_y(1).dump_lines() == ["3;2,1;1"]
+    assert s.times_y(2).dump_lines() == ["3;1,2;1"]
+    assert MultiSeries(2, 3, {(2, (2, 0)): 1}).times_y(2).dump_lines() == ["2;2,1;1"]

@@ -8,9 +8,9 @@ closed-form rows of ``table`` and ``triangle``
 (``counting.binomial_row``, ``counting.count_table`` and
 ``cli._triangle_rows``), and the text that
 ``arbor table`` prints as CSV and pretty, through ``cli.main``, and the series
-layer: ``series.solve_G``, the residual product x * prod (1 + yi*g) that
-``verify --mode series`` forms from the solved g, and direct inversion of
-one (n, m) group at a time, as ``verify --mode lagrange`` reads it, and the
+layer: ``series.solve_G``, ``series.residual`` (the product
+x * prod (1 + yi*g) that ``verify --mode series`` forms from the solved g)
+and direct inversion of one (n, m) group at a time, as ``verify --mode lagrange`` reads it, and the
 ``arbor paths`` listing through ``cli.main``.  Each timing calls the
 function at least 3 times and until 0.2 s have elapsed, and reports the
 best call.  It also runs fresh processes, each forked from a minimal
@@ -45,12 +45,7 @@ are timed:
 
     PYTHONPATH=src python tools/bench_census.py
 
-The pure engine needs about two minutes for the census sizes.  A checkout
-whose ``treebank`` has no ``joint_census`` gets no joint rows, and one
-whose ``series`` has no ``lagrange_table`` is timed with one
-``lagrange_extract`` call per composition, from an empty memo, as its
-``verify`` did; one whose ``counting`` has no ``binomial_row`` is timed
-with the row of one ``comb`` call per entry that its ``count_rows`` built.
+The pure engine needs about two minutes for the census sizes.
 """
 import contextlib
 import hashlib
@@ -145,15 +140,11 @@ def closed_form_rows():
     """The closed-form rows of table and triangle, each checked against one
     per-composition (or per-cell) call."""
     rows = []
-    # a checkout without binomial_row built the row of count_rows by comb
-    row_of = getattr(counting, "binomial_row", None)
-    by = "ratio" if row_of else "comb"
-    row_of = row_of or (lambda n, top: [comb(n, k) for k in range(top + 1)])
     for n, top in BINOMIAL_ROWS:
-        seconds, row = best(lambda: row_of(n, top))
+        seconds, row = best(lambda: counting.binomial_row(n, top))
         if row != [comb(n, k) for k in range(top + 1)]:
             sys.exit(f"binomial_row({n}, {top}) differs from comb")
-        rows.append({"layer": "closed_form", "call": "binomial_row", "by": by, "n": n,
+        rows.append({"layer": "closed_form", "call": "binomial_row", "n": n,
                      "top": top, "best_s": round(seconds, 5)})
     for t, n, m in CLOSED_FORM_SIZES:
         seconds, table = best(lambda: counting.count_table(t, n, m))
@@ -226,7 +217,7 @@ def series_rows():
                      "terms": sum(1 for _ in g.terms()), "best_s": round(seconds, 5)})
     for t, N in RESIDUAL_SIZES:
         g = series.solve_G(t, N)
-        seconds, rhs = best(lambda: residual(g, t, N))
+        seconds, rhs = best(lambda: series.residual(g))
         if rhs != g:
             sys.exit(f"x * prod (1 + yi*g) differs from g at t={t} N={N}")
         rows.append({"layer": "series", "call": "residual", "t": t, "N": N,
@@ -248,25 +239,10 @@ def by_degree(g):
     return out
 
 
-def residual(g, t, N):
-    """x * prod (1 + yi*g), formed as ``verify --mode series`` forms it."""
-    one, rhs = series.MultiSeries.one(t, N), series.MultiSeries.x(t, N)
-    for slot in range(1, t + 1):
-        rhs = rhs * (one + g.times_y(slot))
-    return rhs
-
-
 def inversion_group(t, n, m):
     """One (n, m) group by direct inversion."""
-    if hasattr(series, "lagrange_table"):
-        return (series.lagrange_table(t, n) if m is None
-                else series.lagrange_table_forest(t, m, n))
-    series._expanded_product.cache_clear()
-    if m is None:
-        return {a: series.lagrange_extract(t, n, a)
-                for a in counting.compositions(t, n - 1)}
-    return {a: series.lagrange_extract_forest(t, m, n, a)
-            for a in counting.compositions(t, n, m=m)}
+    return (series.lagrange_table(t, n) if m is None
+            else series.lagrange_table_forest(t, m, n))
 
 
 def listing_rows():
@@ -410,16 +386,15 @@ def kernel_rows():
         row, _ = engine_row("census", treebank.census, t, n)
         rows.append(row)
         print(json.dumps(row), flush=True)
-    if hasattr(treebank, "joint_census"):
-        for t, n in JOINT_SIZES:
-            row, joint = engine_row("joint_census", treebank.joint_census, t, n)
-            edges = Counter()
-            for (profile, _), count in joint.items():
-                edges[profile] += count
-            if edges != treebank.census(t, n):
-                sys.exit(f"joint_census t={t} n={n}: edge marginal differs from census")
-            rows.append(row)
-            print(json.dumps(row), flush=True)
+    for t, n in JOINT_SIZES:
+        row, joint = engine_row("joint_census", treebank.joint_census, t, n)
+        edges = Counter()
+        for (profile, _), count in joint.items():
+            edges[profile] += count
+        if edges != treebank.census(t, n):
+            sys.exit(f"joint_census t={t} n={n}: edge marginal differs from census")
+        rows.append(row)
+        print(json.dumps(row), flush=True)
     for t, n in PROBE_SIZES:
         probe_s, _ = best(lambda: paths.residue_distribution_probe(t, n, budget=10**12))
         rows.append({"layer": "probe", "t": t, "n": n,

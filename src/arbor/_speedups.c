@@ -3,10 +3,10 @@
  * segment_census(t, sizes) profiles every ordered tuple of t-ary trees in
  * which tree j (segment j) has exactly sizes[j] nodes, counting the edges
  * inside the trees only.  It returns a dict mapping each realized edge-type
- * composition (a tuple) to its multiplicity (an int).  With residues=True
- * the keys are (composition, residues) pairs instead, residues[r] counting
- * the fall steps of the trees' Lukasiewicz paths that start at a height
- * congruent to r mod t, as in segment_census_pure.
+ * composition (a tuple) to its multiplicity (an int).  With residues=True it
+ * returns that dict and a second one, {residues: multiplicity}, residues[r]
+ * counting the fall steps of the trees' Lukasiewicz paths that start at a
+ * height congruent to r mod t, as in segment_census_pure.
  *
  * The walk backtracks over preorder words (Knuth, TAOCP 4A, 7.2.1.6): a node
  * symbol or an empty-slot symbol per step, with a stack of per-node
@@ -21,10 +21,10 @@
  * Residues mode also counts the non-root nodes by the height mod t at which
  * their step starts, vacant - 1 in the open segment; every step lowers the
  * height by 1 mod t, so residues[r] is the node count minus class r.  The
- * classes sum to the profile's total, so the cell of a tree tuple is
- * rank(profile) * P + rank(classes), P being the number of profiles.  One
- * walk body serves both modes; it is inlined into one function per mode, so
- * the plain census carries no residue bookkeeping.
+ * classes sum to the profile's total, so they are ranked the same way, in P
+ * more cells after the P cells of the profiles.  One walk body serves both
+ * modes; it is inlined into one function per mode, so the plain census
+ * carries no residue bookkeeping.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -53,7 +53,7 @@ struct census {
     Py_ssize_t *trail;      /* t*N + k: at most one entry per slot, plus segment starts */
     Py_ssize_t *saved;      /* 2k: top frame and vacant slots of finished segments */
     Py_ssize_t *numcomp;    /* (S+1) x (t+1): weak compositions of s into c parts */
-    u64 *counts;            /* P cells, P * P in residues mode */
+    u64 *counts;            /* P cells, then P for the classes in residues mode */
 };
 
 /* Lexicographic rank of parts among the weak compositions of S. */
@@ -77,11 +77,13 @@ count_node(struct census *c, const int residues, Py_ssize_t vacant, Py_ssize_t d
         c->classes[(vacant - 1) % c->t] += delta;
 }
 
-static ALWAYS_INLINE Py_ssize_t
-cell(const struct census *c, const int residues)
+/* One tree tuple, in each table the mode keeps. */
+static ALWAYS_INLINE void
+tally(struct census *c, const int residues)
 {
-    Py_ssize_t r = rank(c, c->profile);
-    return residues ? r * c->P + rank(c, c->classes) : r;
+    c->counts[rank(c, c->profile)]++;
+    if (residues)
+        c->counts[c->P + rank(c, c->classes)]++;
 }
 
 static ALWAYS_INLINE void
@@ -89,7 +91,7 @@ walk(struct census *c, const int residues)
 {
     const Py_ssize_t t = c->t, k = c->k;
     if (k == 0) {                       /* the empty tuple */
-        c->counts[0] = 1;
+        tally(c, residues);
         return;
     }
     Py_ssize_t *profile = c->profile, *frames = c->frames, *trail = c->trail;
@@ -116,7 +118,7 @@ walk(struct census *c, const int residues)
             trail[len++] = SEGMENT;
             continue;
         }
-        c->counts[cell(c, residues)]++;
+        tally(c, residues);
         /* back up to the latest node whose slot can take an empty instead */
         for (;;) {
             if (len == 0)
@@ -226,47 +228,27 @@ as_tuple(const Py_ssize_t *parts, Py_ssize_t t, Py_ssize_t base, Py_ssize_t sign
     return tuple;
 }
 
-/* The nonzero cells as {composition: count}, or {(composition, residues):
-   count} in residues mode, stepping prow (and crow) through the
-   compositions in lexicographic order; both rows start zeroed. */
+/* The nonzero cells of counts[0..P) as {base + sign * composition: count},
+   stepping row through the compositions in lexicographic order. */
 static PyObject *
-table(const struct census *c, const int residues, Py_ssize_t *prow, Py_ssize_t *crow)
+table(const struct census *c, const u64 *counts, Py_ssize_t base, Py_ssize_t sign,
+      Py_ssize_t *row)
 {
-    const Py_ssize_t t = c->t, R = residues ? c->P : 1;
+    const Py_ssize_t t = c->t;
     PyObject *result = PyDict_New();
-    prow[t - 1] = c->S;
+    for (Py_ssize_t i = 0; i < t; i++)
+        row[i] = i + 1 < t ? 0 : c->S;
     for (Py_ssize_t p = 0; result != NULL && p < c->P; p++) {
-        PyObject *profile = NULL;
         if (p)
-            next_composition(prow, t);
-        for (Py_ssize_t i = 0; i < t; i++)
-            crow[i] = i + 1 < t ? 0 : c->S;
-        for (Py_ssize_t q = 0; result != NULL && q < R; q++) {
-            if (q)
-                next_composition(crow, t);
-            const u64 count = c->counts[p * R + q];
-            if (count == 0)
-                continue;
-            if (profile == NULL && (profile = as_tuple(prow, t, 0, 1)) == NULL) {
-                Py_CLEAR(result);
-                break;
-            }
-            PyObject *key, *value = PyLong_FromUnsignedLongLong(count);
-            if (residues) {
-                PyObject *res = as_tuple(crow, t, c->N, -1);
-                key = res != NULL ? PyTuple_Pack(2, profile, res) : NULL;
-                Py_XDECREF(res);
-            }
-            else {
-                key = profile;
-                Py_INCREF(key);
-            }
-            if (key == NULL || value == NULL || PyDict_SetItem(result, key, value) < 0)
-                Py_CLEAR(result);
-            Py_XDECREF(key);
-            Py_XDECREF(value);
-        }
-        Py_XDECREF(profile);
+            next_composition(row, t);
+        if (counts[p] == 0)
+            continue;
+        PyObject *key = as_tuple(row, t, base, sign);
+        PyObject *value = PyLong_FromUnsignedLongLong(counts[p]);
+        if (key == NULL || value == NULL || PyDict_SetItem(result, key, value) < 0)
+            Py_CLEAR(result);
+        Py_XDECREF(key);
+        Py_XDECREF(value);
     }
     return result;
 }
@@ -279,7 +261,7 @@ segment_census(PyObject *self, PyObject *args, PyObject *kwargs)
     const Py_ssize_t limit = PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(Py_ssize_t) / 4;
     PyObject *sizes_obj, *sizes = NULL, *result = NULL;
     struct census c = {0};
-    Py_ssize_t *words = NULL, *prow, *crow, t, k, nodes, N = 0, cells;
+    Py_ssize_t *words = NULL, *lex, t, k, nodes, N = 0;
     int residues = 0;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nO|p:segment_census", kwlist,
@@ -291,9 +273,9 @@ segment_census(PyObject *self, PyObject *args, PyObject *kwargs)
     if (sizes == NULL)
         goto done;
     k = PySequence_Fast_GET_SIZE(sizes);
-    /* sizes, profile, classes, the two lexicographic rows of table and
-       saved; frames, trail and numcomp follow once N is known */
-    words = PyMem_Calloc(3 * k + 4 * t, sizeof(Py_ssize_t));
+    /* sizes, profile, classes, the lexicographic row of table and saved;
+       frames, trail and numcomp follow once N is known */
+    words = PyMem_Calloc(3 * k + 3 * t, sizeof(Py_ssize_t));
     if (words == NULL) {
         PyErr_NoMemory();
         goto done;
@@ -303,9 +285,8 @@ segment_census(PyObject *self, PyObject *args, PyObject *kwargs)
     c.sizes = words;
     c.profile = words + k;
     c.classes = c.profile + t;
-    prow = c.classes + t;
-    crow = prow + t;
-    c.saved = crow + t;
+    lex = c.classes + t;
+    c.saved = lex + t;
     for (Py_ssize_t j = 0; j < k; j++) {
         if (to_ssize(PySequence_Fast_GET_ITEM(sizes, j),
                      (limit - k) / t - 1 - N, "segment size", &nodes) < 0)
@@ -319,16 +300,14 @@ segment_census(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     c.N = N;
     c.S = N - k;
-    c.P = cells = cell_count(c.S, t);
-    if (cells > CELL_CAP || (residues && cells > CELL_CAP / cells)) {
+    c.P = cell_count(c.S, t);
+    if (c.P > CELL_CAP) {
         PyErr_Format(PyExc_ValueError, "composition space too large for the "
                      "compiled kernel (more than %zd cells)", CELL_CAP);
         goto done;
     }
-    if (residues)
-        cells *= cells;
     c.frames = PyMem_Calloc(N + t * N + k + (c.S + 1) * (t + 1), sizeof(Py_ssize_t));
-    c.counts = PyMem_Calloc(cells, sizeof(u64));
+    c.counts = PyMem_Calloc(residues ? 2 * c.P : c.P, sizeof(u64));
     if (c.frames == NULL || c.counts == NULL) {   /* refused like a size too large */
         PyErr_Format(PyExc_ValueError,
                      "%zd nodes do not fit the compiled kernel's memory", N);
@@ -348,7 +327,9 @@ segment_census(PyObject *self, PyObject *args, PyObject *kwargs)
     else
         census_walk(&c);
     Py_END_ALLOW_THREADS
-    result = table(&c, residues, prow, crow);
+    result = table(&c, c.counts, 0, 1, lex);
+    if (residues && result != NULL)     /* a NULL second table frees the first */
+        result = Py_BuildValue("(NN)", result, table(&c, c.counts + c.P, N, -1, lex));
 done:
     Py_XDECREF(sizes);
     PyMem_Free(words);
@@ -361,7 +342,7 @@ static PyMethodDef methods[] = {
     {"segment_census", (PyCFunction)(void (*)(void))segment_census,
      METH_VARARGS | METH_KEYWORDS,
      "segment_census(t, sizes, residues=False) -> {edge-type composition: multiplicity},\n"
-     "or {(edge-type composition, residues): multiplicity} with residues=True"},
+     "and {residues: multiplicity} beside it with residues=True"},
     {NULL, NULL, 0, NULL},
 };
 

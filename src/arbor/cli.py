@@ -33,17 +33,9 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
                               "list of integers") from None
 
 
-def _parse_composition(text: str, t: int) -> tuple[int, ...]:
-    parts = _parse_ints(text, "composition")
-    if len(parts) != t:
-        raise ConstraintError(
-            f"composition {text!r} has {len(parts)} parts, arity is {t}"
-        )
-    return parts
-
-
 def cmd_count(args) -> int:
-    comp = _parse_composition(args.composition, args.t)
+    # count_trees and count_forests check the arity, the shape, then the parts
+    comp = _parse_ints(args.composition, "composition")
     if args.forest is not None:
         print(counting.count_forests(args.t, args.forest, args.n, comp))
     else:

@@ -6,9 +6,9 @@ external leaf a fall of 1.  The walk stays non-negative and first reaches -1
 at the very end.  Each step also carries the child-slot index it occupies
 under its parent; the root step is unlabeled.
 
-The probe builds no tree objects and no paths: both of its distributions
-are the marginals of ``treebank.joint_census``, one walk of the census
-kernel that also counts each tree's falls by starting height mod t.  The
+The probe builds no tree objects and no paths: its two distributions are
+the two tables of ``treebank.joint_census``, one walk of the census kernel
+that also counts each tree's falls by starting height mod t.  The
 listing builds no paths either: :func:`write_listing` writes each line from
 one preorder pass over the tree.  :func:`tree_to_path`, :func:`format_path`
 and :func:`residue_stats` stay as the object-level API and the tests'
@@ -269,7 +269,7 @@ def residue_distribution_probe(
 ) -> ProbeReport:
     """Compare edge-type counts with residue-class counts over all n-node trees.
 
-    Both distributions are marginals of one :func:`treebank.joint_census`
+    Both distributions are the tables of one :func:`treebank.joint_census`
     walk.
 
     The identification of residue classes with edge types is deliberately not
@@ -282,24 +282,15 @@ def residue_distribution_probe(
     off = tuple(offset) if offset is not None else (0,) * t
     if len(off) != t:
         raise ConstraintError(f"offset has {len(off)} parts, arity is {t}")
-    edge_table: Counter = Counter()
-    residue_table: Counter = Counter()
-    joint = treebank.joint_census(t, n, budget=budget)
-    for (profile, residues), count in joint.items():
-        edge_table[profile] += count
-        residue_table[residues] += count
-
-    normalized = Counter()
-    for vec, count in residue_table.items():
-        normalized[tuple(v - o for v, o in zip(vec, off))] += count
-
+    edge_table, residue_table = treebank.joint_census(t, n, budget=budget)
+    # the offset and the shifts are one-to-one on vectors: no key merges
+    normalized = {tuple(v - o for v, o in zip(vec, off)): count
+                  for vec, count in residue_table.items()}
     edge_counter = Counter(edge_table)
     matches = []
     shifted_tables = []
     for s in range(t):
-        shifted = Counter()
-        for vec, count in normalized.items():
-            shifted[cyclic_shift(vec, s)] += count
+        shifted = Counter({cyclic_shift(vec, s): count for vec, count in normalized.items()})
         shifted_tables.append(shifted)
         matches.append(sum((edge_counter & shifted).values()))
 
@@ -315,8 +306,8 @@ def residue_distribution_probe(
     return ProbeReport(
         arity=t,
         nodes=n,
-        edge_distribution=dict(edge_table),
-        residue_distribution=dict(residue_table),
+        edge_distribution=edge_table,
+        residue_distribution=residue_table,
         offset=off,
         shift_matches=tuple(matches),
         best_shift=best,

@@ -19,8 +19,9 @@ one in each of slots 1..m for a forest).
 In residues mode the kernels also count each tree's non-root nodes by the
 height mod t at which the node's step of the Lukasiewicz path starts, which
 gives the path's falls per residue class; :func:`joint_census` returns the
-joint (edge profile, residue vector) table, and the ``paths`` probe reads
-both of its distributions from it instead of walking the listing.
+edge-profile table and the residue-vector table of one walk, and the
+``paths`` probe reads both distributions from them instead of walking the
+listing.
 
 The listing (:func:`enumerate_trees`, :func:`enumerate_forests`) keeps its
 own walk over slot sizes: its order is pinned by the ``paths`` output, and
@@ -310,7 +311,7 @@ def _tree_tuples(t: int, sizes: Sequence[int]) -> Iterator[tuple]:
                 size = placed + 1
 
 
-def segment_census_pure(t: int, sizes: Sequence[int], residues: bool = False) -> dict:
+def segment_census_pure(t: int, sizes: Sequence[int], residues: bool = False):
     """Pure-Python census kernel: profile every tuple of trees with the given sizes.
 
     Segment j is a tree with exactly sizes[j] nodes; only the edges inside
@@ -324,10 +325,10 @@ def segment_census_pure(t: int, sizes: Sequence[int], residues: bool = False) ->
     Once a segment has all its nodes, the rest of its word is forced
     (empty slots only), so the walk moves straight on to the next segment.
 
-    With ``residues`` the keys are (profile, residues) pairs, where
-    residues[r] counts the fall steps of the trees' Lukasiewicz paths (each
-    tree its own path) that start at a height congruent to r mod t, as
-    ``paths.residue_stats`` does.  Every step, a rise of t - 1 or a fall of
+    With ``residues`` it returns that table and a second one, {residues:
+    count}, where residues[r] counts the fall steps of the trees'
+    Lukasiewicz paths (each tree its own path) that start at a height
+    congruent to r mod t, as ``paths.residue_stats`` does.  Every step, a rise of t - 1 or a fall of
     1, lowers the height by 1 mod t, so each residue class holds a fixed
     number of steps and residues[r] is the node count minus the non-root
     nodes whose step starts at a height congruent to r.  The walk keeps
@@ -341,13 +342,14 @@ def segment_census_pure(t: int, sizes: Sequence[int], residues: bool = False) ->
     profile = [0] * t
     classes = [0] * t     # non-root nodes by starting height mod t
     if k == 0:
-        return {(tuple(profile), tuple(classes)) if residues else tuple(profile): 1}
+        return ({(0,) * t: 1}, {(0,) * t: 1}) if residues else {(0,) * t: 1}
     node, segment = -1, -2
     # one entry per choice: a node, a segment start, or an empty slot
     # recorded as the number of full frames it closed
     trail: list = []
     finished: list = []   # (frames, free) of the segments before the open one
     table: Counter = Counter()
+    class_table: Counter = Counter()
     seg, size = 0, sizes[0]
     frames = [0]          # children placed under each open node, root first
     used = 1              # nodes placed in the open segment
@@ -370,17 +372,16 @@ def segment_census_pure(t: int, sizes: Sequence[int], residues: bool = False) ->
             frames, used, free = [0], 1, t
             trail.append(segment)
             continue
+        table[tuple(profile)] += 1
         if residues:
-            table[tuple(profile), tuple(classes)] += 1
-        else:
-            table[tuple(profile)] += 1
+            class_table[tuple(classes)] += 1
         # back up to the latest node whose slot can take an empty instead
         while True:
             if not trail:
                 if residues:
                     n = sum(sizes)
-                    return {(p, tuple(n - c for c in cls)): count
-                            for (p, cls), count in table.items()}
+                    return dict(table), {tuple(n - c for c in cls): count
+                                         for cls, count in class_table.items()}
                 return dict(table)
             entry = trail.pop()
             if entry == segment:
@@ -409,7 +410,7 @@ def segment_census_pure(t: int, sizes: Sequence[int], residues: bool = False) ->
                 free += 1
 
 
-def _segment_census_capped(t: int, sizes: Sequence[int], residues: bool = False) -> dict:
+def _segment_census_capped(t: int, sizes: Sequence[int], residues: bool = False):
     """The compiled kernel, with its refusal of an oversized table as a ConstraintError."""
     try:
         return _segment_census_compiled(t, sizes, residues=residues)
@@ -431,6 +432,15 @@ def _select_kernel(engine: str):
     if engine == "pure":
         return segment_census_pure
     raise ConstraintError(f"unknown engine {engine!r} (expected auto, compiled or pure)")
+
+
+def _tree_kernel(t: int, n: int, budget: Optional[int], engine: str):
+    """The kernel for a census of the n-node t-ary trees, once the shape and
+    the budget pass."""
+    counting.check_tree_shape(t, n)
+    check_budget(f"census(t={t}, n={n})", [
+        (counting.total_trees(t, n), "enumerate %d trees"), (n, "place %d nodes")], budget)
+    return _select_kernel(engine)
 
 
 def _run_chunk(kernel, t: int, chunk: list) -> Counter:
@@ -484,10 +494,7 @@ def census(
     never more threads than splits or CPUs; the merged table is identical to
     the sequential one.
     """
-    counting.check_tree_shape(t, n)
-    check_budget(f"census(t={t}, n={n})", [
-        (counting.total_trees(t, n), "enumerate %d trees"), (n, "place %d nodes")], budget)
-    kernel = _select_kernel(engine)
+    kernel = _tree_kernel(t, n, budget, engine)
     if workers <= 1:
         jobs = [((n,), (0,) * t)]
     else:  # one job per root split: the subtrees in the root's nonempty slots
@@ -502,19 +509,17 @@ def joint_census(
     *,
     budget: Optional[int] = None,
     engine: str = "auto",
-) -> dict:
-    """Multiplicity of every realized (edge-type composition, residue vector)
-    pair over all t-ary trees with n nodes, by brute-force enumeration.
+) -> tuple[dict, dict]:
+    """The multiplicity of every realized edge-type composition and of every
+    residue vector over all t-ary trees with n nodes, by brute-force
+    enumeration, as two tables.
 
     The residue vector is ``paths.residue_stats`` of the tree's Lukasiewicz
     path: its fall steps counted by starting height mod t.  One walk of the
-    census kernel in its residues mode yields both; its edge marginal is
+    census kernel in its residues mode counts both; the first table is
     :func:`census`.  Shape and budget refusals are those of ``census``.
     """
-    counting.check_tree_shape(t, n)
-    check_budget(f"census(t={t}, n={n})", [
-        (counting.total_trees(t, n), "enumerate %d trees"), (n, "place %d nodes")], budget)
-    return _select_kernel(engine)(t, (n,), residues=True)
+    return _tree_kernel(t, n, budget, engine)(t, (n,), residues=True)
 
 
 def forest_census(

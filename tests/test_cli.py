@@ -62,6 +62,15 @@ def test_bad_flags_exit_1(capsys, monkeypatch):
         (verify + ["--workers", "0"], None),
         (verify + ["--workers", "-3"], None),
         (verify + ["--engine", "compiled"], None),
+        # count_trees and count_forests check the arity, the shape, then the parts
+        (["count", "--t", "0", "--n", "5", "--composition", "1"],
+         "arity must be >= 1, got t=0"),
+        (["count", "--t", "3", "--n", "0", "--composition", "1,2"],
+         "node count must be >= 1, got n=0"),
+        (["count", "--t", "3", "--n", "4", "--composition", "1,2"],
+         "composition has 2 parts, arity is 3"),
+        (["count", "--t", "3", "--n", "3", "--forest", "2", "--composition", "1,2"],
+         "composition has 2 parts, arity is 3"),
         # the shape is checked before any composition is built
         (["table", "--t", "3", "--n", "0"], "node count must be >= 1, got n=0"),
         (["table", "--t", "3", "--n", "-2", "--forest", "2"],
@@ -119,6 +128,21 @@ def test_kernel_cell_cap_exit_1(capsys, compiled_kernel):
         assert code == 1
         assert out == ""
         assert err.startswith("error: " + message)
+
+
+def test_probe_past_the_squared_cell_count(capsys, compiled_kernel):
+    # 4,368 compositions at t=12 n=6: each table is far below the cap,
+    # though their joint table would have passed it
+    code, out, err = run(capsys, "paths", "--t", "12", "--n", "6", "--probe")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    edges = [line for line in lines if line.startswith("edge,")]
+    want = counting.count_table(12, 6)
+    assert edges == [f"edge,{','.join(map(str, a))},{c}" for a, c in want.items()]
+    residues = [line for line in lines if line.startswith("residue,")]
+    assert sum(int(line.rsplit(",", 1)[1]) for line in residues) == sum(want.values())
+    assert len(lines) == 1 + len(edges) + len(residues) + 1
+    assert lines[-1].startswith("verdict: not-equal ")
 
 
 def test_kernel_cell_cap_under_workers_exit_1(capsys, monkeypatch, compiled_kernel):

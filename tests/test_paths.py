@@ -246,15 +246,17 @@ JOINT_SIZES = [(1, n) for n in range(1, 12)] + [
 ] + [(8, 4), (16, 2)]
 
 
-def object_joint(t, n):
-    """(edge profile, residue vector) of every tree, from the tree objects."""
-    return Counter((edge_profile(tree), residue_stats(tree_to_path(tree), t))
-                   for tree in enumerate_trees(t, n))
+def object_tables(t, n):
+    """The edge profiles and the residue vectors of every tree, from the tree
+    objects."""
+    trees = list(enumerate_trees(t, n))
+    return (Counter(edge_profile(tree) for tree in trees),
+            Counter(residue_stats(tree_to_path(tree), t) for tree in trees))
 
 
 def check_joint_census(engine):
     for t, n in JOINT_SIZES:
-        assert treebank.joint_census(t, n, engine=engine) == object_joint(t, n), (t, n)
+        assert treebank.joint_census(t, n, engine=engine) == object_tables(t, n), (t, n)
 
 
 def test_joint_census_matches_object_enumeration():

@@ -336,7 +336,9 @@ def test_compiled_kernel_matches_reference(compiled_kernel):
     cases = [(3, (5,)), (2, (6,)), (4, (2, 3)), (3, (1, 2, 1)), (3, (2, 2)), (5, (4,))]
     for t, sizes in cases:
         assert fast(t, sizes) == segment_census_pure(t, sizes)
-        assert fast(t, sizes, residues=True) == segment_census_pure(t, sizes, residues=True)
+        edges, residues = fast(t, sizes, residues=True)
+        assert edges == fast(t, sizes)
+        assert (edges, residues) == segment_census_pure(t, sizes, residues=True)
     for t, n in [(2, 9), (3, 7), (4, 5)]:
         assert census(t, n, engine="compiled") == census(t, n, engine="pure")
         assert joint_census(t, n, engine="compiled") == joint_census(t, n, engine="pure")
@@ -362,13 +364,13 @@ def test_compiled_kernel_cell_cap_is_a_constraint_error(compiled_kernel):
 
 def test_compiled_residues_mode_refusals(compiled_kernel):
     cap = r"^composition space too large for the compiled kernel \(more than 16777216 cells\)$"
-    # the profiles alone pass the cap at t=16 n=15 (77.6M); at t=12 n=6 only
-    # their square does (4368 profiles, 19.1M cells)
-    for t, n in [(16, 15), (12, 6)]:
-        with pytest.raises(ConstraintError, match=cap):
-            joint_census(t, n, budget=10**40, engine="compiled")
-    assert sum(joint_census(12, 5, engine="compiled").values()) == \
-        counting.total_trees(12, 5)
+    # the profiles pass the cap at t=16 n=15 (77.6M)
+    with pytest.raises(ConstraintError, match=cap):
+        joint_census(16, 15, budget=10**40, engine="compiled")
+    edges, residues = joint_census(12, 6, engine="compiled")
+    total = counting.total_trees(12, 6)
+    assert sum(edges.values()) == sum(residues.values()) == total
+    assert edges == census(12, 6)
     big = 10**20
     with pytest.raises(ConstraintError,
                        match=f"^segment size {big} does not fit the compiled kernel$"):
@@ -388,13 +390,12 @@ def test_joint_census_refusals_match_census():
 def test_residues_mode_sums_the_path_of_each_tree():
     # one Lukasiewicz path per segment, its falls counted from height 0
     for t, sizes in [(2, (2, 3)), (3, (1, 2, 1)), (3, (3, 2)), (4, (2, 2))]:
-        want = Counter()
+        edges, classes = Counter(), Counter()
         for trees in itertools.product(*(list(enumerate_trees(t, n)) for n in sizes)):
-            profile = tuple(map(sum, zip(*(edge_profile(x) for x in trees))))
-            residues = tuple(map(sum, zip(*(residue_stats(tree_to_path(x), t)
-                                            for x in trees))))
-            want[profile, residues] += 1
-        assert segment_census_pure(t, sizes, residues=True) == want
+            edges[tuple(map(sum, zip(*(edge_profile(x) for x in trees))))] += 1
+            classes[tuple(map(sum, zip(*(residue_stats(tree_to_path(x), t)
+                                         for x in trees))))] += 1
+        assert segment_census_pure(t, sizes, residues=True) == (edges, classes)
 
 
 def test_pure_walk_matches_object_enumeration():
@@ -417,7 +418,7 @@ def test_compiled_kernel_deep_chain(kernel_child):
 
 def check_degenerate(kernel):
     assert kernel(3, ()) == {(0, 0, 0): 1}
-    assert kernel(3, (), residues=True) == {((0, 0, 0), (0, 0, 0)): 1}
+    assert kernel(3, (), residues=True) == ({(0, 0, 0): 1}, {(0, 0, 0): 1})
     for sizes, bad in [((0,), 0), ((-1,), -1), ((2, 0, -1), 0)]:
         for residues in (False, True):
             with pytest.raises(ConstraintError, match=f"^segment size {bad} must be >= 1$"):

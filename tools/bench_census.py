@@ -20,19 +20,20 @@ no-work ``arbor count``, ``arbor verify --t 3 --max-n 7 --mode brute
 --workers 2`` and ``python -c pass`` for calibration, each the best of 15
 runs that must exit 0, and process rows, whole ``table`` and ``triangle``
 commands at the sizes of the ``tables`` benchmark workload and at sizes
-users run, 3 runs each; each row has the best wall time and the lowest and
-highest peak RSS of its runs.  It checks that both engines give equal
-tables, that the joint table's edge marginal is the census, that the
-compositions are as many as the binomial count of weak compositions and come
-distinct, in lexicographic order, each summing to its total, that the
-closed-form rows equal one ``count_trees``, ``count_forests`` or
-``marginal_count`` call per row, in the same order, that the table text
-equals the rendering of ``count_table`` by the rule it replaced (a ``%d``
-formatting of each row for CSV; pretty columns as wide as the longest of the
-total and every part and count), that each process row exits 0 and prints
-the same bytes as that rendering, or as the one-string rendering of the
-triangle, that the binomial row equals one ``comb`` call per entry, and that
-the solved series, its residual product and every inversion group equal the
+users run and ``paths --t 11 --n 6 --probe``, 3 runs each; each row has the
+best wall time and the lowest and highest peak RSS of its runs.  It checks
+that both engines give equal tables, that the first table of the joint
+census is the census, that the compositions are as many as the binomial
+count of weak compositions and come distinct, in lexicographic order, each
+summing to its total, that the closed-form rows equal one ``count_trees``,
+``count_forests`` or ``marginal_count`` call per row, in the same order,
+that the table text equals the rendering of ``count_table`` by the rule it
+replaced (a ``%d`` formatting of each row for CSV; pretty columns as wide as
+the longest of the total and every part and count), that each process row
+exits 0 and prints the same bytes as that rendering, as the one-string
+rendering of the triangle or as the probe's report made in-process, that
+the binomial row equals one ``comb`` call per entry, and that the solved
+series, its residual product and every inversion group equal the
 closed-form tables, and that each listing equals, byte for byte, the join of
 ``serialize_tree`` and ``format_path(tree_to_path(tree))`` over
 ``enumerate_trees``.  It appends one row set to ``BENCH_census.json`` at
@@ -57,7 +58,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from collections import Counter
 from math import comb
 from pathlib import Path
 
@@ -83,6 +83,7 @@ PROCESS_TABLES = [("csv", 6, 22, None), ("pretty", 4, 30, 3), ("csv", 6, 30, Non
                   ("pretty", 6, 30, None), ("csv", 2, 8000, None)]  # (format, t, n, m)
 PROCESS_TRIANGLES = [("bfile", 3, 2, 150, True), ("bfile", 3, 2, 300, True),
                      ("pretty", 3, 1, 600, False)]  # (format, t, slot, rows, self-check)
+PROCESS_PROBES = [(11, 6)]  # (t, n)
 PROCESS_REPEAT = 3
 STARTUP_COMMANDS = [  # run as python <args>
     ["-c", "pass"],
@@ -324,9 +325,11 @@ def process_rows():
     exit 0, and the rows of whole ``table`` and ``triangle`` commands, each
     of PROCESS_REPEAT runs checked by exit code and stdout digest against
     the rendering of ``count_table`` or of the triangle by the rule each
-    replaced.  Every command runs once untimed first, which fills a
-    bytecode cache in a temporary directory, so the timed runs read
-    compiled modules as an installed package would."""
+    replaced, and the rows of whole ``paths --probe`` commands, checked
+    against the text of the report made in-process.  Every command runs
+    once untimed first, which fills a bytecode cache in a temporary
+    directory, so the timed runs read compiled modules as an installed
+    package would."""
     commands = [(args, STARTUP_REPEAT, None) for args in STARTUP_COMMANDS]
     for fmt, t, n, m in PROCESS_TABLES:
         argv = ["table", "--t", str(t), "--n", str(n), "--format", fmt]
@@ -339,6 +342,11 @@ def process_rows():
         want = (f"self-check: all {t} slot triangles agree\n" if check else "")
         want += triangle_text(fmt, cli._triangle_rows(t, slot, size))
         commands.append((["-m", "arbor.cli", *argv], PROCESS_REPEAT, digest(want)))
+    for t, n in PROCESS_PROBES:
+        report = paths.residue_distribution_probe(t, n, budget=10**12)
+        want = f"{report.to_csv()}\n{report.verdict_line()}\n"
+        commands.append((["-m", "arbor.cli", "paths", "--t", str(t), "--n", str(n),
+                          "--probe"], PROCESS_REPEAT, digest(want)))
     rows = []
     with tempfile.TemporaryDirectory() as cache:
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONPYCACHEPREFIX=cache)
@@ -387,12 +395,9 @@ def kernel_rows():
         rows.append(row)
         print(json.dumps(row), flush=True)
     for t, n in JOINT_SIZES:
-        row, joint = engine_row("joint_census", treebank.joint_census, t, n)
-        edges = Counter()
-        for (profile, _), count in joint.items():
-            edges[profile] += count
+        row, (edges, _) = engine_row("joint_census", treebank.joint_census, t, n)
         if edges != treebank.census(t, n):
-            sys.exit(f"joint_census t={t} n={n}: edge marginal differs from census")
+            sys.exit(f"joint_census t={t} n={n}: edge table differs from census")
         rows.append(row)
         print(json.dumps(row), flush=True)
     for t, n in PROBE_SIZES:

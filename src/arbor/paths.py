@@ -290,7 +290,8 @@ def residue_distribution_probe(
     matches = []
     shifted_tables = []
     for s in range(t):
-        shifted = Counter({cyclic_shift(vec, s): count for vec, count in normalized.items()})
+        shifted = Counter({cyclic_shift(vec, s): count
+                           for vec, count in normalized.items()})
         shifted_tables.append(shifted)
         matches.append(sum((edge_counter & shifted).values()))
 

@@ -328,12 +328,12 @@ def segment_census_pure(t: int, sizes: Sequence[int], residues: bool = False):
     With ``residues`` it returns that table and a second one, {residues:
     count}, where residues[r] counts the fall steps of the trees'
     Lukasiewicz paths (each tree its own path) that start at a height
-    congruent to r mod t, as ``paths.residue_stats`` does.  Every step, a rise of t - 1 or a fall of
-    1, lowers the height by 1 mod t, so each residue class holds a fixed
-    number of steps and residues[r] is the node count minus the non-root
-    nodes whose step starts at a height congruent to r.  The walk keeps
-    those node counts; the height before a step is the open segment's
-    unfilled slot count minus 1.
+    congruent to r mod t, as ``paths.residue_stats`` does.  Every step, a
+    rise of t - 1 or a fall of 1, lowers the height by 1 mod t, so each
+    residue class holds a fixed number of steps and residues[r] is the node
+    count minus the non-root nodes whose step starts at a height congruent
+    to r.  The walk keeps those node counts; the height before a step is
+    the open segment's unfilled slot count minus 1.
     """
     k = len(sizes)
     for nodes in sizes:

@@ -3,10 +3,10 @@
  * segment_census(t, sizes) profiles every ordered tuple of t-ary trees in
  * which tree j (segment j) has exactly sizes[j] nodes, counting the edges
  * inside the trees only.  It returns a dict mapping each realized edge-type
- * composition (a tuple) to its multiplicity (an int).  With residues=True it
- * returns that dict and a second one, {residues: multiplicity}, residues[r]
- * counting the fall steps of the trees' Lukasiewicz paths that start at a
- * height congruent to r mod t, as in segment_census_pure.
+ * composition (a tuple) to its multiplicity (an int).  With classes=True it
+ * returns that dict and a second one, {classes: multiplicity}, classes[r]
+ * counting the trees' non-root nodes whose step of the Lukasiewicz path
+ * starts at a height congruent to r mod t, as in segment_census_pure.
  *
  * The walk backtracks over preorder words (Knuth, TAOCP 4A, 7.2.1.6): a node
  * symbol or an empty-slot symbol per step, with a stack of per-node
@@ -18,13 +18,12 @@
  * GIL released.  Counts go to a dense table indexed by the lexicographic
  * rank of the profile among the weak compositions of its total.
  *
- * Residues mode also counts the non-root nodes by the height mod t at which
- * their step starts, vacant - 1 in the open segment; every step lowers the
- * height by 1 mod t, so residues[r] is the node count minus class r.  The
- * classes sum to the profile's total, so they are ranked the same way, in P
- * more cells after the P cells of the profiles.  One walk body serves both
- * modes; it is inlined into one function per mode, so the plain census
- * carries no residue bookkeeping.
+ * Classes mode counts the non-root nodes by the height mod t at which their
+ * step starts, vacant - 1 in the open segment.  The classes sum to the
+ * profile's total, so they are ranked the same way, in P more cells after
+ * the P cells of the profiles.  One walk body serves both modes; it is
+ * inlined into one function per mode, so the plain census carries no class
+ * bookkeeping.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -53,7 +52,7 @@ struct census {
     Py_ssize_t *trail;      /* t*N + k: at most one entry per slot, plus segment starts */
     Py_ssize_t *saved;      /* 2k: top frame and vacant slots of finished segments */
     Py_ssize_t *numcomp;    /* (S+1) x (t+1): weak compositions of s into c parts */
-    u64 *counts;            /* P cells, then P for the classes in residues mode */
+    u64 *counts;            /* P cells, then P for the classes in classes mode */
 };
 
 /* Lexicographic rank of parts among the weak compositions of S. */
@@ -69,29 +68,29 @@ rank(const struct census *c, const Py_ssize_t *parts)
     return r;
 }
 
-/* The residue bookkeeping: residues is a constant in each instance of walk. */
+/* The class bookkeeping: classes is a constant in each instance of walk. */
 static ALWAYS_INLINE void
-count_node(struct census *c, const int residues, Py_ssize_t vacant, Py_ssize_t delta)
+count_node(struct census *c, const int classes, Py_ssize_t vacant, Py_ssize_t delta)
 {
-    if (residues)
+    if (classes)
         c->classes[(vacant - 1) % c->t] += delta;
 }
 
 /* One tree tuple, in each table the mode keeps. */
 static ALWAYS_INLINE void
-tally(struct census *c, const int residues)
+tally(struct census *c, const int classes)
 {
     c->counts[rank(c, c->profile)]++;
-    if (residues)
+    if (classes)
         c->counts[c->P + rank(c, c->classes)]++;
 }
 
 static ALWAYS_INLINE void
-walk(struct census *c, const int residues)
+walk(struct census *c, const int classes)
 {
     const Py_ssize_t t = c->t, k = c->k;
     if (k == 0) {                       /* the empty tuple */
-        tally(c, residues);
+        tally(c, classes);
         return;
     }
     Py_ssize_t *profile = c->profile, *frames = c->frames, *trail = c->trail;
@@ -104,7 +103,7 @@ walk(struct census *c, const int residues)
             profile[frames[top]++]++;
             frames[++top] = 0;
             used++;
-            count_node(c, residues, vacant, 1);
+            count_node(c, classes, vacant, 1);
             vacant += t - 1;
             trail[len++] = NODE;
         }
@@ -118,7 +117,7 @@ walk(struct census *c, const int residues)
             trail[len++] = SEGMENT;
             continue;
         }
-        tally(c, residues);
+        tally(c, classes);
         /* back up to the latest node whose slot can take an empty instead */
         for (;;) {
             if (len == 0)
@@ -135,7 +134,7 @@ walk(struct census *c, const int residues)
                 profile[frames[top] - 1]--;
                 used--;
                 vacant -= t - 1;
-                count_node(c, residues, vacant, -1);
+                count_node(c, classes, vacant, -1);
                 if (vacant > 1) {       /* the tree stays open, so it can still grow */
                     Py_ssize_t closed = 0;
                     vacant--;
@@ -213,13 +212,13 @@ next_composition(Py_ssize_t *work, Py_ssize_t t)
     work[t - 1] = rest - 1;
 }
 
-/* The tuple of base + sign * parts[i]. */
+/* The tuple of parts[0..t). */
 static PyObject *
-as_tuple(const Py_ssize_t *parts, Py_ssize_t t, Py_ssize_t base, Py_ssize_t sign)
+as_tuple(const Py_ssize_t *parts, Py_ssize_t t)
 {
     PyObject *tuple = PyTuple_New(t);
     for (Py_ssize_t i = 0; tuple != NULL && i < t; i++) {
-        PyObject *part = PyLong_FromSsize_t(base + sign * parts[i]);
+        PyObject *part = PyLong_FromSsize_t(parts[i]);
         if (part == NULL)
             Py_CLEAR(tuple);
         else
@@ -228,11 +227,10 @@ as_tuple(const Py_ssize_t *parts, Py_ssize_t t, Py_ssize_t base, Py_ssize_t sign
     return tuple;
 }
 
-/* The nonzero cells of counts[0..P) as {base + sign * composition: count},
-   stepping row through the compositions in lexicographic order. */
+/* The nonzero cells of counts[0..P) as {composition: count}, stepping row
+   through the compositions in lexicographic order. */
 static PyObject *
-table(const struct census *c, const u64 *counts, Py_ssize_t base, Py_ssize_t sign,
-      Py_ssize_t *row)
+table(const struct census *c, const u64 *counts, Py_ssize_t *row)
 {
     const Py_ssize_t t = c->t;
     PyObject *result = PyDict_New();
@@ -243,7 +241,7 @@ table(const struct census *c, const u64 *counts, Py_ssize_t base, Py_ssize_t sig
             next_composition(row, t);
         if (counts[p] == 0)
             continue;
-        PyObject *key = as_tuple(row, t, base, sign);
+        PyObject *key = as_tuple(row, t);
         PyObject *value = PyLong_FromUnsignedLongLong(counts[p]);
         if (key == NULL || value == NULL || PyDict_SetItem(result, key, value) < 0)
             Py_CLEAR(result);
@@ -256,16 +254,16 @@ table(const struct census *c, const u64 *counts, Py_ssize_t base, Py_ssize_t sig
 static PyObject *
 segment_census(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"t", "sizes", "residues", NULL};
+    static char *kwlist[] = {"t", "sizes", "classes", NULL};
     /* bounds every buffer size below, so no size computation overflows */
     const Py_ssize_t limit = PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(Py_ssize_t) / 4;
     PyObject *sizes_obj, *sizes = NULL, *result = NULL;
     struct census c = {0};
     Py_ssize_t *words = NULL, *lex, t, k, nodes, N = 0;
-    int residues = 0;
+    int classes = 0;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nO|p:segment_census", kwlist,
-                                     &t, &sizes_obj, &residues))
+                                     &t, &sizes_obj, &classes))
         return NULL;
     if (t < 1 || t > limit)
         return PyErr_Format(PyExc_ValueError, "arity must lie in 1..%zd, got %zd", limit, t);
@@ -307,7 +305,7 @@ segment_census(PyObject *self, PyObject *args, PyObject *kwargs)
         goto done;
     }
     c.frames = PyMem_Calloc(N + t * N + k + (c.S + 1) * (t + 1), sizeof(Py_ssize_t));
-    c.counts = PyMem_Calloc(residues ? 2 * c.P : c.P, sizeof(u64));
+    c.counts = PyMem_Calloc(classes ? 2 * c.P : c.P, sizeof(u64));
     if (c.frames == NULL || c.counts == NULL) {   /* refused like a size too large */
         PyErr_Format(PyExc_ValueError,
                      "%zd nodes do not fit the compiled kernel's memory", N);
@@ -322,14 +320,14 @@ segment_census(PyObject *self, PyObject *args, PyObject *kwargs)
             row[col] = row[col - 1] + (s ? row[col - t - 1] : 0);
     }
     Py_BEGIN_ALLOW_THREADS
-    if (residues)
+    if (classes)
         joint_walk(&c);
     else
         census_walk(&c);
     Py_END_ALLOW_THREADS
-    result = table(&c, c.counts, 0, 1, lex);
-    if (residues && result != NULL)     /* a NULL second table frees the first */
-        result = Py_BuildValue("(NN)", result, table(&c, c.counts + c.P, N, -1, lex));
+    result = table(&c, c.counts, lex);
+    if (classes && result != NULL)      /* a NULL second table frees the first */
+        result = Py_BuildValue("(NN)", result, table(&c, c.counts + c.P, lex));
 done:
     Py_XDECREF(sizes);
     PyMem_Free(words);
@@ -341,8 +339,8 @@ done:
 static PyMethodDef methods[] = {
     {"segment_census", (PyCFunction)(void (*)(void))segment_census,
      METH_VARARGS | METH_KEYWORDS,
-     "segment_census(t, sizes, residues=False) -> {edge-type composition: multiplicity},\n"
-     "and {residues: multiplicity} beside it with residues=True"},
+     "segment_census(t, sizes, classes=False) -> {edge-type composition: multiplicity},\n"
+     "and {classes: multiplicity} beside it with classes=True"},
     {NULL, NULL, 0, NULL},
 };
 

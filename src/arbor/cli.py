@@ -54,40 +54,35 @@ def _check_counts(action: str, count: int, noun: str, bits: int) -> None:
 
 
 def cmd_table(args) -> int:
-    t, n, m = args.t, args.n, args.forest
-    if m is None:
-        counting.check_tree_shape(t, n)
-        action, free = f"table(t={t}, n={n})", n - 1
-    else:
-        counting.check_forest_shape(t, m, n)
-        action, free = f"table(t={t}, m={m}, n={n})", n - m
-    # one row per weak composition of the free edge count into t parts
-    rows = counting.binomial(free + t - 1, t - 1)
-    _check_counts(action, rows, "rows", rows * t * n)
     write = sys.stdout.write
-    for chunk in _table_chunks(args.format, t, n, m):
+    for chunk in _table_chunks(args.format, args.t, args.n, args.forest):
         write(chunk)
     return EXIT_OK
 
 
 def _table_chunks(fmt: str, t: int, n: int, m: Optional[int] = None) -> list[str]:
     """The table as CSV or in right-aligned columns, in pieces of up to 4,096
-    lines that join into the whole output, each line ending in a newline.
-    Each row is written from a block of ``count_rows`` as its parts' text
-    plus its count cell.  The rows must sum to the closed-form total,
-    checked before the pieces are returned, so a failing table prints
-    nothing of itself.
+    lines that join into the whole output, each line ending in a newline,
+    once the shape and the budget pass.  Each row is written from a block of
+    ``count_rows`` as its parts' text plus its count cell.  The rows must
+    sum to the closed-form total, checked before the pieces are returned, so
+    a failing table prints nothing of itself.
 
-    No count exceeds the total and no part exceeds the free edge count, n-1
-    for trees and n-m+1 in a forest's root slots, and both are reached, so
-    the pretty columns are as wide as the longer of the two."""
-    total = _closed_total(t, n, m)  # checks the shape first
+    No count exceeds the total and no part exceeds the free edge count, or
+    one more in a forest's root slots, and both are reached, so the pretty
+    columns are as wide as the longer of the two."""
+    _, roots, free = counting.shape(t, n, m)
+    # one row per weak composition of the free edge count into t parts
+    rows = counting.binomial(free + t - 1, t - 1)
+    forest = "" if m is None else f"m={m}, "
+    _check_counts(f"table(t={t}, {forest}n={n})", rows, "rows", rows * t * n)
+    total = _closed_total(t, n, m)
     names = [f"a{i + 1}" for i in range(t)]
     if fmt == "csv":
         head, part, cell = ",".join(names) + ",count", "%d,", ""
         foot = "total," + "," * (t - 1) + str(total)
     else:
-        width = max(len(str(total)), len(str(n - 1 if m is None else n - m + 1)))
+        width = max(len(str(total)), len(str(free + (1 if roots else 0))))
         head = " ".join(x.rjust(width) for x in names) + "  " + "count".rjust(width + 4)
         part, cell = f"%{width}d ", f">{width + 5}"
         foot = "total" + str(total).rjust(len(head) - len("total"))
@@ -296,7 +291,8 @@ def _compare(check: _Check, args, ms: tuple) -> bool:
 def _check_ring_steps(args, ms) -> None:
     """Refuse up front a series or inversion check that would take more
     ring steps than the budget allows.  ``--mode brute`` takes none, so it
-    does not load the series ring."""
+    does not load the series ring.  The counts are closed forms in O(t)
+    binomials per forest size, so any --max-n is refused at once."""
     t, max_n = args.t, args.max_n
     steps = 0
     if args.mode != "brute":
@@ -304,8 +300,9 @@ def _check_ring_steps(args, ms) -> None:
         if args.mode in ("series", "all"):
             steps += series.solve_steps(t, max_n)
         if args.mode in ("lagrange", "all"):
-            steps += sum(series.inversion_steps(t, n - (m or 1)) for n, m, _
-                         in chain(_groups(args, ()), _groups(args, ms)))
+            # the trees' groups read g-degrees 0..max-n - 1, like the forests
+            # of m = 1, and those of each m g-degrees 0..max-n - m
+            steps += sum(series.inversion_steps_through(t, max_n - m) for m in [1, *ms])
     check_budget(f"verify(t={t}, max-n={max_n}, mode={args.mode})",
                  [(steps, "take %d series ring steps")], args.budget)
 
@@ -320,12 +317,10 @@ def cmd_verify(args) -> int:
     if args.forest is not None:
         if not 1 <= args.forest < t:
             raise ConstraintError(
-                f"--forest must satisfy 1 <= m < t, got m={args.forest} t={t}"
-            )
+                f"--forest must satisfy 1 <= m < t, got m={args.forest} t={t}")
         if args.forest > max_n:
             raise ConstraintError(
-                f"--forest must satisfy m <= max-n, got m={args.forest} max-n={max_n}"
-            )
+                f"--forest must satisfy m <= max-n, got m={args.forest} max-n={max_n}")
         ms = [args.forest]
     else:
         ms = [m for m in range(1, t) if m <= max_n]
@@ -361,16 +356,13 @@ def cmd_paths(args) -> int:
     _check_paths_flags(args)
     t, n = args.t, args.n
     if args.probe:
-        offset = None
-        if args.offset is not None:
-            offset = _parse_ints(args.offset, "offset")
+        offset = None if args.offset is None else _parse_ints(args.offset, "offset")
         report = paths.residue_distribution_probe(t, n, offset=offset,
                                                   budget=args.budget)
         print(report.to_csv())
         print(report.verdict_line())
         return EXIT_OK
-    counting.check_tree_shape(t, n)
-    trees = counting.total_trees(t, n)
+    trees = counting.total_trees(t, n)  # checks the shape first
     chars = trees * paths.listing_line_length(t, n, labels=args.labels, dump=args.dump)
     check_budget(f"listing t={t} n={n}", [
         (trees, "enumerate %d trees"), (n, "place %d nodes"),

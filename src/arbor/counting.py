@@ -25,55 +25,44 @@ def check_arity(t: int) -> None:
         raise ConstraintError(f"arity must be <= {MAX_ARITY}, got t={t}")
 
 
-def check_tree_shape(t: int, n: int) -> None:
-    """Reject an arity or node count that admits no t-ary tree."""
+def shape(t: int, n: int, m: Optional[int] = None) -> tuple[int, int, int]:
+    """Check the group of the n-node t-ary trees, or with m the m-tree
+    forests, and return its (start, roots, free): the count is start/n times
+    a product of binomials C(n, b_i) whose b_i sum to free, b_i being a_i
+    less one in the root slots 1..roots.  Trees are (1, 0, n-1), the m = 1
+    case of Lagrange inversion with the root edge not counted; forests are
+    (m, m, n-m)."""
     check_arity(t)
-    if n < 1:
-        raise ConstraintError(f"node count must be >= 1, got n={n}")
-
-
-def check_forest_shape(t: int, m: int, n: int) -> None:
-    """Reject an arity, forest size or node count that admits no m-forest."""
-    check_arity(t)
-    if not 1 <= m < t:
+    if m is not None and not 1 <= m < t:
         raise ConstraintError(f"forest size must satisfy 1 <= m < t, got m={m} t={t}")
-    if n < m:
-        raise ConstraintError(f"node count must be >= m={m}, got n={n}")
+    start = 1 if m is None else m
+    if n < start:
+        raise ConstraintError(
+            f"node count must be >= {'' if m is None else 'm='}{start}, got n={n}")
+    return start, m or 0, n - start
 
 
-def _edge_parts(t: int, parts: Sequence[int]) -> EdgeComposition:
+def check_parts(t: int, n: int, parts: Sequence[int], m: Optional[int] = None
+                ) -> EdgeComposition:
+    """Check the edge-type composition of one group of :func:`shape`; return
+    it as a tuple."""
+    _, roots, free = shape(t, n, m)
     a = tuple(parts)
     if len(a) != t:
         raise ConstraintError(f"composition has {len(a)} parts, arity is {t}")
     if min(a) < 0:
         raise ConstraintError(f"edge counts must be >= 0, got {a}")
-    return a
-
-
-def validate_tree_composition(t: int, n: int, parts: Sequence[int]) -> EdgeComposition:
-    """Check the edge-type composition of an n-node tree; return it as a tuple."""
-    check_tree_shape(t, n)
-    a = _edge_parts(t, parts)
-    if sum(a) != n - 1:
+    if sum(a) != free + roots:
         raise ConstraintError(
-            f"edge counts sum to {sum(a)}, must equal n-1 = {n - 1}"
-        )
-    return a
-
-
-def validate_forest_composition(
-    t: int, m: int, n: int, parts: Sequence[int]
-) -> EdgeComposition:
-    """Check the edge-type composition of an m-forest with n total nodes."""
-    check_forest_shape(t, m, n)
-    a = _edge_parts(t, parts)
-    if sum(a) != n:
-        raise ConstraintError(f"edge counts sum to {sum(a)}, must equal n = {n}")
-    if min(a[:m]) < 1:
+            f"edge counts sum to {sum(a)}, must equal {'n' if roots else 'n-1'} = {free + roots}")
+    if min(a[:roots], default=1) < 1:
         raise ConstraintError(
-            f"parts 1..{m} count root edges of the forest and must be >= 1, got {a}"
-        )
+            f"parts 1..{m} count root edges of the forest and must be >= 1, got {a}")
     return a
+
+
+def _inexact(name: str, product: int, n: int) -> ArithmeticError:
+    return ArithmeticError(f"{name} product {product} not divisible by n={n}")
 
 
 def binomial(n: int, k: int) -> int:
@@ -104,17 +93,17 @@ def count_trees(t: int, n: int, parts: Sequence[int]) -> int:
     first and divided once; the division is exact for every valid query.
     """
     a = tuple(parts)
-    # every check of validate_tree_composition in one expression; the full
-    # validation runs only to raise the message of the check that fails
+    # every check of check_parts in one expression; check_parts runs only
+    # to raise the message of the check that fails
     if not (0 < t <= MAX_ARITY and len(a) == t and 0 < n == sum(a) + 1
             and min(a) >= 0):
-        a = validate_tree_composition(t, n, parts)
+        a = check_parts(t, n, parts)
     prod = 1
     for x in a:
         prod *= comb(n, x)
     q, r = divmod(prod, n)
     if r:
-        raise ArithmeticError(f"count_trees product {prod} not divisible by n={n}")
+        raise _inexact("count_trees", prod, n)
     return q
 
 
@@ -128,7 +117,7 @@ def count_forests(t: int, m: int, n: int, parts: Sequence[int]) -> int:
     # as in count_trees: one expression, the full validation for the message
     if not (0 < m < t <= MAX_ARITY and len(a) == t and m <= n == sum(a)
             and min(a) >= 0 and min(a[:m]) >= 1):
-        a = validate_forest_composition(t, m, n, parts)
+        a = check_parts(t, n, parts, m)
     prod = m
     for x in a[:m]:
         prod *= comb(n, x - 1)
@@ -136,7 +125,7 @@ def count_forests(t: int, m: int, n: int, parts: Sequence[int]) -> int:
         prod *= comb(n, x)
     q, r = divmod(prod, n)
     if r:
-        raise ArithmeticError(f"count_forests product {prod} not divisible by n={n}")
+        raise _inexact("count_forests", prod, n)
     return q
 
 
@@ -160,13 +149,12 @@ def count_rows(t: int, n: int, m: Optional[int] = None, *,
     the composition prefix + tails[j], and its count is p * quotients[j].
     The parts come as ``write(*parts)`` writes each run of them, joined by
     ``+``: tuples by default, or text such as a CSV row less its count.  The
-    shape is checked before the first block.
+    group is checked by :func:`shape` before the first block.
 
-    Rows come from the walk of :func:`compositions`.  Writing b_i = a_i - 1
-    in the root-edge slots 1..m of a forest and b_i = a_i elsewhere, every
-    factor is C(n, b_i) and the b_i sum to n - 1 (trees) or n - m (forests).
-    The walk carries the product of the factors of each prefix, and the
-    products of the last two factors, times m for a forest, make the pair
+    Rows come from the walk of :func:`compositions`.  With (start, roots,
+    free) of :func:`shape`, every factor is C(n, b_i) and the b_i sum to
+    free.  The walk carries the product of the factors of each prefix, and
+    the products of the last two factors, times start, make the pair
     list of the remainder it leaves; each prefix and each pair of last parts
     is written once.  With g = gcd(product, n) and d = n // g, product * pair
     is a multiple of n exactly when pair is a multiple of d, and the count
@@ -176,12 +164,8 @@ def count_rows(t: int, n: int, m: Optional[int] = None, *,
     are kept per (remainder, d); below that each remainder comes once, and
     keeping them would only hold every quotient of the table.
     """
-    if m is None:
-        check_tree_shape(t, n)
-        name, start, roots, free = "count_trees", 1, 0, n - 1
-    else:
-        check_forest_shape(t, m, n)
-        name, start, roots, free = "count_forests", m, m, n - m
+    start, roots, free = shape(t, n, m)
+    name = "count_trees" if m is None else "count_forests"
     if t == 1:  # a single row; no binomial row of n entries
         return iter([(write(), [write(free)], 1, [count_trees(1, n, (free,))])])
     binom = binomial_row(n, free)
@@ -205,8 +189,7 @@ def _blocks(name: str, n: int, start: int, binom: list[int], prefixes, tails,
             if d > 1:
                 inexact = [pair for pair in pairs if pair % d]
                 if inexact:
-                    raise ArithmeticError(
-                        f"{name} product {product * inexact[0]} not divisible by n={n}")
+                    raise _inexact(name, product * inexact[0], n)
                 quotients = [pair // d for pair in pairs]
             del pairs  # the suspended frame would hold it while the rows are read
             if keep:
@@ -214,23 +197,25 @@ def _blocks(name: str, n: int, start: int, binom: list[int], prefixes, tails,
         yield prefix, tails[left], product // g, quotients
 
 
+def group_total(t: int, n: int, m: Optional[int] = None) -> int:
+    """The size of one group of :func:`shape`: (start/n) * C(t*n, free)."""
+    start, _, free = shape(t, n, m)
+    q, r = divmod(start * comb(t * n, free), n)
+    if r:
+        raise ArithmeticError(
+            f"{'tree' if m is None else 'forest'} total not an integer; this cannot happen")
+    return q
+
+
 def total_trees(t: int, n: int) -> int:
     """Number of t-ary trees with n nodes: (1/n) * C(t*n, n-1)."""
-    check_tree_shape(t, n)
-    q, r = divmod(comb(t * n, n - 1), n)
-    if r:
-        raise ArithmeticError("tree total not an integer; this cannot happen")
-    return q
+    return group_total(t, n)
 
 
 def total_forests(t: int, m: int, n: int) -> int:
     """Number of ordered m-tuples of non-empty t-ary trees with n total nodes:
     (m/n) * C(t*n, n-m)."""
-    check_forest_shape(t, m, n)
-    q, r = divmod(m * comb(t * n, n - m), n)
-    if r:
-        raise ArithmeticError("forest total not an integer; this cannot happen")
-    return q
+    return group_total(t, n, m)
 
 
 def marginal_count(t: int, n: int, fixed: Mapping[int, int]) -> int:
@@ -241,7 +226,7 @@ def marginal_count(t: int, n: int, fixed: Mapping[int, int]) -> int:
     unfixed slots collapsing into one binomial.  An over-large fixed sum makes
     the trailing binomial vanish, so the result is 0 rather than an error.
     """
-    check_tree_shape(t, n)
+    shape(t, n)
     slots = sorted(fixed)
     for s in slots:
         if not 1 <= s <= t:
@@ -274,13 +259,11 @@ def marginal_row(t: int, n: int, slot: int) -> list[int]:
 
     so a cell costs one multiplication and one exact division by a small
     integer.  At t = 1 the factor r-n+1+k is 0 at k = n-1 and every lower
-    cell is 0.  The checks and refusals are those of :func:`marginal_count`.
+    cell is 0.  Cell n-1 is read from :func:`marginal_count`, so the checks
+    and refusals are its own.
     """
-    check_tree_shape(t, n)
-    if not 1 <= slot <= t:
-        raise ConstraintError(f"fixed slot {slot} outside 1..{t}")
-    rest = (t - 1) * n
-    cell, row = 1, [1]
+    cell = marginal_count(t, n, {slot: n - 1})
+    rest, row = (t - 1) * n, [cell]
     for k in range(n - 1, 0, -1):
         prod, den = cell * (k * (rest - n + 1 + k)), (n - k + 1) * (n - k)
         cell, r = divmod(prod, den)

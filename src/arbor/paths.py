@@ -6,9 +6,10 @@ external leaf a fall of 1.  The walk stays non-negative and first reaches -1
 at the very end.  Each step also carries the child-slot index it occupies
 under its parent; the root step is unlabeled.
 
-The probe builds no tree objects and no paths: its two distributions are
-the two tables of ``treebank.joint_census``, one walk of the census kernel
-that also counts each tree's falls by starting height mod t.  The
+The probe builds no tree objects and no paths: its two distributions come
+from the two tables of ``treebank.joint_census``, one walk of the census
+kernel that also counts each tree's non-root nodes by the starting height
+of their step mod t; n minus that class vector is the residue vector.  The
 listing builds no paths either: :func:`write_listing` writes each line from
 one preorder pass over the tree.  :func:`tree_to_path`, :func:`format_path`
 and :func:`residue_stats` stay as the object-level API and the tests'
@@ -269,8 +270,9 @@ def residue_distribution_probe(
 ) -> ProbeReport:
     """Compare edge-type counts with residue-class counts over all n-node trees.
 
-    Both distributions are the tables of one :func:`treebank.joint_census`
-    walk.
+    Both distributions come from the tables of one
+    :func:`treebank.joint_census` walk: the edge table as it is, and each
+    residue vector as n minus a class vector.
 
     The identification of residue classes with edge types is deliberately not
     baked in: raw residue vectors (minus a configurable affine offset,
@@ -282,7 +284,9 @@ def residue_distribution_probe(
     off = tuple(offset) if offset is not None else (0,) * t
     if len(off) != t:
         raise ConstraintError(f"offset has {len(off)} parts, arity is {t}")
-    edge_table, residue_table = treebank.joint_census(t, n, budget=budget)
+    edge_table, class_table = treebank.joint_census(t, n, budget=budget)
+    residue_table = {tuple(n - c for c in vec): count
+                     for vec, count in class_table.items()}
     # the offset and the shifts are one-to-one on vectors: no key merges
     normalized = {tuple(v - o for v, o in zip(vec, off)): count
                   for vec, count in residue_table.items()}

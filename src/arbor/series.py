@@ -253,14 +253,17 @@ def solve_steps(t: int, N: int) -> int:
     d+1 for each d <= N, t*N*(N+2) pairs in all.  [x^e] Q_(j-1) holds the
     compositions of e into t parts whose first j-1 parts are not all zero
     (one term at e=0), [x^k] g those of k-1, so g through x^r holds
-    weak(r-1, t+1) terms.  The solver multiplies each coefficient of
+    weak(r-1, t+1) terms.  The solver multiplies each of the q_e terms of
     [x^e] Q_(j-1) with g through x^(N-1-e), the residual with 1 + yj*g
-    through x^(N-1-e)."""
+    through x^(N-1-e): q_e * (2 weak(N-2-e, t+1) + 1) steps.  The sums over
+    e < N close by the hockey stick, sum_(e<=E) weak(e, p) = weak(E, p+1),
+    and Vandermonde's identity, sum_e weak(e, p) weak(M-e, r) = weak(M, p+r),
+    so the count takes O(t) binomials whatever N."""
     steps = t * N * (N + 2)
     for j in range(1, t + 1):
-        for e in range(N):
-            q = _weak(e, t) - _weak(e, t - j + 1) if e else 1
-            steps += q * (2 * _weak(N - 2 - e, t + 1) + 1)
+        terms = 1 + _weak(N - 1, t + 1) - _weak(N - 1, t - j + 2)
+        products = _weak(N - 2, 2 * t + 1) - _weak(N - 2, 2 * t - j + 2) + _weak(N - 2, t + 1)
+        steps += 2 * products + terms
     return steps
 
 
@@ -272,6 +275,14 @@ def inversion_steps(t: int, gmax: int) -> int:
     at most gmax-e, weak(gmax, j+1) products in all."""
     return t * (gmax + 1) * (gmax + 2) // 2 + sum(
         _weak(gmax, j + 1) for j in range(1, t + 1))
+
+
+def inversion_steps_through(t: int, gmax: int) -> int:
+    """``inversion_steps(t, g)`` summed over g = 0..gmax, by the hockey
+    stick: t * C(gmax+3, 3) pairs of g-degrees and weak(gmax, j+2) products
+    for factor j."""
+    return t * counting.binomial(gmax + 3, 3) + sum(
+        _weak(gmax, j + 2) for j in range(1, t + 1))
 
 
 def _expanded_product(t: int, gmax: int, power: int) -> MultiSeries:
@@ -310,7 +321,7 @@ def lagrange_table(t: int, n: int) -> dict:
     agree with the closed-form product of binomials but are computed by
     polynomial expansion, so they serve as an independent check.
     """
-    counting.check_tree_shape(t, n)
+    counting.shape(t, n)
     return _read_group(t, n, 1, (0,) * t)
 
 
@@ -321,17 +332,17 @@ def lagrange_table_forest(t: int, m: int, n: int) -> dict:
     (m/n) times the coefficient of g^(n-m) * y^(parts - e1 - ... - em) in
     prod_i (1 + yi*g)^n, again by expansion.
     """
-    counting.check_forest_shape(t, m, n)
+    counting.shape(t, n, m)
     return _read_group(t, n, m, (1,) * m + (0,) * (t - m))
 
 
 def lagrange_extract(t: int, n: int, parts: Sequence[int]) -> int:
     """One tree count by direct inversion, read from ``lagrange_table``."""
-    a = counting.validate_tree_composition(t, n, parts)
+    a = counting.check_parts(t, n, parts)
     return lagrange_table(t, n)[a]
 
 
 def lagrange_extract_forest(t: int, m: int, n: int, parts: Sequence[int]) -> int:
     """One forest count by direct inversion, read from ``lagrange_table_forest``."""
-    a = counting.validate_forest_composition(t, m, n, parts)
+    a = counting.check_parts(t, n, parts, m)
     return lagrange_table_forest(t, m, n)[a]

@@ -16,12 +16,12 @@ every tuple of trees with those sizes, and each profile gains roots[i] edges
 in slot i + 1 (none for a whole tree, one per nonempty slot of a root split,
 one in each of slots 1..m for a forest).
 
-In residues mode the kernels also count each tree's non-root nodes by the
-height mod t at which the node's step of the Lukasiewicz path starts, which
-gives the path's falls per residue class; :func:`joint_census` returns the
-edge-profile table and the residue-vector table of one walk, and the
-``paths`` probe reads both distributions from them instead of walking the
-listing.
+In classes mode the kernels also count each tree's non-root nodes by the
+height mod t at which the node's step of the Lukasiewicz path starts;
+:func:`joint_census` returns the edge-profile table and that class table
+of one walk, and the ``paths`` probe reads both distributions from them
+(the falls per residue class are the node count minus the classes) instead
+of walking the listing.
 
 The listing (:func:`enumerate_trees`, :func:`enumerate_forests`) keeps its
 own walk over slot sizes: its order is pinned by the ``paths`` output, and
@@ -234,7 +234,7 @@ def enumerate_trees(t: int, n: int) -> Iterator[TAryTree]:
     if n == 0:
         counting.check_arity(t)
         return
-    counting.check_tree_shape(t, n)
+    counting.shape(t, n)
     for (tree,) in _tree_tuples(t, (n,)):
         yield tree
 
@@ -245,7 +245,7 @@ def enumerate_forests(t: int, m: int, n: int) -> Iterator[Forest]:
     Node splits run lexicographically; within a split the leftmost tree
     varies slowest.
     """
-    counting.check_forest_shape(t, m, n)
+    counting.shape(t, n, m)
     for sizes in _forest_sizes(m, n):
         for trees in _tree_tuples(t, sizes):
             yield Forest(trees)
@@ -311,7 +311,7 @@ def _tree_tuples(t: int, sizes: Sequence[int]) -> Iterator[tuple]:
                 size = placed + 1
 
 
-def segment_census_pure(t: int, sizes: Sequence[int], residues: bool = False):
+def segment_census_pure(t: int, sizes: Sequence[int], classes: bool = False):
     """Pure-Python census kernel: profile every tuple of trees with the given sizes.
 
     Segment j is a tree with exactly sizes[j] nodes; only the edges inside
@@ -325,24 +325,23 @@ def segment_census_pure(t: int, sizes: Sequence[int], residues: bool = False):
     Once a segment has all its nodes, the rest of its word is forced
     (empty slots only), so the walk moves straight on to the next segment.
 
-    With ``residues`` it returns that table and a second one, {residues:
-    count}, where residues[r] counts the fall steps of the trees'
-    Lukasiewicz paths (each tree its own path) that start at a height
-    congruent to r mod t, as ``paths.residue_stats`` does.  Every step, a
-    rise of t - 1 or a fall of 1, lowers the height by 1 mod t, so each
-    residue class holds a fixed number of steps and residues[r] is the node
-    count minus the non-root nodes whose step starts at a height congruent
-    to r.  The walk keeps those node counts; the height before a step is
-    the open segment's unfilled slot count minus 1.
+    With ``classes`` it returns that table and a second one, {classes:
+    count}, where classes[r] counts the trees' non-root nodes whose step of
+    the Lukasiewicz path (each tree its own path) starts at a height
+    congruent to r mod t; the height before a step is the open segment's
+    unfilled slot count minus 1.  Every step, a rise of t - 1 or a fall of
+    1, lowers the height by 1 mod t, so each residue class holds a fixed
+    number of steps, and the node count minus classes[r] is the fall count
+    of ``paths.residue_stats`` in class r.
     """
     k = len(sizes)
     for nodes in sizes:
         if nodes < 1:
             raise ConstraintError(f"segment size {nodes} must be >= 1")
     profile = [0] * t
-    classes = [0] * t     # non-root nodes by starting height mod t
+    counts = [0] * t      # non-root nodes by starting height mod t
     if k == 0:
-        return ({(0,) * t: 1}, {(0,) * t: 1}) if residues else {(0,) * t: 1}
+        return ({(0,) * t: 1}, {(0,) * t: 1}) if classes else {(0,) * t: 1}
     node, segment = -1, -2
     # one entry per choice: a node, a segment start, or an empty slot
     # recorded as the number of full frames it closed
@@ -361,8 +360,8 @@ def segment_census_pure(t: int, sizes: Sequence[int], residues: bool = False):
             frames[-1] = i + 1
             frames.append(0)
             used += 1
-            if residues:
-                classes[(free - 1) % t] += 1
+            if classes:
+                counts[(free - 1) % t] += 1
             free += t - 1
             trail.append(node)
         if seg + 1 < k:
@@ -373,16 +372,12 @@ def segment_census_pure(t: int, sizes: Sequence[int], residues: bool = False):
             trail.append(segment)
             continue
         table[tuple(profile)] += 1
-        if residues:
-            class_table[tuple(classes)] += 1
+        if classes:
+            class_table[tuple(counts)] += 1
         # back up to the latest node whose slot can take an empty instead
         while True:
             if not trail:
-                if residues:
-                    n = sum(sizes)
-                    return dict(table), {tuple(n - c for c in cls): count
-                                         for cls, count in class_table.items()}
-                return dict(table)
+                return (dict(table), dict(class_table)) if classes else dict(table)
             entry = trail.pop()
             if entry == segment:
                 frames, free = finished.pop()
@@ -393,8 +388,8 @@ def segment_census_pure(t: int, sizes: Sequence[int], residues: bool = False):
                 profile[frames[-1] - 1] -= 1
                 used -= 1
                 free -= t - 1
-                if residues:
-                    classes[(free - 1) % t] -= 1
+                if classes:
+                    counts[(free - 1) % t] -= 1
                 if free > 1:  # the tree stays open, so it can still grow
                     free -= 1
                     closed = 0
@@ -410,36 +405,33 @@ def segment_census_pure(t: int, sizes: Sequence[int], residues: bool = False):
                 free += 1
 
 
-def _segment_census_capped(t: int, sizes: Sequence[int], residues: bool = False):
+def _segment_census_capped(t: int, sizes: Sequence[int], classes: bool = False):
     """The compiled kernel, with its refusal of an oversized table as a ConstraintError."""
     try:
-        return _segment_census_compiled(t, sizes, residues=residues)
+        return _segment_census_compiled(t, sizes, classes=classes)
     except ValueError as exc:
         raise ConstraintError(str(exc)) from None
 
 
 def _select_kernel(engine: str):
-    if engine == "auto":
-        if _segment_census_compiled is None:
-            return segment_census_pure
-        return _segment_census_capped
-    if engine == "compiled":
-        if _segment_census_compiled is None:
-            raise ConstraintError(
-                "compiled kernel requested but arbor._speedups is not built"
-            )
-        return _segment_census_capped
-    if engine == "pure":
+    if engine not in ("auto", "compiled", "pure"):
+        raise ConstraintError(f"unknown engine {engine!r} (expected auto, compiled or pure)")
+    if engine == "pure" or (engine == "auto" and _segment_census_compiled is None):
         return segment_census_pure
-    raise ConstraintError(f"unknown engine {engine!r} (expected auto, compiled or pure)")
+    if _segment_census_compiled is None:
+        raise ConstraintError("compiled kernel requested but arbor._speedups is not built")
+    return _segment_census_capped
 
 
-def _tree_kernel(t: int, n: int, budget: Optional[int], engine: str):
-    """The kernel for a census of the n-node t-ary trees, once the shape and
-    the budget pass."""
-    counting.check_tree_shape(t, n)
-    check_budget(f"census(t={t}, n={n})", [
-        (counting.total_trees(t, n), "enumerate %d trees"), (n, "place %d nodes")], budget)
+def _census_kernel(t: int, n: int, m: Optional[int], budget: Optional[int],
+                   engine: str):
+    """The kernel for a census of the n-node t-ary trees, or with m the
+    m-forests, once the shape (checked by the closed-form total) and the
+    budget pass."""
+    action, noun = (f"census(t={t}, n={n})", "trees") if m is None else (
+        f"forest_census(t={t}, m={m}, n={n})", "forests")
+    check_budget(action, [(counting.group_total(t, n, m), f"enumerate %d {noun}"),
+                          (n, "place %d nodes")], budget)
     return _select_kernel(engine)
 
 
@@ -494,7 +486,7 @@ def census(
     never more threads than splits or CPUs; the merged table is identical to
     the sequential one.
     """
-    kernel = _tree_kernel(t, n, budget, engine)
+    kernel = _census_kernel(t, n, None, budget, engine)
     if workers <= 1:
         jobs = [((n,), (0,) * t)]
     else:  # one job per root split: the subtrees in the root's nonempty slots
@@ -511,15 +503,16 @@ def joint_census(
     engine: str = "auto",
 ) -> tuple[dict, dict]:
     """The multiplicity of every realized edge-type composition and of every
-    residue vector over all t-ary trees with n nodes, by brute-force
+    class vector over all t-ary trees with n nodes, by brute-force
     enumeration, as two tables.
 
-    The residue vector is ``paths.residue_stats`` of the tree's Lukasiewicz
-    path: its fall steps counted by starting height mod t.  One walk of the
-    census kernel in its residues mode counts both; the first table is
-    :func:`census`.  Shape and budget refusals are those of ``census``.
+    The class vector counts the tree's non-root nodes by the height mod t
+    at which their step of the Lukasiewicz path starts; n minus it is
+    ``paths.residue_stats`` of the path.  One walk of the census kernel in
+    its classes mode counts both; the first table is :func:`census`.  Shape
+    and budget refusals are those of ``census``.
     """
-    return _tree_kernel(t, n, budget, engine)(t, (n,), residues=True)
+    return _census_kernel(t, n, None, budget, engine)(t, (n,), classes=True)
 
 
 def forest_census(
@@ -533,11 +526,7 @@ def forest_census(
 ) -> dict:
     """Multiplicity of every realized edge-type composition over all ordered
     m-tuples of non-empty t-ary trees with n total nodes."""
-    counting.check_forest_shape(t, m, n)
-    check_budget(f"forest_census(t={t}, m={m}, n={n})", [
-        (counting.total_forests(t, m, n), "enumerate %d forests"), (n, "place %d nodes")],
-        budget)
-    kernel = _select_kernel(engine)
+    kernel = _census_kernel(t, n, m, budget, engine)
     roots = (1,) * m + (0,) * (t - m)
     jobs = [(sizes, roots) for sizes in _forest_sizes(m, n)]
     return dict(_run_jobs(kernel, t, jobs, workers))

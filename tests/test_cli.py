@@ -148,10 +148,10 @@ def test_probe_past_the_squared_cell_count(capsys, compiled_kernel):
 def test_kernel_cell_cap_under_workers_exit_1(capsys, monkeypatch, compiled_kernel):
     # the kernel's refusal raised on a worker thread still exits 1 without a
     # traceback: every job off the calling thread asks for an oversized table
-    def kernel(t, sizes, residues=False):
+    def kernel(t, sizes, classes=False):
         if threading.current_thread() is not threading.main_thread():
             t, sizes = 16, (15,)
-        return compiled_kernel(t, sizes, residues=residues)
+        return compiled_kernel(t, sizes, classes=classes)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(treebank, "_segment_census_compiled", kernel)
@@ -193,6 +193,75 @@ def test_unary_walks_refused_by_node_count(monkeypatch):
         done = subprocess.run([sys.executable, "-c", child, "paths", "--t", "1", *argv],
                               capture_output=True, text=True, timeout=120)
         assert (done.returncode, done.stderr) == (0, ""), done.stderr
+
+
+SWEEP_BAD = ["0", "-2", str(10**20), "1.5"]
+
+
+def sweep_grid():
+    """Every subcommand with 3 or each bad value in one option at a time,
+    over the arities 1, 2, 16, 17 and the bad values.  No composition sums
+    right at a large n, and ``verify --t 1 --mode brute`` at a huge
+    --max-n is left out: its censuses are each within the budget, but
+    together they place about max-n squared over 2 nodes."""
+    for t in ["1", "2", "16", "17", *SWEEP_BAD]:
+        parts = ",".join(["0"] * (int(t) - 1) + ["2"]) if t in ("1", "2", "16") else "2"
+        for v in ["3", *SWEEP_BAD]:
+            yield ["count", "--t", t, "--n", v, "--composition", parts]
+            yield ["count", "--t", t, "--n", "3", "--composition", v]
+            yield ["count", "--t", t, "--n", v, "--forest", "1", "--composition", parts]
+            yield ["count", "--t", t, "--n", "3", "--forest", v, "--composition", parts]
+            yield ["table", "--t", t, "--n", v]
+            yield ["table", "--t", t, "--n", "3", "--forest", v, "--format", "csv"]
+            yield ["triangle", "--t", t, "--rows", v, "--marginal", "1"]
+            yield ["triangle", "--t", t, "--rows", "3", "--marginal", v, "--self-check"]
+            yield ["triangle", "--t", t, "--rows", "3", "--marginal", "1",
+                   "--format", "bfile", "--b-offset", v]
+            for mode in ("brute", "series", "lagrange", "all"):
+                if (t, v, mode) != ("1", str(10**20), "brute"):
+                    yield ["verify", "--t", t, "--max-n", v, "--mode", mode]
+            yield ["verify", "--t", t, "--max-n", "3", "--forest", v]
+            yield ["verify", "--t", t, "--max-n", "3", "--mode", "brute", "--workers", v]
+            yield ["verify", "--t", t, "--max-n", "3", "--budget", v]
+            for flag in ([], ["--probe"], ["--dump"], ["--labels"]):
+                yield ["paths", "--t", t, "--n", v, *flag]
+            yield ["paths", "--t", t, "--n", "3", "--probe", "--offset", v]
+            yield ["paths", "--t", t, "--n", "3", "--budget", v]
+
+
+def test_every_command_bounded_without_traceback(kernel_child):
+    # each case of the grid, at the default budget and at $ARBOR_BUDGET=1,
+    # through main in one child limited to 1 GiB of address space: it exits
+    # with a documented code in a few seconds, and no exception escapes
+    code = (
+        "import contextlib, io, json, os, resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from arbor.cli import main\n"
+        "class Sink(io.StringIO):\n"
+        "    def write(self, text):\n"
+        "        return len(text)\n"
+        "results = []\n"
+        "for budget in ('', '1'):\n"
+        "    os.environ['ARBOR_BUDGET'] = budget  # empty: the default budget\n"
+        f"    for argv in {list(sweep_grid())!r}:\n"
+        "        err = io.StringIO()\n"
+        "        start = time.perf_counter()\n"
+        "        try:\n"
+        "            with contextlib.redirect_stdout(Sink()), contextlib.redirect_stderr(err):\n"
+        "                rc = main(argv)\n"
+        "        except BaseException as exc:\n"
+        "            rc = repr(exc)\n"
+        "        results.append([argv, budget, rc, time.perf_counter() - start, err.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    done = kernel_child(code)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    results = json.loads(done.stdout)
+    assert len(results) == 2 * len(list(sweep_grid()))
+    bad = [(argv, budget, rc, round(seconds, 2), err)
+           for argv, budget, rc, seconds, err in results
+           if rc not in (0, 1, 2, 3) or seconds > 5 or "Traceback" in err]
+    assert bad == []
 
 
 def test_deep_chain_probe_with_either_kernel(capsys, monkeypatch, kernel_child):
@@ -656,6 +725,23 @@ def test_ring_steps_count_what_the_ring_does(monkeypatch):
                 else:
                     series.lagrange_table_forest(t, m, n)
                 assert sum(steps) == series.inversion_steps(t, n - (m or 1)), (t, m, n)
+
+
+def test_verify_refuses_any_max_n_at_once(capsys, monkeypatch):
+    # the ring-step counts are closed forms, so the guard never loops over
+    # --max-n: each refusal comes in well under a second, $ARBOR_BUDGET=1 or not
+    for budget in (None, "1"):
+        monkeypatch.delenv(treebank.BUDGET_ENV_VAR, raising=False)
+        if budget:
+            monkeypatch.setenv(treebank.BUDGET_ENV_VAR, budget)
+        for max_n, mode in product((10**6, 10**20 - 1), ("series", "lagrange", "all")):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "verify", "--t", "3", "--max-n", str(max_n),
+                                 "--mode", mode)
+            assert time.perf_counter() - start < 1.0, (max_n, mode)
+            assert (code, out) == (2, ""), (max_n, mode)
+            assert err.startswith(
+                f"error: verify(t=3, max-n={max_n}, mode={mode}) would take "), err
 
 
 def test_benchmark_verify_commands_far_below_the_budget():

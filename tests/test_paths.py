@@ -247,11 +247,12 @@ JOINT_SIZES = [(1, n) for n in range(1, 12)] + [
 
 
 def object_tables(t, n):
-    """The edge profiles and the residue vectors of every tree, from the tree
-    objects."""
+    """The edge profiles and the class vectors of every tree, from the tree
+    objects: n less the residue vector of its path."""
     trees = list(enumerate_trees(t, n))
     return (Counter(edge_profile(tree) for tree in trees),
-            Counter(residue_stats(tree_to_path(tree), t) for tree in trees))
+            Counter(tuple(n - r for r in residue_stats(tree_to_path(tree), t))
+                    for tree in trees))
 
 
 def check_joint_census(engine):

@@ -264,6 +264,22 @@ def test_forest_extraction_matches_closed_form():
                         counting.count_forests(t, m, n, a)
 
 
+def test_ring_step_counts_in_closed_form():
+    # solve_steps against its sum over the x-degrees e of [x^e] Q_(j-1),
+    # written out term by term, and inversion_steps_through against the
+    # inversion_steps of every g-degree it covers
+    weak = series._weak
+    for t in range(1, 17):
+        for N in range(1, 40):
+            steps = t * N * (N + 2) + sum(
+                (weak(e, t) - weak(e, t - j + 1) if e else 1)
+                * (2 * weak(N - 2 - e, t + 1) + 1)
+                for j in range(1, t + 1) for e in range(N))
+            assert series.solve_steps(t, N) == steps, (t, N)
+            assert series.inversion_steps_through(t, N - 1) == sum(
+                series.inversion_steps(t, g) for g in range(N)), (t, N)
+
+
 def test_dump_lines_sorted_format():
     g = solve_G(2, 3)
     lines = g.dump_lines()

@@ -336,9 +336,9 @@ def test_compiled_kernel_matches_reference(compiled_kernel):
     cases = [(3, (5,)), (2, (6,)), (4, (2, 3)), (3, (1, 2, 1)), (3, (2, 2)), (5, (4,))]
     for t, sizes in cases:
         assert fast(t, sizes) == segment_census_pure(t, sizes)
-        edges, residues = fast(t, sizes, residues=True)
+        edges, classes = fast(t, sizes, classes=True)
         assert edges == fast(t, sizes)
-        assert (edges, residues) == segment_census_pure(t, sizes, residues=True)
+        assert (edges, classes) == segment_census_pure(t, sizes, classes=True)
     for t, n in [(2, 9), (3, 7), (4, 5)]:
         assert census(t, n, engine="compiled") == census(t, n, engine="pure")
         assert joint_census(t, n, engine="compiled") == joint_census(t, n, engine="pure")
@@ -351,8 +351,8 @@ def test_compiled_kernel_matches_reference(compiled_kernel):
             for comp in counting.compositions(t, n - 1):
                 sizes = tuple(s for s in comp if s)
                 assert fast(t, sizes) == segment_census_pure(t, sizes)
-                assert fast(t, sizes, residues=True) == \
-                    segment_census_pure(t, sizes, residues=True)
+                assert fast(t, sizes, classes=True) == \
+                    segment_census_pure(t, sizes, classes=True)
         assert census(t, max_n, workers=2, engine="compiled") == \
             census(t, max_n, workers=2, engine="pure")
 
@@ -367,9 +367,9 @@ def test_compiled_residues_mode_refusals(compiled_kernel):
     # the profiles pass the cap at t=16 n=15 (77.6M)
     with pytest.raises(ConstraintError, match=cap):
         joint_census(16, 15, budget=10**40, engine="compiled")
-    edges, residues = joint_census(12, 6, engine="compiled")
+    edges, classes = joint_census(12, 6, engine="compiled")
     total = counting.total_trees(12, 6)
-    assert sum(edges.values()) == sum(residues.values()) == total
+    assert sum(edges.values()) == sum(classes.values()) == total
     assert edges == census(12, 6)
     big = 10**20
     with pytest.raises(ConstraintError,
@@ -388,14 +388,15 @@ def test_joint_census_refusals_match_census():
 
 
 def test_residues_mode_sums_the_path_of_each_tree():
-    # one Lukasiewicz path per segment, its falls counted from height 0
+    # one Lukasiewicz path per segment, its falls counted from height 0; the
+    # classes are the node count less the falls of each residue class
     for t, sizes in [(2, (2, 3)), (3, (1, 2, 1)), (3, (3, 2)), (4, (2, 2))]:
         edges, classes = Counter(), Counter()
         for trees in itertools.product(*(list(enumerate_trees(t, n)) for n in sizes)):
             edges[tuple(map(sum, zip(*(edge_profile(x) for x in trees))))] += 1
-            classes[tuple(map(sum, zip(*(residue_stats(tree_to_path(x), t)
-                                         for x in trees))))] += 1
-        assert segment_census_pure(t, sizes, residues=True) == (edges, classes)
+            classes[tuple(sum(sizes) - sum(falls) for falls in
+                          zip(*(residue_stats(tree_to_path(x), t) for x in trees)))] += 1
+        assert segment_census_pure(t, sizes, classes=True) == (edges, classes)
 
 
 def test_pure_walk_matches_object_enumeration():
@@ -418,11 +419,11 @@ def test_compiled_kernel_deep_chain(kernel_child):
 
 def check_degenerate(kernel):
     assert kernel(3, ()) == {(0, 0, 0): 1}
-    assert kernel(3, (), residues=True) == ({(0, 0, 0): 1}, {(0, 0, 0): 1})
+    assert kernel(3, (), classes=True) == ({(0, 0, 0): 1}, {(0, 0, 0): 1})
     for sizes, bad in [((0,), 0), ((-1,), -1), ((2, 0, -1), 0)]:
-        for residues in (False, True):
+        for classes in (False, True):
             with pytest.raises(ConstraintError, match=f"^segment size {bad} must be >= 1$"):
-                kernel(3, sizes, residues=residues)
+                kernel(3, sizes, classes=classes)
 
 
 def test_segment_census_degenerate():

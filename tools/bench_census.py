@@ -1,7 +1,7 @@
 """Census kernel and closed-form row timings, appended to BENCH_census.json.
 
 Times, in-process, ``treebank.census`` and ``treebank.joint_census`` (the
-census with the residue vector of every tree's Lukasiewicz path) with each
+census with the class vector of every tree's Lukasiewicz path) with each
 engine at a fixed set of sizes, ``paths.residue_distribution_probe`` with
 the default engine, ``counting.compositions`` consumed whole, the
 closed-form rows of ``table`` and ``triangle``

@@ -19,7 +19,7 @@ _HOMES = {
     "paths": ("LatticePath", "Step", "path_to_tree", "residue_distribution_probe",
               "residue_stats", "tree_to_path"),
     "series": ("MultiSeries", "lagrange_extract", "lagrange_extract_forest",
-               "lagrange_table", "lagrange_table_forest", "solve_G"),
+               "lagrange_table", "solve_G"),
     "treebank": ("HAVE_SPEEDUPS", "Forest", "TAryTree", "census", "edge_profile",
                  "enumerate_forests", "enumerate_trees", "forest_census",
                  "forest_profile", "parse_tree", "serialize_tree"),

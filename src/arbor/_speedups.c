@@ -22,8 +22,8 @@
  * step starts, vacant - 1 in the open segment.  The classes sum to the
  * profile's total, so they are ranked the same way, in P more cells after
  * the P cells of the profiles.  One walk body serves both modes; it is
- * inlined into one function per mode, so the plain census carries no class
- * bookkeeping.
+ * inlined at one call per mode, with the mode a constant, so the plain
+ * census carries no class bookkeeping.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -155,18 +155,6 @@ walk(struct census *c, const int classes)
             }
         }
     }
-}
-
-static void
-census_walk(struct census *c)
-{
-    walk(c, 0);
-}
-
-static void
-joint_walk(struct census *c)
-{
-    walk(c, 1);
 }
 
 /* A Python int as a Py_ssize_t no larger than max; one that does not fit is
@@ -321,9 +309,9 @@ segment_census(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     Py_BEGIN_ALLOW_THREADS
     if (classes)
-        joint_walk(&c);
+        walk(&c, 1);
     else
-        census_walk(&c);
+        walk(&c, 0);
     Py_END_ALLOW_THREADS
     result = table(&c, c.counts, lex);
     if (classes && result != NULL)      /* a NULL second table frees the first */

@@ -76,7 +76,7 @@ def _table_chunks(fmt: str, t: int, n: int, m: Optional[int] = None) -> list[str
     rows = counting.binomial(free + t - 1, t - 1)
     forest = "" if m is None else f"m={m}, "
     _check_counts(f"table(t={t}, {forest}n={n})", rows, "rows", rows * t * n)
-    total = _closed_total(t, n, m)
+    total = counting.group_total(t, n, m)
     names = [f"a{i + 1}" for i in range(t)]
     if fmt == "csv":
         head, part, cell = ",".join(names) + ",count", "%d,", ""
@@ -154,10 +154,6 @@ def cmd_triangle(args) -> int:
     return EXIT_OK
 
 
-def _closed_total(t: int, n: int, m: Optional[int] = None) -> int:
-    return counting.total_trees(t, n) if m is None else counting.total_forests(t, m, n)
-
-
 # A case yields (where, got, want) tables for the trees when ms is empty, else
 # for the forests of each m in ms.  got comes from the treebank or series
 # oracle, the closed form enters only as want; the sum identity and symmetry
@@ -197,11 +193,8 @@ def _inversion(args, ms):
     """Each (n, m) group read whole from its one expanded product, so the
     compositions come from the product and the counts from inversion."""
     from arbor import series
-    t = args.t
     for n, m, where in _groups(args, ms):
-        got = (series.lagrange_table(t, n) if m is None
-               else series.lagrange_table_forest(t, m, n))
-        yield where, got, counting.count_table(t, n, m)
+        yield where, series.lagrange_table(args.t, n, m), counting.count_table(args.t, n, m)
 
 
 def _sums(args, ms):
@@ -209,7 +202,7 @@ def _sums(args, ms):
         ns = range(m or 1, args.max_n + 1)
         yield (f"t={args.t}{f' m={m}' if m else ''}",
                {n: sum(counting.count_table(args.t, n, m).values()) for n in ns},
-               {n: _closed_total(args.t, n, m) for n in ns})
+               {n: counting.group_total(args.t, n, m) for n in ns})
 
 
 def _symmetry(args, ms):
@@ -288,13 +281,15 @@ def _compare(check: _Check, args, ms: tuple) -> bool:
     return True
 
 
-def _check_ring_steps(args, ms) -> None:
-    """Refuse up front a series or inversion check that would take more
-    ring steps than the budget allows.  ``--mode brute`` takes none, so it
-    does not load the series ring.  The counts are closed forms in O(t)
-    binomials per forest size, so any --max-n is refused at once."""
+def _check_verify_budget(args, ms) -> None:
+    """Refuse up front a verify whose series and inversion checks would take
+    more ring steps, or whose censuses would place more nodes, than the
+    budget allows; each census is bounded on its own, but at t=1 every group
+    holds one tree.  ``--mode brute`` takes no ring steps, so it does not
+    load the series ring.  The counts are closed forms in O(t) binomials per
+    forest size, so any --max-n is refused at once."""
     t, max_n = args.t, args.max_n
-    steps = 0
+    steps = nodes = 0
     if args.mode != "brute":
         from arbor import series
         if args.mode in ("series", "all"):
@@ -303,8 +298,13 @@ def _check_ring_steps(args, ms) -> None:
             # the trees' groups read g-degrees 0..max-n - 1, like the forests
             # of m = 1, and those of each m g-degrees 0..max-n - m
             steps += sum(series.inversion_steps_through(t, max_n - m) for m in [1, *ms])
+    if args.mode in ("brute", "all"):
+        # group n places n nodes: the trees n = 1..max-n, like the forests
+        # of m = 1, and those of each m n = m..max-n
+        nodes = sum(max_n * (max_n + 1) // 2 - m * (m - 1) // 2 for m in [1, *ms])
     check_budget(f"verify(t={t}, max-n={max_n}, mode={args.mode})",
-                 [(steps, "take %d series ring steps")], args.budget)
+                 [(steps, "take %d series ring steps"), (nodes, "place %d nodes")],
+                 args.budget)
 
 
 def cmd_verify(args) -> int:
@@ -324,7 +324,7 @@ def cmd_verify(args) -> int:
         ms = [args.forest]
     else:
         ms = [m for m in range(1, t) if m <= max_n]
-    _check_ring_steps(args, ms)
+    _check_verify_budget(args, ms)
     scopes = {"trees": [()], "each m": [(m,) for m in ms],
               "all m": [tuple(ms)] if ms else []}
     results = []

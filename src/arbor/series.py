@@ -9,7 +9,7 @@ direct coefficient extraction from the expanded product (the inversion rule
 from __future__ import annotations
 
 from operator import add
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from arbor import counting
 from arbor.errors import ConstraintError
@@ -103,10 +103,6 @@ class MultiSeries:
             )
 
     @classmethod
-    def zero(cls, arity: int, truncation: int) -> "MultiSeries":
-        return cls(arity, truncation)
-
-    @classmethod
     def one(cls, arity: int, truncation: int) -> "MultiSeries":
         return cls(arity, truncation, {(0, (0,) * arity): 1})
 
@@ -162,17 +158,12 @@ class MultiSeries:
             return 0
         return self._grades[n].get(_pack(a, self._base), 0)
 
-    def _grade_terms(self, n: int) -> Iterator[tuple]:
-        """(parts, coefficient) pairs of x-degree n in sorted order."""
-        base, t, grade = self._base, self.arity, self._grades[n]
-        for key in sorted(grade):
-            yield _unpack(key, base, t), grade[key]
-
     def terms(self) -> Iterator[tuple]:
         """(n, parts, coefficient) triples in sorted key order."""
-        for n in range(self.truncation + 1):
-            for a, c in self._grade_terms(n):
-                yield n, a, c
+        base, t = self._base, self.arity
+        for n, grade in enumerate(self._grades):
+            for key in sorted(grade):
+                yield n, _unpack(key, base, t), grade[key]
 
     def dump_lines(self) -> list[str]:
         """Sorted ``n;a1,...,at;coef`` lines (the debug dump format)."""
@@ -298,42 +289,32 @@ def _expanded_product(t: int, gmax: int, power: int) -> MultiSeries:
     return p
 
 
-def _read_group(t: int, n: int, m: int, roots: tuple) -> dict:
-    """One (n, m) group by direct inversion: every term of g-degree n-m of
-    prod_i (1 + yi*g)^n, its parts raised by ``roots``, times m over n."""
+def lagrange_table(t: int, n: int, m: Optional[int] = None) -> dict:
+    """Every count of the n-node t-ary trees, or with m the n-node m-forests,
+    by direct inversion, keyed by composition.
+
+    The m-tuple generating series is (y1*g)...(ym*g), and a tree is the
+    m = 1 case without its root edge.  Inverting it gives (m/n) times the
+    coefficient of g^(n-m) * y^(parts - e1 - ... - em) in
+    prod_i (1 + yi*g)^n: expand that product with g truncated at n-m and
+    read every term of g-degree n-m, as stored.  The compositions come from
+    the expanded product itself, and the counts agree with the closed-form
+    product of binomials but are computed by polynomial expansion, so they
+    serve as an independent check.
+    """
+    counting.shape(t, n, m)
+    roots = (1,) * (m or 0) + (0,) * (t - (m or 0))
+    m = m or 1  # a tree reads what a 1-forest reads, less its root edge
+    product = _expanded_product(t, n - m, n)
     counts = {}
-    for parts, c in _expanded_product(t, n - m, n)._grade_terms(n - m):
+    for key, c in product._grades[n - m].items():
         q, r = divmod(m * c, n)
         if r:
             raise ArithmeticError(
                 f"extracted coefficient {m * c} not divisible by n={n}"
             )
-        counts[tuple(map(add, parts, roots))] = q
+        counts[tuple(map(add, _unpack(key, product._base, t), roots))] = q
     return counts
-
-
-def lagrange_table(t: int, n: int) -> dict:
-    """Every n-node tree count by direct inversion, keyed by composition:
-    expand prod_i (1 + yi*g)^n with g truncated at n-1, read each
-    coefficient of g^(n-1), divide by n.
-
-    The compositions come from the expanded product itself, and the counts
-    agree with the closed-form product of binomials but are computed by
-    polynomial expansion, so they serve as an independent check.
-    """
-    counting.shape(t, n)
-    return _read_group(t, n, 1, (0,) * t)
-
-
-def lagrange_table_forest(t: int, m: int, n: int) -> dict:
-    """Every n-node m-forest count by direct inversion.
-
-    The m-tuple generating series is (y1*g)...(ym*g); inverting it gives
-    (m/n) times the coefficient of g^(n-m) * y^(parts - e1 - ... - em) in
-    prod_i (1 + yi*g)^n, again by expansion.
-    """
-    counting.shape(t, n, m)
-    return _read_group(t, n, m, (1,) * m + (0,) * (t - m))
 
 
 def lagrange_extract(t: int, n: int, parts: Sequence[int]) -> int:
@@ -343,6 +324,6 @@ def lagrange_extract(t: int, n: int, parts: Sequence[int]) -> int:
 
 
 def lagrange_extract_forest(t: int, m: int, n: int, parts: Sequence[int]) -> int:
-    """One forest count by direct inversion, read from ``lagrange_table_forest``."""
+    """One forest count by direct inversion, read from ``lagrange_table``."""
     a = counting.check_parts(t, n, parts, m)
-    return lagrange_table_forest(t, m, n)[a]
+    return lagrange_table(t, n, m)[a]

@@ -36,16 +36,7 @@ from operator import add
 from typing import Iterator, Optional, Sequence
 
 from arbor import counting
-# the budget guard lives beside its error, so the commands that only check
-# it need not load this module; these names stay reachable from here
-from arbor.errors import (
-    BUDGET_ENV_VAR,
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    ConstraintError,
-    check_budget,
-    resolve_budget,
-)
+from arbor.errors import ConstraintError, check_budget
 
 try:
     from arbor._speedups import segment_census as _segment_census_compiled
@@ -91,22 +82,9 @@ class TAryTree:
     def __eq__(self, other):
         if not isinstance(other, TAryTree):
             return NotImplemented
-        # explicit stack of node pairs: deep trees must not hit the
-        # recursion limit
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.size != b.size or len(a.children) != len(b.children):
-                return False
-            for x, y in zip(a.children, b.children):
-                if x is None or y is None:
-                    if x is not y:
-                        return False
-                else:
-                    stack.append((x, y))
-        return True
+        # a preorder word fixes the arity and the shape, and serialize_tree
+        # walks without recursion, so deep trees compare too
+        return serialize_tree(self) == serialize_tree(other)
 
     __hash__ = None
 
@@ -140,10 +118,6 @@ class Forest:
     @property
     def arity(self) -> int:
         return self.trees[0].arity
-
-    @property
-    def total_nodes(self) -> int:
-        return sum(tr.size for tr in self.trees)
 
     def __eq__(self, other):
         if not isinstance(other, Forest):

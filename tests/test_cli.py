@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from arbor import cli, counting, paths, series, treebank
+from arbor import cli, counting, errors, paths, series, treebank
 from arbor.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -173,7 +173,7 @@ def test_unary_walks_refused_by_node_count(monkeypatch):
         "treebank._segment_census_compiled = None\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    monkeypatch.delenv(treebank.BUDGET_ENV_VAR, raising=False)
+    monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     n = 10**11
@@ -201,9 +201,7 @@ SWEEP_BAD = ["0", "-2", str(10**20), "1.5"]
 def sweep_grid():
     """Every subcommand with 3 or each bad value in one option at a time,
     over the arities 1, 2, 16, 17 and the bad values.  No composition sums
-    right at a large n, and ``verify --t 1 --mode brute`` at a huge
-    --max-n is left out: its censuses are each within the budget, but
-    together they place about max-n squared over 2 nodes."""
+    right at a large n."""
     for t in ["1", "2", "16", "17", *SWEEP_BAD]:
         parts = ",".join(["0"] * (int(t) - 1) + ["2"]) if t in ("1", "2", "16") else "2"
         for v in ["3", *SWEEP_BAD]:
@@ -218,8 +216,7 @@ def sweep_grid():
             yield ["triangle", "--t", t, "--rows", "3", "--marginal", "1",
                    "--format", "bfile", "--b-offset", v]
             for mode in ("brute", "series", "lagrange", "all"):
-                if (t, v, mode) != ("1", str(10**20), "brute"):
-                    yield ["verify", "--t", t, "--max-n", v, "--mode", mode]
+                yield ["verify", "--t", t, "--max-n", v, "--mode", mode]
             yield ["verify", "--t", t, "--max-n", "3", "--forest", v]
             yield ["verify", "--t", t, "--max-n", "3", "--mode", "brute", "--workers", v]
             yield ["verify", "--t", t, "--max-n", "3", "--budget", v]
@@ -539,7 +536,7 @@ def test_table_and_triangle_refused_over_budget(capsys, monkeypatch):
     # rows of a table, cells of a triangle (times t with --self-check), then
     # the 64-bit words their counts fill: rows or cells plus t*n bits per
     # count over 64, rounded up
-    monkeypatch.delenv(treebank.BUDGET_ENV_VAR, raising=False)
+    monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
     for argv, refusal in (
         (["table", "--t", "16", "--n", "40"],
          "table(t=16, n=40) would enumerate 8654327655120 rows"),
@@ -579,7 +576,7 @@ def test_table_and_triangle_refused_over_budget(capsys, monkeypatch):
         (34, triangle + ["--self-check"],
          "triangle(t=3, rows=4) would compute 35 64-bit words of counts"),
     ):
-        monkeypatch.setenv(treebank.BUDGET_ENV_VAR, str(budget))
+        monkeypatch.setenv(errors.BUDGET_ENV_VAR, str(budget))
         code, out, err = run(capsys, *argv)
         if refusal is None:
             assert (code, err) == (0, ""), argv
@@ -665,7 +662,7 @@ def test_verify_budget_exit_2(capsys):
 def test_verify_series_and_inversion_refused_over_budget(capsys, monkeypatch):
     # series ring steps: coefficient products plus pairs of degrees looked
     # at, counted from composition counts before any check runs
-    monkeypatch.delenv(treebank.BUDGET_ENV_VAR, raising=False)
+    monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
     for argv, refusal in (
         (["--t", "2", "--max-n", "120", "--mode", "series"],
          "verify(t=2, max-n=120, mode=series) would take 17055802 series ring steps"),
@@ -687,11 +684,11 @@ def test_verify_series_and_inversion_refused_over_budget(capsys, monkeypatch):
                                 (311, "lagrange", None), (310, "lagrange", 311),
                                 (511, "all", 512), (100, "brute", None)):
         for flag in (True, False):
-            monkeypatch.delenv(treebank.BUDGET_ENV_VAR, raising=False)
+            monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
             if flag:
                 code, out, err = run(capsys, *verify, mode, "--budget", str(budget))
             else:
-                monkeypatch.setenv(treebank.BUDGET_ENV_VAR, str(budget))
+                monkeypatch.setenv(errors.BUDGET_ENV_VAR, str(budget))
                 code, out, err = run(capsys, *verify, mode)
             if steps is None:
                 assert (code, err) == (0, ""), (budget, mode)
@@ -720,10 +717,7 @@ def test_ring_steps_count_what_the_ring_does(monkeypatch):
         for m in [None] + list(range(1, min(t, N + 1))):
             for n in range(m or 1, N + 1):
                 steps.clear()
-                if m is None:
-                    series.lagrange_table(t, n)
-                else:
-                    series.lagrange_table_forest(t, m, n)
+                series.lagrange_table(t, n, m)
                 assert sum(steps) == series.inversion_steps(t, n - (m or 1)), (t, m, n)
 
 
@@ -731,9 +725,9 @@ def test_verify_refuses_any_max_n_at_once(capsys, monkeypatch):
     # the ring-step counts are closed forms, so the guard never loops over
     # --max-n: each refusal comes in well under a second, $ARBOR_BUDGET=1 or not
     for budget in (None, "1"):
-        monkeypatch.delenv(treebank.BUDGET_ENV_VAR, raising=False)
+        monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
         if budget:
-            monkeypatch.setenv(treebank.BUDGET_ENV_VAR, budget)
+            monkeypatch.setenv(errors.BUDGET_ENV_VAR, budget)
         for max_n, mode in product((10**6, 10**20 - 1), ("series", "lagrange", "all")):
             start = time.perf_counter()
             code, out, err = run(capsys, "verify", "--t", "3", "--max-n", str(max_n),
@@ -744,6 +738,31 @@ def test_verify_refuses_any_max_n_at_once(capsys, monkeypatch):
                 f"error: verify(t=3, max-n={max_n}, mode={mode}) would take "), err
 
 
+def test_verify_bounds_the_nodes_of_all_its_censuses(capsys, monkeypatch):
+    # at t=1 every census holds one tree, so only the nodes of all the
+    # groups together bound --mode brute: refused at once, before any census
+    monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
+    for max_n, nodes in ((100000, 5000050000), (10**20, 10**20 * (10**20 + 1) // 2)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--t", "1", "--max-n", str(max_n),
+                             "--mode", "brute")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", (
+            f"error: verify(t=1, max-n={max_n}, mode=brute) would place "
+            f"{nodes} nodes, budget is 10000000\n"))
+    # the trees place n = 1..max-n nodes and the forests of each m
+    # n = m..max-n, so the default budget admits t=1 up to max-n 4471
+    parse = cli.build_parser().parse_args
+    for argv, ms, nodes in ((["--t", "1", "--max-n", "4471"], [], 9997156),
+                            (["--t", "3", "--max-n", "4"], [1, 2], 29),
+                            (["--t", "3", "--max-n", "4", "--forest", "2"], [2], 19)):
+        args = parse(["verify", *argv, "--mode", "brute", "--budget", str(nodes)])
+        cli._check_verify_budget(args, ms)
+        args.budget -= 1
+        with pytest.raises(errors.BudgetExceededError, match=f" would place {nodes} nodes, "):
+            cli._check_verify_budget(args, ms)
+
+
 def test_benchmark_verify_commands_far_below_the_budget():
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     parser = cli.build_parser()
@@ -752,14 +771,14 @@ def test_benchmark_verify_commands_far_below_the_budget():
         if args.command != "verify":
             continue
         ms = [m for m in range(1, args.t) if m <= args.max_n]
-        budget = treebank.DEFAULT_BUDGET // 100
+        budget = errors.DEFAULT_BUDGET // 100
         args.budget = budget
-        cli._check_ring_steps(args, ms)  # raises when over
+        cli._check_verify_budget(args, ms)  # raises when over
 
 
 def test_verify_symmetry_at_large_arity(capsys, monkeypatch):
     # one look per row stands for its t! permutation checks
-    monkeypatch.delenv(treebank.BUDGET_ENV_VAR, raising=False)
+    monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
     for t, checks in ((9, 19958400), (16, 3201186852864000)):
         start = time.perf_counter()
         code, out, err = run(capsys, "verify", "--t", str(t), "--max-n", "3",
@@ -844,6 +863,17 @@ def row_missing(real, n_at):
     return lying
 
 
+def group_off_by_one(real, n_at, forests):
+    """``real`` (lagrange_table or group_total) with its result raised by
+    one at node count n_at, for the forest groups when ``forests`` is true,
+    else for the tree groups."""
+    lying = off_by_one(real, n_at)
+
+    def only(t, n, m=None):
+        return (lying if (m is not None) == forests else real)(t, n, m)
+    return only
+
+
 def series_off_by_one(real, n_at, parts):
     """``real`` (solve_G) with the coefficient of x^n_at y^parts raised by one."""
     def lying(t, N):
@@ -895,7 +925,8 @@ FAIL_CASES = {
         ["FAIL series mismatch at t=3 n=3 a=(0, 1, 1)"],
         "summary: 9/10 checks passed"),
     "inversion": (
-        lambda: [(series, "lagrange_table", off_by_one(series.lagrange_table, 3))],
+        lambda: [(series, "lagrange_table",
+                  group_off_by_one(series.lagrange_table, 3, forests=False))],
         "lagrange",
         ["FAIL inversion mismatch at t=3 n=3 a=(0, 0, 2)"],
         "summary: 2/3 checks passed"),
@@ -909,20 +940,21 @@ FAIL_CASES = {
          "FAIL forest inversion key set differs at t=3 m=1 n=3 a=(1, 0, 2)"],
         "summary: 1/3 checks passed"),
     "forest inversion": (
-        lambda: [(series, "lagrange_table_forest",
-                  off_by_one(series.lagrange_table_forest, 4, n_index=2))],
+        lambda: [(series, "lagrange_table",
+                  group_off_by_one(series.lagrange_table, 4, forests=True))],
         "lagrange",
         ["FAIL forest inversion mismatch at t=3 m=1 n=4 a=(1, 0, 3)",
          "FAIL forest inversion mismatch at t=3 m=2 n=4 a=(1, 1, 2)"],
         "summary: 1/3 checks passed"),
     "tree sum identity": (
-        lambda: [(counting, "total_trees", off_by_one(counting.total_trees, 3))],
+        lambda: [(counting, "group_total",
+                  group_off_by_one(counting.group_total, 3, forests=False))],
         "all",
         ["FAIL tree sum identity mismatch at t=3 n=3"],
         "summary: 9/10 checks passed"),
     "forest sum identity": (
-        lambda: [(counting, "total_forests",
-                  off_by_one(counting.total_forests, 4, n_index=2))],
+        lambda: [(counting, "group_total",
+                  group_off_by_one(counting.group_total, 4, forests=True))],
         "all",
         ["FAIL forest sum identity mismatch at t=3 m=1 n=4"],
         "summary: 9/10 checks passed"),
@@ -994,7 +1026,7 @@ def test_paths_budget_exit(capsys):
 def test_paths_listing_refused_by_the_text_it_writes(capsys, monkeypatch):
     # after trees and nodes, the listing's trees times its line length in
     # 64-bit words: 1430715 lines of 187 chars at t=3 n=10 with labels
-    monkeypatch.delenv(treebank.BUDGET_ENV_VAR, raising=False)
+    monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
     start = time.perf_counter()
     code, out, err = run(capsys, "paths", "--t", "3", "--n", "10", "--labels")
     assert time.perf_counter() - start < 1.0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arbor import counting, paths, treebank
-from arbor.errors import ConstraintError, MalformedPathError
+from arbor.errors import BudgetExceededError, ConstraintError, MalformedPathError
 from arbor.paths import (
     LatticePath,
     Step,
@@ -235,7 +235,7 @@ def test_probe_csv_shape():
 
 
 def test_probe_budget_guard():
-    with pytest.raises(treebank.BudgetExceededError):
+    with pytest.raises(BudgetExceededError):
         residue_distribution_probe(3, 8, budget=100)
 
 

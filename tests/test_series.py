@@ -9,6 +9,7 @@ from arbor.series import (
     MultiSeries,
     lagrange_extract,
     lagrange_extract_forest,
+    lagrange_table,
     solve_G,
 )
 
@@ -35,7 +36,7 @@ def test_mul_examples():
 
 def test_add_identity_and_normalization():
     s = MultiSeries(2, 3, {term_key(1, (1, 0)): 2, term_key(2, (1, 1)): -1})
-    zero = MultiSeries.zero(2, 3)
+    zero = MultiSeries(2, 3)
     assert s + zero == s
     neg = MultiSeries(2, 3, {(n, a): -c for n, a, c in s.terms()})
     total = s + neg
@@ -48,7 +49,7 @@ def test_truncation_drops_high_orders():
     x = MultiSeries.x(2, 2)
     x2 = x * x
     x3 = x2 * x
-    assert x3 == MultiSeries.zero(2, 2)
+    assert x3 == MultiSeries(2, 2)
 
 
 def test_mismatch_errors():
@@ -115,7 +116,7 @@ def reference_solve(t, N):
     """The fixed-point loop run at full truncation N in every round."""
     one = MultiSeries.one(t, N)
     x = MultiSeries.x(t, N)
-    g = MultiSeries.zero(t, N)
+    g = MultiSeries(t, N)
     for _ in range(N):
         p = x
         for slot in range(1, t + 1):
@@ -262,6 +263,9 @@ def test_forest_extraction_matches_closed_form():
                 for a in counting.compositions(t, n, m=m):
                     assert lagrange_extract_forest(t, m, n, a) == \
                         counting.count_forests(t, m, n, a)
+        for m in [None, *range(1, t)]:
+            for n in range(m or 1, 7):
+                assert lagrange_table(t, n, m) == counting.count_table(t, n, m), (t, n, m)
 
 
 def test_ring_step_counts_in_closed_form():

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from arbor import counting, treebank
-from arbor.errors import BudgetExceededError, ConstraintError
+from arbor.errors import BUDGET_ENV_VAR, BudgetExceededError, ConstraintError
 from arbor.paths import residue_stats, tree_to_path
 from arbor.treebank import (
     Forest,
@@ -173,6 +173,21 @@ def test_forest_validation():
         TAryTree((TAryTree.leaf(2), None, None))  # child arity mismatch
 
 
+def test_equality_by_arity_and_shape():
+    word = "o.o...."
+    assert parse_tree(word, 3) == parse_tree(word, 3)
+    assert TAryTree.leaf(2) != TAryTree.leaf(3)
+    # as long a word, but one node of arity 3 against three of arity 1
+    assert TAryTree.leaf(3) != parse_tree("ooo.", 1)
+    assert TAryTree.leaf(3) != "o..."
+    lone, middle = TAryTree.leaf(3), parse_tree(word, 3)
+    assert Forest((middle, lone)) == Forest((parse_tree(word, 3), TAryTree.leaf(3)))
+    assert Forest((lone,)) != Forest((TAryTree.leaf(4),))
+    assert Forest((lone, lone)) != Forest((lone,))
+    assert Forest((middle,)) != Forest((lone, lone))  # two nodes each
+    assert Forest((middle, lone)) != Forest((lone, middle))
+
+
 def test_serialize_examples():
     assert serialize_tree(TAryTree.leaf(3)) == "o..."
     middle = TAryTree((None, TAryTree.leaf(3), None))
@@ -257,11 +272,11 @@ def test_budget_guard_names_total():
 
 
 def test_budget_env_var(monkeypatch):
-    monkeypatch.setenv(treebank.BUDGET_ENV_VAR, "50")
+    monkeypatch.setenv(BUDGET_ENV_VAR, "50")
     with pytest.raises(BudgetExceededError):
         census(3, 5)
     assert census(3, 3) == census(3, 3, budget=1000)
-    monkeypatch.setenv(treebank.BUDGET_ENV_VAR, "not-a-number")
+    monkeypatch.setenv(BUDGET_ENV_VAR, "not-a-number")
     with pytest.raises(ConstraintError):
         census(3, 3)
 

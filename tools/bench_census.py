@@ -2,8 +2,9 @@
 
 Times, in-process, ``treebank.census`` and ``treebank.joint_census`` (the
 census with the class vector of every tree's Lukasiewicz path) with each
-engine at a fixed set of sizes, ``paths.residue_distribution_probe`` with
-the default engine, ``counting.compositions`` consumed whole, the
+engine at a fixed set of sizes, the compiled census with 1 and with 2
+workers (one job per root split with 2),
+``paths.residue_distribution_probe`` with the default engine, ``counting.compositions`` consumed whole, the
 closed-form rows of ``table`` and ``triangle``
 (``counting.binomial_row``, ``counting.count_table`` and
 ``cli._triangle_rows``), and the text that
@@ -22,8 +23,8 @@ runs that must exit 0, and process rows, whole ``table`` and ``triangle``
 commands at the sizes of the ``tables`` benchmark workload and at sizes
 users run and ``paths --t 11 --n 6 --probe``, 3 runs each; each row has the
 best wall time and the lowest and highest peak RSS of its runs.  It checks
-that both engines give equal tables, that the first table of the joint
-census is the census, that the compositions are as many as the binomial
+that both engines and both worker counts give equal tables, that the first
+table of the joint census is the census, that the compositions are as many as the binomial
 count of weak compositions and come distinct, in lexicographic order, each
 summing to its total, that the closed-form rows equal one ``count_trees``,
 ``count_forests`` or ``marginal_count`` call per row, in the same order,
@@ -39,7 +40,7 @@ closed-form tables, and that each listing equals, byte for byte, the join of
 ``enumerate_trees``.  It appends one row set to ``BENCH_census.json`` at
 the repository root.  The stamp carries the git SHA, ``"dirty": true`` when
 ``src`` or ``tools`` differ from that commit, the Python version and the CPU
-count.  The census, joint and probe rows need the compiled kernel, for
+count.  The census, joint, workers and probe rows need the compiled kernel, for
 example after ``python setup.py build_ext --inplace``; without it only the
 series, compositions, closed-form, CSV, listing, start-up and process rows
 are timed:
@@ -67,6 +68,7 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_census.json"
 SIZES = [(3, 11), (2, 15), (4, 8), (3, 9)]
 JOINT_SIZES = [(3, 9), (3, 10)]
+WORKER_SIZES = [(3, 11), (8, 6), (16, 5)]
 PROBE_SIZES = [(3, 9)]
 COMPOSITION_SIZES = [(6, 21, 0), (6, 29, 0), (4, 30, 3)]  # (t, total, m)
 CLOSED_FORM_SIZES = [(6, 22, None), (6, 30, None), (4, 30, 3)]  # (t, n, m)
@@ -242,8 +244,7 @@ def by_degree(g):
 
 def inversion_group(t, n, m):
     """One (n, m) group by direct inversion."""
-    return (series.lagrange_table(t, n) if m is None
-            else series.lagrange_table_forest(t, m, n))
+    return series.lagrange_table(t, n, m)
 
 
 def listing_rows():
@@ -400,6 +401,18 @@ def kernel_rows():
             sys.exit(f"joint_census t={t} n={n}: edge table differs from census")
         rows.append(row)
         print(json.dumps(row), flush=True)
+    for t, n in WORKER_SIZES:
+        one_s, one = best(lambda: treebank.census(t, n, engine="compiled", budget=10**12))
+        two_s, two = best(lambda: treebank.census(t, n, workers=2, engine="compiled",
+                                                  budget=10**12))
+        if one != two:
+            sys.exit(f"census t={t} n={n}: 1 and 2 workers give different tables")
+        rows.append({"layer": "workers", "t": t, "n": n,
+                     "trees": counting.total_trees(t, n),
+                     "root_splits": counting.binomial(n + t - 2, t - 1),
+                     "one_s": round(one_s, 5), "two_s": round(two_s, 5),
+                     "two_over_one": round(two_s / one_s, 2)})
+        print(json.dumps(rows[-1]), flush=True)
     for t, n in PROBE_SIZES:
         probe_s, _ = best(lambda: paths.residue_distribution_probe(t, n, budget=10**12))
         rows.append({"layer": "probe", "t": t, "n": n,

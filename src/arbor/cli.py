@@ -232,32 +232,54 @@ def _symmetry(args, ms):
         return
 
 
+# The cost of one entry, its series ring steps and nodes placed, in O(t)
+# binomials whatever --max-n.  The trees are priced as the forests of m = 1:
+# both place n = m..max-n nodes and read g-degrees 0..max-n - m.
+
+def _nodes(args, m):
+    return 0, args.max_n * (args.max_n + 1) // 2 - m * (m - 1) // 2
+
+
+def _solve_steps(args, m):
+    from arbor import series
+    return series.solve_steps(args.t, args.max_n), 0
+
+
+def _inversion_steps(args, m):
+    from arbor import series
+    return series.inversion_steps_through(args.t, args.max_n - m), 0
+
+
+def _free(args, m):
+    return 0, 0
+
+
 # Every check in run order: its name, the --mode that runs it besides "all",
 # its entries ("trees", "each m" for one per forest size, "all m" for one
-# over all sizes), its case, what a table key is (for the FAIL line) and its
-# PASS text, with the fields t, n (the maximum), m, count (the keys compared)
-# and orders (count times t!).
-_Check = namedtuple("_Check", "name mode scope case label passed")
+# over all sizes), its case, the cost of one entry, what a table key is (for
+# the FAIL line) and its PASS text, with the fields t, n (the maximum), m,
+# count (the keys compared) and orders (count times t!).
+_Check = namedtuple("_Check", "name mode scope case cost label passed")
 CHECKS = (
-    _Check("tree census", "brute", "trees", _census, "a",
+    _Check("tree census", "brute", "trees", _census, _nodes, "a",
            "tree census == closed form (t={t}, n<={n}, {count} compositions)"),
-    _Check("forest census", "brute", "each m", _census, "a",
+    _Check("forest census", "brute", "each m", _census, _nodes, "a",
            "forest census == closed form (t={t}, m={m}, n<={n}, "
            "{count} compositions)"),
-    _Check("series", "series", "trees", _series, "a",
+    _Check("series", "series", "trees", _series, _solve_steps, "a",
            "series solution == closed form, residual zero "
            "(t={t}, n<={n}, {count} coefficients)"),
-    _Check("inversion", "lagrange", "trees", _inversion, "a",
+    _Check("inversion", "lagrange", "trees", _inversion, _inversion_steps, "a",
            "direct inversion == closed form (t={t}, n<={n}, {count} compositions)"),
-    _Check("forest inversion", "lagrange", "each m", _inversion, "a",
+    _Check("forest inversion", "lagrange", "each m", _inversion, _inversion_steps, "a",
            "forest inversion == closed form (t={t}, m={m}, n<={n}, "
            "{count} compositions)"),
-    _Check("tree sum identity", "all", "trees", _sums, "n",
+    _Check("tree sum identity", "all", "trees", _sums, _free, "n",
            "tree counts sum to the closed-form total (t={t}, n<={n})"),
-    _Check("forest sum identity", "all", "all m", _sums, "n",
+    _Check("forest sum identity", "all", "all m", _sums, _free, "n",
            "forest counts sum to the closed-form total "
            "(t={t}, m in {{{m}}}, n<={n})"),
-    _Check("symmetry", "all", "trees", _symmetry, "perm",
+    _Check("symmetry", "all", "trees", _symmetry, _free, "perm",
            "counts invariant under slot permutations (t={t}, n<={n}, "
            "{orders} checks)"),
 )
@@ -281,30 +303,20 @@ def _compare(check: _Check, args, ms: tuple) -> bool:
     return True
 
 
-def _check_verify_budget(args, ms) -> None:
-    """Refuse up front a verify whose series and inversion checks would take
-    more ring steps, or whose censuses would place more nodes, than the
-    budget allows; each census is bounded on its own, but at t=1 every group
-    holds one tree.  ``--mode brute`` takes no ring steps, so it does not
-    load the series ring.  The counts are closed forms in O(t) binomials per
-    forest size, so any --max-n is refused at once."""
-    t, max_n = args.t, args.max_n
-    steps = nodes = 0
-    if args.mode != "brute":
-        from arbor import series
-        if args.mode in ("series", "all"):
-            steps += series.solve_steps(t, max_n)
-        if args.mode in ("lagrange", "all"):
-            # the trees' groups read g-degrees 0..max-n - 1, like the forests
-            # of m = 1, and those of each m g-degrees 0..max-n - m
-            steps += sum(series.inversion_steps_through(t, max_n - m) for m in [1, *ms])
-    if args.mode in ("brute", "all"):
-        # group n places n nodes: the trees n = 1..max-n, like the forests
-        # of m = 1, and those of each m n = m..max-n
-        nodes = sum(max_n * (max_n + 1) // 2 - m * (m - 1) // 2 for m in [1, *ms])
-    check_budget(f"verify(t={t}, max-n={max_n}, mode={args.mode})",
-                 [(steps, "take %d series ring steps"), (nodes, "place %d nodes")],
-                 args.budget)
+def _verify_entries(args) -> list:
+    """Every (check, forest sizes) entry that ``--mode`` runs, in run order,
+    once their costs together pass the budget, the ring steps first.  Each
+    census is also bounded on its own.  ``--mode brute`` loads no series ring."""
+    ms = range(1, min(args.t, args.max_n + 1)) if args.forest is None else [args.forest]
+    scopes = {"trees": [()], "each m": [(m,) for m in ms],
+              "all m": [tuple(ms)] if ms else []}
+    entries = [(check, group) for check in CHECKS if args.mode in (check.mode, "all")
+               for group in scopes[check.scope]]
+    steps, nodes = map(sum, zip(*[check.cost(args, group[0] if group else 1)
+                                  for check, group in entries]))
+    check_budget(f"verify(t={args.t}, max-n={args.max_n}, mode={args.mode})", [
+        (steps, "take %d series ring steps"), (nodes, "place %d nodes")], args.budget)
+    return entries
 
 
 def cmd_verify(args) -> int:
@@ -321,20 +333,11 @@ def cmd_verify(args) -> int:
         if args.forest > max_n:
             raise ConstraintError(
                 f"--forest must satisfy m <= max-n, got m={args.forest} max-n={max_n}")
-        ms = [args.forest]
-    else:
-        ms = [m for m in range(1, t) if m <= max_n]
-    _check_verify_budget(args, ms)
-    scopes = {"trees": [()], "each m": [(m,) for m in ms],
-              "all m": [tuple(ms)] if ms else []}
     results = []
-    for check in CHECKS:
-        if args.mode not in (check.mode, "all"):
-            continue
-        for group in scopes[check.scope]:
-            results.append(_compare(check, args, group))
-            if results[-1] and check.case is _series and args.dump_series:
-                print("series dump:", *args.solved.dump_lines(), sep="\n")
+    for check, group in _verify_entries(args):
+        results.append(_compare(check, args, group))
+        if results[-1] and check.case is _series and args.dump_series:
+            print("series dump:", *args.solved.dump_lines(), sep="\n")
     passed = sum(results)
     print(f"summary: {passed}/{len(results)} checks passed")
     return EXIT_OK if passed == len(results) else EXIT_VERIFY

@@ -387,46 +387,39 @@ def _segment_census_capped(t: int, sizes: Sequence[int], classes: bool = False):
         raise ConstraintError(str(exc)) from None
 
 
-def _select_kernel(engine: str):
-    if engine not in ("auto", "compiled", "pure"):
-        raise ConstraintError(f"unknown engine {engine!r} (expected auto, compiled or pure)")
-    if engine == "pure" or (engine == "auto" and _segment_census_compiled is None):
-        return segment_census_pure
-    if _segment_census_compiled is None:
-        raise ConstraintError("compiled kernel requested but arbor._speedups is not built")
-    return _segment_census_capped
-
-
 def _census_kernel(t: int, n: int, m: Optional[int], budget: Optional[int],
-                   engine: str):
+                   engine: str, workers: int = 1):
     """The kernel for a census of the n-node t-ary trees, or with m the
     m-forests, once the shape (checked by the closed-form total) and the
-    budget pass."""
+    budget pass, and how many workers can run it side by side (see
+    :func:`census`)."""
     action, noun = (f"census(t={t}, n={n})", "trees") if m is None else (
         f"forest_census(t={t}, m={m}, n={n})", "forests")
     check_budget(action, [(counting.group_total(t, n, m), f"enumerate %d {noun}"),
                           (n, "place %d nodes")], budget)
-    return _select_kernel(engine)
+    if engine not in ("auto", "compiled", "pure"):
+        raise ConstraintError(f"unknown engine {engine!r} (expected auto, compiled or pure)")
+    if engine == "pure" or (engine == "auto" and _segment_census_compiled is None):
+        return segment_census_pure, 1
+    if _segment_census_compiled is None:
+        raise ConstraintError("compiled kernel requested but arbor._speedups is not built")
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    jobs = counting.binomial(n - 1, m - 1) if m else counting.binomial(n + t - 2, t - 1)
+    return _segment_census_capped, max(1, min(workers, cpus, jobs))
 
 
-def _run_chunk(kernel, t: int, chunk: list) -> Counter:
-    table: Counter = Counter()
-    for sizes, roots in chunk:
-        for profile, count in kernel(t, sizes).items():
-            table[tuple(map(add, profile, roots))] += count
-    return table
-
-
-def _run_jobs(kernel, t: int, jobs: list, workers: int) -> Counter:
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
-    if workers <= 1:
-        return _run_chunk(kernel, t, jobs)
-    chunks = [jobs[i::workers] for i in range(workers)]
-    parts: list = [None] * workers  # each chunk's table, or what it raised
+def _run_jobs(kernel, t: int, jobs: list, workers: int) -> dict:
+    """Run job j on worker j mod ``workers``, worker 0 being the calling
+    thread and each other one a thread of its own, and sum the workers'
+    tables; what a worker raised is re-raised here."""
+    parts: list = [Counter() for _ in range(workers)]  # or what each raised
 
     def run(i: int) -> None:
         try:
-            parts[i] = _run_chunk(kernel, t, chunks[i])
+            for sizes, roots in jobs[i::workers]:
+                for profile, count in kernel(t, sizes).items():
+                    parts[i][tuple(map(add, profile, roots))] += count
         except BaseException as exc:  # re-raised in the caller below
             parts[i] = exc
 
@@ -436,12 +429,10 @@ def _run_jobs(kernel, t: int, jobs: list, workers: int) -> Counter:
     run(0)
     for thread in threads:
         thread.join()
-    total = Counter()
     for part in parts:
         if isinstance(part, BaseException):
             raise part
-        total.update(part)
-    return total
+    return dict(sum(parts, Counter()))
 
 
 def census(
@@ -455,18 +446,20 @@ def census(
     """Multiplicity of every realized edge-type composition over all t-ary
     trees with n nodes, by brute-force enumeration.
 
-    Refuses up front when the object count exceeds the budget.  With
-    workers > 1 the root's size-split space is partitioned across threads,
-    never more threads than splits or CPUs; the merged table is identical to
-    the sequential one.
+    Refuses up front when the object count exceeds the budget.  The usable
+    workers are found first: one for the pure kernel, which holds the GIL,
+    else the fewest of ``workers``, the CPUs this process may run on and the
+    root size splits, C(n+t-2, t-1) of them.  One usable worker runs the
+    whole walk in one kernel call; more split the root's size splits among
+    threads, and the summed table is identical to the sequential one.
     """
-    kernel = _census_kernel(t, n, None, budget, engine)
-    if workers <= 1:
-        jobs = [((n,), (0,) * t)]
-    else:  # one job per root split: the subtrees in the root's nonempty slots
-        jobs = [(tuple(s for s in comp if s), tuple(min(s, 1) for s in comp))
-                for comp in counting.compositions(t, n - 1)]
-    return dict(_run_jobs(kernel, t, jobs, workers))
+    kernel, workers = _census_kernel(t, n, None, budget, engine, workers)
+    if workers == 1:  # the whole walk, whose profiles take no root edges
+        return kernel(t, (n,))
+    # one job per root split: the subtrees in the root's nonempty slots
+    jobs = [(tuple(s for s in comp if s), tuple(min(s, 1) for s in comp))
+            for comp in counting.compositions(t, n - 1)]
+    return _run_jobs(kernel, t, jobs, workers)
 
 
 def joint_census(
@@ -486,7 +479,7 @@ def joint_census(
     its classes mode counts both; the first table is :func:`census`.  Shape
     and budget refusals are those of ``census``.
     """
-    return _census_kernel(t, n, None, budget, engine)(t, (n,), classes=True)
+    return _census_kernel(t, n, None, budget, engine)[0](t, (n,), classes=True)
 
 
 def forest_census(
@@ -499,8 +492,10 @@ def forest_census(
     engine: str = "auto",
 ) -> dict:
     """Multiplicity of every realized edge-type composition over all ordered
-    m-tuples of non-empty t-ary trees with n total nodes."""
-    kernel = _census_kernel(t, n, m, budget, engine)
+    m-tuples of non-empty t-ary trees with n total nodes: one job per node
+    split, C(n-1, m-1) of them, shared among the usable workers as in
+    :func:`census`."""
+    kernel, workers = _census_kernel(t, n, m, budget, engine, workers)
     roots = (1,) * m + (0,) * (t - m)
     jobs = [(sizes, roots) for sizes in _forest_sizes(m, n)]
-    return dict(_run_jobs(kernel, t, jobs, workers))
+    return _run_jobs(kernel, t, jobs, workers)

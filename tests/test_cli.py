@@ -4,6 +4,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -153,7 +154,7 @@ def test_kernel_cell_cap_under_workers_exit_1(capsys, monkeypatch, compiled_kern
             t, sizes = 16, (15,)
         return compiled_kernel(t, sizes, classes=classes)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(treebank, "_segment_census_compiled", kernel)
     code, out, err = run(capsys, "verify", "--t", "3", "--max-n", "7",
                          "--mode", "brute", "--workers", "2")
@@ -753,14 +754,30 @@ def test_verify_bounds_the_nodes_of_all_its_censuses(capsys, monkeypatch):
     # the trees place n = 1..max-n nodes and the forests of each m
     # n = m..max-n, so the default budget admits t=1 up to max-n 4471
     parse = cli.build_parser().parse_args
-    for argv, ms, nodes in ((["--t", "1", "--max-n", "4471"], [], 9997156),
-                            (["--t", "3", "--max-n", "4"], [1, 2], 29),
-                            (["--t", "3", "--max-n", "4", "--forest", "2"], [2], 19)):
+    for argv, nodes in ((["--t", "1", "--max-n", "4471"], 9997156),
+                        (["--t", "3", "--max-n", "4"], 29),
+                        (["--t", "3", "--max-n", "4", "--forest", "2"], 19)):
         args = parse(["verify", *argv, "--mode", "brute", "--budget", str(nodes)])
-        cli._check_verify_budget(args, ms)
+        cli._verify_entries(args)
         args.budget -= 1
         with pytest.raises(errors.BudgetExceededError, match=f" would place {nodes} nodes, "):
-            cli._check_verify_budget(args, ms)
+            cli._verify_entries(args)
+
+
+@pytest.mark.parametrize("mode", ["brute", "series", "lagrange", "all"])
+def test_verify_prices_exactly_the_entries_it_runs(capsys, monkeypatch, mode):
+    # each priced entry prints one PASS line, in the same order
+    monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
+    argv = ["verify", "--t", "3", "--max-n", "4", "--mode", mode]
+    entries = cli._verify_entries(cli.build_parser().parse_args(argv))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    passed = [line for line in out.splitlines() if line.startswith("PASS ")]
+    assert len(passed) == len(entries)
+    for line, (check, group) in zip(passed, entries):
+        text = check.passed.format(t=3, n=4, m=",".join(map(str, group)),
+                                   count="COUNT", orders="COUNT")
+        assert re.fullmatch(re.escape("PASS " + text).replace("COUNT", r"\d+"), line)
 
 
 def test_benchmark_verify_commands_far_below_the_budget():
@@ -770,10 +787,8 @@ def test_benchmark_verify_commands_far_below_the_budget():
         args = parser.parse_args(command.split())
         if args.command != "verify":
             continue
-        ms = [m for m in range(1, args.t) if m <= args.max_n]
-        budget = errors.DEFAULT_BUDGET // 100
-        args.budget = budget
-        cli._check_verify_budget(args, ms)  # raises when over
+        args.budget = errors.DEFAULT_BUDGET // 100
+        cli._verify_entries(args)  # raises when over
 
 
 def test_verify_symmetry_at_large_arity(capsys, monkeypatch):

@@ -281,22 +281,39 @@ def test_budget_env_var(monkeypatch):
         census(3, 3)
 
 
-def test_workers_do_not_change_tables():
-    for workers in (1, 2, 5):
-        assert census(3, 5, workers=workers) == census(3, 5)
-        assert forest_census(3, 2, 5, workers=workers) == forest_census(3, 2, 5)
-    assert census(3, 1, workers=4) == {(0, 0, 0): 1}
+def usable_cpus(monkeypatch, cpus):
+    """Let this process run on ``cpus`` CPUs, as a census counts them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
 
 
-def test_worker_pool_clamped_to_job_count(monkeypatch):
-    # a census runs one chunk on the calling thread and one on each thread it
-    # starts; record how many ran at once, or nothing when it ran sequentially
-    pool_sizes, started = [], []
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while the test runs."""
+    threads = []
 
     class RecordingThread(threading.Thread):
         def start(self):
-            started.append(self)
+            threads.append(self)
             super().start()
+
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
+    return threads
+
+
+def test_workers_do_not_change_tables(monkeypatch, compiled_kernel):
+    usable_cpus(monkeypatch, 5)
+    for engine, workers in itertools.product(("compiled", "pure"), (1, 2, 5)):
+        assert census(3, 5, workers=workers, engine=engine) == census(3, 5)
+        assert forest_census(3, 2, 5, workers=workers, engine=engine) == \
+            forest_census(3, 2, 5)
+        assert census(3, 1, workers=workers, engine=engine) == {(0, 0, 0): 1}
+
+
+def test_worker_pool_clamped_to_job_count(monkeypatch, compiled_kernel, started):
+    # a census runs one worker on the calling thread and one on each thread it
+    # starts; record how many ran at once, or nothing when it ran sequentially
+    pool_sizes = []
 
     def run(call, *args):
         del started[:]
@@ -305,32 +322,63 @@ def test_worker_pool_clamped_to_job_count(monkeypatch):
         if started:
             pool_sizes.append(len(started) + 1)
 
-    monkeypatch.setattr(threading, "Thread", RecordingThread)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    # the CPUs this process may run on count, not the CPUs of the machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    usable_cpus(monkeypatch, 64)
     # 10 root size splits for t=3 n=4, 4 node splits for t=3 m=2 n=5
     run(census, 3, 4)
     run(forest_census, 3, 2, 5)
     assert pool_sizes == [10, 4]
-    # fewer CPUs than jobs: the CPU count binds; an unknown count means one
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    # fewer usable CPUs than jobs: they bind
+    usable_cpus(monkeypatch, 3)
+    run(census, 3, 4)
+    # without an affinity call the CPU count stands in; unknown means one
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     run(census, 3, 4)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run(census, 3, 4)
-    assert pool_sizes == [10, 4, 3]
+    assert pool_sizes == [10, 4, 3, 2]
+
+
+def test_one_usable_cpu_runs_the_whole_walk(monkeypatch, compiled_kernel, started):
+    # pinned to one CPU of 64, two workers are one: one kernel call on the
+    # whole tree, not one per root split (3,876 at t=16 n=5), and no thread
+    calls = []
+
+    def kernel(t, sizes, classes=False):
+        calls.append(tuple(sizes))
+        return compiled_kernel(t, sizes, classes=classes)
+
+    monkeypatch.setattr(treebank, "_segment_census_compiled", kernel)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    usable_cpus(monkeypatch, 1)
+    assert census(16, 5, workers=2) == counting.count_table(16, 5)
+    assert (calls, started) == ([(5,)], [])
+
+
+def test_pure_kernel_runs_alone(monkeypatch, started):
+    # the pure kernel holds the GIL, so more workers would only add overhead
+    usable_cpus(monkeypatch, 2)
+    assert census(3, 5, workers=2, engine="pure") == counting.count_table(3, 5)
+    assert forest_census(3, 2, 5, workers=2, engine="pure") == \
+        counting.count_table(3, 5, 2)
+    assert started == []
 
 
 @pytest.mark.parametrize("where", ["worker", "calling"])
 def test_kernel_error_under_workers_reaches_the_caller(monkeypatch, where):
-    def kernel(t, sizes):
+    def kernel(t, sizes, classes=False):
         on_worker = threading.current_thread() is not threading.main_thread()
         if on_worker == (where == "worker"):
-            raise ValueError(f"kernel failed on the {where} thread")
+            raise RuntimeError(f"kernel failed on the {where} thread")
         return segment_census_pure(t, sizes)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(treebank, "_select_kernel", lambda engine: kernel)
+    # only the compiled kernel runs on more than one worker
+    monkeypatch.setattr(treebank, "_segment_census_compiled", kernel)
+    usable_cpus(monkeypatch, 2)
     before = threading.active_count()
-    with pytest.raises(ValueError, match=f"on the {where} thread"):
+    with pytest.raises(RuntimeError, match=f"on the {where} thread"):
         census(3, 4, workers=2)
     assert threading.active_count() == before
 

@@ -3,7 +3,7 @@
 Times, in-process, ``treebank.census`` and ``treebank.joint_census`` (the
 census with the class vector of every tree's Lukasiewicz path) with each
 engine at a fixed set of sizes, the compiled census with 1 and with 2
-workers (one job per root split with 2),
+workers (one job per root split when two CPUs can run them),
 ``paths.residue_distribution_probe`` with the default engine, ``counting.compositions`` consumed whole, the
 closed-form rows of ``table`` and ``triangle``
 (``counting.binomial_row``, ``counting.count_table`` and
@@ -14,15 +14,19 @@ x * prod (1 + yi*g) that ``verify --mode series`` forms from the solved g)
 and direct inversion of one (n, m) group at a time, as ``verify --mode lagrange`` reads it, and the
 ``arbor paths`` listing through ``cli.main``.  Each timing calls the
 function at least 3 times and until 0.2 s have elapsed, and reports the
-best call.  It also runs fresh processes, each forked from a minimal
-launcher that reads its peak RSS (``ru_maxrss``) through ``wait4``, after
-one untimed run that fills a temporary bytecode cache: start-up rows, a
+best call with its process time (``cpu_s`` and the like, all threads
+counted), which a busy host moves less than wall time.  It also runs
+fresh processes, each forked from a minimal launcher that reads its peak
+RSS (``ru_maxrss``) through ``wait4``, after one untimed run that fills a
+temporary bytecode cache: start-up rows, a
 no-work ``arbor count``, ``arbor verify --t 3 --max-n 7 --mode brute
 --workers 2`` and ``python -c pass`` for calibration, each the best of 15
 runs that must exit 0, and process rows, whole ``table`` and ``triangle``
 commands at the sizes of the ``tables`` benchmark workload and at sizes
-users run and ``paths --t 11 --n 6 --probe``, 3 runs each; each row has the
-best wall time and the lowest and highest peak RSS of its runs.  It checks
+users run and ``paths --t 11 --n 6 --probe``, and ``verify --t 16 --max-n
+5 --mode brute`` with and without ``--workers 2``, each started pinned to
+one CPU (``pinned_cpu``), 3 runs each; each row has the best wall time and
+the lowest and highest peak RSS of its runs.  It checks
 that both engines and both worker counts give equal tables, that the first
 table of the joint census is the census, that the compositions are as many as the binomial
 count of weak compositions and come distinct, in lexicographic order, each
@@ -95,29 +99,42 @@ STARTUP_COMMANDS = [  # run as python <args>
 ]
 REPEAT = 3
 STARTUP_REPEAT = 15
+PINNED_COMMANDS = [  # run as python -m arbor.cli <args> on one CPU
+    ["verify", "--t", "16", "--max-n", "5", "--mode", "brute"],
+    ["verify", "--t", "16", "--max-n", "5", "--mode", "brute", "--workers", "2"],
+]
 MIN_SECONDS = 0.2
 
 
 def best(run, repeat=REPEAT):
-    """(best seconds per call, result) of run(), called at least ``repeat``
-    times and until MIN_SECONDS have elapsed."""
+    """(best seconds per call, the process time of that call, result) of
+    run(), called at least ``repeat`` times and until MIN_SECONDS have
+    elapsed.  The process time counts every thread of this process, so it
+    shows the work of all workers and is less moved by a busy host."""
     times = []
-    while len(times) < repeat or sum(times) < MIN_SECONDS:
-        t0 = time.perf_counter()
+    while len(times) < repeat or sum(wall for wall, _ in times) < MIN_SECONDS:
+        t0, c0 = time.perf_counter(), time.process_time()
         result = run()
-        times.append(time.perf_counter() - t0)
-    return min(times), result
+        times.append((time.perf_counter() - t0, time.process_time() - c0))
+    return (*min(times), result)
+
+
+def timing(seconds, cpu):
+    """The best wall time of a row and the process time of that call."""
+    return {"best_s": round(seconds, 5), "cpu_s": round(cpu, 5)}
 
 
 def engine_row(layer, fn, t, n):
     """Time fn(t, n) with each engine; returns (row, table)."""
-    compiled_s, compiled = best(lambda: fn(t, n, engine="compiled", budget=10**12))
-    pure_s, pure = best(lambda: fn(t, n, engine="pure", budget=10**12))
+    compiled_s, compiled_cpu, compiled = best(
+        lambda: fn(t, n, engine="compiled", budget=10**12))
+    pure_s, pure_cpu, pure = best(lambda: fn(t, n, engine="pure", budget=10**12))
     if compiled != pure:
         sys.exit(f"{layer} t={t} n={n}: compiled and pure tables differ")
     row = {
         "layer": layer, "t": t, "n": n, "trees": counting.total_trees(t, n),
-        "compiled_s": round(compiled_s, 5), "pure_s": round(pure_s, 5),
+        "compiled_s": round(compiled_s, 5), "compiled_cpu_s": round(compiled_cpu, 5),
+        "pure_s": round(pure_s, 5), "pure_cpu_s": round(pure_cpu, 5),
         "pure_over_compiled": round(pure_s / compiled_s, 1),
     }
     return row, compiled
@@ -128,14 +145,14 @@ def composition_rows():
     its items."""
     rows = []
     for t, total, m in COMPOSITION_SIZES:
-        seconds, items = best(lambda: list(counting.compositions(t, total, m)))
+        seconds, cpu, items = best(lambda: list(counting.compositions(t, total, m)))
         want = counting.binomial(total - m + t - 1, t - 1)
         if (len(items) != want or items != sorted(set(items))
                 or any(sum(a) != total or min(a[:m], default=1) < 1 for a in items)):
             sys.exit(f"compositions({t}, {total}, m={m}) are not the {want} "
                      "weak compositions in lexicographic order")
         rows.append({"layer": "compositions", "t": t, "total": total, "m": m,
-                     "items": len(items), "best_s": round(seconds, 5)})
+                     "items": len(items), **timing(seconds, cpu)})
     return rows
 
 
@@ -144,13 +161,13 @@ def closed_form_rows():
     per-composition (or per-cell) call."""
     rows = []
     for n, top in BINOMIAL_ROWS:
-        seconds, row = best(lambda: counting.binomial_row(n, top))
+        seconds, cpu, row = best(lambda: counting.binomial_row(n, top))
         if row != [comb(n, k) for k in range(top + 1)]:
             sys.exit(f"binomial_row({n}, {top}) differs from comb")
         rows.append({"layer": "closed_form", "call": "binomial_row", "n": n,
-                     "top": top, "best_s": round(seconds, 5)})
+                     "top": top, **timing(seconds, cpu)})
     for t, n, m in CLOSED_FORM_SIZES:
-        seconds, table = best(lambda: counting.count_table(t, n, m))
+        seconds, cpu, table = best(lambda: counting.count_table(t, n, m))
         if m is None:
             want = {a: counting.count_trees(t, n, a)
                     for a in counting.compositions(t, n - 1)}
@@ -161,27 +178,27 @@ def closed_form_rows():
             sys.exit(f"count_table({t}, {n}, {m}) differs from the "
                      "per-composition counts")
         rows.append({"layer": "closed_form", "call": "count_table", "t": t, "n": n,
-                     "m": m, "rows": len(table), "best_s": round(seconds, 5)})
+                     "m": m, "rows": len(table), **timing(seconds, cpu)})
     for t, slot, size in TRIANGLE_SIZES:
-        seconds, triangle = best(lambda: cli._triangle_rows(t, slot, size))
+        seconds, cpu, triangle = best(lambda: cli._triangle_rows(t, slot, size))
         want = [[counting.marginal_count(t, n, {slot: k}) for k in range(n)]
                 for n in range(1, size + 1)]
         if triangle != want:
             sys.exit(f"_triangle_rows({t}, {slot}, {size}) differs from marginal_count")
         rows.append({"layer": "closed_form", "call": "_triangle_rows", "t": t,
                      "slot": slot, "rows": size, "cells": size * (size + 1) // 2,
-                     "best_s": round(seconds, 5)})
+                     **timing(seconds, cpu)})
     for fmt, sizes in (("csv", CSV_SIZES), ("pretty", PRETTY_SIZES)):
         for t, n, m in sizes:
             argv = ["table", "--t", str(t), "--n", str(n), "--format", fmt]
             argv += ["--forest", str(m)] if m else []
-            seconds, text = best(lambda: cli_text(argv))
+            seconds, cpu, text = best(lambda: cli_text(argv))
             table = counting.count_table(t, n, m)
             if text != table_text(fmt, t, table) + "\n":
                 sys.exit(f"{' '.join(argv)} differs from the rows of count_table")
             rows.append({"layer": "closed_form", "call": f"table_{fmt}", "t": t,
                          "n": n, "m": m, "rows": len(table), "bytes": len(text),
-                         "best_s": round(seconds, 5)})
+                         **timing(seconds, cpu)})
     return rows
 
 
@@ -213,24 +230,24 @@ def series_rows():
     closed-form tables."""
     rows = []
     for t, N in SOLVE_SIZES:
-        seconds, g = best(lambda: series.solve_G(t, N))
+        seconds, cpu, g = best(lambda: series.solve_G(t, N))
         if by_degree(g) != {n: counting.count_table(t, n) for n in range(1, N + 1)}:
             sys.exit(f"solve_G({t}, {N}) differs from the closed form")
         rows.append({"layer": "series", "call": "solve_G", "t": t, "N": N,
-                     "terms": sum(1 for _ in g.terms()), "best_s": round(seconds, 5)})
+                     "terms": sum(1 for _ in g.terms()), **timing(seconds, cpu)})
     for t, N in RESIDUAL_SIZES:
         g = series.solve_G(t, N)
-        seconds, rhs = best(lambda: series.residual(g))
+        seconds, cpu, rhs = best(lambda: series.residual(g))
         if rhs != g:
             sys.exit(f"x * prod (1 + yi*g) differs from g at t={t} N={N}")
         rows.append({"layer": "series", "call": "residual", "t": t, "N": N,
-                     "best_s": round(seconds, 5)})
+                     **timing(seconds, cpu)})
     for t, n, m in INVERSION_GROUPS:
-        seconds, got = best(lambda: inversion_group(t, n, m))
+        seconds, cpu, got = best(lambda: inversion_group(t, n, m))
         if got != counting.count_table(t, n, m):
             sys.exit(f"inversion of t={t} n={n} m={m} differs from the closed form")
         rows.append({"layer": "series", "call": "inversion_group", "t": t, "n": n,
-                     "m": m, "rows": len(got), "best_s": round(seconds, 5)})
+                     "m": m, "rows": len(got), **timing(seconds, cpu)})
     return rows
 
 
@@ -253,7 +270,7 @@ def listing_rows():
     rows = []
     for t, n, labels in LISTING_SIZES:
         argv = ["paths", "--t", str(t), "--n", str(n)] + (["--labels"] if labels else [])
-        seconds, text = best(lambda: cli_text(argv))
+        seconds, cpu, text = best(lambda: cli_text(argv))
         want = "".join(
             f"{treebank.serialize_tree(tree)} | "
             f"{paths.format_path(paths.tree_to_path(tree), with_labels=labels)}\n"
@@ -262,7 +279,7 @@ def listing_rows():
             sys.exit(f"{' '.join(argv)} differs from the object-level listing")
         rows.append({"layer": "paths_listing", "t": t, "n": n, "labels": labels,
                      "trees": counting.total_trees(t, n), "bytes": len(text),
-                     "best_s": round(seconds, 5)})
+                     **timing(seconds, cpu)})
     return rows
 
 
@@ -277,18 +294,21 @@ def cli_text(argv):
 
 # A child's ru_maxrss includes the resident size of the process it was
 # forked from, and the peak of one spawned by vfork, so each command is
-# started from this minimal interpreter (``python -S``), which forks, execs
-# the command, reaps it with wait4 and reports exit code, wall time and
-# peak RSS on the descriptor it is given.
+# started from this minimal interpreter (``python -S``), which forks, pins
+# the child to one CPU when given one ("-" for none), execs the command,
+# reaps it with wait4 and reports exit code, wall time and peak RSS on the
+# descriptor it is given.
 LAUNCHER = r"""
 import os, sys, time
-fd = int(sys.argv[1])
+fd, cpu = int(sys.argv[1]), sys.argv[2]
 t0 = time.perf_counter()
 pid = os.fork()
 if pid == 0:
     try:
         os.close(fd)
-        os.execv(sys.argv[2], sys.argv[2:])
+        if cpu != "-":
+            os.sched_setaffinity(0, {int(cpu)})
+        os.execv(sys.argv[3], sys.argv[3:])
     finally:
         os._exit(127)
 _, status, usage = os.wait4(pid, 0)
@@ -297,14 +317,14 @@ os.write(fd, b"%d %r %d" % (os.waitstatus_to_exitcode(status), wall, usage.ru_ma
 """
 
 
-def launch(command, env):
+def launch(command, env, cpu=None):
     """(exit code, wall seconds, peak RSS in MB, stdout SHA-256) of one
-    fresh process."""
+    fresh process, run on the one CPU ``cpu`` when given."""
     read_fd, write_fd = os.pipe()
     try:
         proc = subprocess.Popen([sys.executable, "-S", "-c", LAUNCHER, str(write_fd),
-                                 *command], env=env, stdout=subprocess.PIPE,
-                                pass_fds=(write_fd,))
+                                 "-" if cpu is None else str(cpu), *command],
+                                env=env, stdout=subprocess.PIPE, pass_fds=(write_fd,))
         os.close(write_fd)
         write_fd = None
         sha = hashlib.sha256()
@@ -326,41 +346,49 @@ def process_rows():
     exit 0, and the rows of whole ``table`` and ``triangle`` commands, each
     of PROCESS_REPEAT runs checked by exit code and stdout digest against
     the rendering of ``count_table`` or of the triangle by the rule each
-    replaced, and the rows of whole ``paths --probe`` commands, checked
-    against the text of the report made in-process.  Every command runs
+    replaced, the rows of whole ``paths --probe`` commands, checked
+    against the text of the report made in-process, and the PINNED_COMMANDS
+    rows, each started on the first CPU this process may run on and checked
+    against the text of the command run in-process.  Every command runs
     once untimed first, which fills a bytecode cache in a temporary
     directory, so the timed runs read compiled modules as an installed
     package would."""
-    commands = [(args, STARTUP_REPEAT, None) for args in STARTUP_COMMANDS]
+    commands = [(args, STARTUP_REPEAT, None, None) for args in STARTUP_COMMANDS]
     for fmt, t, n, m in PROCESS_TABLES:
         argv = ["table", "--t", str(t), "--n", str(n), "--format", fmt]
         argv += ["--forest", str(m)] if m else []
         want = table_text(fmt, t, counting.count_table(t, n, m)) + "\n"
-        commands.append((["-m", "arbor.cli", *argv], PROCESS_REPEAT, digest(want)))
+        commands.append((["-m", "arbor.cli", *argv], PROCESS_REPEAT, digest(want), None))
     for fmt, t, slot, size, check in PROCESS_TRIANGLES:
         argv = ["triangle", "--t", str(t), "--rows", str(size), "--marginal", str(slot),
                 "--format", fmt] + (["--self-check"] if check else [])
         want = (f"self-check: all {t} slot triangles agree\n" if check else "")
         want += triangle_text(fmt, cli._triangle_rows(t, slot, size))
-        commands.append((["-m", "arbor.cli", *argv], PROCESS_REPEAT, digest(want)))
+        commands.append((["-m", "arbor.cli", *argv], PROCESS_REPEAT, digest(want), None))
     for t, n in PROCESS_PROBES:
         report = paths.residue_distribution_probe(t, n, budget=10**12)
         want = f"{report.to_csv()}\n{report.verdict_line()}\n"
         commands.append((["-m", "arbor.cli", "paths", "--t", str(t), "--n", str(n),
-                          "--probe"], PROCESS_REPEAT, digest(want)))
+                          "--probe"], PROCESS_REPEAT, digest(want), None))
+    cpu = min(os.sched_getaffinity(0))
+    for argv in PINNED_COMMANDS:
+        commands.append((["-m", "arbor.cli", *argv], PROCESS_REPEAT,
+                         digest(cli_text(argv)), cpu))
     rows = []
     with tempfile.TemporaryDirectory() as cache:
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONPYCACHEPREFIX=cache)
         env.pop("PYTHONDONTWRITEBYTECODE", None)
         env.pop("ARBOR_BUDGET", None)
-        for args, repeat, want in commands:
-            runs = [launch([sys.executable, *args], env) for _ in range(repeat + 1)]
+        for args, repeat, want, pinned in commands:
+            runs = [launch([sys.executable, *args], env, pinned)
+                    for _ in range(repeat + 1)]
             if any((code, sha if want else None) != (0, want)
                    for code, _, _, sha in runs):
                 sys.exit(f"python {' '.join(args)} failed or printed other text")
             runs = runs[1:]
             row = {"layer": "startup" if want is None else "process",
                    "command": "python " + " ".join(args), "repeat": repeat,
+                   **({} if pinned is None else {"pinned_cpu": pinned}),
                    "best_s": round(min(wall for _, wall, _, _ in runs), 5),
                    "peak_rss_mb": [round(f(rss for _, _, rss, _ in runs), 2)
                                    for f in (min, max)]}
@@ -402,21 +430,25 @@ def kernel_rows():
         rows.append(row)
         print(json.dumps(row), flush=True)
     for t, n in WORKER_SIZES:
-        one_s, one = best(lambda: treebank.census(t, n, engine="compiled", budget=10**12))
-        two_s, two = best(lambda: treebank.census(t, n, workers=2, engine="compiled",
-                                                  budget=10**12))
+        one_s, one_cpu, one = best(
+            lambda: treebank.census(t, n, engine="compiled", budget=10**12))
+        two_s, two_cpu, two = best(
+            lambda: treebank.census(t, n, workers=2, engine="compiled", budget=10**12))
         if one != two:
             sys.exit(f"census t={t} n={n}: 1 and 2 workers give different tables")
         rows.append({"layer": "workers", "t": t, "n": n,
                      "trees": counting.total_trees(t, n),
                      "root_splits": counting.binomial(n + t - 2, t - 1),
-                     "one_s": round(one_s, 5), "two_s": round(two_s, 5),
+                     "one_s": round(one_s, 5), "one_cpu_s": round(one_cpu, 5),
+                     "two_s": round(two_s, 5), "two_cpu_s": round(two_cpu, 5),
                      "two_over_one": round(two_s / one_s, 2)})
         print(json.dumps(rows[-1]), flush=True)
     for t, n in PROBE_SIZES:
-        probe_s, _ = best(lambda: paths.residue_distribution_probe(t, n, budget=10**12))
+        probe_s, probe_cpu, _ = best(
+            lambda: paths.residue_distribution_probe(t, n, budget=10**12))
         rows.append({"layer": "probe", "t": t, "n": n,
-                     "trees": counting.total_trees(t, n), "auto_s": round(probe_s, 5)})
+                     "trees": counting.total_trees(t, n), "auto_s": round(probe_s, 5),
+                     "auto_cpu_s": round(probe_cpu, 5)})
         print(json.dumps(rows[-1]), flush=True)
     return rows
 

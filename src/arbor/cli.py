@@ -305,8 +305,9 @@ def _compare(check: _Check, args, ms: tuple) -> bool:
 
 def _verify_entries(args) -> list:
     """Every (check, forest sizes) entry that ``--mode`` runs, in run order,
-    once their costs together pass the budget, the ring steps first.  Each
-    census is also bounded on its own.  ``--mode brute`` loads no series ring."""
+    once their costs together pass the budget, the ring steps first: at t=1
+    each census holds one tree, so its own bound cannot stop the nodes of
+    them all.  ``--mode brute`` loads no series ring."""
     ms = range(1, min(args.t, args.max_n + 1)) if args.forest is None else [args.forest]
     scopes = {"trees": [()], "each m": [(m,) for m in ms],
               "all m": [tuple(ms)] if ms else []}

@@ -232,8 +232,8 @@ def _symmetry(args, ms):
         return
 
 
-# The cost of one entry, its series ring steps and nodes placed, in O(t)
-# binomials whatever --max-n.  The trees are priced as the forests of m = 1:
+# An entry's series ring steps and nodes, summed over its forest sizes m, in
+# O(t) binomials whatever --max-n.  Trees are priced as the forests of m = 1:
 # both place n = m..max-n nodes and read g-degrees 0..max-n - m.
 
 def _nodes(args, m):
@@ -313,8 +313,8 @@ def _verify_entries(args) -> list:
               "all m": [tuple(ms)] if ms else []}
     entries = [(check, group) for check in CHECKS if args.mode in (check.mode, "all")
                for group in scopes[check.scope]]
-    steps, nodes = map(sum, zip(*[check.cost(args, group[0] if group else 1)
-                                  for check, group in entries]))
+    steps, nodes = map(sum, zip(*[check.cost(args, m) for check, group in entries
+                                  for m in group or (1,)]))
     check_budget(f"verify(t={args.t}, max-n={args.max_n}, mode={args.mode})", [
         (steps, "take %d series ring steps"), (nodes, "place %d nodes")], args.budget)
     return entries

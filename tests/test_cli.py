@@ -780,6 +780,16 @@ def test_verify_prices_exactly_the_entries_it_runs(capsys, monkeypatch, mode):
         assert re.fullmatch(re.escape("PASS " + text).replace("COUNT", r"\d+"), line)
 
 
+def test_verify_prices_an_all_m_entry_over_every_size(monkeypatch):
+    # an entry over m = 1, 2 costs what one entry per m would: 10 + 9 nodes
+    sums = next(c for c in cli.CHECKS if c.scope == "all m")
+    monkeypatch.setattr(cli, "CHECKS", (sums._replace(cost=cli._nodes),))
+    args = cli.build_parser().parse_args(
+        ["verify", "--t", "3", "--max-n", "4", "--mode", "all", "--budget", "18"])
+    with pytest.raises(errors.BudgetExceededError, match=" would place 19 nodes, "):
+        cli._verify_entries(args)
+
+
 def test_benchmark_verify_commands_far_below_the_budget():
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     parser = cli.build_parser()

@@ -14,11 +14,9 @@ x * prod (1 + yi*g) that ``verify --mode series`` forms from the solved g)
 and direct inversion of one (n, m) group at a time, as ``verify --mode lagrange`` reads it, and the
 ``arbor paths`` listing through ``cli.main``.  Each timing calls the
 function at least 3 times and until 0.2 s have elapsed, and reports the
-best call with its process time (``cpu_s`` and the like, all threads
-counted), which a busy host moves less than wall time.  It also runs
-fresh processes, each forked from a minimal launcher that reads its peak
-RSS (``ru_maxrss``) through ``wait4``, after one untimed run that fills a
-temporary bytecode cache: start-up rows, a
+best call.  It also runs fresh processes, each forked from a minimal
+launcher that reads its peak RSS (``ru_maxrss``) through ``wait4``, after
+one untimed run that fills a temporary bytecode cache: start-up rows, a
 no-work ``arbor count``, ``arbor verify --t 3 --max-n 7 --mode brute
 --workers 2`` and ``python -c pass`` for calibration, each the best of 15
 runs that must exit 0, and process rows, whole ``table`` and ``triangle``
@@ -107,34 +105,25 @@ MIN_SECONDS = 0.2
 
 
 def best(run, repeat=REPEAT):
-    """(best seconds per call, the process time of that call, result) of
-    run(), called at least ``repeat`` times and until MIN_SECONDS have
-    elapsed.  The process time counts every thread of this process, so it
-    shows the work of all workers and is less moved by a busy host."""
+    """(best seconds per call, result) of run(), called at least ``repeat``
+    times and until MIN_SECONDS have elapsed."""
     times = []
-    while len(times) < repeat or sum(wall for wall, _ in times) < MIN_SECONDS:
-        t0, c0 = time.perf_counter(), time.process_time()
+    while len(times) < repeat or sum(times) < MIN_SECONDS:
+        t0 = time.perf_counter()
         result = run()
-        times.append((time.perf_counter() - t0, time.process_time() - c0))
-    return (*min(times), result)
-
-
-def timing(seconds, cpu):
-    """The best wall time of a row and the process time of that call."""
-    return {"best_s": round(seconds, 5), "cpu_s": round(cpu, 5)}
+        times.append(time.perf_counter() - t0)
+    return min(times), result
 
 
 def engine_row(layer, fn, t, n):
     """Time fn(t, n) with each engine; returns (row, table)."""
-    compiled_s, compiled_cpu, compiled = best(
-        lambda: fn(t, n, engine="compiled", budget=10**12))
-    pure_s, pure_cpu, pure = best(lambda: fn(t, n, engine="pure", budget=10**12))
+    compiled_s, compiled = best(lambda: fn(t, n, engine="compiled", budget=10**12))
+    pure_s, pure = best(lambda: fn(t, n, engine="pure", budget=10**12))
     if compiled != pure:
         sys.exit(f"{layer} t={t} n={n}: compiled and pure tables differ")
     row = {
         "layer": layer, "t": t, "n": n, "trees": counting.total_trees(t, n),
-        "compiled_s": round(compiled_s, 5), "compiled_cpu_s": round(compiled_cpu, 5),
-        "pure_s": round(pure_s, 5), "pure_cpu_s": round(pure_cpu, 5),
+        "compiled_s": round(compiled_s, 5), "pure_s": round(pure_s, 5),
         "pure_over_compiled": round(pure_s / compiled_s, 1),
     }
     return row, compiled
@@ -145,14 +134,14 @@ def composition_rows():
     its items."""
     rows = []
     for t, total, m in COMPOSITION_SIZES:
-        seconds, cpu, items = best(lambda: list(counting.compositions(t, total, m)))
+        seconds, items = best(lambda: list(counting.compositions(t, total, m)))
         want = counting.binomial(total - m + t - 1, t - 1)
         if (len(items) != want or items != sorted(set(items))
                 or any(sum(a) != total or min(a[:m], default=1) < 1 for a in items)):
             sys.exit(f"compositions({t}, {total}, m={m}) are not the {want} "
                      "weak compositions in lexicographic order")
         rows.append({"layer": "compositions", "t": t, "total": total, "m": m,
-                     "items": len(items), **timing(seconds, cpu)})
+                     "items": len(items), "best_s": round(seconds, 5)})
     return rows
 
 
@@ -161,13 +150,13 @@ def closed_form_rows():
     per-composition (or per-cell) call."""
     rows = []
     for n, top in BINOMIAL_ROWS:
-        seconds, cpu, row = best(lambda: counting.binomial_row(n, top))
+        seconds, row = best(lambda: counting.binomial_row(n, top))
         if row != [comb(n, k) for k in range(top + 1)]:
             sys.exit(f"binomial_row({n}, {top}) differs from comb")
         rows.append({"layer": "closed_form", "call": "binomial_row", "n": n,
-                     "top": top, **timing(seconds, cpu)})
+                     "top": top, "best_s": round(seconds, 5)})
     for t, n, m in CLOSED_FORM_SIZES:
-        seconds, cpu, table = best(lambda: counting.count_table(t, n, m))
+        seconds, table = best(lambda: counting.count_table(t, n, m))
         if m is None:
             want = {a: counting.count_trees(t, n, a)
                     for a in counting.compositions(t, n - 1)}
@@ -178,27 +167,27 @@ def closed_form_rows():
             sys.exit(f"count_table({t}, {n}, {m}) differs from the "
                      "per-composition counts")
         rows.append({"layer": "closed_form", "call": "count_table", "t": t, "n": n,
-                     "m": m, "rows": len(table), **timing(seconds, cpu)})
+                     "m": m, "rows": len(table), "best_s": round(seconds, 5)})
     for t, slot, size in TRIANGLE_SIZES:
-        seconds, cpu, triangle = best(lambda: cli._triangle_rows(t, slot, size))
+        seconds, triangle = best(lambda: cli._triangle_rows(t, slot, size))
         want = [[counting.marginal_count(t, n, {slot: k}) for k in range(n)]
                 for n in range(1, size + 1)]
         if triangle != want:
             sys.exit(f"_triangle_rows({t}, {slot}, {size}) differs from marginal_count")
         rows.append({"layer": "closed_form", "call": "_triangle_rows", "t": t,
                      "slot": slot, "rows": size, "cells": size * (size + 1) // 2,
-                     **timing(seconds, cpu)})
+                     "best_s": round(seconds, 5)})
     for fmt, sizes in (("csv", CSV_SIZES), ("pretty", PRETTY_SIZES)):
         for t, n, m in sizes:
             argv = ["table", "--t", str(t), "--n", str(n), "--format", fmt]
             argv += ["--forest", str(m)] if m else []
-            seconds, cpu, text = best(lambda: cli_text(argv))
+            seconds, text = best(lambda: cli_text(argv))
             table = counting.count_table(t, n, m)
             if text != table_text(fmt, t, table) + "\n":
                 sys.exit(f"{' '.join(argv)} differs from the rows of count_table")
             rows.append({"layer": "closed_form", "call": f"table_{fmt}", "t": t,
                          "n": n, "m": m, "rows": len(table), "bytes": len(text),
-                         **timing(seconds, cpu)})
+                         "best_s": round(seconds, 5)})
     return rows
 
 
@@ -230,24 +219,24 @@ def series_rows():
     closed-form tables."""
     rows = []
     for t, N in SOLVE_SIZES:
-        seconds, cpu, g = best(lambda: series.solve_G(t, N))
+        seconds, g = best(lambda: series.solve_G(t, N))
         if by_degree(g) != {n: counting.count_table(t, n) for n in range(1, N + 1)}:
             sys.exit(f"solve_G({t}, {N}) differs from the closed form")
         rows.append({"layer": "series", "call": "solve_G", "t": t, "N": N,
-                     "terms": sum(1 for _ in g.terms()), **timing(seconds, cpu)})
+                     "terms": sum(1 for _ in g.terms()), "best_s": round(seconds, 5)})
     for t, N in RESIDUAL_SIZES:
         g = series.solve_G(t, N)
-        seconds, cpu, rhs = best(lambda: series.residual(g))
+        seconds, rhs = best(lambda: series.residual(g))
         if rhs != g:
             sys.exit(f"x * prod (1 + yi*g) differs from g at t={t} N={N}")
         rows.append({"layer": "series", "call": "residual", "t": t, "N": N,
-                     **timing(seconds, cpu)})
+                     "best_s": round(seconds, 5)})
     for t, n, m in INVERSION_GROUPS:
-        seconds, cpu, got = best(lambda: inversion_group(t, n, m))
+        seconds, got = best(lambda: inversion_group(t, n, m))
         if got != counting.count_table(t, n, m):
             sys.exit(f"inversion of t={t} n={n} m={m} differs from the closed form")
         rows.append({"layer": "series", "call": "inversion_group", "t": t, "n": n,
-                     "m": m, "rows": len(got), **timing(seconds, cpu)})
+                     "m": m, "rows": len(got), "best_s": round(seconds, 5)})
     return rows
 
 
@@ -270,7 +259,7 @@ def listing_rows():
     rows = []
     for t, n, labels in LISTING_SIZES:
         argv = ["paths", "--t", str(t), "--n", str(n)] + (["--labels"] if labels else [])
-        seconds, cpu, text = best(lambda: cli_text(argv))
+        seconds, text = best(lambda: cli_text(argv))
         want = "".join(
             f"{treebank.serialize_tree(tree)} | "
             f"{paths.format_path(paths.tree_to_path(tree), with_labels=labels)}\n"
@@ -279,7 +268,7 @@ def listing_rows():
             sys.exit(f"{' '.join(argv)} differs from the object-level listing")
         rows.append({"layer": "paths_listing", "t": t, "n": n, "labels": labels,
                      "trees": counting.total_trees(t, n), "bytes": len(text),
-                     **timing(seconds, cpu)})
+                     "best_s": round(seconds, 5)})
     return rows
 
 
@@ -430,25 +419,21 @@ def kernel_rows():
         rows.append(row)
         print(json.dumps(row), flush=True)
     for t, n in WORKER_SIZES:
-        one_s, one_cpu, one = best(
-            lambda: treebank.census(t, n, engine="compiled", budget=10**12))
-        two_s, two_cpu, two = best(
-            lambda: treebank.census(t, n, workers=2, engine="compiled", budget=10**12))
+        one_s, one = best(lambda: treebank.census(t, n, engine="compiled", budget=10**12))
+        two_s, two = best(lambda: treebank.census(t, n, workers=2, engine="compiled",
+                                                  budget=10**12))
         if one != two:
             sys.exit(f"census t={t} n={n}: 1 and 2 workers give different tables")
         rows.append({"layer": "workers", "t": t, "n": n,
                      "trees": counting.total_trees(t, n),
                      "root_splits": counting.binomial(n + t - 2, t - 1),
-                     "one_s": round(one_s, 5), "one_cpu_s": round(one_cpu, 5),
-                     "two_s": round(two_s, 5), "two_cpu_s": round(two_cpu, 5),
+                     "one_s": round(one_s, 5), "two_s": round(two_s, 5),
                      "two_over_one": round(two_s / one_s, 2)})
         print(json.dumps(rows[-1]), flush=True)
     for t, n in PROBE_SIZES:
-        probe_s, probe_cpu, _ = best(
-            lambda: paths.residue_distribution_probe(t, n, budget=10**12))
+        probe_s, _ = best(lambda: paths.residue_distribution_probe(t, n, budget=10**12))
         rows.append({"layer": "probe", "t": t, "n": n,
-                     "trees": counting.total_trees(t, n), "auto_s": round(probe_s, 5),
-                     "auto_cpu_s": round(probe_cpu, 5)})
+                     "trees": counting.total_trees(t, n), "auto_s": round(probe_s, 5)})
         print(json.dumps(rows[-1]), flush=True)
     return rows
 

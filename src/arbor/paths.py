@@ -4,7 +4,9 @@ A tree maps to its preorder walk over the completed form (every empty child
 slot materialized as an external leaf): each node emits a rise of t-1, each
 external leaf a fall of 1.  The walk stays non-negative and first reaches -1
 at the very end.  Each step also carries the child-slot index it occupies
-under its parent; the root step is unlabeled.
+under its parent; the root step is unlabeled.  Read back, the path is a
+preorder word (Raney's bijection): :func:`path_to_tree` builds the tree
+through :func:`treebank.read_preorder`, the reader ``parse_tree`` uses.
 
 The probe builds no tree objects and no paths: its two distributions come
 from the two tables of ``treebank.joint_census``, one walk of the census
@@ -17,7 +19,6 @@ reference.
 """
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from arbor import counting, treebank
@@ -68,47 +69,29 @@ def tree_to_path(tree: treebank.TAryTree) -> LatticePath:
 def path_to_tree(path: LatticePath, t: int) -> treebank.TAryTree:
     """Rebuild the unique tree whose encoding step-matches ``path``.
 
-    Labels are ignored (children are consumed in slot order).  Malformed
+    The rises are read as a preorder word by :func:`treebank.read_preorder`,
+    the reader of :func:`treebank.parse_tree`: a rise of t-1 is a node, a
+    fall of 1 an empty slot.  Labels are ignored (children are consumed in
+    slot order).  Malformed
     input raises :class:`MalformedPathError` carrying the offending index:
     a missing root symbol, a premature close, a bad rise value, steps after
     the tree is complete, or a path that ends before the tree closes.
     """
     counting.check_arity(t)
     up = t - 1
-    steps = path.steps
-    if not steps or steps[0].rise != up:
-        raise MalformedPathError(
-            f"expected a node step of rise {up} at index 0", index=0
-        )
-    # stack of partially filled child lists, one per open node
-    stack: list[list] = []
-    root: Optional[treebank.TAryTree] = None
-    for idx, step in enumerate(steps):
-        if root is not None:
-            raise MalformedPathError(
-                f"step at index {idx} follows a completed tree", index=idx
-            )
-        if step.rise == up:
-            stack.append([])
-        elif step.rise == -1:
-            stack[-1].append(None)
-        else:
-            raise MalformedPathError(
-                f"step rise {step.rise} at index {idx} is neither {up} nor -1",
-                index=idx,
-            )
-        while stack and len(stack[-1]) == t:
-            node = treebank.TAryTree(stack.pop())
-            if stack:
-                stack[-1].append(node)
-            else:
-                root = node
-    if root is None:
-        raise MalformedPathError(
-            f"path ends at index {len(steps)} before the tree closes",
-            index=len(steps),
-        )
-    return root
+    rises = [step.rise for step in path.steps]
+    tree, fault, index = treebank.read_preorder(rises, t, up, -1)
+    if fault is None:
+        return tree
+    if index == 0:
+        message = f"expected a node step of rise {up} at index 0"
+    elif fault == "after":
+        message = f"step at index {index} follows a completed tree"
+    elif fault == "end":
+        message = f"path ends at index {index} before the tree closes"
+    else:
+        message = f"step rise {rises[index]} at index {index} is neither {up} nor -1"
+    raise MalformedPathError(message, index=index)
 
 
 def residue_stats(path: LatticePath, t: int) -> tuple[int, ...]:
@@ -290,31 +273,25 @@ def residue_distribution_probe(
     # the offset and the shifts are one-to-one on vectors: no key merges
     normalized = {tuple(v - o for v, o in zip(vec, off)): count
                   for vec, count in residue_table.items()}
-    edge_counter = Counter(edge_table)
-    matches = []
-    shifted_tables = []
-    for s in range(t):
-        shifted = Counter({cyclic_shift(vec, s): count
-                           for vec, count in normalized.items()})
-        shifted_tables.append(shifted)
-        matches.append(sum((edge_counter & shifted).values()))
-
+    # each shift's overlap with the edge multiset, then one table, the best's
+    get = edge_table.get
+    matches = tuple(sum(min(count, get(cyclic_shift(vec, s), 0))
+                        for vec, count in normalized.items()) for s in range(t))
     best = max(range(t), key=lambda s: (matches[s], -s))
-    verdict = "equal" if shifted_tables[best] == edge_counter else "not-equal"
-    witness = None
-    if verdict == "not-equal":
-        keys = sorted(set(edge_counter) | set(shifted_tables[best]))
-        for key in keys:
-            if edge_counter[key] != shifted_tables[best][key]:
-                witness = (key, edge_counter[key], shifted_tables[best][key])
-                break
+    shifted = {cyclic_shift(vec, best): count for vec, count in normalized.items()}
+    verdict, witness = "equal", None
+    if shifted != edge_table:
+        verdict = "not-equal"
+        witness = next((key, get(key, 0), shifted.get(key, 0))
+                       for key in sorted(edge_table.keys() | shifted.keys())
+                       if get(key, 0) != shifted.get(key, 0))
     return ProbeReport(
         arity=t,
         nodes=n,
         edge_distribution=edge_table,
         residue_distribution=residue_table,
         offset=off,
-        shift_matches=tuple(matches),
+        shift_matches=matches,
         best_shift=best,
         verdict=verdict,
         witness=witness,

@@ -23,6 +23,10 @@ of one walk, and the ``paths`` probe reads both distributions from them
 (the falls per residue class are the node count minus the classes) instead
 of walking the listing.
 
+One reader, :func:`read_preorder`, builds a tree from its preorder word:
+:func:`parse_tree` feeds it the characters of a serialization and
+``paths.path_to_tree`` the rises of a Lukasiewicz path.
+
 The listing (:func:`enumerate_trees`, :func:`enumerate_forests`) keeps its
 own walk over slot sizes: its order is pinned by the ``paths`` output, and
 that walk takes about twice the census walk's steps per tree.
@@ -148,29 +152,44 @@ def serialize_tree(tree: TAryTree) -> str:
     return "".join(parts)
 
 
+def read_preorder(word: Sequence, t: int, node, empty):
+    """Build the t-ary tree whose preorder word is ``word``, ``node`` standing
+    for a node and ``empty`` for an empty child slot.
+
+    Returns (tree, None, None), or (None, fault, index) at the first fault:
+    ``"symbol"`` for any other symbol or an empty slot before the root,
+    ``"after"`` for a symbol after the tree closed, ``"end"`` (index
+    ``len(word)``) for a word that ends before the tree closes.
+    """
+    stack: list[list] = []  # child lists of the open nodes
+    for index, symbol in enumerate(word):
+        if symbol == node:
+            stack.append([])
+        elif symbol == empty and stack:
+            stack[-1].append(None)
+        else:
+            return None, "symbol", index
+        while len(stack[-1]) == t:
+            tree = TAryTree(stack.pop())
+            if not stack:
+                if index + 1 < len(word):
+                    return None, "after", index + 1
+                return tree, None, None
+            stack[-1].append(tree)
+    return None, "end", len(word)
+
+
 def parse_tree(text: str, t: int) -> TAryTree:
     """Inverse of :func:`serialize_tree` for arity t."""
     counting.check_arity(t)
-    stack: list[list] = []  # child lists of the open nodes
-    for pos, ch in enumerate(text):
-        if ch == "o":
-            stack.append([])
-        elif ch == "." and stack:
-            stack[-1].append(None)
-        else:
-            raise ConstraintError(f"expected 'o' at position {pos} of {text!r}")
-        while len(stack[-1]) == t:
-            node = TAryTree(stack.pop())
-            if not stack:
-                if pos + 1 != len(text):
-                    raise ConstraintError(
-                        f"trailing characters at position {pos + 1} of {text!r}"
-                    )
-                return node
-            stack[-1].append(node)
-    if not stack:
-        raise ConstraintError(f"expected 'o' at position 0 of {text!r}")
-    raise ConstraintError(f"unexpected end of input in {text!r}")
+    tree, fault, index = read_preorder(text, t, "o", ".")
+    if fault is None:
+        return tree
+    if fault == "after":
+        raise ConstraintError(f"trailing characters at position {index} of {text!r}")
+    if fault == "end" and index:
+        raise ConstraintError(f"unexpected end of input in {text!r}")
+    raise ConstraintError(f"expected 'o' at position {index} of {text!r}")
 
 
 def edge_profile(tree: TAryTree) -> counting.EdgeComposition:

@@ -1,4 +1,6 @@
 """Path encoding, its inverse, residue statistics, and the probe report."""
+import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -126,6 +128,56 @@ def test_malformed_paths_report_index():
     with pytest.raises(MalformedPathError) as info:
         path_to_tree(parse_path("+2,-1,-1"), 3)
     assert info.value.index == 3
+
+
+def test_parse_tree_and_path_to_tree_read_one_word():
+    """Both readers take the same word: a node (``o``, a rise of t-1), an
+    empty slot (``.``, -1) or an invalid symbol (``x``, 5).  Each returns
+    an equal tree or fails at the same index, for every word of length <= 7."""
+    def parsed(text, t):
+        try:
+            return parse_tree(text, t)
+        except ConstraintError as exc:
+            found = re.fullmatch(r"(?:expected 'o'|trailing characters) at "
+                                 r"position (\d+) of '[o.x]*'", str(exc))
+            if found:
+                return int(found[1])
+            assert str(exc) == f"unexpected end of input in {text!r}"
+            return len(text)
+
+    def rebuilt(rises, t):
+        try:
+            return path_to_tree(LatticePath(tuple(map(Step, rises))), t)
+        except MalformedPathError as exc:
+            return exc.index
+
+    for t in (1, 2, 3):
+        rise = {"o": t - 1, ".": -1, "x": 5}
+        for length in range(8):
+            for word in itertools.product("o.x", repeat=length):
+                text = "".join(word)
+                assert parsed(text, t) == rebuilt([rise[c] for c in word], t), (t, text)
+
+    for text, message in [
+        ("", "expected 'o' at position 0 of ''"),
+        ("...", "expected 'o' at position 0 of '...'"),
+        ("o.x.", "expected 'o' at position 2 of 'o.x.'"),
+        ("o....", "trailing characters at position 4 of 'o....'"),
+        ("o.o..", "unexpected end of input in 'o.o..'"),
+    ]:
+        with pytest.raises(ConstraintError, match=f"^{re.escape(message)}$"):
+            parse_tree(text, 3)
+    for text, message, index in [
+        ("", "expected a node step of rise 2 at index 0", 0),
+        ("-1,-1,-1", "expected a node step of rise 2 at index 0", 0),
+        ("+2,-1,+5,-1", "step rise 5 at index 2 is neither 2 nor -1", 2),
+        ("+2,-1,-1,-1,-1", "step at index 4 follows a completed tree", 4),
+        ("+2,-1,+2,-1,-1", "path ends at index 5 before the tree closes", 5),
+    ]:
+        path = parse_path(text) if text else LatticePath(())
+        with pytest.raises(MalformedPathError, match=f"^{re.escape(message)}$") as info:
+            path_to_tree(path, 3)
+        assert info.value.index == index
 
 
 def test_residue_stats_examples():

@@ -14,17 +14,19 @@ x * prod (1 + yi*g) that ``verify --mode series`` forms from the solved g)
 and direct inversion of one (n, m) group at a time, as ``verify --mode lagrange`` reads it, and the
 ``arbor paths`` listing through ``cli.main``.  Each timing calls the
 function at least 3 times and until 0.2 s have elapsed, and reports the
-best call.  It also runs fresh processes, each forked from a minimal
-launcher that reads its peak RSS (``ru_maxrss``) through ``wait4``, after
+best call.  It also runs fresh processes through ``launch`` of
+``perfbench/run.py``, the benchmark's own minimal launcher, which forks
+each command and reads its peak RSS (``ru_maxrss``) through ``wait4``, after
 one untimed run that fills a temporary bytecode cache: start-up rows, a
 no-work ``arbor count``, ``arbor verify --t 3 --max-n 7 --mode brute
 --workers 2`` and ``python -c pass`` for calibration, each the best of 15
 runs that must exit 0, and process rows, whole ``table`` and ``triangle``
 commands at the sizes of the ``tables`` benchmark workload and at sizes
 users run and ``paths --t 11 --n 6 --probe``, and ``verify --t 16 --max-n
-5 --mode brute`` with and without ``--workers 2``, each started pinned to
-one CPU (``pinned_cpu``), 3 runs each; each row has the best wall time and
-the lowest and highest peak RSS of its runs.  It checks
+5 --mode brute`` with and without ``--workers 2``, each pinned to one CPU
+(``pinned_cpu``: this process runs there while it launches them, and the
+launcher and the command inherit it), 3 runs each; each row has the best
+wall time and the lowest and highest peak RSS of its runs.  It checks
 that both engines and both worker counts give equal tables, that the first
 table of the joint census is the census, that the compositions are as many as the binomial
 count of weak compositions and come distinct, in lexicographic order, each
@@ -67,6 +69,9 @@ from pathlib import Path
 from arbor import cli, counting, paths, series, treebank
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import run as perfbench  # noqa: E402  (perfbench/run.py, for its launcher)
+
 OUT = ROOT / "BENCH_census.json"
 SIZES = [(3, 11), (2, 15), (4, 8), (3, 9)]
 JOINT_SIZES = [(3, 9), (3, 10)]
@@ -232,7 +237,7 @@ def series_rows():
         rows.append({"layer": "series", "call": "residual", "t": t, "N": N,
                      "best_s": round(seconds, 5)})
     for t, n, m in INVERSION_GROUPS:
-        seconds, got = best(lambda: inversion_group(t, n, m))
+        seconds, got = best(lambda: series.lagrange_table(t, n, m))
         if got != counting.count_table(t, n, m):
             sys.exit(f"inversion of t={t} n={n} m={m} differs from the closed form")
         rows.append({"layer": "series", "call": "inversion_group", "t": t, "n": n,
@@ -246,11 +251,6 @@ def by_degree(g):
     for n, a, c in g.terms():
         out.setdefault(n, {})[a] = c
     return out
-
-
-def inversion_group(t, n, m):
-    """One (n, m) group by direct inversion."""
-    return series.lagrange_table(t, n, m)
 
 
 def listing_rows():
@@ -281,53 +281,19 @@ def cli_text(argv):
     return out.getvalue()
 
 
-# A child's ru_maxrss includes the resident size of the process it was
-# forked from, and the peak of one spawned by vfork, so each command is
-# started from this minimal interpreter (``python -S``), which forks, pins
-# the child to one CPU when given one ("-" for none), execs the command,
-# reaps it with wait4 and reports exit code, wall time and peak RSS on the
-# descriptor it is given.
-LAUNCHER = r"""
-import os, sys, time
-fd, cpu = int(sys.argv[1]), sys.argv[2]
-t0 = time.perf_counter()
-pid = os.fork()
-if pid == 0:
+def launched(args, env, runs, cpu=None):
+    """``runs`` launches of ``python <args>`` through ``launch`` of
+    ``perfbench/run.py``, each a Launched (exit code, wall seconds, peak RSS
+    in kB, stdout SHA-256, ...).  With ``cpu`` this process runs on that one
+    CPU while it launches, so the launcher and the command run there too;
+    its own CPU set is restored afterwards."""
+    allowed = os.sched_getaffinity(0)
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
     try:
-        os.close(fd)
-        if cpu != "-":
-            os.sched_setaffinity(0, {int(cpu)})
-        os.execv(sys.argv[3], sys.argv[3:])
+        return [perfbench.launch([sys.executable, *args], env) for _ in range(runs)]
     finally:
-        os._exit(127)
-_, status, usage = os.wait4(pid, 0)
-wall = time.perf_counter() - t0
-os.write(fd, b"%d %r %d" % (os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss))
-"""
-
-
-def launch(command, env, cpu=None):
-    """(exit code, wall seconds, peak RSS in MB, stdout SHA-256) of one
-    fresh process, run on the one CPU ``cpu`` when given."""
-    read_fd, write_fd = os.pipe()
-    try:
-        proc = subprocess.Popen([sys.executable, "-S", "-c", LAUNCHER, str(write_fd),
-                                 "-" if cpu is None else str(cpu), *command],
-                                env=env, stdout=subprocess.PIPE, pass_fds=(write_fd,))
-        os.close(write_fd)
-        write_fd = None
-        sha = hashlib.sha256()
-        while chunk := proc.stdout.read(1 << 16):
-            sha.update(chunk)
-        proc.stdout.close()
-        if proc.wait():
-            sys.exit(f"the launcher failed for {' '.join(command)}")
-        exit_code, wall, rss_kb = os.read(read_fd, 256).split()
-    finally:
-        os.close(read_fd)
-        if write_fd is not None:
-            os.close(write_fd)
-    return int(exit_code), float(wall), int(rss_kb) / 1024, sha.hexdigest()
+        os.sched_setaffinity(0, allowed)
 
 
 def process_rows():
@@ -369,17 +335,16 @@ def process_rows():
         env.pop("PYTHONDONTWRITEBYTECODE", None)
         env.pop("ARBOR_BUDGET", None)
         for args, repeat, want, pinned in commands:
-            runs = [launch([sys.executable, *args], env, pinned)
-                    for _ in range(repeat + 1)]
-            if any((code, sha if want else None) != (0, want)
-                   for code, _, _, sha in runs):
+            runs = launched(args, env, repeat + 1, pinned)
+            if any((run.exit_code, run.sha if want else None) != (0, want)
+                   for run in runs):
                 sys.exit(f"python {' '.join(args)} failed or printed other text")
             runs = runs[1:]
             row = {"layer": "startup" if want is None else "process",
                    "command": "python " + " ".join(args), "repeat": repeat,
                    **({} if pinned is None else {"pinned_cpu": pinned}),
-                   "best_s": round(min(wall for _, wall, _, _ in runs), 5),
-                   "peak_rss_mb": [round(f(rss for _, _, rss, _ in runs), 2)
+                   "best_s": round(min(run.wall for run in runs), 5),
+                   "peak_rss_mb": [round(f(run.rss_kb for run in runs) / 1024, 2)
                                    for f in (min, max)]}
             rows.append(row)
     return rows

@@ -12,10 +12,10 @@ The probe builds no tree objects and no paths: its two distributions come
 from the two tables of ``treebank.joint_census``, one walk of the census
 kernel that also counts each tree's non-root nodes by the starting height
 of their step mod t; n minus that class vector is the residue vector.  The
-listing builds no paths either: :func:`write_listing` writes each line from
-one preorder pass over the tree.  :func:`tree_to_path`, :func:`format_path`
-and :func:`residue_stats` stay as the object-level API and the tests'
-reference.
+listing builds no trees or paths either: :func:`write_listing` writes each
+line from the preorder text of the listing walk.  :func:`tree_to_path`,
+:func:`format_path` and :func:`residue_stats` stay as the object-level API
+and the tests' reference.
 """
 from __future__ import annotations
 
@@ -143,34 +143,17 @@ def write_listing(
     call: ``serialize_tree(tree) + " | " + format_path(tree_to_path(tree),
     with_labels=labels)``, or the serialization alone with ``dump``.
 
-    One preorder pass per tree, over a stack of child iterators, emits the
-    step text from per-slot tokens made once per call (unlabeled tokens when
-    ``labels`` is off), and a translation symbol by symbol reads each step
-    back as its ``o`` or ``.``.  No step or path objects are built.
+    The step text is the preorder text of :func:`treebank.tree_texts`, made
+    from the root's rise and per-slot step tokens, each led by its comma,
+    so no tree, step or path objects are built; a translation symbol by
+    symbol reads each step back as its ``o`` or ``.``.
     """
-    counting.check_arity(t)
     rise = "%+d" % (t - 1)
-    if labels:
-        rises = [f"{rise}:{slot}" for slot in range(1, t + 1)]
-        falls = [f"-1:{slot}" for slot in range(1, t + 1)]
-    else:
-        rises, falls = [rise] * t, ["-1"] * t
+    slots = [f":{slot}" if labels else "" for slot in range(1, t + 1)]
+    rises = [f",{rise}{label}" for label in slots]
+    falls = [f",-1{label}" for label in slots]
     symbols = str.maketrans("+-", "o.", "0123456789:,")
-    for tree in treebank.enumerate_trees(t, n):
-        tokens = [rise]
-        step = tokens.append
-        stack = [zip(tree.children, rises, falls)]
-        while stack:
-            for child, up, down in stack[-1]:
-                if child is None:
-                    step(down)
-                else:
-                    step(up)
-                    stack.append(zip(child.children, rises, falls))
-                    break
-            else:
-                stack.pop()
-        text = ",".join(tokens)
+    for text in treebank.tree_texts(t, n, rise, rises, falls):
         serial = text.translate(symbols)
         write(f"{serial}\n" if dump else f"{serial} | {text}\n")
 

@@ -27,9 +27,11 @@ One reader, :func:`read_preorder`, builds a tree from its preorder word:
 :func:`parse_tree` feeds it the characters of a serialization and
 ``paths.path_to_tree`` the rises of a Lukasiewicz path.
 
-The listing (:func:`enumerate_trees`, :func:`enumerate_forests`) keeps its
-own walk over slot sizes: its order is pinned by the ``paths`` output, and
-that walk takes about twice the census walk's steps per tree.
+The listing keeps its own walk over slot sizes, in the order the ``paths``
+output pins, and builds no objects: its trail is each tree's preorder word
+(:func:`tree_texts`), which ``paths`` writes from its step tokens and
+:func:`enumerate_trees` and :func:`enumerate_forests` read back as ``o``
+and ``.`` through :func:`read_preorder`.
 """
 from __future__ import annotations
 
@@ -224,12 +226,8 @@ def enumerate_trees(t: int, n: int) -> Iterator[TAryTree]:
     sizes, that is the root's first slot size s1, then the same sequence for
     the subtree in that slot, then s2, and so on.  n = 0 yields nothing.
     """
-    if n == 0:
-        counting.check_arity(t)
-        return
-    counting.shape(t, n)
-    for (tree,) in _tree_tuples(t, (n,)):
-        yield tree
+    for word in tree_texts(t, n, "o", "o" * t, "." * t):
+        yield read_preorder(word, t, "o", ".")[0]
 
 
 def enumerate_forests(t: int, m: int, n: int) -> Iterator[Forest]:
@@ -240,8 +238,9 @@ def enumerate_forests(t: int, m: int, n: int) -> Iterator[Forest]:
     """
     counting.shape(t, n, m)
     for sizes in _forest_sizes(m, n):
-        for trees in _tree_tuples(t, sizes):
-            yield Forest(trees)
+        # a space before each root token parts the words of the trees
+        for words in _preorder_texts(t, sizes, " o", "o" * t, "." * t):
+            yield Forest([read_preorder(word, t, "o", ".")[0] for word in words.split()])
 
 
 def _forest_sizes(m: int, n: int) -> Iterator[tuple]:
@@ -251,56 +250,73 @@ def _forest_sizes(m: int, n: int) -> Iterator[tuple]:
         yield tuple(s + 1 for s in split)
 
 
-def _tree_tuples(t: int, sizes: Sequence[int]) -> Iterator[tuple]:
-    """Every tuple of t-ary trees of the given sizes, the last varying fastest,
-    each tree in :func:`enumerate_trees` order: a backtracking walk over the
-    preorder slot sizes, without recursion, in O(t * sum(sizes)) memory.
-    Once every node is placed only empty slots remain, so the open nodes are
-    completed into copies; finished subtrees are shared between tuples.
-    """
-    stack = [[sum(sizes)]]  # per open node: nodes left to place, then children
-    unplaced = stack[0][0]
-    trail = []              # the size placed in each filled slot
-    size = None             # the size for the next slot, None for its least
+def tree_texts(t: int, n: int, root: str, rises: Sequence[str],
+               falls: Sequence[str]) -> Iterator[str]:
+    """The preorder text of every n-node t-ary tree, in :func:`enumerate_trees`
+    order: ``root``, then slot by slot in preorder ``rises[i]`` for a node in
+    slot i + 1 of its parent or ``falls[i]`` for an empty one.  n = 0 yields
+    nothing."""
+    if n == 0:
+        counting.check_arity(t)
+        return
+    counting.shape(t, n)
+    yield from _preorder_texts(t, (n,), root, rises, falls)
+
+
+def _preorder_texts(t: int, sizes: Sequence[int], root: str, rises: Sequence[str],
+                    falls: Sequence[str]) -> Iterator[str]:
+    """The texts of :func:`tree_texts`, run together, of every tuple of t-ary
+    trees of the given sizes, the last varying fastest: a backtracking walk
+    over the preorder slot sizes (Knuth, TAOCP 4A, 7.2.1.6) in O(t *
+    sum(sizes)) memory.  Each filled slot pushes its token and backing up
+    pops it.  Once every node is placed only empty slots remain: each open
+    node's are one string, made once per call for each count filled."""
+    tails = ["".join(falls[filled:]) for filled in range(t + 1)]
+    below = []   # (slots filled, nodes left to place) of each open node under the top
+    slot, rest = 0, sum(sizes)  # the same for the top, first the tuple itself
+    unplaced = rest
+    tokens = []
+    trail = []   # per filled slot: the size placed, or minus the nodes an empty closed
+    size = None  # the size for the next slot, None for its least
     while True:
         while unplaced:
-            top = stack[-1]
             if size is None:
-                if len(stack) == 1:
-                    size = sizes[len(top) - 1]
+                if not below:
+                    size = sizes[slot]
                 else:  # empty, except that the last slot takes the rest
-                    size = 0 if len(top) < t else top[0]
-            trail.append(size)
+                    size = 0 if slot < t - 1 else rest
             if size:
-                top[0] -= size
-                stack.append([size - 1])
+                tokens.append(rises[slot] if below else root)
+                trail.append(size)
+                below.append((slot + 1, rest - size))
+                slot, rest = 0, size - 1
                 unplaced -= 1
             else:
-                top.append(None)
-                while len(top) > t and len(stack) > 1:  # close full nodes
-                    node = TAryTree(stack.pop()[1:])
-                    top = stack[-1]
-                    top.append(node)
+                tokens.append(falls[slot])
+                slot += 1
+                closed = 0
+                while slot == t and below:  # close full nodes
+                    slot, rest = below.pop()
+                    closed -= 1
+                trail.append(closed)
             size = None
-        below = []
-        for frame in stack[:0:-1]:
-            row = frame[1:] + below
-            below = [TAryTree(row + [None] * (t - len(row)))]
-        yield tuple(stack[0][1:] + below)
+        yield "".join(tokens) + tails[slot] + "".join([tails[f] for f, _ in below[:0:-1]])
         # back up to the latest slot that can take one node more
         while size is None:
             if not trail:
                 return
             placed = trail.pop()
-            if placed:
-                stack.pop()
-                stack[-1][0] += placed
+            tokens.pop()
+            if placed > 0:
+                slot, rest = below.pop()
+                rest += placed
                 unplaced += 1
-            else:
-                while stack[-1][-1] is not None:  # reopen the nodes it closed
-                    stack.append([0, *stack[-1].pop().children])
-                stack[-1].pop()
-            if len(stack) > 1 and placed < stack[-1][0]:
+            elif placed:  # reopen the nodes it closed
+                below.append((slot, rest))
+                below += [(t, 0)] * (-placed - 1)
+                slot, rest, placed = t, 0, 0
+            slot -= 1
+            if below and placed < rest:
                 size = placed + 1
 
 

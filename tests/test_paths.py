@@ -1,6 +1,7 @@
 """Path encoding, its inverse, residue statistics, and the probe report."""
 import itertools
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -26,6 +27,7 @@ from arbor.treebank import (
     parse_tree,
     serialize_tree,
 )
+from test_treebank import reference_trees
 
 
 def steps_of(path):
@@ -366,9 +368,17 @@ def listing(t, n, **flags):
 
 
 def reference_listing(t, n):
-    """{mode: lines} from serialize_tree, tree_to_path and format_path."""
+    """{mode: lines} from serialize_tree, tree_to_path and format_path over
+    the recursive reference_trees, not over enumerate_trees, which shares the
+    listing's walk.  The reference nests three generators per tree level."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 3 * n + 200))
+    try:
+        trees = list(reference_trees(t, n))
+    finally:
+        sys.setrecursionlimit(limit)
     want = {"labels": [], "bare": [], "dump": []}
-    for tree in enumerate_trees(t, n):
+    for tree in trees:
         text = serialize_tree(tree)
         path = tree_to_path(tree)
         want["labels"].append(f"{text} | {format_path(path, with_labels=True)}\n")
@@ -428,4 +438,13 @@ def test_listing_builds_no_path_objects(monkeypatch):
     for name in ("tree_to_path", "format_path", "Step", "LatticePath"):
         monkeypatch.setattr(paths, name, refuse)
     monkeypatch.setattr(treebank, "serialize_tree", refuse)
+    assert len(listing(3, 4, labels=True)) == counting.total_trees(3, 4)
+
+
+def test_listing_builds_no_tree_objects(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the listing built tree objects")
+
+    monkeypatch.setattr(treebank, "TAryTree", refuse)
+    monkeypatch.setattr(treebank, "read_preorder", refuse)
     assert len(listing(3, 4, labels=True)) == counting.total_trees(3, 4)

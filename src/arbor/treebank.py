@@ -269,11 +269,11 @@ def _preorder_texts(t: int, sizes: Sequence[int], root: str, rises: Sequence[str
     trees of the given sizes, the last varying fastest: a backtracking walk
     over the preorder slot sizes (Knuth, TAOCP 4A, 7.2.1.6) in O(t *
     sum(sizes)) memory.  Each filled slot pushes its token and backing up
-    pops it.  Once every node is placed only empty slots remain: each open
-    node's are one string, made once per call for each count filled."""
+    pops it.  Once every node is placed only empty slots remain: the rest of
+    an open node with f slots filled is ``tails[f]``, made once per call."""
     tails = ["".join(falls[filled:]) for filled in range(t + 1)]
     below = []   # (slots filled, nodes left to place) of each open node under the top
-    slot, rest = 0, sum(sizes)  # the same for the top, first the tuple itself
+    slot, rest = 0, sum(sizes)  # the same for the top, at first the tuple of trees
     unplaced = rest
     tokens = []
     trail = []   # per filled slot: the size placed, or minus the nodes an empty closed

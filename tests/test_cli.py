@@ -9,13 +9,14 @@ import subprocess
 import sys
 import threading
 import time
-from itertools import chain, permutations, product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 
 from arbor import cli, counting, errors, paths, series, treebank
 from arbor.cli import main
+from references import old_rule_table, old_triangle_text
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -284,31 +285,6 @@ def test_table_csv(capsys):
     ]
 
 
-def old_rule_table(fmt, t, n, m=None):
-    """The table rendered from count_table: CSV by per-row %d formatting,
-    pretty with every column as wide as the longest of the total and every
-    part and count."""
-    total = (counting.total_trees(t, n) if m is None
-             else counting.total_forests(t, m, n))
-    rows = counting.count_table(t, n, m).items()
-    if fmt == "csv":
-        row = ",".join(["%d"] * (t + 1))
-        lines = [",".join(f"a{i + 1}" for i in range(t)) + ",count"]
-        lines += [row % (*comp, count) for comp, count in rows]
-        lines.append("total," + "," * (t - 1) + str(total))
-        return "\n".join(lines)
-    width = max([len(str(total))]
-                + [len(str(x)) for comp, count in rows for x in comp + (count,)])
-    head = " ".join(f"a{i + 1}".rjust(width) for i in range(t))
-    lines = [head + "  " + "count".rjust(width + 4)]
-    for comp, count in rows:
-        lines.append(" ".join(str(x).rjust(width) for x in comp)
-                     + "  " + str(count).rjust(width + 4))
-    pad = len(lines[0]) - len("total") - len(str(total))
-    lines.append("total" + " " * max(pad, 2) + str(total))
-    return "\n".join(lines)
-
-
 @pytest.mark.parametrize("t, n, m", [
     (1, 1, None), (1, 5, None), (2, 6, None), (6, 7, None), (4, 6, 1), (4, 6, 3),
     (2, 4, 1), (4, 3, 3), (3, 40, None), (16, 1, None), (16, 2, None),
@@ -358,19 +334,6 @@ class Writes:
 
     def flush(self):
         pass
-
-
-def old_triangle_text(fmt, t, slot, rows, offset=0):
-    """The triangle as the one string it was printed as before it was
-    written in pieces."""
-    triangle = [counting.marginal_row(t, n, slot) for n in range(1, rows + 1)]
-    if fmt == "bfile":
-        lines = [f"{i} {v}" for i, v in enumerate(chain.from_iterable(triangle),
-                                                  start=offset)]
-    else:
-        lines = [f"n={n} (edges={n - 1}): " + " ".join(map(str, row))
-                 for n, row in enumerate(triangle, start=1)]
-    return "\n".join(lines) + "\n"
 
 
 def test_table_and_triangle_written_in_pieces():

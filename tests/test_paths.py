@@ -1,7 +1,6 @@
 """Path encoding, its inverse, residue statistics, and the probe report."""
 import itertools
 import re
-import sys
 from collections import Counter
 
 import pytest
@@ -27,7 +26,7 @@ from arbor.treebank import (
     parse_tree,
     serialize_tree,
 )
-from test_treebank import reference_trees
+from references import reference_listing
 
 
 def steps_of(path):
@@ -365,26 +364,6 @@ def listing(t, n, **flags):
     lines = []
     paths.write_listing(t, n, lines.append, **flags)
     return lines
-
-
-def reference_listing(t, n):
-    """{mode: lines} from serialize_tree, tree_to_path and format_path over
-    the recursive reference_trees, not over enumerate_trees, which shares the
-    listing's walk.  The reference nests three generators per tree level."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 3 * n + 200))
-    try:
-        trees = list(reference_trees(t, n))
-    finally:
-        sys.setrecursionlimit(limit)
-    want = {"labels": [], "bare": [], "dump": []}
-    for tree in trees:
-        text = serialize_tree(tree)
-        path = tree_to_path(tree)
-        want["labels"].append(f"{text} | {format_path(path, with_labels=True)}\n")
-        want["bare"].append(f"{text} | {format_path(path)}\n")
-        want["dump"].append(f"{text}\n")
-    return want
 
 
 def test_listing_matches_the_object_join():

@@ -23,6 +23,7 @@ from arbor.treebank import (
     segment_census_pure,
     serialize_tree,
 )
+from references import reference_forests, reference_trees
 
 # enumeration totals frozen from direct generation
 TERNARY_TOTALS = [1, 3, 12, 55, 273, 1428, 7752]
@@ -50,48 +51,6 @@ def test_enumeration_deterministic():
     first = [serialize_tree(tr) for tr in enumerate_trees(3, 5)]
     second = [serialize_tree(tr) for tr in enumerate_trees(3, 5)]
     assert first == second
-
-
-def reference_trees(t, n):
-    """The recursive enumerator the walk replaced, kept as the order reference."""
-    if n == 0:
-        return
-    for kids in reference_slot_tuples(t, n - 1, t):
-        yield TAryTree(kids)
-
-
-def reference_slot_stream(t, size):
-    if size == 0:
-        yield None
-    else:
-        yield from reference_trees(t, size)
-
-
-def reference_slot_tuples(t, total, slots):
-    if slots == 1:
-        for sub in reference_slot_stream(t, total):
-            yield (sub,)
-        return
-    for first_size in range(total + 1):
-        for first in reference_slot_stream(t, first_size):
-            for rest in reference_slot_tuples(t, total - first_size, slots - 1):
-                yield (first,) + rest
-
-
-def reference_forests(t, m, n):
-    for split in counting.compositions(m, n - m):
-        for combo in reference_forest_tuples(t, tuple(s + 1 for s in split)):
-            yield Forest(combo)
-
-
-def reference_forest_tuples(t, sizes):
-    if len(sizes) == 1:
-        for tr in reference_trees(t, sizes[0]):
-            yield (tr,)
-        return
-    for tr in reference_trees(t, sizes[0]):
-        for rest in reference_forest_tuples(t, sizes[1:]):
-            yield (tr,) + rest
 
 
 def slot_sizes(tree):

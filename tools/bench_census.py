@@ -1,57 +1,22 @@
-"""Census kernel and closed-form row timings, appended to BENCH_census.json.
+"""Timings of the census kernels, series, closed-form rows, CLI text and
+fresh processes, appended to BENCH_census.json.
 
-Times, in-process, ``treebank.census`` and ``treebank.joint_census`` (the
-census with the class vector of every tree's Lukasiewicz path) with each
-engine at a fixed set of sizes, the compiled census with 1 and with 2
-workers (one job per root split when two CPUs can run them),
-``paths.residue_distribution_probe`` with the default engine, ``counting.compositions`` consumed whole, the
-closed-form rows of ``table`` and ``triangle``
-(``counting.binomial_row``, ``counting.count_table`` and
-``cli._triangle_rows``), and the text that
-``arbor table`` prints as CSV and pretty, through ``cli.main``, and the series
-layer: ``series.solve_G``, ``series.residual`` (the product
-x * prod (1 + yi*g) that ``verify --mode series`` forms from the solved g)
-and direct inversion of one (n, m) group at a time, as ``verify --mode lagrange`` reads it, and the
-``arbor paths`` listing through ``cli.main``.  Each timing calls the
-function at least 3 times and until 0.2 s have elapsed, and reports the
-best call.  It also runs fresh processes through ``launch`` of
-``perfbench/run.py``, the benchmark's own minimal launcher, which forks
-each command and reads its peak RSS (``ru_maxrss``) through ``wait4``, after
-one untimed run that fills a temporary bytecode cache: start-up rows, a
-no-work ``arbor count``, ``arbor verify --t 3 --max-n 7 --mode brute
---workers 2`` and ``python -c pass`` for calibration, each the best of 15
-runs that must exit 0, and process rows, whole ``table`` and ``triangle``
-commands at the sizes of the ``tables`` benchmark workload and at sizes
-users run and ``paths --t 11 --n 6 --probe``, and ``verify --t 16 --max-n
-5 --mode brute`` with and without ``--workers 2``, each pinned to one CPU
-(``pinned_cpu``: this process runs there while it launches them, and the
-launcher and the command inherit it), 3 runs each; each row has the best
-wall time and the lowest and highest peak RSS of its runs.  It checks
-that both engines and both worker counts give equal tables, that the first
-table of the joint census is the census, that the compositions are as many as the binomial
-count of weak compositions and come distinct, in lexicographic order, each
-summing to its total, that the closed-form rows equal one ``count_trees``,
-``count_forests`` or ``marginal_count`` call per row, in the same order,
-that the table text equals the rendering of ``count_table`` by the rule it
-replaced (a ``%d`` formatting of each row for CSV; pretty columns as wide as
-the longest of the total and every part and count), that each process row
-exits 0 and prints the same bytes as that rendering, as the one-string
-rendering of the triangle or as the probe's report made in-process, that
-the binomial row equals one ``comb`` call per entry, and that the solved
-series, its residual product and every inversion group equal the
-closed-form tables, and that each listing equals, byte for byte, the join of
-``serialize_tree`` and ``format_path(tree_to_path(tree))`` over
-``enumerate_trees``.  It appends one row set to ``BENCH_census.json`` at
-the repository root.  The stamp carries the git SHA, ``"dirty": true`` when
-``src`` or ``tools`` differ from that commit, the Python version and the CPU
-count.  The census, joint, workers and probe rows need the compiled kernel, for
-example after ``python setup.py build_ext --inplace``; without it only the
-series, compositions, closed-form, CSV, listing, start-up and process rows
-are timed:
+In-process rows time the census (each engine, 1 and 2 workers), the joint
+census, the probe, the series layer, compositions, the closed-form rows of
+``table`` and ``triangle`` and the text of ``arbor table`` and ``arbor
+paths``, each the best call of at least REPEAT and MIN_SECONDS.  Process
+rows launch start-up commands and whole ``table``, ``triangle``, ``paths
+--probe`` and pinned ``verify`` commands through ``launch`` of
+``perfbench/run.py`` and keep their best wall time and peak RSS.  Each row
+is checked, and a failed check stops the run with its message.  The
+census, joint, workers and probe rows need the compiled kernel (``python
+setup.py build_ext --inplace``); without it they are left out:
 
     PYTHONPATH=src python tools/bench_census.py
 
-The pure engine needs about two minutes for the census sizes.
+Each run appends one row set to ``BENCH_census.json`` at the repository
+root, stamped with the git SHA (``"dirty": true`` when ``src`` or ``tools``
+differ from it), the Python version and the CPU count.
 """
 import contextlib
 import hashlib
@@ -69,8 +34,9 @@ from pathlib import Path
 from arbor import cli, counting, paths, series, treebank
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 import run as perfbench  # noqa: E402  (perfbench/run.py, for its launcher)
+from references import old_rule_table, old_triangle_text, reference_listing  # noqa: E402
 
 OUT = ROOT / "BENCH_census.json"
 SIZES = [(3, 11), (2, 15), (4, 8), (3, 9)]
@@ -109,15 +75,31 @@ PINNED_COMMANDS = [  # run as python -m arbor.cli <args> on one CPU
 MIN_SECONDS = 0.2
 
 
-def best(run, repeat=REPEAT):
-    """(best seconds per call, result) of run(), called at least ``repeat``
+def best(run):
+    """(best seconds per call, result) of run(), called at least REPEAT
     times and until MIN_SECONDS have elapsed."""
     times = []
-    while len(times) < repeat or sum(times) < MIN_SECONDS:
+    while len(times) < REPEAT or sum(times) < MIN_SECONDS:
         t0 = time.perf_counter()
         result = run()
         times.append(time.perf_counter() - t0)
     return min(times), result
+
+
+def show(row):
+    print(json.dumps(row), flush=True)
+    return row
+
+
+def timed(layer, fields, run, check, failure, measure=lambda result: {}):
+    """The row of run()'s best call: its layer, ``fields``, what
+    measure(result) adds and ``best_s``.  The run stops with ``failure``
+    unless check(result) holds."""
+    seconds, result = best(run)
+    if not check(result):
+        sys.exit(failure)
+    return show({"layer": layer, **fields, **measure(result),
+                 "best_s": round(seconds, 5)})
 
 
 def engine_row(layer, fn, t, n):
@@ -126,12 +108,36 @@ def engine_row(layer, fn, t, n):
     pure_s, pure = best(lambda: fn(t, n, engine="pure", budget=10**12))
     if compiled != pure:
         sys.exit(f"{layer} t={t} n={n}: compiled and pure tables differ")
-    row = {
+    return {
         "layer": layer, "t": t, "n": n, "trees": counting.total_trees(t, n),
         "compiled_s": round(compiled_s, 5), "pure_s": round(pure_s, 5),
         "pure_over_compiled": round(pure_s / compiled_s, 1),
-    }
-    return row, compiled
+    }, compiled
+
+
+def series_rows():
+    """The solve_G, residual and inversion rows, each checked against the
+    closed-form tables."""
+    rows = [timed("series", {"call": "solve_G", "t": t, "N": N},
+                  lambda: series.solve_G(t, N),
+                  lambda g: {(n, a): c for n, a, c in g.terms()} == {
+                      (n, a): c for n in range(1, N + 1)
+                      for a, c in counting.count_table(t, n).items()},
+                  f"solve_G({t}, {N}) differs from the closed form",
+                  lambda g: {"terms": sum(1 for _ in g.terms())})
+            for t, N in SOLVE_SIZES]
+    for t, N in RESIDUAL_SIZES:
+        g = series.solve_G(t, N)
+        rows.append(timed("series", {"call": "residual", "t": t, "N": N},
+                          lambda: series.residual(g), lambda rhs: rhs == g,
+                          f"x * prod (1 + yi*g) differs from g at t={t} N={N}"))
+    rows += [timed("series", {"call": "inversion_group", "t": t, "n": n, "m": m},
+                   lambda: series.lagrange_table(t, n, m),
+                   lambda got: got == counting.count_table(t, n, m),
+                   f"inversion of t={t} n={n} m={m} differs from the closed form",
+                   lambda got: {"rows": len(got)})
+             for t, n, m in INVERSION_GROUPS]
+    return rows
 
 
 def composition_rows():
@@ -139,136 +145,81 @@ def composition_rows():
     its items."""
     rows = []
     for t, total, m in COMPOSITION_SIZES:
-        seconds, items = best(lambda: list(counting.compositions(t, total, m)))
         want = counting.binomial(total - m + t - 1, t - 1)
-        if (len(items) != want or items != sorted(set(items))
-                or any(sum(a) != total or min(a[:m], default=1) < 1 for a in items)):
-            sys.exit(f"compositions({t}, {total}, m={m}) are not the {want} "
-                     "weak compositions in lexicographic order")
-        rows.append({"layer": "compositions", "t": t, "total": total, "m": m,
-                     "items": len(items), "best_s": round(seconds, 5)})
+        rows.append(timed(
+            "compositions", {"t": t, "total": total, "m": m},
+            lambda: list(counting.compositions(t, total, m)),
+            lambda items: (len(items) == want and items == sorted(set(items))
+                           and all(sum(a) == total and min(a[:m], default=1) >= 1
+                                   for a in items)),
+            f"compositions({t}, {total}, m={m}) are not the {want} "
+            "weak compositions in lexicographic order",
+            lambda items: {"items": len(items)}))
     return rows
 
 
 def closed_form_rows():
     """The closed-form rows of table and triangle, each checked against one
-    per-composition (or per-cell) call."""
-    rows = []
-    for n, top in BINOMIAL_ROWS:
-        seconds, row = best(lambda: counting.binomial_row(n, top))
-        if row != [comb(n, k) for k in range(top + 1)]:
-            sys.exit(f"binomial_row({n}, {top}) differs from comb")
-        rows.append({"layer": "closed_form", "call": "binomial_row", "n": n,
-                     "top": top, "best_s": round(seconds, 5)})
-    for t, n, m in CLOSED_FORM_SIZES:
-        seconds, table = best(lambda: counting.count_table(t, n, m))
-        if m is None:
-            want = {a: counting.count_trees(t, n, a)
-                    for a in counting.compositions(t, n - 1)}
-        else:
-            want = {a: counting.count_forests(t, m, n, a)
-                    for a in counting.compositions(t, n, m=m)}
-        if list(table.items()) != list(want.items()):
-            sys.exit(f"count_table({t}, {n}, {m}) differs from the "
-                     "per-composition counts")
-        rows.append({"layer": "closed_form", "call": "count_table", "t": t, "n": n,
-                     "m": m, "rows": len(table), "best_s": round(seconds, 5)})
-    for t, slot, size in TRIANGLE_SIZES:
-        seconds, triangle = best(lambda: cli._triangle_rows(t, slot, size))
-        want = [[counting.marginal_count(t, n, {slot: k}) for k in range(n)]
-                for n in range(1, size + 1)]
-        if triangle != want:
-            sys.exit(f"_triangle_rows({t}, {slot}, {size}) differs from marginal_count")
-        rows.append({"layer": "closed_form", "call": "_triangle_rows", "t": t,
-                     "slot": slot, "rows": size, "cells": size * (size + 1) // 2,
-                     "best_s": round(seconds, 5)})
+    per-composition (or per-cell) call, and the table text, checked against
+    its rendering by the rule it replaced."""
+    rows = [timed("closed_form", {"call": "binomial_row", "n": n, "top": top},
+                  lambda: counting.binomial_row(n, top),
+                  lambda row: row == [comb(n, k) for k in range(top + 1)],
+                  f"binomial_row({n}, {top}) differs from comb")
+            for n, top in BINOMIAL_ROWS]
+    rows += [timed("closed_form", {"call": "count_table", "t": t, "n": n, "m": m},
+                   lambda: counting.count_table(t, n, m),
+                   lambda table: list(table.items()) == per_composition(t, n, m),
+                   f"count_table({t}, {n}, {m}) differs from the per-composition counts",
+                   lambda table: {"rows": len(table)})
+             for t, n, m in CLOSED_FORM_SIZES]
+    rows += [timed("closed_form", {"call": "_triangle_rows", "t": t, "slot": slot,
+                                   "rows": size, "cells": size * (size + 1) // 2},
+                   lambda: cli._triangle_rows(t, slot, size),
+                   lambda triangle: triangle == [
+                       [counting.marginal_count(t, n, {slot: k}) for k in range(n)]
+                       for n in range(1, size + 1)],
+                   f"_triangle_rows({t}, {slot}, {size}) differs from marginal_count")
+             for t, slot, size in TRIANGLE_SIZES]
     for fmt, sizes in (("csv", CSV_SIZES), ("pretty", PRETTY_SIZES)):
         for t, n, m in sizes:
-            argv = ["table", "--t", str(t), "--n", str(n), "--format", fmt]
-            argv += ["--forest", str(m)] if m else []
-            seconds, text = best(lambda: cli_text(argv))
-            table = counting.count_table(t, n, m)
-            if text != table_text(fmt, t, table) + "\n":
-                sys.exit(f"{' '.join(argv)} differs from the rows of count_table")
-            rows.append({"layer": "closed_form", "call": f"table_{fmt}", "t": t,
-                         "n": n, "m": m, "rows": len(table), "bytes": len(text),
-                         "best_s": round(seconds, 5)})
+            argv = table_argv(fmt, t, n, m)
+            rows.append(timed(
+                "closed_form", {"call": f"table_{fmt}", "t": t, "n": n, "m": m},
+                lambda: cli_text(argv),
+                lambda text: text == old_rule_table(fmt, t, n, m) + "\n",
+                f"{' '.join(argv)} differs from the rows of count_table",
+                lambda text: {"rows": text.count("\n") - 2, "bytes": len(text)}))
     return rows
 
 
-def table_text(fmt, t, table):
-    """``count_table`` rendered as ``table`` rendered it before its rows were
-    written from the walk: CSV by a ``%d`` formatting of each row, pretty
-    with every column as wide as the longest of the total and every part
-    and count."""
-    total = sum(table.values())
-    if fmt == "csv":
-        line = ",".join(["%d"] * (t + 1))
-        lines = [",".join(f"a{i + 1}" for i in range(t)) + ",count"]
-        lines += [line % (*comp, count) for comp, count in table.items()]
-        lines.append("total," + "," * (t - 1) + str(total))
-        return "\n".join(lines)
-    width = max([len(str(total))] + [len(str(x)) for comp, count in table.items()
-                                     for x in comp + (count,)])
-    lines = [" ".join(f"a{i + 1}".rjust(width) for i in range(t))
-             + "  " + "count".rjust(width + 4)]
-    lines += [" ".join(str(x).rjust(width) for x in comp) + "  "
-              + str(count).rjust(width + 4) for comp, count in table.items()]
-    pad = len(lines[0]) - len("total") - len(str(total))
-    lines.append("total" + " " * max(pad, 2) + str(total))
-    return "\n".join(lines)
+def per_composition(t, n, m):
+    """(parts, count) of one group, one count_trees or count_forests call per
+    composition."""
+    if m is None:
+        return [(a, counting.count_trees(t, n, a)) for a in counting.compositions(t, n - 1)]
+    return [(a, counting.count_forests(t, m, n, a)) for a in counting.compositions(t, n, m)]
 
 
-def series_rows():
-    """The solve_G, residual and inversion rows, each checked against the
-    closed-form tables."""
-    rows = []
-    for t, N in SOLVE_SIZES:
-        seconds, g = best(lambda: series.solve_G(t, N))
-        if by_degree(g) != {n: counting.count_table(t, n) for n in range(1, N + 1)}:
-            sys.exit(f"solve_G({t}, {N}) differs from the closed form")
-        rows.append({"layer": "series", "call": "solve_G", "t": t, "N": N,
-                     "terms": sum(1 for _ in g.terms()), "best_s": round(seconds, 5)})
-    for t, N in RESIDUAL_SIZES:
-        g = series.solve_G(t, N)
-        seconds, rhs = best(lambda: series.residual(g))
-        if rhs != g:
-            sys.exit(f"x * prod (1 + yi*g) differs from g at t={t} N={N}")
-        rows.append({"layer": "series", "call": "residual", "t": t, "N": N,
-                     "best_s": round(seconds, 5)})
-    for t, n, m in INVERSION_GROUPS:
-        seconds, got = best(lambda: series.lagrange_table(t, n, m))
-        if got != counting.count_table(t, n, m):
-            sys.exit(f"inversion of t={t} n={n} m={m} differs from the closed form")
-        rows.append({"layer": "series", "call": "inversion_group", "t": t, "n": n,
-                     "m": m, "rows": len(got), "best_s": round(seconds, 5)})
-    return rows
-
-
-def by_degree(g):
-    """{n: {parts: coefficient}} of a series."""
-    out = {}
-    for n, a, c in g.terms():
-        out.setdefault(n, {})[a] = c
-    return out
+def table_argv(fmt, t, n, m):
+    return (["table", "--t", str(t), "--n", str(n), "--format", fmt]
+            + (["--forest", str(m)] if m else []))
 
 
 def listing_rows():
-    """The ``paths`` listing rows, each checked against the object-level
-    join of its lines."""
+    """The ``paths`` listing rows, each checked against the recursive
+    reference listing, which builds no tree through the listing's walk."""
     rows = []
     for t, n, labels in LISTING_SIZES:
         argv = ["paths", "--t", str(t), "--n", str(n)] + (["--labels"] if labels else [])
-        seconds, text = best(lambda: cli_text(argv))
-        want = "".join(
-            f"{treebank.serialize_tree(tree)} | "
-            f"{paths.format_path(paths.tree_to_path(tree), with_labels=labels)}\n"
-            for tree in treebank.enumerate_trees(t, n))
-        if text != want:
-            sys.exit(f"{' '.join(argv)} differs from the object-level listing")
-        rows.append({"layer": "paths_listing", "t": t, "n": n, "labels": labels,
-                     "trees": counting.total_trees(t, n), "bytes": len(text),
-                     "best_s": round(seconds, 5)})
+        rows.append(timed(
+            "paths_listing", {"t": t, "n": n, "labels": labels,
+                              "trees": counting.total_trees(t, n)},
+            lambda: cli_text(argv),
+            lambda text: text == "".join(reference_listing(t, n)[
+                "labels" if labels else "bare"]),
+            f"{' '.join(argv)} differs from the recursive reference listing",
+            lambda text: {"bytes": len(text)}))
     return rows
 
 
@@ -298,27 +249,24 @@ def launched(args, env, runs, cpu=None):
 
 def process_rows():
     """The start-up rows, each the best of STARTUP_REPEAT runs that must
-    exit 0, and the rows of whole ``table`` and ``triangle`` commands, each
-    of PROCESS_REPEAT runs checked by exit code and stdout digest against
-    the rendering of ``count_table`` or of the triangle by the rule each
-    replaced, the rows of whole ``paths --probe`` commands, checked
-    against the text of the report made in-process, and the PINNED_COMMANDS
-    rows, each started on the first CPU this process may run on and checked
-    against the text of the command run in-process.  Every command runs
-    once untimed first, which fills a bytecode cache in a temporary
-    directory, so the timed runs read compiled modules as an installed
-    package would."""
+    exit 0, and the process rows, each of PROCESS_REPEAT runs checked by
+    exit code and stdout digest: whole ``table`` and ``triangle`` commands
+    against their renderings in ``tests/references.py``, ``paths --probe``
+    against the report made in-process, and the PINNED_COMMANDS, started on
+    the first CPU this process may run on, against the command run
+    in-process.  Every command runs once untimed first, which fills a
+    bytecode cache in a temporary directory, so the timed runs read
+    compiled modules as an installed package would."""
     commands = [(args, STARTUP_REPEAT, None, None) for args in STARTUP_COMMANDS]
     for fmt, t, n, m in PROCESS_TABLES:
-        argv = ["table", "--t", str(t), "--n", str(n), "--format", fmt]
-        argv += ["--forest", str(m)] if m else []
-        want = table_text(fmt, t, counting.count_table(t, n, m)) + "\n"
-        commands.append((["-m", "arbor.cli", *argv], PROCESS_REPEAT, digest(want), None))
+        want = old_rule_table(fmt, t, n, m) + "\n"
+        commands.append((["-m", "arbor.cli", *table_argv(fmt, t, n, m)], PROCESS_REPEAT,
+                         digest(want), None))
     for fmt, t, slot, size, check in PROCESS_TRIANGLES:
         argv = ["triangle", "--t", str(t), "--rows", str(size), "--marginal", str(slot),
                 "--format", fmt] + (["--self-check"] if check else [])
         want = (f"self-check: all {t} slot triangles agree\n" if check else "")
-        want += triangle_text(fmt, cli._triangle_rows(t, slot, size))
+        want += old_triangle_text(fmt, t, slot, size)
         commands.append((["-m", "arbor.cli", *argv], PROCESS_REPEAT, digest(want), None))
     for t, n in PROCESS_PROBES:
         report = paths.residue_distribution_probe(t, n, budget=10**12)
@@ -340,29 +288,18 @@ def process_rows():
                    for run in runs):
                 sys.exit(f"python {' '.join(args)} failed or printed other text")
             runs = runs[1:]
-            row = {"layer": "startup" if want is None else "process",
-                   "command": "python " + " ".join(args), "repeat": repeat,
-                   **({} if pinned is None else {"pinned_cpu": pinned}),
-                   "best_s": round(min(run.wall for run in runs), 5),
-                   "peak_rss_mb": [round(f(run.rss_kb for run in runs) / 1024, 2)
-                                   for f in (min, max)]}
-            rows.append(row)
+            rows.append(show({
+                "layer": "startup" if want is None else "process",
+                "command": "python " + " ".join(args), "repeat": repeat,
+                **({} if pinned is None else {"pinned_cpu": pinned}),
+                "best_s": round(min(run.wall for run in runs), 5),
+                "peak_rss_mb": [round(f(run.rss_kb for run in runs) / 1024, 2)
+                                for f in (min, max)]}))
     return rows
 
 
 def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def triangle_text(fmt, triangle):
-    """A triangle rendered as one string, as ``triangle`` printed it before
-    it wrote its output in pieces."""
-    if fmt == "bfile":
-        lines = [f"{i} {v}" for i, v in enumerate(v for row in triangle for v in row)]
-    else:
-        lines = [f"n={n} (edges={n - 1}): " + " ".join(map(str, row))
-                 for n, row in enumerate(triangle, start=1)]
-    return "\n".join(lines) + "\n"
 
 
 def git(*args):
@@ -372,34 +309,28 @@ def git(*args):
 
 def kernel_rows():
     """The census, joint census and probe rows."""
-    rows = []
-    for t, n in SIZES:
-        row, _ = engine_row("census", treebank.census, t, n)
-        rows.append(row)
-        print(json.dumps(row), flush=True)
+    rows = [show(engine_row("census", treebank.census, t, n)[0]) for t, n in SIZES]
     for t, n in JOINT_SIZES:
         row, (edges, _) = engine_row("joint_census", treebank.joint_census, t, n)
         if edges != treebank.census(t, n):
             sys.exit(f"joint_census t={t} n={n}: edge table differs from census")
-        rows.append(row)
-        print(json.dumps(row), flush=True)
+        rows.append(show(row))
     for t, n in WORKER_SIZES:
         one_s, one = best(lambda: treebank.census(t, n, engine="compiled", budget=10**12))
         two_s, two = best(lambda: treebank.census(t, n, workers=2, engine="compiled",
                                                   budget=10**12))
         if one != two:
             sys.exit(f"census t={t} n={n}: 1 and 2 workers give different tables")
-        rows.append({"layer": "workers", "t": t, "n": n,
-                     "trees": counting.total_trees(t, n),
-                     "root_splits": counting.binomial(n + t - 2, t - 1),
-                     "one_s": round(one_s, 5), "two_s": round(two_s, 5),
-                     "two_over_one": round(two_s / one_s, 2)})
-        print(json.dumps(rows[-1]), flush=True)
+        rows.append(show({"layer": "workers", "t": t, "n": n,
+                          "trees": counting.total_trees(t, n),
+                          "root_splits": counting.binomial(n + t - 2, t - 1),
+                          "one_s": round(one_s, 5), "two_s": round(two_s, 5),
+                          "two_over_one": round(two_s / one_s, 2)}))
     for t, n in PROBE_SIZES:
         probe_s, _ = best(lambda: paths.residue_distribution_probe(t, n, budget=10**12))
-        rows.append({"layer": "probe", "t": t, "n": n,
-                     "trees": counting.total_trees(t, n), "auto_s": round(probe_s, 5)})
-        print(json.dumps(rows[-1]), flush=True)
+        rows.append(show({"layer": "probe", "t": t, "n": n,
+                          "trees": counting.total_trees(t, n),
+                          "auto_s": round(probe_s, 5)}))
     return rows
 
 
@@ -412,10 +343,8 @@ def main():
         print("arbor._speedups is not built: timing the series, compositions, "
               "closed-form, listing, start-up and process rows only", file=sys.stderr)
         rows = []
-    for row in (series_rows() + composition_rows() + closed_form_rows()
-                + listing_rows() + process_rows()):
-        rows.append(row)
-        print(json.dumps(row), flush=True)
+    rows += (series_rows() + composition_rows() + closed_form_rows()
+             + listing_rows() + process_rows())
     runs = json.loads(OUT.read_text()) if OUT.is_file() else []
     runs.append({
         "git_sha": git("rev-parse", "HEAD"),

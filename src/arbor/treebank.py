@@ -12,9 +12,10 @@ The compiled kernel is picked up at import time when available; both
 produce identical tables.
 
 A census job is a pair (sizes, roots): the kernel profiles the edges inside
-every tuple of trees with those sizes, and each profile gains roots[i] edges
-in slot i + 1 (none for a whole tree, one per nonempty slot of a root split,
-one in each of slots 1..m for a forest).
+every tuple of trees with those sizes, each profile starting at roots[i]
+edges in slot i + 1 (none for a whole tree, one per nonempty slot of a root
+split, one in each of slots 1..m for a forest).  A kernel call walks a list
+of jobs into one table; each worker of a census makes one call.
 
 In classes mode the kernels also count each tree's non-root nodes by the
 height mod t at which the node's step of the Lukasiewicz path starts;
@@ -38,7 +39,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import Counter
-from operator import add
+from math import prod
 from typing import Iterator, Optional, Sequence
 
 from arbor import counting
@@ -320,11 +321,13 @@ def _preorder_texts(t: int, sizes: Sequence[int], root: str, rises: Sequence[str
                 size = placed + 1
 
 
-def segment_census_pure(t: int, sizes: Sequence[int], classes: bool = False):
-    """Pure-Python census kernel: profile every tuple of trees with the given sizes.
+def segment_census_pure(t: int, jobs: Sequence[tuple], classes: bool = False):
+    """Pure-Python census kernel: profile every tuple of trees of each job
+    (sizes, roots) into one table.
 
-    Segment j is a tree with exactly sizes[j] nodes; only the edges inside
-    the trees are counted.
+    Segment j < t is a tree with exactly sizes[j] nodes; a profile counts
+    the edges inside the trees, plus roots[i] in slot i + 1.  The jobs'
+    profiles must share one total, and in classes mode one roots vector.
 
     The compiled kernel in ``_speedups.c`` runs this walk step for step,
     forced tail and trail included.  It backtracks over preorder words (a
@@ -343,83 +346,92 @@ def segment_census_pure(t: int, sizes: Sequence[int], classes: bool = False):
     number of steps, and the node count minus classes[r] is the fall count
     of ``paths.residue_stats`` in class r.
     """
-    k = len(sizes)
-    for nodes in sizes:
-        if nodes < 1:
-            raise ConstraintError(f"segment size {nodes} must be >= 1")
-    profile = [0] * t
-    counts = [0] * t      # non-root nodes by starting height mod t
-    if k == 0:
-        return ({(0,) * t: 1}, {(0,) * t: 1}) if classes else {(0,) * t: 1}
     node, segment = -1, -2
-    # one entry per choice: a node, a segment start, or an empty slot
-    # recorded as the number of full frames it closed
-    trail: list = []
-    finished: list = []   # (frames, free) of the segments before the open one
     table: Counter = Counter()
     class_table: Counter = Counter()
-    seg, size = 0, sizes[0]
-    frames = [0]          # children placed under each open node, root first
-    used = 1              # nodes placed in the open segment
-    free = t              # unfilled child slots in the open segment
-    while True:
-        while used < size:  # a node in the next slot
-            i = frames[-1]
-            profile[i] += 1
-            frames[-1] = i + 1
-            frames.append(0)
-            used += 1
-            if classes:
-                counts[(free - 1) % t] += 1
-            free += t - 1
-            trail.append(node)
-        if seg + 1 < k:
-            finished.append((frames, free))
-            seg += 1
-            size = sizes[seg]
-            frames, used, free = [0], 1, t
-            trail.append(segment)
-            continue
-        table[tuple(profile)] += 1
-        if classes:
-            class_table[tuple(counts)] += 1
-        # back up to the latest node whose slot can take an empty instead
+    spaces = set()
+    for sizes, roots in jobs:
+        for nodes in sizes:
+            if nodes < 1:
+                raise ConstraintError(f"segment size {nodes} must be >= 1")
+        spaces.add((sum(sizes) - len(sizes) + sum(roots), tuple(roots) if classes else ()))
+        if len(spaces) > 1:
+            raise ConstraintError("jobs fill different composition spaces")
+        k = len(sizes)
+        profile = list(roots)
+        counts = [0] * t      # non-root nodes by starting height mod t
+        # one entry per choice: a node, a segment start, or an empty slot
+        # recorded as the number of full frames it closed
+        trail: list = []
+        finished: list = []   # (frames, free) of the segments before the open one
+        seg, size = 0, sizes[0] if k else 1  # the empty tuple: one node, placed
+        frames = [0]          # children placed under each open node, root first
+        used = 1              # nodes placed in the open segment
+        free = t              # unfilled child slots in the open segment
         while True:
-            if not trail:
-                return (dict(table), dict(class_table)) if classes else dict(table)
-            entry = trail.pop()
-            if entry == segment:
-                frames, free = finished.pop()
-                seg -= 1
-                size = used = sizes[seg]
-            elif entry == node:
-                frames.pop()
-                profile[frames[-1] - 1] -= 1
-                used -= 1
-                free -= t - 1
+            while used < size:  # a node in the next slot
+                i = frames[-1]
+                profile[i] += 1
+                frames[-1] = i + 1
+                frames.append(0)
+                used += 1
                 if classes:
-                    counts[(free - 1) % t] -= 1
-                if free > 1:  # the tree stays open, so it can still grow
-                    free -= 1
-                    closed = 0
-                    while frames[-1] == t:
-                        frames.pop()
-                        closed += 1
-                    trail.append(closed)
-                    break
-                frames[-1] -= 1
-            else:
-                frames += [t] * entry
-                frames[-1] -= 1
-                free += 1
+                    counts[(free - 1) % t] += 1
+                free += t - 1
+                trail.append(node)
+            if seg + 1 < k:
+                finished.append((frames, free))
+                seg += 1
+                size = sizes[seg]
+                frames, used, free = [0], 1, t
+                trail.append(segment)
+                continue
+            table[tuple(profile)] += 1
+            if classes:
+                class_table[tuple(counts)] += 1
+            # back up to the latest node whose slot can take an empty instead
+            while trail:
+                entry = trail.pop()
+                if entry == segment:
+                    frames, free = finished.pop()
+                    seg -= 1
+                    size = used = sizes[seg]
+                elif entry == node:
+                    frames.pop()
+                    profile[frames[-1] - 1] -= 1
+                    used -= 1
+                    free -= t - 1
+                    if classes:
+                        counts[(free - 1) % t] -= 1
+                    if free > 1:  # the tree stays open, so it can still grow
+                        free -= 1
+                        closed = 0
+                        while frames[-1] == t:
+                            frames.pop()
+                            closed += 1
+                        trail.append(closed)
+                        break
+                    frames[-1] -= 1
+                else:
+                    frames += [t] * entry
+                    frames[-1] -= 1
+                    free += 1
+            else:  # every tuple of the job is counted
+                break
+    return (dict(table), dict(class_table)) if classes else dict(table)
 
 
-def _segment_census_capped(t: int, sizes: Sequence[int], classes: bool = False):
-    """The compiled kernel, with its refusal of an oversized table as a ConstraintError."""
+def _segment_census_capped(t: int, jobs: Sequence[tuple], classes: bool = False):
+    """The compiled kernel, with its refusals as ConstraintErrors."""
     try:
-        return _segment_census_compiled(t, sizes, classes=classes)
+        return _segment_census_compiled(t, jobs, classes=classes)
     except ValueError as exc:
         raise ConstraintError(str(exc)) from None
+
+
+# One usable worker per 2**_SPLIT_FLOOR objects: the compiled walk runs about
+# 120M trees/s, and a thread costs 0.05-0.3 ms to start.
+_SPLIT_FLOOR = 20
 
 
 def _census_kernel(t: int, n: int, m: Optional[int], budget: Optional[int],
@@ -430,8 +442,8 @@ def _census_kernel(t: int, n: int, m: Optional[int], budget: Optional[int],
     :func:`census`)."""
     action, noun = (f"census(t={t}, n={n})", "trees") if m is None else (
         f"forest_census(t={t}, m={m}, n={n})", "forests")
-    check_budget(action, [(counting.group_total(t, n, m), f"enumerate %d {noun}"),
-                          (n, "place %d nodes")], budget)
+    total = counting.group_total(t, n, m)
+    check_budget(action, [(total, f"enumerate %d {noun}"), (n, "place %d nodes")], budget)
     if engine not in ("auto", "compiled", "pure"):
         raise ConstraintError(f"unknown engine {engine!r} (expected auto, compiled or pure)")
     if engine == "pure" or (engine == "auto" and _segment_census_compiled is None):
@@ -441,22 +453,28 @@ def _census_kernel(t: int, n: int, m: Optional[int], budget: Optional[int],
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     jobs = counting.binomial(n - 1, m - 1) if m else counting.binomial(n + t - 2, t - 1)
-    return _segment_census_capped, max(1, min(workers, cpus, jobs))
+    return _segment_census_capped, max(1, min(workers, cpus, jobs, total >> _SPLIT_FLOOR))
 
 
 def _run_jobs(kernel, t: int, jobs: list, workers: int) -> dict:
-    """Run job j on worker j mod ``workers``, worker 0 being the calling
-    thread and each other one a thread of its own, and sum the workers'
-    tables; what a worker raised is re-raised here."""
-    parts: list = [Counter() for _ in range(workers)]  # or what each raised
+    """The summed table of one kernel call per worker on its share of the
+    jobs, balanced largest first by closed-form tuple count; worker 0 is the
+    calling thread, and what a worker raised is re-raised here."""
+    if workers == 1:
+        return kernel(t, jobs)
+    trees = {s: counting.total_trees(t, s) for s in {s for sizes, _ in jobs for s in sizes}}
+    shares: list = [[] for _ in range(workers)]  # then each one's table, or what it raised
+    loads = [0] * workers
+    for job in sorted(jobs, key=lambda job: prod(map(trees.get, job[0])), reverse=True):
+        i = loads.index(min(loads))
+        loads[i] += prod(map(trees.get, job[0]))
+        shares[i].append(job)
 
     def run(i: int) -> None:
         try:
-            for sizes, roots in jobs[i::workers]:
-                for profile, count in kernel(t, sizes).items():
-                    parts[i][tuple(map(add, profile, roots))] += count
+            shares[i] = kernel(t, shares[i])
         except BaseException as exc:  # re-raised in the caller below
-            parts[i] = exc
+            shares[i] = exc
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(1, workers)]
     for thread in threads:
@@ -464,10 +482,10 @@ def _run_jobs(kernel, t: int, jobs: list, workers: int) -> dict:
     run(0)
     for thread in threads:
         thread.join()
-    for part in parts:
+    for part in shares:
         if isinstance(part, BaseException):
             raise part
-    return dict(sum(parts, Counter()))
+    return dict(sum(map(Counter, shares), Counter()))
 
 
 def census(
@@ -483,17 +501,16 @@ def census(
 
     Refuses up front when the object count exceeds the budget.  The usable
     workers are found first: one for the pure kernel, which holds the GIL,
-    else the fewest of ``workers``, the CPUs this process may run on and the
-    root size splits, C(n+t-2, t-1) of them.  One usable worker runs the
-    whole walk in one kernel call; more split the root's size splits among
-    threads, and the summed table is identical to the sequential one.
+    else the fewest of ``workers``, the CPUs this process may run on, the
+    root size splits, C(n+t-2, t-1) of them, and one per 2**20 trees of the
+    closed-form total.  One usable worker walks the whole tree; more share
+    the root's size splits, and the summed table is the sequential one.
     """
     kernel, workers = _census_kernel(t, n, None, budget, engine, workers)
-    if workers == 1:  # the whole walk, whose profiles take no root edges
-        return kernel(t, (n,))
-    # one job per root split: the subtrees in the root's nonempty slots
-    jobs = [(tuple(s for s in comp if s), tuple(min(s, 1) for s in comp))
-            for comp in counting.compositions(t, n - 1)]
+    # one worker walks the whole tree; more share the root splits' subtrees
+    jobs = [((n,), (0,) * t)] if workers == 1 else [
+        (tuple(s for s in comp if s), tuple(min(s, 1) for s in comp))
+        for comp in counting.compositions(t, n - 1)]
     return _run_jobs(kernel, t, jobs, workers)
 
 
@@ -514,7 +531,7 @@ def joint_census(
     its classes mode counts both; the first table is :func:`census`.  Shape
     and budget refusals are those of ``census``.
     """
-    return _census_kernel(t, n, None, budget, engine)[0](t, (n,), classes=True)
+    return _census_kernel(t, n, None, budget, engine)[0](t, [((n,), (0,) * t)], classes=True)
 
 
 def forest_census(

@@ -2,9 +2,11 @@
 ``tools/bench_census.py``: recursive tree and forest enumerators that share
 no code with ``treebank``'s walk, the listing joined over them, and the
 ``table`` and ``triangle`` renderings by the rules those commands followed
-before they wrote from the closed-form walk."""
+before they wrote from the closed-form walk, the triangle's cells computed
+from their binomials here."""
 import sys
 from itertools import chain
+from math import comb
 
 from arbor import counting
 from arbor.paths import format_path, tree_to_path
@@ -100,8 +102,17 @@ def old_rule_table(fmt, t, n, m=None):
 
 def old_triangle_text(fmt, t, slot, rows, offset=0):
     """The triangle as the one string it was printed as before it was
-    written in pieces."""
-    triangle = [counting.marginal_row(t, n, slot) for n in range(1, rows + 1)]
+    written in pieces.  Each cell is (1/n) * C(n, k) * C((t-1)*n, n-1-k),
+    computed here apart from counting.marginal_row, which the command
+    prints; the count does not depend on which ``slot`` is fixed."""
+    triangle = []
+    for n in range(1, rows + 1):
+        row = []
+        for k in range(n):
+            cell, rest = divmod(comb(n, k) * comb((t - 1) * n, n - 1 - k), n)
+            assert rest == 0, f"cell t={t} n={n} k={k} is not an integer"
+            row.append(cell)
+        triangle.append(row)
     if fmt == "bfile":
         lines = [f"{i} {v}" for i, v in enumerate(chain.from_iterable(triangle),
                                                   start=offset)]

@@ -18,6 +18,8 @@ TINY = {  # one small size for each in-process row, one call each
     "CLOSED_FORM_SIZES": [(3, 4, None), (3, 4, 2)], "TRIANGLE_SIZES": [(3, 2, 5)],
     "CSV_SIZES": [(3, 4, None)], "PRETTY_SIZES": [(3, 4, 2)],
     "LISTING_SIZES": [(3, 3, True)], "REPEAT": 1, "MIN_SECONDS": 0,
+    "SIZES": [], "JOINT_SIZES": [], "PROBE_SIZES": [],
+    "WORKER_SIZES": [(3, 4, None), (3, 4, 2)],
 }
 
 
@@ -86,3 +88,11 @@ def test_listing_rows_stop_on_a_fault_in_the_walk(bench, monkeypatch):
     monkeypatch.setattr(treebank, "tree_texts", short)
     with pytest.raises(SystemExit, match="recursive reference listing"):
         bench.listing_rows()
+
+
+def test_workers_rows_time_trees_and_forests(bench, compiled_kernel):
+    rows = bench.kernel_rows()
+    assert [" ".join(row) for row in rows] == [
+        "layer t n trees root_splits one_s two_s two_over_one",
+        "layer t n m forests node_splits one_s two_s two_over_one"]
+    assert [(row["t"], row["n"], row.get("m")) for row in rows] == [(3, 4, None), (3, 4, 2)]

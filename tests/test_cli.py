@@ -149,14 +149,16 @@ def test_probe_past_the_squared_cell_count(capsys, compiled_kernel):
 
 def test_kernel_cell_cap_under_workers_exit_1(capsys, monkeypatch, compiled_kernel):
     # the kernel's refusal raised on a worker thread still exits 1 without a
-    # traceback: every job off the calling thread asks for an oversized table
-    def kernel(t, sizes, classes=False):
+    # traceback: every call off the calling thread asks for an oversized
+    # table; the split floor is lifted so that these small censuses split
+    def kernel(t, jobs, classes=False):
         if threading.current_thread() is not threading.main_thread():
-            t, sizes = 16, (15,)
-        return compiled_kernel(t, sizes, classes=classes)
+            t, jobs = 16, [((15,), (0,) * 16)]
+        return compiled_kernel(t, jobs, classes=classes)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(treebank, "_segment_census_compiled", kernel)
+    monkeypatch.setattr(treebank, "_SPLIT_FLOOR", 0)
     code, out, err = run(capsys, "verify", "--t", "3", "--max-n", "7",
                          "--mode", "brute", "--workers", "2")
     assert (code, out) == (1, "")
@@ -355,6 +357,20 @@ def test_table_and_triangle_written_in_pieces():
         assert "".join(out.writes) == want, argv
         assert len(out.writes) == writes, argv
         assert all(text.endswith("\n") for text in out.writes), argv
+
+
+def test_triangle_reference_sees_a_wrong_row(capsys, monkeypatch):
+    # the reference computes its cells apart from marginal_row, so one wrong
+    # row in what the command prints fails the text check
+    real = counting.marginal_row
+    monkeypatch.setattr(counting, "marginal_row", lambda t, n, slot: [
+        cell + (n == 5) for cell in real(t, n, slot)])
+    code, out, _ = run(capsys, "triangle", "--t", "3", "--rows", "8", "--marginal", "1")
+    assert code == 0
+    want = old_triangle_text("pretty", 3, 1, 8)
+    assert out != want
+    assert [a for a, b in zip(out.splitlines(), want.splitlines()) if a != b] == [
+        "n=5 (edges=4): " + " ".join(str(cell + 1) for cell in real(3, 5, 1))]
 
 
 @pytest.mark.parametrize("t, n, m", [(4, 12, None), (3, 4, None), (4, 12, 2),

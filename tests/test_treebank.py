@@ -1,5 +1,6 @@
 """Enumeration and census oracles: frozen tables, determinism, kernel parity."""
 import itertools
+import math
 import os
 import threading
 from collections import Counter
@@ -246,6 +247,19 @@ def usable_cpus(monkeypatch, cpus):
                         raising=False)
 
 
+def split_any_census(monkeypatch):
+    """Let a census of any size take more than one worker: below 2**20
+    objects a census stays on the calling thread."""
+    monkeypatch.setattr(treebank, "_SPLIT_FLOOR", 0)
+
+
+def root_split_jobs(t, n):
+    """The jobs of census(t, n) on more than one worker: the subtrees in the
+    root's nonempty slots, and an edge from the root into each."""
+    return [(tuple(s for s in comp if s), tuple(min(s, 1) for s in comp))
+            for comp in counting.compositions(t, n - 1)]
+
+
 @pytest.fixture
 def started(monkeypatch):
     """The threads started while the test runs."""
@@ -262,6 +276,7 @@ def started(monkeypatch):
 
 def assert_workers_keep_tables(monkeypatch, engine):
     usable_cpus(monkeypatch, 5)
+    split_any_census(monkeypatch)
     for workers in (1, 2, 5):
         assert census(3, 5, workers=workers, engine=engine) == counting.count_table(3, 5)
         assert forest_census(3, 2, 5, workers=workers, engine=engine) == \
@@ -292,6 +307,7 @@ def test_worker_pool_clamped_to_job_count(monkeypatch, compiled_kernel, started)
     # the CPUs this process may run on count, not the CPUs of the machine
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     usable_cpus(monkeypatch, 64)
+    split_any_census(monkeypatch)
     # 10 root size splits for t=3 n=4, 4 node splits for t=3 m=2 n=5
     run(census, 3, 4)
     run(forest_census, 3, 2, 5)
@@ -306,6 +322,49 @@ def test_worker_pool_clamped_to_job_count(monkeypatch, compiled_kernel, started)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run(census, 3, 4)
     assert pool_sizes == [10, 4, 3, 2]
+    # one worker per 2**floor trees of the closed-form total: 55 >> 4 is 3
+    usable_cpus(monkeypatch, 64)
+    monkeypatch.setattr(treebank, "_SPLIT_FLOOR", 4)
+    run(census, 3, 4)
+    assert pool_sizes == [10, 4, 3, 2, 3]
+
+
+def test_each_worker_walks_its_balanced_share_in_one_call(monkeypatch, compiled_kernel):
+    # one kernel call per worker; the shares hold every root split once and
+    # their closed-form tuple counts differ by at most the largest job's
+    calls = []
+
+    def kernel(t, jobs, classes=False):
+        calls.append(list(jobs))
+        return compiled_kernel(t, jobs, classes=classes)
+
+    monkeypatch.setattr(treebank, "_segment_census_compiled", kernel)
+    usable_cpus(monkeypatch, 2)
+    split_any_census(monkeypatch)
+    assert census(3, 7, workers=2) == counting.count_table(3, 7)
+    jobs = root_split_jobs(3, 7)
+    assert len(calls) == 2
+    assert sorted(job for share in calls for job in share) == sorted(jobs)
+
+    def load(share):
+        return sum(math.prod(counting.total_trees(3, s) for s in sizes) for sizes, _ in share)
+
+    assert abs(load(calls[0]) - load(calls[1])) <= max(load([job]) for job in jobs)
+
+
+def test_small_census_stays_on_the_calling_thread(monkeypatch, compiled_kernel, started):
+    # 7,752 trees take the compiled walk well under a millisecond, less
+    # than starting a thread; two usable CPUs still run one whole walk
+    calls = []
+
+    def kernel(t, jobs, classes=False):
+        calls.append(list(jobs))
+        return compiled_kernel(t, jobs, classes=classes)
+
+    monkeypatch.setattr(treebank, "_segment_census_compiled", kernel)
+    usable_cpus(monkeypatch, 2)
+    assert census(3, 7, workers=2) == counting.count_table(3, 7)
+    assert (calls, started) == ([[((7,), (0, 0, 0))]], [])
 
 
 def test_one_usable_cpu_runs_the_whole_walk(monkeypatch, compiled_kernel, started):
@@ -313,15 +372,16 @@ def test_one_usable_cpu_runs_the_whole_walk(monkeypatch, compiled_kernel, starte
     # whole tree, not one per root split (3,876 at t=16 n=5), and no thread
     calls = []
 
-    def kernel(t, sizes, classes=False):
-        calls.append(tuple(sizes))
-        return compiled_kernel(t, sizes, classes=classes)
+    def kernel(t, jobs, classes=False):
+        calls.append(list(jobs))
+        return compiled_kernel(t, jobs, classes=classes)
 
     monkeypatch.setattr(treebank, "_segment_census_compiled", kernel)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     usable_cpus(monkeypatch, 1)
+    split_any_census(monkeypatch)
     assert census(16, 5, workers=2) == counting.count_table(16, 5)
-    assert (calls, started) == ([(5,)], [])
+    assert (calls, started) == ([[((5,), (0,) * 16)]], [])
 
 
 def test_pure_kernel_runs_alone(monkeypatch, started):
@@ -335,15 +395,16 @@ def test_pure_kernel_runs_alone(monkeypatch, started):
 
 @pytest.mark.parametrize("where", ["worker", "calling"])
 def test_kernel_error_under_workers_reaches_the_caller(monkeypatch, where):
-    def kernel(t, sizes, classes=False):
+    def kernel(t, jobs, classes=False):
         on_worker = threading.current_thread() is not threading.main_thread()
         if on_worker == (where == "worker"):
             raise RuntimeError(f"kernel failed on the {where} thread")
-        return segment_census_pure(t, sizes)
+        return segment_census_pure(t, jobs)
 
     # only the compiled kernel runs on more than one worker
     monkeypatch.setattr(treebank, "_segment_census_compiled", kernel)
     usable_cpus(monkeypatch, 2)
+    split_any_census(monkeypatch)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"on the {where} thread"):
         census(3, 4, workers=2)
@@ -361,30 +422,75 @@ def test_engine_selection(monkeypatch):
         census(3, 3, engine="compiled")
 
 
-def test_compiled_kernel_matches_reference(compiled_kernel):
+def test_compiled_kernel_matches_reference(compiled_kernel, monkeypatch):
     fast = compiled_kernel
     cases = [(3, (5,)), (2, (6,)), (4, (2, 3)), (3, (1, 2, 1)), (3, (2, 2)), (5, (4,))]
     for t, sizes in cases:
-        assert fast(t, sizes) == segment_census_pure(t, sizes)
-        edges, classes = fast(t, sizes, classes=True)
-        assert edges == fast(t, sizes)
-        assert (edges, classes) == segment_census_pure(t, sizes, classes=True)
+        jobs = [(sizes, (0,) * t)]
+        assert fast(t, jobs) == segment_census_pure(t, jobs)
+        edges, classes = fast(t, jobs, classes=True)
+        assert edges == fast(t, jobs)
+        assert (edges, classes) == segment_census_pure(t, jobs, classes=True)
+    # mixed root vectors in one space of 3 edges, the empty tuple among them
+    mixed = [((2, 1), (1, 0, 1)), ((), (1, 1, 1)), ((3,), (0, 1, 0)), ((1, 1, 2), (0, 0, 2))]
+    assert fast(3, mixed) == segment_census_pure(3, mixed)
+    for job in mixed:
+        assert fast(3, [job] * 2, classes=True) == segment_census_pure(3, [job] * 2, classes=True)
+    assert fast(3, []) == segment_census_pure(3, []) == {}
     for t, n in [(2, 9), (3, 7), (4, 5)]:
         assert census(t, n, engine="compiled") == census(t, n, engine="pure")
         assert joint_census(t, n, engine="compiled") == joint_census(t, n, engine="pure")
     for t, m, n in [(3, 1, 6), (3, 2, 6)] + [(5, m, 6) for m in range(1, 5)]:
         assert forest_census(t, m, n, engine="compiled") == \
             forest_census(t, m, n, engine="pure")
-    # the sizes of every root-split job of census(t, n, workers=2)
+    # every root-split job of census(t, n, workers=2), alone and all in one call
+    split_any_census(monkeypatch)
     for t, max_n in [(1, 8), (2, 7), (3, 6), (4, 5), (5, 4)]:
         for n in range(1, max_n + 1):
-            for comp in counting.compositions(t, n - 1):
-                sizes = tuple(s for s in comp if s)
-                assert fast(t, sizes) == segment_census_pure(t, sizes)
-                assert fast(t, sizes, classes=True) == \
-                    segment_census_pure(t, sizes, classes=True)
+            jobs = root_split_jobs(t, n)
+            assert fast(t, jobs) == segment_census_pure(t, jobs) == counting.count_table(t, n)
+            for job in jobs:
+                assert fast(t, [job]) == segment_census_pure(t, [job])
+                assert fast(t, [job], classes=True) == \
+                    segment_census_pure(t, [job], classes=True)
         assert census(t, max_n, workers=2, engine="compiled") == \
             census(t, max_n, workers=2, engine="pure")
+
+
+def test_forest_census_ranks_above_the_root_floor(compiled_kernel):
+    # 649,600 forests whose profiles start at one edge in each of slots
+    # 1..8 fill 816 cells above that floor, not 7,726,160 from zero
+    assert forest_census(16, 8, 11, budget=10**12) == counting.count_table(16, 11, 8)
+
+
+@pytest.mark.parametrize("engine", ["pure", "compiled"])
+def test_jobs_of_different_spaces_are_refused(engine, request):
+    kernel = segment_census_pure
+    if engine == "compiled":
+        request.getfixturevalue("compiled_kernel")
+        kernel = treebank._segment_census_capped
+    refused = "^jobs fill different composition spaces$"
+    # 2 edges against 3
+    with pytest.raises(ConstraintError, match=refused):
+        kernel(3, [((3,), (0, 0, 0)), ((3,), (1, 0, 0))])
+    # the classes rank in the jobs' space, so they need one roots vector
+    jobs = [((2,), (1, 0, 0)), ((2,), (0, 1, 0))]
+    assert kernel(3, jobs) == {(2, 0, 0): 1, (1, 1, 0): 2, (1, 0, 1): 1, (0, 2, 0): 1,
+                               (0, 1, 1): 1}
+    with pytest.raises(ConstraintError, match=refused):
+        kernel(3, jobs, classes=True)
+
+
+def test_compiled_kernel_refuses_malformed_jobs(compiled_kernel):
+    # what would read or write past the kernel's buffers
+    kernel = treebank._segment_census_capped
+    shape = r"^each job must be a \(sizes, roots\) pair of tuples, at most 3 sizes and 3 roots$"
+    for jobs in [[((1,), (0, 0))], [((1, 1, 1, 1), (0, 0, 0))], [[(1,), (0, 0, 0)]],
+                 [((1,), (0, 0, 0), ())], [([1], (0, 0, 0))]]:
+        with pytest.raises(ConstraintError, match=shape):
+            kernel(3, jobs)
+    with pytest.raises(ConstraintError, match="^root edge count -1 must be >= 0$"):
+        kernel(3, [((1,), (0, -1, 0))])
 
 
 def test_compiled_kernel_cell_cap_is_a_constraint_error(compiled_kernel):
@@ -426,7 +532,7 @@ def test_residues_mode_sums_the_path_of_each_tree():
             edges[tuple(map(sum, zip(*(edge_profile(x) for x in trees))))] += 1
             classes[tuple(sum(sizes) - sum(falls) for falls in
                           zip(*(residue_stats(tree_to_path(x), t) for x in trees)))] += 1
-        assert segment_census_pure(t, sizes, classes=True) == (edges, classes)
+        assert segment_census_pure(t, [(sizes, (0,) * t)], classes=True) == (edges, classes)
 
 
 def test_pure_walk_matches_object_enumeration():
@@ -448,12 +554,14 @@ def test_compiled_kernel_deep_chain(kernel_child):
 
 
 def check_degenerate(kernel):
-    assert kernel(3, ()) == {(0, 0, 0): 1}
-    assert kernel(3, (), classes=True) == ({(0, 0, 0): 1}, {(0, 0, 0): 1})
+    # the empty tuple, the one job of a root split at n = 1
+    assert kernel(3, [((), (0, 0, 0))]) == {(0, 0, 0): 1}
+    assert kernel(3, [((), (0, 0, 0))], classes=True) == ({(0, 0, 0): 1}, {(0, 0, 0): 1})
+    assert kernel(3, [((), (1, 0, 2))]) == {(1, 0, 2): 1}
     for sizes, bad in [((0,), 0), ((-1,), -1), ((2, 0, -1), 0)]:
         for classes in (False, True):
             with pytest.raises(ConstraintError, match=f"^segment size {bad} must be >= 1$"):
-                kernel(3, sizes, classes=classes)
+                kernel(3, [((1,), (0, 0, 0)), (sizes, (0, 0, 0))], classes=classes)
 
 
 def test_segment_census_degenerate():

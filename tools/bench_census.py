@@ -1,22 +1,24 @@
 """Timings of the census kernels, series, closed-form rows, CLI text and
 fresh processes, appended to BENCH_census.json.
 
-In-process rows time the census (each engine, 1 and 2 workers), the joint
-census, the probe, the series layer, compositions, the closed-form rows of
-``table`` and ``triangle`` and the text of ``arbor table`` and ``arbor
-paths``, each the best call of at least REPEAT and MIN_SECONDS.  Process
-rows launch start-up commands and whole ``table``, ``triangle``, ``paths
---probe`` and pinned ``verify`` commands through ``launch`` of
-``perfbench/run.py`` and keep their best wall time and peak RSS.  Each row
-is checked, and a failed check stops the run with its message.  The
-census, joint, workers and probe rows need the compiled kernel (``python
-setup.py build_ext --inplace``); without it they are left out:
+In-process rows time the census (each engine, 1 and 2 workers), the forest
+census (1 and 2 workers), the joint census, the probe, the series layer,
+compositions, the closed-form rows of ``table`` and ``triangle`` and the
+text of ``arbor table`` and ``arbor paths``, each the best call of at
+least REPEAT and MIN_SECONDS.  Process rows launch start-up commands and
+whole ``table``, ``triangle``, ``paths --probe`` and pinned ``verify``
+commands through ``launch`` of ``perfbench/run.py`` and keep their best
+wall time and peak RSS.  Each row is checked, and a failed check stops the
+run with its message.  The census, joint, workers and probe rows need the
+compiled kernel (``python setup.py build_ext --inplace``); without it they
+are left out:
 
     PYTHONPATH=src python tools/bench_census.py
 
 Each run appends one row set to ``BENCH_census.json`` at the repository
-root, stamped with the git SHA (``"dirty": true`` when ``src`` or ``tools``
-differ from it), the Python version and the CPU count.
+root, stamped with the git SHA (``"dirty": true`` when ``src``, ``tools``
+or ``tests``, which holds the references of the checks, differ from it),
+the Python version and the CPU count.
 """
 import contextlib
 import hashlib
@@ -41,7 +43,8 @@ from references import old_rule_table, old_triangle_text, reference_listing  # n
 OUT = ROOT / "BENCH_census.json"
 SIZES = [(3, 11), (2, 15), (4, 8), (3, 9)]
 JOINT_SIZES = [(3, 9), (3, 10)]
-WORKER_SIZES = [(3, 11), (8, 6), (16, 5)]
+WORKER_SIZES = [(3, 11, None), (8, 6, None), (16, 5, None), (4, 9, None), (5, 8, None),
+                (3, 11, 2)]  # (t, n, m)
 PROBE_SIZES = [(3, 9)]
 COMPOSITION_SIZES = [(6, 21, 0), (6, 29, 0), (4, 30, 3)]  # (t, total, m)
 CLOSED_FORM_SIZES = [(6, 22, None), (6, 30, None), (4, 30, 3)]  # (t, n, m)
@@ -315,17 +318,22 @@ def kernel_rows():
         if edges != treebank.census(t, n):
             sys.exit(f"joint_census t={t} n={n}: edge table differs from census")
         rows.append(show(row))
-    for t, n in WORKER_SIZES:
-        one_s, one = best(lambda: treebank.census(t, n, engine="compiled", budget=10**12))
-        two_s, two = best(lambda: treebank.census(t, n, workers=2, engine="compiled",
-                                                  budget=10**12))
-        if one != two:
-            sys.exit(f"census t={t} n={n}: 1 and 2 workers give different tables")
-        rows.append(show({"layer": "workers", "t": t, "n": n,
-                          "trees": counting.total_trees(t, n),
-                          "root_splits": counting.binomial(n + t - 2, t - 1),
-                          "one_s": round(one_s, 5), "two_s": round(two_s, 5),
-                          "two_over_one": round(two_s / one_s, 2)}))
+    for t, n, m in WORKER_SIZES:
+        group, census = ((t, n), treebank.census) if m is None else (
+            (t, m, n), treebank.forest_census)
+        one_s, one = best(lambda: census(*group, engine="compiled", budget=10**12))
+        two_s, two = best(lambda: census(*group, workers=2, engine="compiled",
+                                         budget=10**12))
+        if not one == two == counting.count_table(t, n, m):
+            sys.exit(f"{census.__name__}{group}: 1 and 2 workers give different "
+                     "tables or differ from the closed form")
+        rows.append(show({"layer": "workers", "t": t, "n": n, **(
+            {"trees": counting.total_trees(t, n),
+             "root_splits": counting.binomial(n + t - 2, t - 1)} if m is None else
+            {"m": m, "forests": counting.total_forests(t, m, n),
+             "node_splits": counting.binomial(n - 1, m - 1)}),
+            "one_s": round(one_s, 5), "two_s": round(two_s, 5),
+            "two_over_one": round(two_s / one_s, 2)}))
     for t, n in PROBE_SIZES:
         probe_s, _ = best(lambda: paths.residue_distribution_probe(t, n, budget=10**12))
         rows.append(show({"layer": "probe", "t": t, "n": n,
@@ -348,7 +356,7 @@ def main():
     runs = json.loads(OUT.read_text()) if OUT.is_file() else []
     runs.append({
         "git_sha": git("rev-parse", "HEAD"),
-        "dirty": bool(git("status", "--porcelain", "--", "src", "tools")),
+        "dirty": bool(git("status", "--porcelain", "--", "src", "tools", "tests")),
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
         "repeat": REPEAT,

@@ -37,12 +37,10 @@
 #define NODE (-1)
 #define SEGMENT (-2)
 
-/* Inlined into the job loop, the walk took 74 ms for t=3 n=11 against 67.
-   Its speed also moves with where its loops fall: on x86-64 under GCC 12 a
-   64-byte aligned start took t=3 n=11 from 69 to 66 ms, t=2 n=15 79 to 77. */
+/* Inlined into the job loop, the walk took 74 ms for t=3 n=11 against 67. */
 #if defined(__GNUC__) || defined(__clang__)
 #define ALWAYS_INLINE inline __attribute__((always_inline))
-#define WALK __attribute__((noinline, aligned(64)))
+#define WALK __attribute__((noinline))
 #else
 #define ALWAYS_INLINE inline
 #define WALK

@@ -429,9 +429,12 @@ def _segment_census_capped(t: int, jobs: Sequence[tuple], classes: bool = False)
         raise ConstraintError(str(exc)) from None
 
 
-# One usable worker per 2**_SPLIT_FLOOR objects: the compiled walk runs about
-# 120M trees/s, and a thread costs 0.05-0.3 ms to start.
-_SPLIT_FLOOR = 20
+def _split_pays(total: int, jobs: int) -> bool:
+    """Whether threads sharing ``jobs`` splits of ``total`` objects beat one
+    call: on 2 CPUs a job costs about what walking 2**11 trees does and a
+    fresh process's first thread 2**16 (README, "Library use")."""
+    return total >= (jobs + 32) << 11
+
 
 
 def _census_kernel(t: int, n: int, m: Optional[int], budget: Optional[int],
@@ -453,7 +456,8 @@ def _census_kernel(t: int, n: int, m: Optional[int], budget: Optional[int],
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     jobs = counting.binomial(n - 1, m - 1) if m else counting.binomial(n + t - 2, t - 1)
-    return _segment_census_capped, max(1, min(workers, cpus, jobs, total >> _SPLIT_FLOOR))
+    return _segment_census_capped, (max(1, min(workers, cpus, jobs))
+                                    if _split_pays(total, jobs) else 1)
 
 
 def _run_jobs(kernel, t: int, jobs: list, workers: int) -> dict:
@@ -501,10 +505,11 @@ def census(
 
     Refuses up front when the object count exceeds the budget.  The usable
     workers are found first: one for the pure kernel, which holds the GIL,
-    else the fewest of ``workers``, the CPUs this process may run on, the
-    root size splits, C(n+t-2, t-1) of them, and one per 2**20 trees of the
-    closed-form total.  One usable worker walks the whole tree; more share
-    the root's size splits, and the summed table is the sequential one.
+    else the fewest of ``workers``, the CPUs this process may run on and the
+    root size splits, C(n+t-2, t-1) of them, when the closed-form total pays
+    for the split (at least 2**11 trees per split plus 2**16), else one.
+    One usable worker walks the whole tree; more share the root's size
+    splits, and the summed table is the sequential one.
     """
     kernel, workers = _census_kernel(t, n, None, budget, engine, workers)
     # one worker walks the whole tree; more share the root splits' subtrees

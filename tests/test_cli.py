@@ -158,7 +158,7 @@ def test_kernel_cell_cap_under_workers_exit_1(capsys, monkeypatch, compiled_kern
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(treebank, "_segment_census_compiled", kernel)
-    monkeypatch.setattr(treebank, "_SPLIT_FLOOR", 0)
+    monkeypatch.setattr(treebank, "_split_pays", lambda total, jobs: True)
     code, out, err = run(capsys, "verify", "--t", "3", "--max-n", "7",
                          "--mode", "brute", "--workers", "2")
     assert (code, out) == (1, "")

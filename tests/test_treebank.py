@@ -248,9 +248,9 @@ def usable_cpus(monkeypatch, cpus):
 
 
 def split_any_census(monkeypatch):
-    """Let a census of any size take more than one worker: below 2**20
-    objects a census stays on the calling thread."""
-    monkeypatch.setattr(treebank, "_SPLIT_FLOOR", 0)
+    """Let a census of any size take more than one worker: one too small to
+    pay for the split stays on the calling thread."""
+    monkeypatch.setattr(treebank, "_split_pays", lambda total, jobs: True)
 
 
 def root_split_jobs(t, n):
@@ -322,11 +322,6 @@ def test_worker_pool_clamped_to_job_count(monkeypatch, compiled_kernel, started)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run(census, 3, 4)
     assert pool_sizes == [10, 4, 3, 2]
-    # one worker per 2**floor trees of the closed-form total: 55 >> 4 is 3
-    usable_cpus(monkeypatch, 64)
-    monkeypatch.setattr(treebank, "_SPLIT_FLOOR", 4)
-    run(census, 3, 4)
-    assert pool_sizes == [10, 4, 3, 2, 3]
 
 
 def test_each_worker_walks_its_balanced_share_in_one_call(monkeypatch, compiled_kernel):
@@ -365,6 +360,19 @@ def test_small_census_stays_on_the_calling_thread(monkeypatch, compiled_kernel, 
     usable_cpus(monkeypatch, 2)
     assert census(3, 7, workers=2) == counting.count_table(3, 7)
     assert (calls, started) == ([[((7,), (0, 0, 0))]], [])
+
+
+def test_split_pays_from_its_measured_floor(monkeypatch, compiled_kernel, started):
+    # 2**11 trees per split plus 2**16: the floor itself splits
+    assert treebank._split_pays((45 + 32) << 11, 45)
+    assert not treebank._split_pays(((45 + 32) << 11) - 1, 45)
+    usable_cpus(monkeypatch, 2)
+    # 43,263 trees in 36 root splits stay; 246,675 in 45 take a thread;
+    # 316,316 in 3,876 stay, as building and merging them costs more
+    for t, n, threads in [(3, 8, 0), (3, 9, 1), (16, 5, 0)]:
+        del started[:]
+        assert census(t, n, workers=2) == counting.count_table(t, n)
+        assert len(started) == threads
 
 
 def test_one_usable_cpu_runs_the_whole_walk(monkeypatch, compiled_kernel, started):

@@ -44,6 +44,7 @@ OUT = ROOT / "BENCH_census.json"
 SIZES = [(3, 11), (2, 15), (4, 8), (3, 9)]
 JOINT_SIZES = [(3, 9), (3, 10)]
 WORKER_SIZES = [(3, 11, None), (8, 6, None), (16, 5, None), (4, 9, None), (5, 8, None),
+                (3, 10, None), (2, 13, None), (2, 14, None), (6, 7, None),
                 (3, 11, 2)]  # (t, n, m)
 PROBE_SIZES = [(3, 9)]
 COMPOSITION_SIZES = [(6, 21, 0), (6, 29, 0), (4, 30, 3)]  # (t, total, m)

@@ -255,9 +255,25 @@ segment_census(PyObject *self, PyObject *args, PyObject *kwargs)
     jobs = PySequence_Tuple(jobs_obj);
     if (jobs == NULL)
         return NULL;
+    /* every job's shape before anything is sized by t: each one then holds
+       t roots, and an empty list is an empty table */
+    J = PyTuple_GET_SIZE(jobs);
+    for (Py_ssize_t j = 0; j < J; j++) {
+        PyObject *pair = PyTuple_GET_ITEM(jobs, j), *sizes, *roots;
+        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2 ||
+            !PyTuple_Check(sizes = PyTuple_GET_ITEM(pair, 0)) || PyTuple_GET_SIZE(sizes) > t ||
+            !PyTuple_Check(roots = PyTuple_GET_ITEM(pair, 1)) || PyTuple_GET_SIZE(roots) != t) {
+            PyErr_Format(PyExc_ValueError, "each job must be a (sizes, roots) pair of "
+                         "tuples, at most %zd sizes and %zd roots", t, t);
+            goto done;
+        }
+    }
+    if (J == 0) {
+        result = classes ? Py_BuildValue("({}{})") : PyDict_New();
+        goto done;
+    }
     /* profile, classes, the root floor, the lexicographic row of table, then
        each job as k, roots[0..t), sizes[0..k) in 1 + 2t words */
-    J = PyTuple_GET_SIZE(jobs);
     words = J < limit / (2 * t + 1) ?
         PyMem_Calloc(4 * t + J * (2 * t + 1), sizeof(Py_ssize_t)) : NULL;
     if (words == NULL) {
@@ -271,17 +287,9 @@ segment_census(PyObject *self, PyObject *args, PyObject *kwargs)
     lex = words + 3 * t;
     first = job = words + 4 * t;
     for (Py_ssize_t j = 0; j < J; j++, job += 1 + 2 * t) {
-        PyObject *pair = PyTuple_GET_ITEM(jobs, j);
-        int is_pair = PyTuple_Check(pair) && PyTuple_GET_SIZE(pair) == 2;
-        PyObject *sizes = is_pair ? PyTuple_GET_ITEM(pair, 0) : NULL;
-        PyObject *roots = is_pair ? PyTuple_GET_ITEM(pair, 1) : NULL;
-        Py_ssize_t k = 0, N = 0, lift = 0;
-        if (!is_pair || !PyTuple_Check(sizes) || !PyTuple_Check(roots) ||
-            (k = PyTuple_GET_SIZE(sizes)) > t || PyTuple_GET_SIZE(roots) != t) {
-            PyErr_Format(PyExc_ValueError, "each job must be a (sizes, roots) pair of "
-                         "tuples, at most %zd sizes and %zd roots", t, t);
-            goto done;
-        }
+        PyObject *sizes = PyTuple_GET_ITEM(PyTuple_GET_ITEM(jobs, j), 0);
+        PyObject *roots = PyTuple_GET_ITEM(PyTuple_GET_ITEM(jobs, j), 1);
+        Py_ssize_t k = PyTuple_GET_SIZE(sizes), N = 0, lift = 0;
         job[0] = k;
         for (Py_ssize_t i = 0; i < k; N += job[1 + t + i++])
             if (to_ssize(PyTuple_GET_ITEM(sizes, i), 1, limit / t - 1 - N,

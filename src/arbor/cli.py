@@ -287,16 +287,20 @@ CHECKS = (
 
 def _compare(check: _Check, args, ms: tuple) -> bool:
     """Run one table entry: key sets first, then values; one PASS or FAIL line.
-    The first failing table ends the entry; later entries still run."""
+    The first failing table or ArithmeticError ends it; later entries run."""
     count = 0
-    for where, got, want in check.case(args, ms):
-        if got != want:
-            stray = got.keys() ^ want.keys()
-            key = min(stray) if stray else next(k for k in want if got[k] != want[k])
-            what = "key set differs" if stray else "mismatch"
-            print(f"FAIL {check.name} {what} at {where} {check.label}={key}")
-            return False
-        count += len(want)
+    try:
+        for where, got, want in check.case(args, ms):
+            if got != want:
+                stray = got.keys() ^ want.keys()
+                key = min(stray) if stray else next(k for k in want if got[k] != want[k])
+                what = "key set differs" if stray else "mismatch"
+                print(f"FAIL {check.name} {what} at {where} {check.label}={key}")
+                return False
+            count += len(want)
+    except ArithmeticError as exc:
+        print(f"FAIL {check.name} {exc}")
+        return False
     print("PASS " + check.passed.format(t=args.t, n=args.max_n,
                                         m=",".join(map(str, ms)), count=count,
                                         orders=count * factorial(args.t)))
@@ -307,7 +311,8 @@ def _verify_entries(args) -> list:
     """Every (check, forest sizes) entry that ``--mode`` runs, in run order,
     once their costs together pass the budget, the ring steps first: at t=1
     each census holds one tree, so its own bound cannot stop the nodes of
-    them all.  ``--mode brute`` loads no series ring."""
+    them all.  Each census's own guard then runs in run order, so none walks
+    before one is refused.  ``--mode brute`` loads no series ring."""
     ms = range(1, min(args.t, args.max_n + 1)) if args.forest is None else [args.forest]
     scopes = {"trees": [()], "each m": [(m,) for m in ms],
               "all m": [tuple(ms)] if ms else []}
@@ -317,6 +322,11 @@ def _verify_entries(args) -> list:
                                   for m in group or (1,)]))
     check_budget(f"verify(t={args.t}, max-n={args.max_n}, mode={args.mode})", [
         (steps, "take %d series ring steps"), (nodes, "place %d nodes")], args.budget)
+    for check, group in entries:
+        if check.case is _census:
+            from arbor import treebank
+            for n, m, _ in _groups(args, group):
+                treebank.check_census_budget(args.t, n, m, args.budget)
     return entries
 
 

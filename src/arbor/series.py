@@ -4,7 +4,8 @@ One variable marks nodes, t further variables mark edge types.  The tree
 generating series solves g = x * (1 + y1*g) * ... * (1 + yt*g); this module
 obtains it two independent ways: fixed-point iteration on the equation, and
 direct coefficient extraction from the expanded product (the inversion rule
-[x^n] g = (1/n) [g^(n-1)] prod (1 + yi*g)^n).
+[x^n] g = (1/n) [g^(n-1)] prod (1 + yi*g)^n).  Both multiply grade lists
+(one dict per degree) by ``_grade_product`` alone; ``MultiSeries`` reads one.
 """
 from __future__ import annotations
 
@@ -51,22 +52,15 @@ def _grade_product(a: list, b: list, d: int) -> dict:
     return out
 
 
-def _nonzero(terms: dict) -> dict:
-    return {k: c for k, c in terms.items() if c} if 0 in terms.values() else terms
-
-
 class MultiSeries:
-    """Sparse series in x and y1..yt, truncated at a fixed x-degree.
+    """Sparse series in x and y1..yt, truncated at a fixed x-degree: the
+    value that ``solve_G`` and ``residual`` return, with no arithmetic.
 
-    Direct inversion reuses the same ring with g in the place of x.  The
-    public form of a term is (n, (a1, ..., at)) with 0 <= n <= truncation
-    and 0 <= ai <= n: a term of the tree series counts n nodes (or g-degree
-    n) and ai edges of type i, so no part exceeds its degree.  Inside,
-    terms are graded by x-degree: ``_grades[n]`` maps each exponent vector
-    of degree n, packed as one int in base truncation + 1, to its nonzero
-    coefficient, so multiplying monomials adds two ints.  Sums and products
-    keep every part at most its degree, so digits never carry.  Values are
-    immutable by convention; arithmetic returns new instances.
+    The public form of a term is (n, (a1, ..., at)) with 0 <= n <= truncation
+    and 0 <= ai <= n: a term of the tree series counts n nodes and ai edges
+    of type i.  ``_grades[n]`` maps each exponent vector of degree n, packed
+    in base truncation + 1, to its nonzero coefficient: the grade list that
+    ``_grade_product`` multiplies.  Values are immutable by convention.
     """
 
     __slots__ = ("arity", "truncation", "_base", "_grades")
@@ -88,8 +82,9 @@ class MultiSeries:
 
     @classmethod
     def _ring_result(cls, arity: int, truncation: int, grades: list) -> "MultiSeries":
-        """A series the ring built itself from checked operands, so its
-        terms are not checked again; grades hold no zero coefficients."""
+        """A series on grades that ``_grade_product`` built from checked
+        operands, so its terms are not checked again; grades hold no zero
+        coefficients."""
         out = cls(arity, truncation)
         out._grades = grades
         return out
@@ -101,53 +96,6 @@ class MultiSeries:
             raise ConstraintError(
                 f"exponent vector {a} is not {self.arity} non-negative parts"
             )
-
-    @classmethod
-    def one(cls, arity: int, truncation: int) -> "MultiSeries":
-        return cls(arity, truncation, {(0, (0,) * arity): 1})
-
-    @classmethod
-    def x(cls, arity: int, truncation: int) -> "MultiSeries":
-        terms = {(1, (0,) * arity): 1} if truncation >= 1 else {}
-        return cls(arity, truncation, terms)
-
-    def _check_match(self, other: "MultiSeries") -> None:
-        if self.arity != other.arity:
-            raise ConstraintError(f"arity mismatch: {self.arity} vs {other.arity}")
-        if self.truncation != other.truncation:
-            raise ConstraintError(
-                f"truncation mismatch: {self.truncation} vs {other.truncation}")
-
-    def __add__(self, other: "MultiSeries") -> "MultiSeries":
-        self._check_match(other)
-        out = []
-        for mine, theirs in zip(self._grades, other._grades):
-            grade = dict(mine)
-            get = grade.get
-            for key, c in theirs.items():
-                grade[key] = get(key, 0) + c
-            out.append(_nonzero(grade))
-        return MultiSeries._ring_result(self.arity, self.truncation, out)
-
-    def __mul__(self, other: "MultiSeries") -> "MultiSeries":
-        self._check_match(other)
-        a, b = self._grades, other._grades
-        out = [_nonzero(_grade_product(a, b, d)) for d in range(self.truncation + 1)]
-        return MultiSeries._ring_result(self.arity, self.truncation, out)
-
-    def times_y(self, slot: int) -> "MultiSeries":
-        """Multiply by the edge marker of the given slot (1-based).  Refused
-        when a term's part in that slot already equals its degree, since
-        the product would hold a part above its degree."""
-        if not 1 <= slot <= self.arity:
-            raise ConstraintError(f"slot {slot} outside 1..{self.arity}")
-        base = self._base
-        shift = base ** (self.arity - slot)
-        for n, grade in enumerate(self._grades):
-            if any(key // shift % base == n for key in grade):
-                raise ConstraintError(f"part {slot} of a term equals its x-degree {n}")
-        out = [{k + shift: c for k, c in grade.items()} for grade in self._grades]
-        return MultiSeries._ring_result(self.arity, self.truncation, out)
 
     def coefficient(self, n: int, parts: Sequence[int]) -> int:
         """Stored coefficient of x^n * y^parts, or 0; the term must be in
@@ -223,12 +171,25 @@ def solve_G(t: int, N: int) -> MultiSeries:
 
 
 def residual(g: MultiSeries) -> MultiSeries:
-    """x * prod_j (1 + yj*g) as a full ring product: g when g solves it."""
-    t, N = g.arity, g.truncation
-    one, rhs = MultiSeries.one(t, N), MultiSeries.x(t, N)
-    for slot in range(1, t + 1):
-        rhs = rhs * (one + g.times_y(slot))
-    return rhs
+    """x * prod_j (1 + yj*g) as a full product of grade lists: g when g
+    solves it.  Factor j adds one digit to every key of g.  A g with a part
+    at or above its degree solves no tree equation, and its shifted keys
+    could carry, so it is refused with an ArithmeticError naming the term."""
+    t, N, grades = g.arity, g.truncation, g._grades
+    base = N + 1
+    shifts = [base ** (t - slot) for slot in range(1, t + 1)]
+    for n, grade in enumerate(grades):
+        for shift in shifts:
+            for key in grade:
+                if key // shift % base >= n:
+                    raise ArithmeticError(f"g holds x^{n}*y^{_unpack(key, base, t)}, "
+                                          "a part of which is not below its x-degree")
+    rhs = [{0: 1} if d == 1 else {} for d in range(N + 1)]  # x
+    for shift in shifts:
+        factor = [{0: 1}] + [{k + shift: c for k, c in grade.items()} for grade in grades[1:]]
+        rhs = [_grade_product(rhs, factor, d) for d in range(N + 1)]
+    return MultiSeries._ring_result(t, N, [{k: c for k, c in grade.items() if c}
+                                           if 0 in grade.values() else grade for grade in rhs])
 
 
 def _weak(total: int, parts: int) -> int:
@@ -276,16 +237,19 @@ def inversion_steps_through(t: int, gmax: int) -> int:
         _weak(gmax, j + 2) for j in range(1, t + 1))
 
 
-def _expanded_product(t: int, gmax: int, power: int) -> MultiSeries:
-    """prod_i (1 + yi*g)^power with g in the truncated variable's place,
-    each factor written out from its binomial coefficients."""
+def _expanded_product(t: int, gmax: int, power: int) -> list:
+    """The grades of prod_i (1 + yi*g)^power through g-degree gmax, keys
+    packed in base gmax + 1, each factor written out from a Pascal row of
+    its own: C(power, k) = C(power, k-1) * (power-k+1) / k."""
     base = gmax + 1
-    p = MultiSeries.one(t, gmax)
+    row = [1]
+    for k in range(1, min(power, gmax) + 1):
+        row.append(row[-1] * (power - k + 1) // k)
+    p = [{0: 1}] + [{} for _ in range(gmax)]
     for i in range(t):
         weight = base ** (t - 1 - i)
-        factor = [{k * weight: counting.binomial(power, k)} if k <= power else {}
-                  for k in range(gmax + 1)]
-        p = p * MultiSeries._ring_result(t, gmax, factor)
+        factor = [{k * weight: c} for k, c in enumerate(row)] + [{}] * (gmax + 1 - len(row))
+        p = [_grade_product(p, factor, d) for d in range(gmax + 1)]
     return p
 
 
@@ -305,15 +269,14 @@ def lagrange_table(t: int, n: int, m: Optional[int] = None) -> dict:
     counting.shape(t, n, m)
     roots = (1,) * (m or 0) + (0,) * (t - (m or 0))
     m = m or 1  # a tree reads what a 1-forest reads, less its root edge
-    product = _expanded_product(t, n - m, n)
     counts = {}
-    for key, c in product._grades[n - m].items():
+    for key, c in _expanded_product(t, n - m, n)[n - m].items():
         q, r = divmod(m * c, n)
         if r:
             raise ArithmeticError(
                 f"extracted coefficient {m * c} not divisible by n={n}"
             )
-        counts[tuple(map(add, _unpack(key, product._base, t), roots))] = q
+        counts[tuple(map(add, _unpack(key, n - m + 1, t), roots))] = q
     return counts
 
 

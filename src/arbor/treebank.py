@@ -326,8 +326,10 @@ def segment_census_pure(t: int, jobs: Sequence[tuple], classes: bool = False):
     (sizes, roots) into one table.
 
     Segment j < t is a tree with exactly sizes[j] nodes; a profile counts
-    the edges inside the trees, plus roots[i] in slot i + 1.  The jobs'
-    profiles must share one total, and in classes mode one roots vector.
+    the edges inside the trees, plus roots[i] in slot i + 1.  Each job is a
+    pair of tuples, at most t sizes and t roots, none below 1 and 0; the
+    jobs' profiles must share one total, and in classes mode one roots
+    vector.  Both kernels refuse the same jobs with the same messages.
 
     The compiled kernel in ``_speedups.c`` runs this walk step for step,
     forced tail and trail included.  It backtracks over preorder words (a
@@ -346,17 +348,27 @@ def segment_census_pure(t: int, jobs: Sequence[tuple], classes: bool = False):
     number of steps, and the node count minus classes[r] is the fall count
     of ``paths.residue_stats`` in class r.
     """
-    node, segment = -1, -2
-    table: Counter = Counter()
-    class_table: Counter = Counter()
+    for job in jobs:  # the compiled kernel's refusals, in its order
+        if not (isinstance(job, tuple) and len(job) == 2
+                and all(isinstance(x, tuple) for x in job)
+                and len(job[0]) <= t and len(job[1]) == t):
+            raise ConstraintError(f"each job must be a (sizes, roots) pair of tuples, "
+                                  f"at most {t} sizes and {t} roots")
     spaces = set()
     for sizes, roots in jobs:
         for nodes in sizes:
             if nodes < 1:
                 raise ConstraintError(f"segment size {nodes} must be >= 1")
-        spaces.add((sum(sizes) - len(sizes) + sum(roots), tuple(roots) if classes else ()))
+        for lift in roots:
+            if lift < 0:
+                raise ConstraintError(f"root edge count {lift} must be >= 0")
+        spaces.add((sum(sizes) - len(sizes) + sum(roots), roots if classes else ()))
         if len(spaces) > 1:
             raise ConstraintError("jobs fill different composition spaces")
+    node, segment = -1, -2
+    table: Counter = Counter()
+    class_table: Counter = Counter()
+    for sizes, roots in jobs:
         k = len(sizes)
         profile = list(roots)
         counts = [0] * t      # non-root nodes by starting height mod t
@@ -436,17 +448,22 @@ def _split_pays(total: int, jobs: int) -> bool:
     return total >= (jobs + 32) << 11
 
 
-
-def _census_kernel(t: int, n: int, m: Optional[int], budget: Optional[int],
-                   engine: str, workers: int = 1):
-    """The kernel for a census of the n-node t-ary trees, or with m the
-    m-forests, once the shape (checked by the closed-form total) and the
-    budget pass, and how many workers can run it side by side (see
-    :func:`census`)."""
+def check_census_budget(t: int, n: int, m: Optional[int], budget: Optional[int]) -> int:
+    """The closed-form total of a census of the n-node t-ary trees, or with
+    m the m-forests, once the shape (checked by the total) passes and
+    neither the total nor the node count is over the budget."""
     action, noun = (f"census(t={t}, n={n})", "trees") if m is None else (
         f"forest_census(t={t}, m={m}, n={n})", "forests")
     total = counting.group_total(t, n, m)
     check_budget(action, [(total, f"enumerate %d {noun}"), (n, "place %d nodes")], budget)
+    return total
+
+
+def _census_kernel(t: int, n: int, m: Optional[int], budget: Optional[int],
+                   engine: str, workers: int = 1):
+    """The kernel for a census that :func:`check_census_budget` passes, and
+    how many workers can run it side by side (see :func:`census`)."""
+    total = check_census_budget(t, n, m, budget)
     if engine not in ("auto", "compiled", "pure"):
         raise ConstraintError(f"unknown engine {engine!r} (expected auto, compiled or pure)")
     if engine == "pure" or (engine == "auto" and _segment_census_compiled is None):

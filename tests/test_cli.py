@@ -1,12 +1,14 @@
 """Command-line surface: outputs, exit codes, determinism."""
 import argparse
 import contextlib
+import inspect
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 from itertools import permutations, product
@@ -731,7 +733,9 @@ def test_verify_bounds_the_nodes_of_all_its_censuses(capsys, monkeypatch):
             f"error: verify(t=1, max-n={max_n}, mode=brute) would place "
             f"{nodes} nodes, budget is 10000000\n"))
     # the trees place n = 1..max-n nodes and the forests of each m
-    # n = m..max-n, so the default budget admits t=1 up to max-n 4471
+    # n = m..max-n, so the default budget admits t=1 up to max-n 4471; each
+    # census's own guard, which runs after the sum, is left out here
+    monkeypatch.setattr(treebank, "check_census_budget", lambda *args: None)
     parse = cli.build_parser().parse_args
     for argv, nodes in ((["--t", "1", "--max-n", "4471"], 9997156),
                         (["--t", "3", "--max-n", "4"], 29),
@@ -741,6 +745,30 @@ def test_verify_bounds_the_nodes_of_all_its_censuses(capsys, monkeypatch):
         args.budget -= 1
         with pytest.raises(errors.BudgetExceededError, match=f" would place {nodes} nodes, "):
             cli._verify_entries(args)
+
+
+def test_verify_refuses_a_census_before_any_walks(capsys, monkeypatch):
+    # the first census over the budget, named by its own guard, refuses the
+    # whole run before the smaller censuses walk: on the pure kernel those
+    # take seconds (7 s for t=3, n<=11)
+    monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
+    for argv, refusal in (
+        (["--t", "3", "--max-n", "12", "--mode", "brute"],
+         "census(t=3, n=12) would enumerate 50067108 trees"),
+        (["--t", "3", "--max-n", "12", "--mode", "all"],
+         "census(t=3, n=12) would enumerate 50067108 trees"),
+        (["--t", "2", "--max-n", "16", "--mode", "brute"],
+         "census(t=2, n=16) would enumerate 35357670 trees"),
+        (["--t", "16", "--max-n", "6", "--mode", "brute", "--forest", "2"],
+         "census(t=16, n=6) would enumerate 10187344 trees"),
+        (["--t", "3", "--max-n", "9", "--mode", "brute", "--budget", "100000"],
+         "census(t=3, n=9) would enumerate 246675 trees"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", *argv, "--engine", "pure")
+        assert time.perf_counter() - start < 0.5, argv
+        budget = argv[-1] if "--budget" in argv else "10000000"
+        assert (code, out, err) == (2, "", f"error: {refusal}, budget is {budget}\n")
 
 
 @pytest.mark.parametrize("mode", ["brute", "series", "lagrange", "all"])
@@ -889,17 +917,41 @@ def series_off_by_one(real, n_at, parts):
 
 
 def term_missing(real, gmax_at, power_at):
-    """``real`` (the inversion's expanded product) without its first term of
-    top g-degree when truncated at g-degree gmax_at and raised to the power
-    power_at."""
+    """``real`` (the inversion's expanded product, a grade list) without its
+    first term of top g-degree when truncated at g-degree gmax_at and raised
+    to the power power_at.  Packed keys sort as their exponent vectors do."""
     def lying(t, gmax, power):
         p = real(t, gmax, power)
         if (gmax, power) != (gmax_at, power_at):
             return p
-        terms = {(n, a): c for n, a, c in p.terms()}
-        del terms[min(key for key in terms if key[0] == gmax)]
-        return series.MultiSeries(t, gmax, terms)
+        top = dict(p[gmax])
+        del top[min(top)]
+        return p[:gmax] + [top]
     return lying
+
+
+def term_raised(real, gmax_at, power_at):
+    """``real`` (the inversion's expanded product) with its first term of top
+    g-degree one larger at (gmax_at, power_at), so that its extracted
+    coefficient is no multiple of n."""
+    def lying(t, gmax, power):
+        p = real(t, gmax, power)
+        if (gmax, power) == (gmax_at, power_at):
+            top = dict(p[gmax])
+            top[min(top)] += 1
+            p = p[:gmax] + [top]
+        return p
+    return lying
+
+
+def mutant(module, name, old, new):
+    """``module.name`` recompiled from its own source with the one ``old``
+    text in it replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
 
 
 # One wrong oracle per case: the verify mode, the FAIL lines (each names the
@@ -973,6 +1025,27 @@ FAIL_CASES = {
          "FAIL tree sum identity mismatch at t=3 n=2",
          "FAIL symmetry mismatch at t=3 n=2 a=(0, 0, 1) perm=(2, 0, 1)"],
         "summary: 5/10 checks passed"),
+    "series ring key": (
+        # every product key with the left monomial y3 raised by one more y3:
+        # the solved g holds a term with a part at its degree, which the
+        # residual refuses, and direct inversion never meets that key
+        lambda: [(series, "_grade_product",
+                  mutant(series, "_grade_product", "key = k1 + k2",
+                         "key = k1 + k2 + (k1 == 1)"))],
+        "all",
+        ["FAIL series g holds x^3*y^(0, 0, 3), a part of which is not below "
+         "its x-degree"],
+        "summary: 9/10 checks passed"),
+    "inversion indivisible": (
+        # n=3 reads the product of g-degree 2 and power 3 for the trees and
+        # for m=1; its raised term is no multiple of 3, and the entries after
+        # the two that fail still run
+        lambda: [(series, "_expanded_product",
+                  term_raised(series._expanded_product, 2, 3))],
+        "all",
+        ["FAIL inversion extracted coefficient 4 not divisible by n=3",
+         "FAIL forest inversion extracted coefficient 4 not divisible by n=3"],
+        "summary: 8/10 checks passed"),
     "series residual": (
         # g and the closed form agree, but g does not solve the equation
         lambda: [(counting, "count_table",

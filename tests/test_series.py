@@ -1,4 +1,6 @@
 """Series ring, fixed-point solution, and direct coefficient extraction."""
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,51 +14,6 @@ from arbor.series import (
     lagrange_table,
     solve_G,
 )
-
-
-def term_key(n, parts):
-    return (n, tuple(parts))
-
-
-def test_mul_examples():
-    x = MultiSeries.x(2, 4)
-    x2 = x * x
-    assert x2.coefficient(2, (0, 0)) == 1
-    assert x2.coefficient(1, (0, 0)) == 0
-    # (1 + y1 x)(1 + y2 x) = 1 + y1 x + y2 x + y1 y2 x^2
-    a = MultiSeries(2, 4, {term_key(0, (0, 0)): 1, term_key(1, (1, 0)): 1})
-    b = MultiSeries(2, 4, {term_key(0, (0, 0)): 1, term_key(1, (0, 1)): 1})
-    p = a * b
-    assert p.coefficient(0, (0, 0)) == 1
-    assert p.coefficient(1, (1, 0)) == 1
-    assert p.coefficient(1, (0, 1)) == 1
-    assert p.coefficient(2, (1, 1)) == 1
-    assert p.coefficient(2, (2, 0)) == 0
-
-
-def test_add_identity_and_normalization():
-    s = MultiSeries(2, 3, {term_key(1, (1, 0)): 2, term_key(2, (1, 1)): -1})
-    zero = MultiSeries(2, 3)
-    assert s + zero == s
-    neg = MultiSeries(2, 3, {(n, a): -c for n, a, c in s.terms()})
-    total = s + neg
-    assert total == zero
-    assert list(total.terms()) == []
-    assert not any(total._grades)  # no stored zeros
-
-
-def test_truncation_drops_high_orders():
-    x = MultiSeries.x(2, 2)
-    x2 = x * x
-    x3 = x2 * x
-    assert x3 == MultiSeries(2, 2)
-
-
-def test_mismatch_errors():
-    with pytest.raises(ConstraintError):
-        MultiSeries.one(2, 3) + MultiSeries.one(3, 3)
-    with pytest.raises(ConstraintError):
-        MultiSeries.one(2, 3) * MultiSeries.one(2, 4)
 
 
 def test_init_rejects_out_of_range_terms():
@@ -77,7 +34,12 @@ def test_init_rejects_out_of_range_terms():
     with pytest.raises(ConstraintError,
                        match=r"^exponent vector \(1, 3\) has a part above x-degree 2$"):
         MultiSeries(2, 3, {(2, (1, 3)): 1})
+    with pytest.raises(ConstraintError, match=r"^x-degree 4 outside 0\.\.3$"):
+        MultiSeries(2, 3, {(4, (0, 0)): 1})
     edge = MultiSeries(2, 3, {(0, (0, 0)): 1, (3, (3, 0)): 2})
+    with pytest.raises(ConstraintError,
+                       match=r"^exponent vector \(1, -1\) is not 2 non-negative parts$"):
+        edge.coefficient(1, (1, -1))
     assert edge.dump_lines() == ["0;0,0;1", "3;3,0;2"]
     # coefficient reads under the same rule, and a term with a part above
     # its degree, which cannot be stored, reads 0
@@ -88,41 +50,23 @@ def test_init_rejects_out_of_range_terms():
         assert edge.coefficient(n, parts) == 0
 
 
-def test_ring_results_skip_the_term_check(monkeypatch):
-    a = MultiSeries(2, 5, {(1, (0, 0)): 1, (2, (1, 0)): 2})
-    b = MultiSeries(2, 5, {(2, (0, 1)): -1, (3, (1, 1)): 3})
-    want = reference_mul(a, MultiSeries(2, 5, {
-        (1, (0, 1)): 1, (2, (1, 1)): 2, (2, (0, 2)): -1, (3, (1, 2)): 3}))
-    checked = []
-    real = MultiSeries._check_term
-
-    def counting_check(self, n, parts):
-        checked.append((n, parts))
-        real(self, n, parts)
-
-    monkeypatch.setattr(MultiSeries, "_check_term", counting_check)
-    product = a * (a + b).times_y(2)
-    assert checked == []
-    assert product == want
-    # the public constructor and coefficient still check every term
-    with pytest.raises(ConstraintError, match=r"^x-degree 6 outside 0\.\.5$"):
-        MultiSeries(2, 5, {(6, (0, 0)): 1})
-    with pytest.raises(ConstraintError,
-                       match=r"^exponent vector \(1, -1\) is not 2 non-negative parts$"):
-        product.coefficient(1, (1, -1))
-
-
 def reference_solve(t, N):
-    """The fixed-point loop run at full truncation N in every round."""
-    one = MultiSeries.one(t, N)
-    x = MultiSeries.x(t, N)
+    """The fixed-point loop run at full truncation N in every round, on the
+    reference product."""
     g = MultiSeries(t, N)
     for _ in range(N):
-        p = x
-        for slot in range(1, t + 1):
-            p = p * (one + g.times_y(slot))
-        g = p
+        g = reference_rhs(g)
     return g
+
+
+def reference_rhs(g):
+    """x * prod_j (1 + yj*g) by the reference product and y-shift."""
+    t, N = g.arity, g.truncation
+    one = MultiSeries(t, N, {(0, (0,) * t): 1})
+    p = MultiSeries(t, N, {(1, (0,) * t): 1} if N >= 1 else {})
+    for slot in range(1, t + 1):
+        p = reference_mul(p, reference_add(one, reference_times_y(g, slot)))
+    return p
 
 
 def reference_mul(a, b):
@@ -133,6 +77,13 @@ def reference_mul(a, b):
             if n1 + n2 <= a.truncation:
                 key = (n1 + n2, tuple(p + q for p, q in zip(a1, a2)))
                 out[key] = out.get(key, 0) + c1 * c2
+    return MultiSeries(a.arity, a.truncation, out)
+
+
+def reference_add(a, b):
+    out = {(n, parts): c for n, parts, c in a.terms()}
+    for n, parts, c in b.terms():
+        out[(n, parts)] = out.get((n, parts), 0) + c
     return MultiSeries(a.arity, a.truncation, out)
 
 
@@ -175,22 +126,54 @@ def test_solution_homogeneity():
 def test_fixed_point_residual():
     for t, N in [(1, 6), (2, 8), (3, 6), (4, 5)]:
         g = solve_G(t, N)
-        one = MultiSeries.one(t, N)
-        p = MultiSeries.x(t, N)
-        for slot in range(1, t + 1):
-            p = p * (one + g.times_y(slot))
-        assert p == g
+        assert series.residual(g) == reference_rhs(g) == g
 
 
 def test_iteration_is_stationary():
     # one extra round changes nothing within the truncation
     t, N = 3, 5
     g = solve_G(t, N)
-    one = MultiSeries.one(t, N)
-    p = MultiSeries.x(t, N)
-    for slot in range(1, t + 1):
-        p = p * (one + g.times_y(slot))
-    assert p == g == solve_G(t, N)
+    assert reference_rhs(g) == g == solve_G(t, N)
+
+
+def test_residual_of_a_series_off_the_fixed_point(monkeypatch):
+    # g with terms added and removed, negative coefficients among them: the
+    # residual is still the reference product, and the x^3 y1 y2 terms that
+    # cancel in x (1 + y1 g)(1 + y2 g) leave no zero coefficient behind
+    g = solve_G(3, 5)
+    terms = {(n, a): c for n, a, c in g.terms() if n != 3}
+    terms.update({(2, (1, 0, 0)): -1, (4, (0, 1, 2)): 7})
+    off = MultiSeries(3, 5, terms)
+    want = reference_rhs(off)
+    # the product's terms come from checked operands and are not checked again
+    checked = []
+    real = MultiSeries._check_term
+    monkeypatch.setattr(MultiSeries, "_check_term",
+                        lambda self, n, a: checked.append(n) or real(self, n, a))
+    got = series.residual(off)
+    assert checked == []
+    monkeypatch.undo()
+    assert got == want != off
+    assert all(c for _, _, c in series.residual(off).terms())
+    half = MultiSeries(2, 4, {(1, (0, 0)): 1, (2, (1, 0)): -1})
+    assert series.residual(half).dump_lines() == reference_rhs(half).dump_lines() == [
+        "1;0,0;1", "2;0,1;1", "2;1,0;1", "3;2,0;-1", "4;2,1;-2"]
+
+
+def test_residual_refuses_a_part_at_its_degree():
+    # y1 * x^2 y1^2 would hold a part above its degree, and a term at
+    # x-degree 0 has every part at its degree: such a g solves no tree
+    # equation, and the residual names the term instead of multiplying
+    for terms, term in (({(2, (2, 0)): 1, (3, (1, 1)): 1}, "x^2*y^(2, 0)"),
+                        ({(0, (0, 0)): 1}, "x^0*y^(0, 0)"),
+                        ({(1, (0, 0)): 1, (3, (0, 3)): 5}, "x^3*y^(0, 3)")):
+        with pytest.raises(ArithmeticError, match=(
+                rf"^g holds {re.escape(term)}, a part of which is not below "
+                r"its x-degree$")):
+            series.residual(MultiSeries(2, 3, terms))
+    # a term cancelled by the constructor is not there to refuse
+    assert series.residual(MultiSeries(2, 3, {(2, (2, 0)): 0})) == MultiSeries(
+        2, 3, {(1, (0, 0)): 1})
 
 
 def test_lagrange_spot_values():
@@ -268,6 +251,19 @@ def test_forest_extraction_matches_closed_form():
                 assert lagrange_table(t, n, m) == counting.count_table(t, n, m), (t, n, m)
 
 
+def test_inversion_takes_no_binomial_from_the_closed_form(monkeypatch):
+    # every C(n, k) of the closed form's module one too large from n = 6 on:
+    # the expanded product writes its factors from its own Pascal rows, so
+    # no inversion table moves
+    grid = [(t, n, m) for t in (2, 3, 4, 6) for m in [None, *range(1, t)]
+            for n in range(m or 1, 10 - t // 2)]
+    want = [lagrange_table(*group) for group in grid]
+    real = counting.binomial
+    monkeypatch.setattr(counting, "binomial", lambda n, k: real(n, k) + (n > 5))
+    assert counting.binomial(6, 2) == 16
+    assert [lagrange_table(*group) for group in grid] == want
+
+
 def test_ring_step_counts_in_closed_form():
     # solve_steps against its sum over the x-degrees e of [x^e] Q_(j-1),
     # written out term by term, and inversion_steps_through against the
@@ -326,26 +322,29 @@ def edge_series(t=2, N=5):
 
 def below_degree(s, slot):
     """Whether every term's part in the slot lies below its degree, which
-    is when ``times_y(slot)`` stays in the ring."""
+    is when raising that part keeps the series in the ring."""
     return all(a[slot - 1] < n for n, a, _ in s.terms())
 
 
+def product(a, b):
+    """a * b by the grade-list product, zero coefficients dropped."""
+    return MultiSeries._ring_result(a.arity, a.truncation, [
+        {k: c for k, c in series._grade_product(a._grades, b._grades, d).items() if c}
+        for d in range(a.truncation + 1)])
+
+
 def check_ring_laws(a, b, c):
-    assert a + b == b + a
-    assert (a + b) + c == a + (b + c)
-    assert a * b == b * a == reference_mul(a, b)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    x = MultiSeries.x(a.arity, a.truncation)
+    assert product(a, b) == product(b, a) == reference_mul(a, b)
+    assert product(product(a, b), c) == product(a, product(b, c))
+    assert product(a, reference_add(b, c)) == reference_add(product(a, b), product(a, c))
+    x = MultiSeries(a.arity, a.truncation, {(1, (0,) * a.arity): 1} if a.truncation else {})
     for slot in range(1, a.arity + 1):
-        for s in (a, a * b, a * x):  # every part of a * x is below its degree
+        for s in (a, product(a, b), product(a, x)):  # every part of a * x is below its degree
             if below_degree(s, slot):
-                assert s.times_y(slot) == reference_times_y(s, slot)
-                assert (s * b).times_y(slot) == s.times_y(slot) * b
-            else:
-                with pytest.raises(ConstraintError):
-                    s.times_y(slot)
-    for n, parts, coefficient in (a * b).terms():
+                # a raised part is one digit added to each key: no carry
+                assert reference_times_y(product(s, b), slot) == \
+                    product(reference_times_y(s, slot), b)
+    for n, parts, coefficient in product(a, b).terms():
         assert reference_mul(a, b).coefficient(n, parts) == coefficient
 
 
@@ -365,18 +364,3 @@ def test_ring_laws(abc):
 @settings(max_examples=150, deadline=None)
 def test_ring_laws_at_truncation(abc):
     check_ring_laws(*abc)
-
-
-def test_times_y_refused_at_a_part_equal_to_its_degree():
-    # y1 * x^2 y1^2 would hold a part above its degree; once a sum cancels
-    # that term, the same slot is accepted again
-    with pytest.raises(ConstraintError,
-                       match=r"^part 1 of a term equals its x-degree 2$"):
-        MultiSeries(2, 3, {(2, (2, 0)): 1, (3, (1, 1)): 1}).times_y(1)
-    with pytest.raises(ConstraintError, match=r"x-degree 0$"):
-        MultiSeries.one(2, 3).times_y(2)
-    s = MultiSeries(2, 3, {(2, (2, 0)): 1, (3, (1, 1)): 1})
-    s = s + MultiSeries(2, 3, {(2, (2, 0)): -1})
-    assert s.times_y(1).dump_lines() == ["3;2,1;1"]
-    assert s.times_y(2).dump_lines() == ["3;1,2;1"]
-    assert MultiSeries(2, 3, {(2, (2, 0)): 1}).times_y(2).dump_lines() == ["2;2,1;1"]

@@ -490,15 +490,30 @@ def test_jobs_of_different_spaces_are_refused(engine, request):
 
 
 def test_compiled_kernel_refuses_malformed_jobs(compiled_kernel):
-    # what would read or write past the kernel's buffers
-    kernel = treebank._segment_census_capped
-    shape = r"^each job must be a \(sizes, roots\) pair of tuples, at most 3 sizes and 3 roots$"
-    for jobs in [[((1,), (0, 0))], [((1, 1, 1, 1), (0, 0, 0))], [[(1,), (0, 0, 0)]],
-                 [((1,), (0, 0, 0), ())], [([1], (0, 0, 0))]]:
-        with pytest.raises(ConstraintError, match=shape):
-            kernel(3, jobs)
-    with pytest.raises(ConstraintError, match="^root edge count -1 must be >= 0$"):
-        kernel(3, [((1,), (0, -1, 0))])
+    # what would read or write past the compiled kernel's buffers, refused
+    # by both kernels with one message, in classes mode too
+    def shape(t):
+        return (rf"^each job must be a \(sizes, roots\) pair of tuples, at most {t} "
+                rf"sizes and {t} roots$")
+    negative = "^root edge count -1 must be >= 0$"
+    cases = [(3, jobs, shape(3)) for jobs in (
+        [((1,), (0, 0))], [((1, 1, 1, 1), (0, 0, 0))], [[(1,), (0, 0, 0)]],
+        [((1,), (0, 0, 0), ())], [([1], (0, 0, 0))],
+        # a good job first: every job's shape is checked before any walks
+        [((2,), (0, 0, 0)), ((1,), (0, 0))])]
+    cases += [(3, [((1,), (0, -1, 0))], negative),
+              (2, [((1, 1, 1), (0, 0))], shape(2)),
+              (2, [((2,), (0,))], shape(2)),
+              (2, [((2,), (0, -1))], negative),
+              # nothing is sized by t before a job shows t roots
+              (2**40, [((1,), (0,))], shape(2**40))]
+    for kernel in (segment_census_pure, treebank._segment_census_capped):
+        for t, jobs, message in cases:
+            for classes in (False, True):
+                with pytest.raises(ConstraintError, match=message):
+                    kernel(t, jobs, classes=classes)
+        assert kernel(2**40, []) == {}
+        assert kernel(2**40, [], classes=True) == ({}, {})
 
 
 def test_compiled_kernel_cell_cap_is_a_constraint_error(compiled_kernel):

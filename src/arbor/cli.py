@@ -6,12 +6,12 @@ the closed form itself).
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections import namedtuple
 from itertools import chain, islice, permutations
 from math import factorial
+from types import SimpleNamespace
 from typing import Optional
 
 # treebank, series and paths are imported by the commands that run them, so
@@ -312,7 +312,10 @@ def _verify_entries(args) -> list:
     once their costs together pass the budget, the ring steps first: at t=1
     each census holds one tree, so its own bound cannot stop the nodes of
     them all.  Each census's own guard then runs in run order, so none walks
-    before one is refused.  ``--mode brute`` loads no series ring."""
+    before one is refused.  An ArithmeticError of a guard, a fault of the
+    closed form, is left to its census, which calls the same guard before it
+    walks, so it ends only that entry, as a FAIL line naming the check.
+    ``--mode brute`` loads no series ring."""
     ms = range(1, min(args.t, args.max_n + 1)) if args.forest is None else [args.forest]
     scopes = {"trees": [()], "each m": [(m,) for m in ms],
               "all m": [tuple(ms)] if ms else []}
@@ -326,7 +329,10 @@ def _verify_entries(args) -> list:
         if check.case is _census:
             from arbor import treebank
             for n, m, _ in _groups(args, group):
-                treebank.check_census_budget(args.t, n, m, args.budget)
+                try:
+                    treebank.check_census_budget(args.t, n, m, args.budget)
+                except ArithmeticError:
+                    pass
     return entries
 
 
@@ -385,75 +391,102 @@ def cmd_paths(args) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ConstraintError(message)
+# The argv of every command, in help order: the command's help text and
+# handler, and per option its flag, type (bool for a flag that takes no
+# value), default, choices, required, metavar and help.
+_Option = namedtuple("_Option", "flag type default choices required metavar help",
+                     defaults=(None, None, False, None, None))
+_T = _Option("--t", int, required=True, help="arity (child slots per node)")
+_N = _Option("--n", int, required=True, help="node count")
+_M = _Option("--forest", int, metavar="M")
+_BUDGET = _Option("--budget", int, help="enumeration budget override")
+COMMANDS = {
+    "count": ("exact count for one composition", cmd_count, (
+        _T, _N, _Option("--composition", str, required=True,
+                        help="comma-separated edge counts a1,...,at"),
+        _M._replace(help="count ordered M-tuples of trees instead"))),
+    "table": ("full composition table for (t, n)", cmd_table, (
+        _T, _N, _M, _Option("--format", str, "pretty", ("pretty", "csv")))),
+    "triangle": ("marginal-count triangle (b-file or rows)", cmd_triangle, (
+        _T, _Option("--rows", int, required=True, help="number of rows"),
+        _Option("--marginal", int, required=True, metavar="SLOT",
+                help="slot whose edge count indexes the columns"),
+        _Option("--format", str, "pretty", ("pretty", "bfile")),
+        _Option("--b-offset", int, 0, help="starting linear index for b-file output"),
+        _Option("--self-check", bool, help="assert the triangle is identical for every slot"))),
+    "verify": ("run the cross-verification suites", cmd_verify, (
+        _T, _Option("--max-n", int, required=True),
+        _Option("--mode", str, "all", ("brute", "series", "lagrange", "all")),
+        _M._replace(help="restrict forest checks to this M"), _BUDGET,
+        _Option("--workers", int, 1),
+        _Option("--engine", str, "auto", ("auto", "compiled", "pure")),
+        _Option("--dump-series", bool,
+                help="print the solved series as n;a1,...,at;coef lines"))),
+    "paths": ("list trees with their lattice paths", cmd_paths, (
+        _T, _N, _Option("--probe", bool, help="emit the residue-class distribution report"),
+        _Option("--offset", str, help="affine offset for the probe, a1,...,at"),
+        _Option("--labels", bool, help="include child-slot labels in path text"),
+        _Option("--dump", bool, help="print canonical tree serializations only"),
+        _BUDGET)),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="arbor",
-        description="Exact counts and enumeration of t-ary trees by edge type.",
-    )
+def _parse_table(argv: list) -> Optional[SimpleNamespace]:
+    """What ``build_parser().parse_args(argv)`` returns, read from COMMANDS
+    alone, when argv is a command name and then only whole flags of that
+    command, each value flag followed by a value with no leading ``-`` that
+    converts and is among its choices, with every required flag given; None
+    for any other argv, which argparse then answers (help) or refuses."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    flags = {option.flag: option for option in options}
+    given, tokens = {}, iter(argv[1:])
+    for flag in tokens:
+        option = flags.get(flag)
+        if option is None:
+            return None
+        if option.type is bool:
+            given[flag] = True
+            continue
+        text = next(tokens, "-")
+        if text.startswith("-"):
+            return None
+        try:
+            given[flag] = option.type(text)
+        except ValueError:
+            return None
+        if option.choices is not None and given[flag] not in option.choices:
+            return None
+    if any(option.required and option.flag not in given for option in options):
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **{
+        option.flag[2:].replace("-", "_"): given.get(
+            option.flag, False if option.type is bool else option.default)
+        for option in options})
+
+
+def build_parser():
+    """The argparse parser of COMMANDS, which prints help and refuses an argv
+    as a ConstraintError."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ConstraintError(message)
+
+    parser = Parser(prog="arbor",
+                    description="Exact counts and enumeration of t-ary trees by edge type.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, nodes=True):
-        p.add_argument("--t", type=int, required=True, help="arity (child slots per node)")
-        if nodes:
-            p.add_argument("--n", type=int, required=True, help="node count")
-
-    p = sub.add_parser("count", help="exact count for one composition")
-    add_common(p)
-    p.add_argument("--composition", required=True,
-                   help="comma-separated edge counts a1,...,at")
-    p.add_argument("--forest", type=int, metavar="M",
-                   help="count ordered M-tuples of trees instead")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("table", help="full composition table for (t, n)")
-    add_common(p)
-    p.add_argument("--forest", type=int, metavar="M")
-    p.add_argument("--format", choices=("pretty", "csv"), default="pretty")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("triangle", help="marginal-count triangle (b-file or rows)")
-    add_common(p, nodes=False)
-    p.add_argument("--rows", type=int, required=True, help="number of rows")
-    p.add_argument("--marginal", type=int, required=True, metavar="SLOT",
-                   help="slot whose edge count indexes the columns")
-    p.add_argument("--format", choices=("pretty", "bfile"), default="pretty")
-    p.add_argument("--b-offset", type=int, default=0,
-                   help="starting linear index for b-file output")
-    p.add_argument("--self-check", action="store_true",
-                   help="assert the triangle is identical for every slot")
-    p.set_defaults(func=cmd_triangle)
-
-    p = sub.add_parser("verify", help="run the cross-verification suites")
-    add_common(p, nodes=False)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--mode", choices=("brute", "series", "lagrange", "all"),
-                   default="all")
-    p.add_argument("--forest", type=int, metavar="M",
-                   help="restrict forest checks to this M")
-    p.add_argument("--budget", type=int, help="enumeration budget override")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--engine", choices=("auto", "compiled", "pure"), default="auto")
-    p.add_argument("--dump-series", action="store_true",
-                   help="print the solved series as n;a1,...,at;coef lines")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("paths", help="list trees with their lattice paths")
-    add_common(p)
-    p.add_argument("--probe", action="store_true",
-                   help="emit the residue-class distribution report")
-    p.add_argument("--offset", help="affine offset for the probe, a1,...,at")
-    p.add_argument("--labels", action="store_true",
-                   help="include child-slot labels in path text")
-    p.add_argument("--dump", action="store_true",
-                   help="print canonical tree serializations only")
-    p.add_argument("--budget", type=int, help="enumeration budget override")
-    p.set_defaults(func=cmd_paths)
-
+    for name, (text, func, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for o in options:
+            if o.type is bool:
+                p.add_argument(o.flag, action="store_true", help=o.help)
+            else:
+                p.add_argument(o.flag, type=o.type, default=o.default, choices=o.choices,
+                               required=o.required, metavar=o.metavar, help=o.help)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -461,9 +494,10 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
         # the budget already bounds the counts; let any of them print
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        # argparse is imported only to print help or refuse an argv
+        args = _parse_table(argv) or build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code

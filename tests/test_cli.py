@@ -23,6 +23,20 @@ from references import old_rule_table, old_triangle_text
 ROOT = Path(__file__).resolve().parent.parent
 
 
+@pytest.fixture(autouse=True)
+def table_parser_reads_as_argparse(monkeypatch):
+    """Every argv a test here passes to ``main`` in-process is read by both
+    parsers: the table parser declines it, or returns what argparse does."""
+    table_parse = cli._parse_table
+
+    def both(argv):
+        args = table_parse(argv)
+        if args is not None:
+            assert vars(args) == vars(cli.build_parser().parse_args(argv)), argv
+        return args
+    monkeypatch.setattr(cli, "_parse_table", both)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -113,6 +127,51 @@ def test_bad_flags_exit_1(capsys, monkeypatch):
         assert err.startswith("error:")
         if message is not None:
             assert err == f"error: {message}\n"
+
+
+COUNT = ["count", "--t", "3", "--n", "4", "--composition", "1,1,1"]
+VERIFY = ["verify", "--t", "3", "--max-n", "3"]
+PROBE = ["paths", "--t", "3", "--n", "2", "--probe"]
+PARSE_GRID = [
+    [], ["-h"], ["--help"], ["--"], ["cnt"], ["count"], ["count", "-h"],
+    ["verify", "--help"], COUNT + ["-h"], ["--"] + COUNT, ["count", "--"] + COUNT[1:],
+    COUNT + ["--"], COUNT + ["extra"], COUNT[:3], COUNT[:-1],
+    # abbreviations and = forms
+    COUNT[:-2] + ["--comp", "1,1,1"], COUNT + ["--f", "2"], ["count", "--t=3"] + COUNT[3:],
+    PROBE + ["--offset=1,0,0"], VERIFY + ["--mode", "brute", "--dump"],
+    # repeated flags: the last wins
+    COUNT + ["--n", "5"], COUNT + ["--t", "3"], VERIFY + ["--mode", "brute", "--mode", "all"],
+    PROBE + ["--probe"], ["paths", "--t", "3", "--n", "2", "--labels", "--labels"],
+    # bad ints and choices, negative and empty values
+    ["count", "--t", "x"] + COUNT[3:], ["count", "--t", "1.5"] + COUNT[3:],
+    ["count", "--t", ""] + COUNT[3:], ["count", "--t", " 3"] + COUNT[3:],
+    ["count", "--t", "1_0"] + COUNT[3:], VERIFY + ["--workers", "-3"],
+    VERIFY + ["--mode", "json"], VERIFY + ["--engine", "Pure"],
+    ["table", "--t", "3", "--n", "4", "--format", "json"],
+    ["table", "--t", "3", "--n", "-2", "--forest", "2"],
+    ["triangle", "--t", "3", "--rows", "-2", "--marginal", "1"],
+    ["triangle", "--t", "3", "--rows", "3", "--marginal", "1", "--b-offset", "-1"],
+    ["triangle", "--t", "3", "--rows", "3", "--marginal", "1", "--self-check=1"],
+    PROBE + ["--offset", "-1,0,0"], PROBE + ["--offset", ""], PROBE + ["--offset", "-"],
+    COUNT[:-1] + [""], COUNT[:-1] + ["--forest", "2"], COUNT + ["--forest"],
+]
+
+
+def test_table_parser_reads_argv_as_argparse_does(capsys):
+    # every benchmark command is read from the table; on any other argv the
+    # table parser either declines or reads what argparse reads, and it
+    # declines every argv that argparse answers with help or refuses
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["commands"]
+    parser = cli.build_parser()
+    for argv in [command.split() for command in golden] + PARSE_GRID:
+        try:
+            want = vars(parser.parse_args(argv))
+        except (errors.ConstraintError, SystemExit):
+            want = None
+        args = cli._parse_table(argv)
+        assert (None if args is None else vars(args)) in (None, want), argv
+        assert args is not None or " ".join(argv) not in golden, argv
+    capsys.readouterr()
 
 
 def test_kernel_cell_cap_exit_1(capsys, compiled_kernel):
@@ -1046,6 +1105,19 @@ FAIL_CASES = {
         ["FAIL inversion extracted coefficient 4 not divisible by n=3",
          "FAIL forest inversion extracted coefficient 4 not divisible by n=3"],
         "summary: 8/10 checks passed"),
+    "census guard total": (
+        # every binomial read as C(n, 1) + 1: from n=2 the closed-form totals
+        # that size each census's budget guard are no integers, so each
+        # census entry fails with its own guard's error and the entries
+        # after it still run
+        lambda: [(counting, "comb", lambda n, k: math.comb(n, 1) + 1)],
+        "all",
+        ["FAIL tree census tree total not an integer; this cannot happen",
+         "FAIL forest census forest total not an integer; this cannot happen",
+         "FAIL forest census forest total not an integer; this cannot happen",
+         "FAIL tree sum identity tree total not an integer; this cannot happen",
+         "FAIL forest sum identity forest total not an integer; this cannot happen"],
+        "summary: 5/10 checks passed"),
     "series residual": (
         # g and the closed form agree, but g does not solve the equation
         lambda: [(counting, "count_table",
@@ -1231,19 +1303,30 @@ def test_package_names_load_on_first_use():
 
 def test_cli_imports_stay_lean():
     # start-up cost is paid by every command: dataclasses pulls in inspect,
-    # concurrent.futures pulls in logging.  Without site (-S) only arbor's own
-    # imports can load them, through the module or a census on worker threads.
+    # concurrent.futures pulls in logging, and argparse pulls in gettext and
+    # at its first message locale.  Without site (-S) only arbor's own
+    # imports can load them, through the module or a census on worker
+    # threads; argparse is loaded only for help and refusals.
     code = (
         "import sys\n"
         "from arbor import cli\n"
-        "cli.main(['verify', '--t', '3', '--max-n', '4', '--mode', 'brute',"
-        " '--workers', '2'])\n"
-        "heavy = ('dataclasses', 'concurrent.futures', 'inspect', 'logging')\n"
+        "for argv in (['count', '--t', '2', '--n', '1', '--composition', '0,0'],\n"
+        "             ['table', '--t', '3', '--n', '4', '--format', 'csv'],\n"
+        "             ['triangle', '--t', '3', '--rows', '3', '--marginal', '2',\n"
+        "              '--self-check'],\n"
+        "             ['verify', '--t', '3', '--max-n', '4', '--mode', 'brute',\n"
+        "              '--workers', '2'],\n"
+        "             ['paths', '--t', '3', '--n', '4', '--probe']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "heavy = ('dataclasses', 'concurrent.futures', 'inspect', 'logging',\n"
+        "         'argparse', 'gettext', 'locale')\n"
         "print('loaded:', [m for m in heavy if m in sys.modules])\n"
+        "print('refused:', cli.main(['count', '--t', '3']))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.splitlines()[-1] == "loaded: []"
+    assert (done.returncode, done.stderr) == (
+        0, "error: the following arguments are required: --n, --composition\n")
+    assert done.stdout.splitlines()[-2:] == ["loaded: []", "refused: 1"]

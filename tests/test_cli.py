@@ -1106,11 +1106,10 @@ FAIL_CASES = {
          "FAIL forest inversion extracted coefficient 4 not divisible by n=3"],
         "summary: 8/10 checks passed"),
     "census guard total": (
-        # every binomial read as C(n, 1) + 1: from n=2 the closed-form totals
-        # that size each census's budget guard are no integers, so each
-        # census entry fails with its own guard's error and the entries
-        # after it still run
-        lambda: [(counting, "comb", lambda n, k: math.comb(n, 1) + 1)],
+        # C(n, 1) one too large: from n=2 the closed-form totals that size
+        # each census's budget guard are no integers, so each census entry
+        # fails with its own guard's error and the entries after it still run
+        lambda: [(counting, "comb", lambda n, k: math.comb(n, k) + (k == 1))],
         "all",
         ["FAIL tree census tree total not an integer; this cannot happen",
          "FAIL forest census forest total not an integer; this cannot happen",

@@ -64,7 +64,7 @@ PROCESS_TRIANGLES = [("bfile", 3, 2, 150, True), ("bfile", 3, 2, 300, True),
                      ("pretty", 3, 1, 600, False)]  # (format, t, slot, rows, self-check)
 PROCESS_PROBES = [(11, 6)]  # (t, n)
 PROCESS_REPEAT = 3
-STARTUP_COMMANDS = [  # run as python <args>; -h is read by argparse, the rest not
+STARTUP_COMMANDS = [  # run as python <args>; -h times the argparse path
     ["-c", "pass"],
     ["-m", "arbor.cli", "-h"],
     ["-m", "arbor.cli", "count", "--t", "2", "--n", "1", "--composition", "0,0"],

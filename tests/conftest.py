@@ -1,4 +1,6 @@
-"""Shared fixtures: the compiled census kernel, built from the shipped C."""
+"""Shared test environment: no caller's ``ARBOR_BUDGET``, child Python
+processes that import this checkout, and the compiled census kernel built
+from the shipped C."""
 import importlib.util
 import os
 import shlex
@@ -10,9 +12,30 @@ from pathlib import Path
 
 import pytest
 
-from arbor import treebank
+from arbor import errors, treebank
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(autouse=True)
+def default_budget(monkeypatch):
+    """Each test starts at the default budget, whatever the shell exported;
+    a test that sets ``ARBOR_BUDGET`` sets it itself."""
+    monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
+
+
+def child_env(**extra):
+    """This process's environment with the checkout's ``src`` first on
+    ``PYTHONPATH``, plus ``extra``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])), **extra)
+
+
+def run_python(*args, timeout=60, env=None):
+    """``python <args>`` run to its end in ``env`` (by default
+    :func:`child_env`), output captured as text."""
+    return subprocess.run([sys.executable, *args], env=env or child_env(),
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +73,19 @@ def compiled_kernel(speedups, monkeypatch):
 
 
 @pytest.fixture
+def kernel_calls(compiled_kernel, monkeypatch):
+    """The job list of each call to the fixture-built kernel, in call order."""
+    calls = []
+
+    def kernel(t, jobs, classes=False):
+        calls.append(list(jobs))
+        return compiled_kernel(t, jobs, classes=classes)
+
+    monkeypatch.setattr(treebank, "_segment_census_compiled", kernel)
+    return calls
+
+
+@pytest.fixture
 def kernel_child(speedups):
     """Run Python code in a child process whose compiled engine is the
     fixture-built kernel, so a crash in the kernel fails one test, not the
@@ -62,10 +98,7 @@ def kernel_child(speedups):
         "spec.loader.exec_module(kernel)\n"
         "treebank._segment_census_compiled = kernel.segment_census\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
     def run(code):
-        return subprocess.run([sys.executable, "-c", prelude + code], env=env,
-                              capture_output=True, text=True, timeout=120)
+        return run_python("-c", prelude + code, timeout=120)
     return run

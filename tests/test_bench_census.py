@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from arbor import counting, treebank
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNT = ["count", "--t", "2", "--n", "1", "--composition", "0,0"]
@@ -36,8 +37,7 @@ def bench():
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
 def test_process_rows_launch_through_the_benchmark_launcher(bench):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env = child_env()
     allowed = os.sched_getaffinity(0)
     cpu = min(allowed)
     want = bench.digest(bench.cli_text(COUNT))

@@ -18,6 +18,7 @@ import pytest
 
 from arbor import cli, counting, errors, paths, series, treebank
 from arbor.cli import main
+from conftest import child_env, run_python
 from references import old_rule_table, old_triangle_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -226,7 +227,7 @@ def test_kernel_cell_cap_under_workers_exit_1(capsys, monkeypatch, compiled_kern
     assert err.startswith("error: composition space too large for the compiled kernel")
 
 
-def test_unary_walks_refused_by_node_count(monkeypatch):
+def test_unary_walks_refused_by_node_count():
     # t=1 has one tree of each size, so the tree count never refuses it; a
     # walk that started would exhaust memory, so each command runs in a
     # child limited to 1 GiB of address space and a regression fails fast
@@ -238,9 +239,6 @@ def test_unary_walks_refused_by_node_count(monkeypatch):
         "treebank._segment_census_compiled = None\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
-    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     n = 10**11
     for argv, code, err in (
         ([], 2, f"error: listing t=1 n={n} would place {n} nodes, budget is 10000000\n"),
@@ -249,14 +247,12 @@ def test_unary_walks_refused_by_node_count(monkeypatch):
         (["--probe"], 2,
          f"error: census(t=1, n={n}) would place {n} nodes, budget is 10000000\n"),
     ):
-        done = subprocess.run([sys.executable, "-c", child, "paths", "--t", "1",
-                               "--n", str(n), *argv],
-                              capture_output=True, text=True, timeout=120)
+        done = run_python("-c", child, "paths", "--t", "1", "--n", str(n), *argv,
+                          timeout=120)
         assert (done.returncode, done.stdout, done.stderr) == (code, "", err)
     # walks within the budget still run under the same limit
     for argv in (["--n", "3000"], ["--n", "100000", "--probe"]):
-        done = subprocess.run([sys.executable, "-c", child, "paths", "--t", "1", *argv],
-                              capture_output=True, text=True, timeout=120)
+        done = run_python("-c", child, "paths", "--t", "1", *argv, timeout=120)
         assert (done.returncode, done.stderr) == (0, ""), done.stderr
 
 
@@ -577,7 +573,6 @@ def test_table_and_triangle_refused_over_budget(capsys, monkeypatch):
     # rows of a table, cells of a triangle (times t with --self-check), then
     # the 64-bit words their counts fill: rows or cells plus t*n bits per
     # count over 64, rounded up
-    monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
     for argv, refusal in (
         (["table", "--t", "16", "--n", "40"],
          "table(t=16, n=40) would enumerate 8654327655120 rows"),
@@ -627,8 +622,7 @@ def test_table_and_triangle_refused_over_budget(capsys, monkeypatch):
 
 
 def test_closed_pipe_exit_1_without_traceback():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env = child_env()
     arbor = [sys.executable, "-m", "arbor.cli"]
     first = next(treebank.enumerate_trees(3, 9))
     line = f"{treebank.serialize_tree(first)} | "
@@ -703,7 +697,6 @@ def test_verify_budget_exit_2(capsys):
 def test_verify_series_and_inversion_refused_over_budget(capsys, monkeypatch):
     # series ring steps: coefficient products plus pairs of degrees looked
     # at, counted from composition counts before any check runs
-    monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
     for argv, refusal in (
         (["--t", "2", "--max-n", "120", "--mode", "series"],
          "verify(t=2, max-n=120, mode=series) would take 17055802 series ring steps"),
@@ -782,7 +775,6 @@ def test_verify_refuses_any_max_n_at_once(capsys, monkeypatch):
 def test_verify_bounds_the_nodes_of_all_its_censuses(capsys, monkeypatch):
     # at t=1 every census holds one tree, so only the nodes of all the
     # groups together bound --mode brute: refused at once, before any census
-    monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
     for max_n, nodes in ((100000, 5000050000), (10**20, 10**20 * (10**20 + 1) // 2)):
         start = time.perf_counter()
         code, out, err = run(capsys, "verify", "--t", "1", "--max-n", str(max_n),
@@ -806,11 +798,10 @@ def test_verify_bounds_the_nodes_of_all_its_censuses(capsys, monkeypatch):
             cli._verify_entries(args)
 
 
-def test_verify_refuses_a_census_before_any_walks(capsys, monkeypatch):
+def test_verify_refuses_a_census_before_any_walks(capsys):
     # the first census over the budget, named by its own guard, refuses the
     # whole run before the smaller censuses walk: on the pure kernel those
     # take seconds (7 s for t=3, n<=11)
-    monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
     for argv, refusal in (
         (["--t", "3", "--max-n", "12", "--mode", "brute"],
          "census(t=3, n=12) would enumerate 50067108 trees"),
@@ -831,9 +822,8 @@ def test_verify_refuses_a_census_before_any_walks(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["brute", "series", "lagrange", "all"])
-def test_verify_prices_exactly_the_entries_it_runs(capsys, monkeypatch, mode):
+def test_verify_prices_exactly_the_entries_it_runs(capsys, mode):
     # each priced entry prints one PASS line, in the same order
-    monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
     argv = ["verify", "--t", "3", "--max-n", "4", "--mode", mode]
     entries = cli._verify_entries(cli.build_parser().parse_args(argv))
     code, out, err = run(capsys, *argv)
@@ -867,9 +857,8 @@ def test_benchmark_verify_commands_far_below_the_budget():
         cli._verify_entries(args)  # raises when over
 
 
-def test_verify_symmetry_at_large_arity(capsys, monkeypatch):
+def test_verify_symmetry_at_large_arity(capsys):
     # one look per row stands for its t! permutation checks
-    monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
     for t, checks in ((9, 19958400), (16, 3201186852864000)):
         start = time.perf_counter()
         code, out, err = run(capsys, "verify", "--t", str(t), "--max-n", "3",
@@ -1171,10 +1160,9 @@ def test_paths_budget_exit(capsys):
     assert code == 2
 
 
-def test_paths_listing_refused_by_the_text_it_writes(capsys, monkeypatch):
+def test_paths_listing_refused_by_the_text_it_writes(capsys):
     # after trees and nodes, the listing's trees times its line length in
     # 64-bit words: 1430715 lines of 187 chars at t=3 n=10 with labels
-    monkeypatch.delenv(errors.BUDGET_ENV_VAR, raising=False)
     start = time.perf_counter()
     code, out, err = run(capsys, "paths", "--t", "3", "--n", "10", "--labels")
     assert time.perf_counter() - start < 1.0
@@ -1248,10 +1236,7 @@ def test_closed_form_commands_load_only_the_closed_form_layer():
         "    assert main(argv) == 0\n"
         "print('loaded:', sorted(m for m in sys.modules if m.split('.')[0] == 'arbor'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_python("-c", code)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[-1] == (
         "loaded: ['arbor', 'arbor.cli', 'arbor.counting', 'arbor.errors']")
@@ -1266,10 +1251,7 @@ def test_brute_verify_loads_no_series_ring():
         "assert main(['verify', '--t', '3', '--max-n', '4', '--mode', 'brute']) == 0\n"
         "print('loaded:', sorted(m for m in sys.modules if m.split('.')[0] == 'arbor'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_python("-c", code)
     assert (done.returncode, done.stderr) == (0, "")
     loaded = done.stdout.splitlines()[-1]
     assert "'arbor.treebank'" in loaded
@@ -1292,10 +1274,7 @@ def test_package_names_load_on_first_use():
         "    assert any(vars(layer).get(name) is value for layer in layers), name\n"
         "print(arbor.HAVE_SPEEDUPS is arbor.treebank.HAVE_SPEEDUPS)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_python("-c", code)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines() == ["['arbor']", "True"]
 
@@ -1322,10 +1301,7 @@ def test_cli_imports_stay_lean():
         "print('loaded:', [m for m in heavy if m in sys.modules])\n"
         "print('refused:', cli.main(['count', '--t', '3']))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_python("-S", "-c", code)
     assert (done.returncode, done.stderr) == (
         0, "error: the following arguments are required: --n, --composition\n")
     assert done.stdout.splitlines()[-2:] == ["loaded: []", "refused: 1"]

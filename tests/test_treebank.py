@@ -324,42 +324,28 @@ def test_worker_pool_clamped_to_job_count(monkeypatch, compiled_kernel, started)
     assert pool_sizes == [10, 4, 3, 2]
 
 
-def test_each_worker_walks_its_balanced_share_in_one_call(monkeypatch, compiled_kernel):
+def test_each_worker_walks_its_balanced_share_in_one_call(monkeypatch, kernel_calls):
     # one kernel call per worker; the shares hold every root split once and
     # their closed-form tuple counts differ by at most the largest job's
-    calls = []
-
-    def kernel(t, jobs, classes=False):
-        calls.append(list(jobs))
-        return compiled_kernel(t, jobs, classes=classes)
-
-    monkeypatch.setattr(treebank, "_segment_census_compiled", kernel)
     usable_cpus(monkeypatch, 2)
     split_any_census(monkeypatch)
     assert census(3, 7, workers=2) == counting.count_table(3, 7)
     jobs = root_split_jobs(3, 7)
-    assert len(calls) == 2
-    assert sorted(job for share in calls for job in share) == sorted(jobs)
+    assert len(kernel_calls) == 2
+    assert sorted(job for share in kernel_calls for job in share) == sorted(jobs)
 
     def load(share):
         return sum(math.prod(counting.total_trees(3, s) for s in sizes) for sizes, _ in share)
 
-    assert abs(load(calls[0]) - load(calls[1])) <= max(load([job]) for job in jobs)
+    assert abs(load(kernel_calls[0]) - load(kernel_calls[1])) <= max(load([job]) for job in jobs)
 
 
-def test_small_census_stays_on_the_calling_thread(monkeypatch, compiled_kernel, started):
+def test_small_census_stays_on_the_calling_thread(monkeypatch, kernel_calls, started):
     # 7,752 trees take the compiled walk well under a millisecond, less
     # than starting a thread; two usable CPUs still run one whole walk
-    calls = []
-
-    def kernel(t, jobs, classes=False):
-        calls.append(list(jobs))
-        return compiled_kernel(t, jobs, classes=classes)
-
-    monkeypatch.setattr(treebank, "_segment_census_compiled", kernel)
     usable_cpus(monkeypatch, 2)
     assert census(3, 7, workers=2) == counting.count_table(3, 7)
-    assert (calls, started) == ([[((7,), (0, 0, 0))]], [])
+    assert (kernel_calls, started) == ([[((7,), (0, 0, 0))]], [])
 
 
 def test_split_pays_from_its_measured_floor(monkeypatch, compiled_kernel, started):
@@ -375,21 +361,14 @@ def test_split_pays_from_its_measured_floor(monkeypatch, compiled_kernel, starte
         assert len(started) == threads
 
 
-def test_one_usable_cpu_runs_the_whole_walk(monkeypatch, compiled_kernel, started):
+def test_one_usable_cpu_runs_the_whole_walk(monkeypatch, kernel_calls, started):
     # pinned to one CPU of 64, two workers are one: one kernel call on the
     # whole tree, not one per root split (3,876 at t=16 n=5), and no thread
-    calls = []
-
-    def kernel(t, jobs, classes=False):
-        calls.append(list(jobs))
-        return compiled_kernel(t, jobs, classes=classes)
-
-    monkeypatch.setattr(treebank, "_segment_census_compiled", kernel)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     usable_cpus(monkeypatch, 1)
     split_any_census(monkeypatch)
     assert census(16, 5, workers=2) == counting.count_table(16, 5)
-    assert (calls, started) == ([[((5,), (0,) * 16)]], [])
+    assert (kernel_calls, started) == ([[((5,), (0,) * 16)]], [])
 
 
 def test_pure_kernel_runs_alone(monkeypatch, started):

@@ -286,7 +286,6 @@ def process_rows():
     with tempfile.TemporaryDirectory() as cache:
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONPYCACHEPREFIX=cache)
         env.pop("PYTHONDONTWRITEBYTECODE", None)
-        env.pop("ARBOR_BUDGET", None)
         for args, repeat, want, pinned in commands:
             runs = launched(args, env, repeat + 1, pinned)
             if any((run.exit_code, run.sha if want else None) != (0, want)
@@ -345,6 +344,7 @@ def kernel_rows():
 
 
 def main():
+    os.environ.pop("ARBOR_BUDGET", None)  # every row runs at the default budget
     if hasattr(sys, "set_int_max_str_digits"):  # as arbor.cli does: some
         sys.set_int_max_str_digits(0)           # counts run past 4,300 digits
     if treebank.HAVE_SPEEDUPS:

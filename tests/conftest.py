@@ -1,6 +1,6 @@
 """Shared test environment: no caller's ``ARBOR_BUDGET``, child Python
 processes that import this checkout, and the compiled census kernel built
-from the shipped C."""
+from the shipped C, plain or under AddressSanitizer and UBSan."""
 import importlib.util
 import os
 import shlex
@@ -15,6 +15,8 @@ import pytest
 from arbor import errors, treebank
 
 ROOT = Path(__file__).resolve().parent.parent
+SANITIZE = ("-O1 -g -fno-omit-frame-pointer -fsanitize=address,undefined "
+            "-fno-sanitize-recover=undefined -Wall -Werror")
 
 
 @pytest.fixture(autouse=True)
@@ -38,31 +40,70 @@ def run_python(*args, timeout=60, env=None):
                           capture_output=True, text=True, timeout=timeout)
 
 
-@pytest.fixture(scope="session")
-def speedups(tmp_path_factory):
-    """``arbor._speedups`` built by the repository's setup.py into a temp dir.
+def compiler():
+    """The C compiler command setup.py builds with; skips the test when it
+    is not on PATH."""
+    cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler ({cc[0]}) on PATH")
+    return cc
 
-    Skips only when no C compiler is on PATH; with one present, a failed
-    build fails the test that asked for the kernel.  The build turns every
-    compiler warning into an error, so the kernel's C stays warning-free.
-    """
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    if shutil.which(shlex.split(cc)[0]) is None:
-        pytest.skip(f"no C compiler ({cc}) on PATH")
-    out = tmp_path_factory.mktemp("speedups")
+
+def build_speedups(out, flags):
+    """The path of ``arbor._speedups`` built by the repository's setup.py
+    into ``out`` with ``flags`` for compile and link; a failed build fails
+    the test that asked for it."""
     done = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
         cwd=ROOT, capture_output=True, text=True,
-        env=dict(os.environ, CFLAGS="-Wall -Werror"),
+        env=dict(os.environ, CFLAGS=flags, LDFLAGS=flags),
     )
     built = out / "lib" / "arbor" / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
     if done.returncode != 0 or not built.is_file():
         pytest.fail(f"building arbor._speedups failed:\n{done.stdout}{done.stderr}")
+    return built
+
+
+def kernel_prelude(path):
+    """Python source that makes the module at ``path`` the compiled engine."""
+    return (
+        "import importlib.util\n"
+        "from arbor import treebank\n"
+        f"spec = importlib.util.spec_from_file_location('arbor._speedups', {str(path)!r})\n"
+        "kernel = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(kernel)\n"
+        "treebank._segment_census_compiled = kernel.segment_census\n"
+    )
+
+
+@pytest.fixture(scope="session")
+def speedups(tmp_path_factory):
+    """``arbor._speedups`` built into a temp dir, every compiler warning an
+    error, so the kernel's C stays warning-free.  Skips only when no C
+    compiler is on PATH."""
+    compiler()
+    built = build_speedups(tmp_path_factory.mktemp("speedups"), "-Wall -Werror")
     spec = importlib.util.spec_from_file_location("arbor._speedups", built)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def sanitized_speedups(tmp_path_factory):
+    """(module path, runtimes to preload) of ``arbor._speedups`` built under
+    AddressSanitizer and UBSan.  Skips only when the compiler has no
+    sanitizer runtime."""
+    cc = compiler()
+    runtimes = []
+    for lib in ("libasan.so", "libubsan.so"):
+        found = subprocess.run([*cc, f"-print-file-name={lib}"],
+                               capture_output=True, text=True).stdout.strip()
+        if not os.path.isabs(found) or not os.path.isfile(found):
+            pytest.skip(f"{cc[0]} has no {lib}")
+        runtimes.append(found)
+    return build_speedups(tmp_path_factory.mktemp("sanitized"), SANITIZE), runtimes
 
 
 @pytest.fixture
@@ -90,15 +131,6 @@ def kernel_child(speedups):
     """Run Python code in a child process whose compiled engine is the
     fixture-built kernel, so a crash in the kernel fails one test, not the
     session.  Returns the finished process, output captured as text."""
-    prelude = (
-        "import importlib.util\n"
-        "from arbor import treebank\n"
-        f"spec = importlib.util.spec_from_file_location('arbor._speedups', {speedups.__file__!r})\n"
-        "kernel = importlib.util.module_from_spec(spec)\n"
-        "spec.loader.exec_module(kernel)\n"
-        "treebank._segment_census_compiled = kernel.segment_census\n"
-    )
-
     def run(code):
-        return run_python("-c", prelude + code, timeout=120)
+        return run_python("-c", kernel_prelude(speedups.__file__) + code, timeout=120)
     return run

@@ -24,6 +24,7 @@ from arbor.treebank import (
     segment_census_pure,
     serialize_tree,
 )
+from conftest import child_env, kernel_prelude, run_python
 from references import reference_forests, reference_trees
 
 # enumeration totals frozen from direct generation
@@ -553,6 +554,69 @@ def test_pure_walk_deep_chain():
 def test_compiled_kernel_deep_chain(kernel_child):
     done = kernel_child("print(treebank.census(1, 200_000, engine='compiled'))")
     assert (done.returncode, done.stdout) == (0, "{(199999,): 1}\n"), done.stderr
+
+
+SANITIZED_CHECKS = """
+import os, random
+from math import prod
+from arbor import counting
+from arbor.errors import ConstraintError
+# every census on two workers, whatever the CPUs and its size
+os.sched_getaffinity = lambda pid: {0, 1}
+treebank._split_pays = lambda total, jobs: True
+for t, n in [(3, 10), (16, 5), (8, 6), (2, 13)]:
+    assert treebank.census(t, n, workers=2) == counting.count_table(t, n), (t, n)
+# profiles ranked above their floor, and the largest forest space under the cap
+for t, m, n in [(16, 8, 11), (16, 15, 16)]:
+    for workers in (1, 2):
+        got = treebank.forest_census(t, m, n, workers=workers, budget=10**12)
+        assert got == counting.count_table(t, n, m), (t, m, n, workers)
+for t, n in [(3, 9), (11, 5), (1, 7)]:
+    edges, classes = treebank.joint_census(t, n)
+    assert edges == counting.count_table(t, n), (t, n)
+    assert sum(classes.values()) == counting.total_trees(t, n), (t, n)
+# random job lists, some malformed: both kernels give one table or one refusal
+rng = random.Random(8)
+
+def job(t, roots):
+    while True:
+        sizes = tuple(rng.randint(1, 4) if rng.random() > 0.01 else 0
+                      for _ in range(rng.randint(0, t + 1)))
+        if prod(counting.total_trees(t, s) for s in sizes if s > 0) <= 200:
+            break
+    if rng.random() < 0.05:  # another space, another shape or a negative count
+        roots = tuple(rng.randint(-1, 2) for _ in range(rng.randint(t - 1, t + 1)))
+    return sizes, roots
+
+def outcome(kernel, t, jobs, classes):
+    try:
+        return kernel(t, jobs, classes=classes)
+    except ConstraintError as exc:
+        return str(exc)
+
+results = []
+for _ in range(1000):
+    t = rng.randint(1, 9)
+    roots = tuple(rng.randint(0, 2) for _ in range(t))
+    jobs = [job(t, roots) for _ in range(rng.randint(0, 3))]
+    classes = rng.random() < 0.5
+    got = outcome(treebank._segment_census_capped, t, jobs, classes)
+    assert got == outcome(treebank.segment_census_pure, t, jobs, classes), (t, jobs, classes)
+    results.append(isinstance(got, str))
+print(f"{results.count(False)} tables, {results.count(True)} refusals")
+"""
+
+
+def test_compiled_kernel_under_sanitizers(sanitized_speedups):
+    # the kernel built with AddressSanitizer and UBSan, in a child with their
+    # runtimes preloaded: large censuses against the closed form, then seeded
+    # random job lists against the pure kernel.  A read or write outside a
+    # buffer, or undefined behaviour, aborts the child with a report
+    path, runtimes = sanitized_speedups
+    env = child_env(LD_PRELOAD=" ".join(runtimes), ASAN_OPTIONS="detect_leaks=0")
+    done = run_python("-c", kernel_prelude(path) + SANITIZED_CHECKS, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert done.stdout == "547 tables, 453 refusals\n"
 
 
 def check_degenerate(kernel):

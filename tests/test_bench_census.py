@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from arbor import counting, treebank
+from arbor import counting, errors, treebank
 from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,12 +55,15 @@ def test_process_rows_launch_through_the_benchmark_launcher(bench):
 
 def test_in_process_rows_keep_their_schema(bench, monkeypatch, tmp_path):
     # without the kernel and with no process rows, the row set holds the
-    # in-process rows alone, in the order and with the keys of earlier sets
+    # in-process rows alone, in the order and with the keys of earlier sets,
+    # stamped with the kernel it timed; every row runs at the default
+    # budget, whatever the caller's
     monkeypatch.setattr(treebank, "HAVE_SPEEDUPS", False)
+    monkeypatch.setenv(errors.BUDGET_ENV_VAR, "1")
     bench.process_rows, bench.OUT = lambda: [], tmp_path / "bench.json"
     bench.main()
     [run] = json.loads(bench.OUT.read_text())
-    assert run["tables_equal"] is True
+    assert (run["tables_equal"], run["have_speedups"]) == (True, False)
     assert [(row["layer"], row.get("call"), " ".join(row)) for row in run["rows"]] == [
         ("series", "solve_G", "layer call t N terms best_s"),
         ("series", "residual", "layer call t N best_s"),

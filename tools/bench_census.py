@@ -18,7 +18,9 @@ are left out:
 Each run appends one row set to ``BENCH_census.json`` at the repository
 root, stamped with the git SHA (``"dirty": true`` when ``src``, ``tools``
 or ``tests``, which holds the references of the checks, differ from it),
-the Python version and the CPU count.
+the Python version, the CPU count and ``have_speedups``, whether the
+compiled kernel was built in ``src``: the process rows run the kernel that
+``PYTHONPATH=src`` finds, so without a build they time the pure one.
 """
 import contextlib
 import hashlib
@@ -361,6 +363,7 @@ def main():
         "dirty": bool(git("status", "--porcelain", "--", "src", "tools", "tests")),
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
+        "have_speedups": treebank.HAVE_SPEEDUPS,
         "repeat": REPEAT,
         "min_seconds": MIN_SECONDS,
         "tables_equal": True,

@@ -566,7 +566,7 @@ os.sched_getaffinity = lambda pid: {0, 1}
 treebank._split_pays = lambda total, jobs: True
 for t, n in [(3, 10), (16, 5), (8, 6), (2, 13)]:
     assert treebank.census(t, n, workers=2) == counting.count_table(t, n), (t, n)
-# profiles ranked above their floor, and the largest forest space under the cap
+# forests, their profiles ranked above the floor of their m root edges
 for t, m, n in [(16, 8, 11), (16, 15, 16)]:
     for workers in (1, 2):
         got = treebank.forest_census(t, m, n, workers=workers, budget=10**12)

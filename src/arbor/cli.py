@@ -383,11 +383,18 @@ def cmd_paths(args) -> int:
         print(report.verdict_line())
         return EXIT_OK
     trees = counting.total_trees(t, n)  # checks the shape first
-    chars = trees * paths.listing_line_length(t, n, labels=args.labels, dump=args.dump)
-    check_budget(f"listing t={t} n={n}", [
-        (trees, "enumerate %d trees"), (n, "place %d nodes"),
-        (-(-chars // 8), "write %d 64-bit words of text")], args.budget)
-    paths.write_listing(t, n, sys.stdout.write, labels=args.labels, dump=args.dump)
+    action = f"listing t={t} n={n}"
+    check_budget(action, [(trees, "enumerate %d trees"), (n, "place %d nodes")],
+                 args.budget)
+    # every line of one listing has the length of its first, and the bounds
+    # above keep that line small wherever the text bound can refuse
+    lines = paths.listing_lines(t, n, labels=args.labels, dump=args.dump)
+    first = next(lines, "")
+    check_budget(action, [(-(-trees * len(first) // 8),
+                           "write %d 64-bit words of text")], args.budget)
+    write = sys.stdout.write
+    for line in chain((first,), lines):
+        write(line)
     return EXIT_OK
 
 

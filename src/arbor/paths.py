@@ -12,14 +12,14 @@ The probe builds no tree objects and no paths: its two distributions come
 from the two tables of ``treebank.joint_census``, one walk of the census
 kernel that also counts each tree's non-root nodes by the starting height
 of their step mod t; n minus that class vector is the residue vector.  The
-listing builds no trees or paths either: :func:`write_listing` writes each
+listing builds no trees or paths either: :func:`listing_lines` makes each
 line from the preorder text of the listing walk.  :func:`tree_to_path`,
 :func:`format_path` and :func:`residue_stats` stay as the object-level API
 and the tests' reference.
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from arbor import counting, treebank
 from arbor.errors import ConstraintError, MalformedPathError
@@ -134,14 +134,13 @@ def parse_path(text: str) -> LatticePath:
     return LatticePath(tuple(steps))
 
 
-def write_listing(
-    t: int, n: int, write: Callable[[str], object], labels: bool = False,
-    dump: bool = False,
-) -> None:
-    """Write the ``paths`` listing of every n-node t-ary tree, one line per
-    :func:`treebank.enumerate_trees` tree, each through its own ``write``
-    call: ``serialize_tree(tree) + " | " + format_path(tree_to_path(tree),
-    with_labels=labels)``, or the serialization alone with ``dump``.
+def listing_lines(t: int, n: int, labels: bool = False,
+                  dump: bool = False) -> Iterator[str]:
+    """The ``paths`` listing of every n-node t-ary tree, one line per
+    :func:`treebank.enumerate_trees` tree: ``serialize_tree(tree) + " | " +
+    format_path(tree_to_path(tree), with_labels=labels)``, or the
+    serialization alone with ``dump``, each ending in a newline.  Every line
+    of one listing has the same length.
 
     The step text is the preorder text of :func:`treebank.tree_texts`, made
     from the root's rise and per-slot step tokens, each led by its comma,
@@ -155,23 +154,7 @@ def write_listing(
     symbols = str.maketrans("+-", "o.", "0123456789:,")
     for text in treebank.tree_texts(t, n, rise, rises, falls):
         serial = text.translate(symbols)
-        write(f"{serial}\n" if dump else f"{serial} | {text}\n")
-
-
-def listing_line_length(t: int, n: int, labels: bool = False, dump: bool = False) -> int:
-    """The length of every line :func:`write_listing` writes for the n-node
-    t-ary trees.  The serialization has n ``o`` and (t-1)n+1 ``.``; a
-    ``dump`` line is that and its newline.  Otherwise ``" | "`` and the step
-    text follow: tn+1 steps joined by tn commas, the root's and n-1 other
-    rises written ``%+d`` of t-1 and (t-1)n+1 falls ``-1``.  ``labels``
-    adds ``:s`` to the n steps out of each slot s."""
-    serial = t * n + 1
-    if dump:
-        return serial + 1
-    steps = n * len("%+d" % (t - 1)) + 2 * ((t - 1) * n + 1) + t * n
-    if labels:
-        steps += n * sum(1 + len(str(s)) for s in range(1, t + 1))
-    return serial + len(" | ") + steps + 1
+        yield f"{serial}\n" if dump else f"{serial} | {text}\n"
 
 
 def cyclic_shift(vector: Sequence[int], s: int) -> tuple[int, ...]:

@@ -113,6 +113,18 @@ def compiled_kernel(speedups, monkeypatch):
     return speedups.segment_census
 
 
+@pytest.fixture(params=["pure", "compiled"])
+def engine(request, monkeypatch):
+    """Each census kernel in turn, by its ``engine`` name, with "auto" routed
+    to the same one: the pure kernel with no compiled one to prefer, or the
+    fixture-built kernel of :func:`compiled_kernel`."""
+    if request.param == "compiled":
+        request.getfixturevalue("compiled_kernel")
+    else:
+        monkeypatch.setattr(treebank, "_segment_census_compiled", None)
+    return request.param
+
+
 @pytest.fixture
 def kernel_calls(compiled_kernel, monkeypatch):
     """The job list of each call to the fixture-built kernel, in call order."""

@@ -1,7 +1,8 @@
 """Independent references, held once for the tests and for
 ``tools/bench_census.py``: recursive tree and forest enumerators that share
-no code with ``treebank``'s walk, the listing joined over them, and the
-``table`` and ``triangle`` renderings by the rules those commands followed
+no code with ``treebank``'s walk, the listing joined over them, the counts
+of a group one composition at a time, and the ``table`` and ``triangle``
+renderings by the rules those commands followed
 before they wrote from the closed-form walk, the triangle's cells computed
 from their binomials here."""
 import sys
@@ -73,6 +74,14 @@ def reference_listing(t, n):
         want["bare"].append(f"{text} | {format_path(path)}\n")
         want["dump"].append(f"{text}\n")
     return want
+
+
+def per_composition(t, n, m=None):
+    """(composition, count) of the n-node trees, or with m the m-forests, in
+    ``compositions`` order: one count_trees or count_forests call each."""
+    if m is None:
+        return [(a, counting.count_trees(t, n, a)) for a in counting.compositions(t, n - 1)]
+    return [(a, counting.count_forests(t, m, n, a)) for a in counting.compositions(t, n, m=m)]
 
 
 def old_rule_table(fmt, t, n, m=None):

@@ -19,7 +19,7 @@ import pytest
 from arbor import cli, counting, errors, paths, series, treebank
 from arbor.cli import main
 from conftest import child_env, run_python
-from references import old_rule_table, old_triangle_text
+from references import old_rule_table, old_triangle_text, per_composition
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -442,12 +442,7 @@ def test_table_inexact_division_fails_like_per_composition_calls(
     monkeypatch.setattr(counting, "binomial_row", lambda n, top: [
         math.comb(n, k) + (k == 1) for k in range(top + 1)])
     with pytest.raises(ArithmeticError) as want:
-        if m is None:
-            for a in counting.compositions(t, n - 1):
-                counting.count_trees(t, n, a)
-        else:
-            for a in counting.compositions(t, n, m=m):
-                counting.count_forests(t, m, n, a)
+        per_composition(t, n, m)
     forest = ["--forest", str(m)] if m else []
     for fmt in ("csv", "pretty"):
         code, out, err = run(capsys, "table", "--t", str(t), "--n", str(n),
@@ -1170,14 +1165,14 @@ def test_paths_listing_refused_by_the_text_it_writes(capsys):
                                 "33442964 64-bit words of text, budget is 10000000\n")
     # the 55 lines at t=3 n=4 fill 544 words with labels (79 chars each),
     # 97 as a dump (14 chars each)
-    for budget, argv, words in ((544, ["--labels"], None), (543, ["--labels"], 544),
-                                (97, ["--dump"], None), (96, ["--dump"], 97)):
+    for budget, argv, chars, words in (
+            (544, ["--labels"], 79, None), (543, ["--labels"], 79, 544),
+            (97, ["--dump"], 14, None), (96, ["--dump"], 14, 97)):
         code, out, err = run(capsys, "paths", "--t", "3", "--n", "4", *argv,
                              "--budget", str(budget))
         if words is None:
             assert (code, err) == (0, "")
-            assert len(out) == 55 * paths.listing_line_length(3, 4, "--labels" in argv,
-                                                               "--dump" in argv)
+            assert len(out) == 55 * chars
         else:
             assert (code, out, err) == (2, "", f"error: listing t=3 n=4 would write "
                                         f"{words} 64-bit words of text, budget is {budget}\n")

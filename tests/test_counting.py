@@ -21,6 +21,7 @@ from arbor.counting import (
     total_trees,
 )
 from arbor.errors import ConstraintError
+from references import per_composition
 
 
 def test_binomial_basics():
@@ -138,12 +139,9 @@ def test_count_table_matches_per_composition_calls():
     # same keys in the same order, same counts, for every group up to n=12
     for t in range(1, 7):
         for n in range(1, 13):
-            want = {a: count_trees(t, n, a) for a in compositions(t, n - 1)}
-            assert list(count_table(t, n).items()) == list(want.items())
+            assert list(count_table(t, n).items()) == per_composition(t, n)
             for m in range(1, min(t - 1, n) + 1):
-                want = {a: count_forests(t, m, n, a)
-                        for a in compositions(t, n, m=m)}
-                assert list(count_table(t, n, m).items()) == list(want.items())
+                assert list(count_table(t, n, m).items()) == per_composition(t, n, m)
 
 
 @pytest.mark.parametrize("t, n, m", [
@@ -179,11 +177,7 @@ def test_count_table_matches_per_composition_calls_where_quotients_recur(t, n, m
         product = prod(comb(n, x) for x in b)
         seen[free - sum(b), n // gcd(product, n)] += 1
     assert any(count > 1 for (_, d), count in seen.items() if d > 1)
-    if m is None:
-        want = {a: count_trees(t, n, a) for a in compositions(t, n - 1)}
-    else:
-        want = {a: count_forests(t, m, n, a) for a in compositions(t, n, m=m)}
-    assert list(count_table(t, n, m).items()) == list(want.items())
+    assert list(count_table(t, n, m).items()) == per_composition(t, n, m)
 
 
 @pytest.mark.parametrize("t, n, m", [(3, 4, None), (2, 4, None), (3, 4, 2), (4, 5, 1),
@@ -197,12 +191,7 @@ def test_count_table_inexact_division_raises_like_per_composition_calls(
     monkeypatch.setattr(counting, "binomial_row", lambda n, top: [
         comb(n, k) + (k == 1) for k in range(top + 1)])
     with pytest.raises(ArithmeticError) as want:
-        if m is None:
-            for a in compositions(t, n - 1):
-                count_trees(t, n, a)
-        else:
-            for a in compositions(t, n, m=m):
-                count_forests(t, m, n, a)
+        per_composition(t, n, m)
     with pytest.raises(ArithmeticError) as got:
         count_table(t, n, m)
     assert str(got.value) == str(want.value)

@@ -1,13 +1,16 @@
 """Path encoding, its inverse, residue statistics, and the probe report."""
 import itertools
+import os
 import re
+import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arbor import counting, paths, treebank
+from arbor import cli, counting, paths, treebank
 from arbor.errors import BudgetExceededError, ConstraintError, MalformedPathError
 from arbor.paths import (
     LatticePath,
@@ -308,20 +311,13 @@ def object_tables(t, n):
                     for tree in trees))
 
 
-def check_joint_census(engine):
+def test_joint_census_matches_object_enumeration(engine):
     for t, n in JOINT_SIZES:
         assert treebank.joint_census(t, n, engine=engine) == object_tables(t, n), (t, n)
 
 
-def test_joint_census_matches_object_enumeration():
-    check_joint_census("pure")
-
-
-def test_compiled_joint_census_matches_object_enumeration(compiled_kernel):
-    check_joint_census("compiled")
-
-
-def check_probe_marginals():
+def test_probe_marginals(engine):
+    # the probe runs the "auto" engine, which the fixture routes to ``engine``
     for t, n in [(1, 7), (2, 7), (3, 5), (4, 4), (5, 4)]:
         report = residue_distribution_probe(t, n)
         assert report.edge_distribution == treebank.census(t, n)
@@ -329,15 +325,6 @@ def check_probe_marginals():
         residues = Counter(residue_stats(tree_to_path(tree), t)
                            for tree in enumerate_trees(t, n))
         assert report.residue_distribution == residues
-
-
-def test_probe_marginals_with_pure_kernel(monkeypatch):
-    monkeypatch.setattr(treebank, "_segment_census_compiled", None)
-    check_probe_marginals()
-
-
-def test_probe_marginals_with_compiled_kernel(compiled_kernel):
-    check_probe_marginals()
 
 
 def test_probe_walks_no_tree_objects(monkeypatch):
@@ -361,9 +348,7 @@ LISTING_SIZES = [(1, n) for n in range(1, 41)] + [
 
 
 def listing(t, n, **flags):
-    lines = []
-    paths.write_listing(t, n, lines.append, **flags)
-    return lines
+    return list(paths.listing_lines(t, n, **flags))
 
 
 def test_listing_matches_the_object_join():
@@ -379,15 +364,15 @@ def test_listing_matches_the_object_join():
 
 
 def test_listing_line_length_matches_real_listings():
-    # every line of one listing has the length the budget is sized from,
-    # at every arity, in every mode
+    # every line of one listing has one length, at every arity, in every
+    # mode: the paths command sizes the listing from its first line
     sizes = [(t, n) for t in range(1, 17) for n in range(1, 41)
              if counting.total_trees(t, n) <= LISTING_LIMIT]
     assert (16, 3) in sizes and (1, 40) in sizes
     for t, n in sizes:
         for flags in ({}, {"labels": True}, {"dump": True}):
             lengths = {len(line) for line in listing(t, n, **flags)}
-            assert lengths == {paths.listing_line_length(t, n, **flags)}, (t, n, flags)
+            assert len(lengths) == 1, (t, n, flags)
 
 
 def test_listing_deep_chain_without_recursion():
@@ -397,7 +382,9 @@ def test_listing_deep_chain_without_recursion():
     assert line == reference_listing(1, 3000)["labels"][0]
 
 
-def test_listing_stops_at_the_first_failed_write():
+def test_listing_stops_at_the_first_failed_write(monkeypatch):
+    # the reader leaves after the first line: the second write fails, and
+    # main sends stdout to devnull and exits 1 without writing again
     calls = []
 
     def write(text):
@@ -405,8 +392,13 @@ def test_listing_stops_at_the_first_failed_write():
         if len(calls) == 2:
             raise BrokenPipeError
 
-    with pytest.raises(BrokenPipeError):
-        paths.write_listing(3, 9, write, labels=True)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write,
+                                                           fileno=lambda: devnull))
+        assert cli.main(["paths", "--t", "3", "--n", "9", "--labels"]) == 1
+    finally:
+        os.close(devnull)
     assert len(calls) == 2
 
 

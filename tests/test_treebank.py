@@ -31,6 +31,8 @@ from references import reference_forests, reference_trees
 TERNARY_TOTALS = [1, 3, 12, 55, 273, 1428, 7752]
 BINARY_TOTALS = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 QUATERNARY_TOTALS = [1, 4, 22, 140, 969]
+# the kernel each engine runs, as census calls it
+KERNELS = {"pure": segment_census_pure, "compiled": treebank._segment_census_capped}
 
 
 def test_enumeration_counts():
@@ -275,7 +277,7 @@ def started(monkeypatch):
     return threads
 
 
-def assert_workers_keep_tables(monkeypatch, engine):
+def test_workers_do_not_change_tables(monkeypatch, engine):
     usable_cpus(monkeypatch, 5)
     split_any_census(monkeypatch)
     for workers in (1, 2, 5):
@@ -283,14 +285,6 @@ def assert_workers_keep_tables(monkeypatch, engine):
         assert forest_census(3, 2, 5, workers=workers, engine=engine) == \
             counting.count_table(3, 5, 2)
         assert census(3, 1, workers=workers, engine=engine) == {(0, 0, 0): 1}
-
-
-def test_workers_do_not_change_tables(monkeypatch):
-    assert_workers_keep_tables(monkeypatch, "pure")
-
-
-def test_workers_do_not_change_compiled_tables(monkeypatch, compiled_kernel):
-    assert_workers_keep_tables(monkeypatch, "compiled")
 
 
 def test_worker_pool_clamped_to_job_count(monkeypatch, compiled_kernel, started):
@@ -451,12 +445,8 @@ def test_forest_census_ranks_above_the_root_floor(compiled_kernel):
     assert forest_census(16, 8, 11, budget=10**12) == counting.count_table(16, 11, 8)
 
 
-@pytest.mark.parametrize("engine", ["pure", "compiled"])
-def test_jobs_of_different_spaces_are_refused(engine, request):
-    kernel = segment_census_pure
-    if engine == "compiled":
-        request.getfixturevalue("compiled_kernel")
-        kernel = treebank._segment_census_capped
+def test_jobs_of_different_spaces_are_refused(engine):
+    kernel = KERNELS[engine]
     refused = "^jobs fill different composition spaces$"
     # 2 edges against 3
     with pytest.raises(ConstraintError, match=refused):
@@ -619,8 +609,10 @@ def test_compiled_kernel_under_sanitizers(sanitized_speedups):
     assert done.stdout == "547 tables, 453 refusals\n"
 
 
-def check_degenerate(kernel):
-    # the empty tuple, the one job of a root split at n = 1
+def test_segment_census_degenerate(engine):
+    # the empty tuple, the one job of a root split at n = 1; the compiled
+    # kernel as census calls it, its ValueError a ConstraintError
+    kernel = KERNELS[engine]
     assert kernel(3, [((), (0, 0, 0))]) == {(0, 0, 0): 1}
     assert kernel(3, [((), (0, 0, 0))], classes=True) == ({(0, 0, 0): 1}, {(0, 0, 0): 1})
     assert kernel(3, [((), (1, 0, 2))]) == {(1, 0, 2): 1}
@@ -628,15 +620,6 @@ def check_degenerate(kernel):
         for classes in (False, True):
             with pytest.raises(ConstraintError, match=f"^segment size {bad} must be >= 1$"):
                 kernel(3, [((1,), (0, 0, 0)), (sizes, (0, 0, 0))], classes=classes)
-
-
-def test_segment_census_degenerate():
-    check_degenerate(segment_census_pure)
-
-
-def test_compiled_segment_census_degenerate(compiled_kernel):
-    # the compiled kernel as census calls it, its ValueError a ConstraintError
-    check_degenerate(treebank._segment_census_capped)
 
 
 def test_enumerate_rejects_bad_arguments():

@@ -40,7 +40,8 @@ from arbor import cli, counting, paths, series, treebank
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 import run as perfbench  # noqa: E402  (perfbench/run.py, for its launcher)
-from references import old_rule_table, old_triangle_text, reference_listing  # noqa: E402
+from references import (  # noqa: E402
+    old_rule_table, old_triangle_text, per_composition, reference_listing)
 
 OUT = ROOT / "BENCH_census.json"
 SIZES = [(3, 11), (2, 15), (4, 8), (3, 9)]
@@ -198,14 +199,6 @@ def closed_form_rows():
                 f"{' '.join(argv)} differs from the rows of count_table",
                 lambda text: {"rows": text.count("\n") - 2, "bytes": len(text)}))
     return rows
-
-
-def per_composition(t, n, m):
-    """(parts, count) of one group, one count_trees or count_forests call per
-    composition."""
-    if m is None:
-        return [(a, counting.count_trees(t, n, a)) for a in counting.compositions(t, n - 1)]
-    return [(a, counting.count_forests(t, m, n, a)) for a in counting.compositions(t, n, m)]
 
 
 def table_argv(fmt, t, n, m):

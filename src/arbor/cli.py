@@ -68,6 +68,13 @@ def _table_chunks(fmt: str, t: int, n: int, m: Optional[int] = None) -> list[str
     sum to the closed-form total, checked before the pieces are returned, so
     a failing table prints nothing of itself.
 
+    A block's rows less its prefix depend only on its key, so the rows of
+    a keyed block are written once per key, each led by a NUL, which no row
+    holds, where the prefix goes; each block of the key is that text with
+    the NULs replaced by its prefix, and adds the sum of the counts the
+    text was written from, so every printed count enters the total once.
+    A block without a key has its rows written as they come.
+
     No count exceeds the total and no part exceeds the free edge count, or
     one more in a forest's root slots, and both are reached, so the pretty
     columns are as wide as the longer of the two."""
@@ -86,21 +93,42 @@ def _table_chunks(fmt: str, t: int, n: int, m: Optional[int] = None) -> list[str
         head = " ".join(x.rjust(width) for x in names) + "  " + "count".rjust(width + 4)
         part, cell = f"%{width}d ", f">{width + 5}"
         foot = "total" + str(total).rjust(len(head) - len("total"))
-    lines, chunks, rows_sum = [head + "\n"], [], 0
-    for prefix, tails, p, quotients in counting.count_rows(
+    lines, chunks, rows_sum, size = [head + "\n"], [], 0, 1
+    texts: dict = {}  # key -> its rows less their prefix, as _shared_rows writes them
+    sums: dict = {}  # key -> the sum of its counts; not paired with the text
+    # in a tuple, which held 0.15 MB more at (6, 30)
+    for prefix, tails, p, quotients, key in counting.count_rows(
             t, n, m, write=lambda *parts: part * len(parts) % parts):
-        for tail, q in zip(tails, quotients):
-            count = p * q
-            rows_sum += count
-            lines.append(f"{prefix}{tail}{count:{cell}}\n")
-        if len(lines) >= 4096:  # one string per chunk holds less than one per row
+        if key is None:
+            for tail, q in zip(tails, quotients):
+                count = p * q
+                rows_sum += count
+                lines.append(f"{prefix}{tail}{count:{cell}}\n")
+        else:
+            text = texts.get(key)
+            if text is None:
+                text, sums[key] = _shared_rows(tails, p, quotients, cell)
+                texts[key] = text
+            lines.append(text.replace("\0", prefix))
+            rows_sum += sums[key]
+        size += len(tails)
+        if size >= 4096:  # one string per chunk holds less than one per row
             chunks.append("".join(lines))
             lines.clear()
+            size = 0
     if rows_sum != total:
         raise ArithmeticError("table rows do not sum to the closed-form total")
     lines.append(foot + "\n")
     chunks.append("".join(lines))
     return chunks
+
+
+def _shared_rows(tails: list, p: int, quotients: list[int], cell: str) -> tuple[str, int]:
+    """The rows of a block less its prefix, each led by a NUL, and the sum
+    of their counts."""
+    counts = [p * q for q in quotients]
+    text = "".join([f"\0{tail}{count:{cell}}\n" for tail, count in zip(tails, counts)])
+    return text, sum(counts)
 
 
 def _triangle_rows(t: int, slot: int, rows: int) -> list[list[int]]:
@@ -512,7 +540,9 @@ def main(argv=None) -> int:
         # the reader left early (``arbor ... | head``): send the output still
         # buffered to devnull so the flush at exit cannot fail again
         # (the SIGPIPE recipe of the Python docs)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_CONSTRAINT
     except ConstraintError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -133,7 +133,7 @@ def count_table(t: int, n: int, m: Optional[int] = None) -> dict[EdgeComposition
     """Closed-form count of every composition of one group, keyed in the order
     of :func:`compositions`: the n-node trees, or with m the m-tree forests.
     The rows of the blocks of :func:`count_rows`."""
-    return {prefix + tail: p * q for prefix, tails, p, quotients in count_rows(t, n, m)
+    return {prefix + tail: p * q for prefix, tails, p, quotients, _ in count_rows(t, n, m)
             for tail, q in zip(tails, quotients)}
 
 
@@ -142,11 +142,12 @@ def _write_tuple(*parts: int) -> EdgeComposition:
 
 
 def count_rows(t: int, n: int, m: Optional[int] = None, *,
-               write=_write_tuple) -> Iterator[tuple[object, list, int, list[int]]]:
+               write=_write_tuple) -> Iterator[tuple[object, list, int, list[int],
+                                                     Optional[int]]]:
     """Every composition of one group with its count, in the order of
     :func:`compositions` and as :func:`count_trees` or :func:`count_forests`
-    gives it, in blocks (prefix, tails, p, quotients): row j of a block is
-    the composition prefix + tails[j], and its count is p * quotients[j].
+    gives it, in blocks (prefix, tails, p, quotients, key): row j of a block
+    is the composition prefix + tails[j], and its count is p * quotients[j].
     The parts come as ``write(*parts)`` writes each run of them, joined by
     ``+``: tuples by default, or text such as a CSV row less its count.  The
     group is checked by :func:`shape` before the first block.
@@ -163,22 +164,33 @@ def count_rows(t: int, n: int, m: Optional[int] = None, *,
     t = 4 on a remainder recurs under many prefixes, and the quotient lists
     are kept per (remainder, d); below that each remainder comes once, and
     keeping them would only hold every quotient of the table.
+
+    A block's rows less its prefix, its tails and counts, depend only on
+    its remainder and its prefix product, which fixes g, p and d.  From
+    t = 6 on, where a pair recurs under 15 or more prefixes on average
+    (12,650 blocks share 833 pairs at (6, 22)), ``key`` is the pair as one
+    integer, product * (free + 1) + remainder; it rests on the
+    block's own numbers and on no symmetry of the slots.  Below t = 6 the
+    key is None: the blocks of distinct pairs hold about half the rows of a
+    table at t = 4 and a fifth at t = 5, against 6-7% at t = 6, and text
+    kept per pair would hold that share of the table a second time.
     """
     start, roots, free = shape(t, n, m)
     name = "count_trees" if m is None else "count_forests"
     if t == 1:  # a single row; no binomial row of n entries
-        return iter([(write(), [write(free)], 1, [count_trees(1, n, (free,))])])
+        return iter([(write(), [write(free)], 1, [count_trees(1, n, (free,))], None)])
     binom = binomial_row(n, free)
     tails, prefixes = _walk(t, roots, free, binom, write)
-    return _blocks(name, n, start, binom, prefixes, tails, keep=t >= 4)
+    return _blocks(name, n, start, binom, prefixes, tails, keep=t >= 4, keys=t >= 6)
 
 
 def _blocks(name: str, n: int, start: int, binom: list[int], prefixes, tails,
-            keep: bool):
+            keep: bool, keys: bool):
     """The blocks of :func:`count_rows`: each prefix product over g, with
     the pair list of its remainder divided by d and checked exact, kept
-    per (remainder, d) when ``keep``."""
+    per (remainder, d) when ``keep``, and with ``keys`` its key, else None."""
     memo: dict[tuple[int, int], list[int]] = {}
+    key, top = None, len(binom)
     for prefix, left, product in prefixes:
         g = gcd(product, n)
         d = n // g
@@ -194,7 +206,9 @@ def _blocks(name: str, n: int, start: int, binom: list[int], prefixes, tails,
             del pairs  # the suspended frame would hold it while the rows are read
             if keep:
                 memo[left, d] = quotients
-        yield prefix, tails[left], product // g, quotients
+        if keys:
+            key = product * top + left
+        yield prefix, tails[left], product // g, quotients, key
 
 
 def group_total(t: int, n: int, m: Optional[int] = None) -> int:

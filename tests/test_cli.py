@@ -11,6 +11,7 @@ import sys
 import textwrap
 import threading
 import time
+import types
 from itertools import permutations, product
 from pathlib import Path
 
@@ -348,13 +349,56 @@ def test_table_csv(capsys):
     (1, 1, None), (1, 5, None), (2, 6, None), (6, 7, None), (4, 6, 1), (4, 6, 3),
     (2, 4, 1), (4, 3, 3), (3, 40, None), (16, 1, None), (16, 2, None),
     (16, 3, None), (16, 15, 15), (16, 16, 15), (4, 24, None), (5, 12, 2),
-    (6, 12, None),
+    (6, 12, None), (6, 22, None), (5, 30, 2), (16, 7, None), (8, 12, None),
+    (6, 20, 4),
 ])
 def test_table_csv_written_from_the_walk(t, n, m):
-    # each row is written from the walk; the pretty width is fixed before it
+    # each row is written from the walk; the pretty width is fixed before it.
+    # From t = 6 on the rows of a block less its prefix are written once per
+    # key and reused under every prefix of that key: at (6, 22) and (8, 12)
+    # with d > 1, at (16, 7) with n prime and in the forests of (6, 20, 4)
     for fmt in ("csv", "pretty"):
         text = "".join(cli._table_chunks(fmt, t, n, m))
         assert text == old_rule_table(fmt, t, n, m) + "\n", fmt
+
+
+def prefix_keys(t, n, m=None):
+    """The distinct (remainder, prefix product) pairs of a table, read from
+    its compositions apart from the walk: the parts but the last two, each
+    less one in a forest's root slots, and C(n, b) of each."""
+    free, lift = (n - 1, 0) if m is None else (n - m, m)
+    table = counting.compositions(t, n - 1) if m is None else counting.compositions(t, n, m=m)
+    keys = set()
+    for a in table:
+        b = [x - (i < lift) for i, x in enumerate(a[:t - 2])]
+        keys.add((free - sum(b), math.prod(math.comb(n, x) for x in b)))
+    return keys
+
+
+@pytest.mark.parametrize("t, n, m, keys", [
+    (6, 22, None, 833), (8, 12, None, 166), (16, 7, None, 30), (6, 20, 4, None),
+    (5, 30, 2, 0), (4, 30, 3, 0), (3, 40, None, 0), (2, 6, None, 0), (1, 5, None, 0),
+])
+def test_table_formats_each_key_once(t, n, m, keys, monkeypatch):
+    # from t = 6 on each distinct (remainder, prefix product) is formatted
+    # once, whatever the number of prefixes that share it; below that no
+    # block is formatted as a shared text
+    calls = []
+    shared_rows = cli._shared_rows
+
+    def counted(*args):
+        calls.append(args)
+        return shared_rows(*args)
+
+    monkeypatch.setattr(cli, "_shared_rows", counted)
+    if keys is None:
+        keys = len(prefix_keys(t, n, m))
+    if keys:
+        assert keys == len(prefix_keys(t, n, m))
+    for fmt in ("csv", "pretty"):
+        calls.clear()
+        cli._table_chunks(fmt, t, n, m)
+        assert len(calls) == keys, fmt
 
 
 def test_table_csv_refuses_rows_off_the_total(capsys, monkeypatch):
@@ -362,10 +406,10 @@ def test_table_csv_refuses_rows_off_the_total(capsys, monkeypatch):
         # the first row's count raised by one: its block as p = 1 and the
         # counts themselves as quotients
         blocks = list(real(t, n, m, **options))
-        prefix, tails, p, quotients = blocks[0]
+        prefix, tails, p, quotients, key = blocks[0]
         counts = [p * q for q in quotients]
         counts[0] += 1
-        blocks[0] = (prefix, tails, 1, counts)
+        blocks[0] = (prefix, tails, 1, counts, key)
         return iter(blocks)
 
     real = counting.count_rows
@@ -375,6 +419,29 @@ def test_table_csv_refuses_rows_off_the_total(capsys, monkeypatch):
         with pytest.raises(ArithmeticError, match="closed-form total"):
             cli._table_chunks(fmt, t, n)
         # the command prints only a FAIL line and exits 3, as verify does
+        code, out, err = run(capsys, "table", "--t", str(t), "--n", str(n),
+                             "--format", fmt)
+        assert (code, out, err) == (
+            3, "FAIL table rows do not sum to the closed-form total\n", "")
+
+
+def test_table_refuses_a_count_off_inside_a_recurring_block(capsys, monkeypatch):
+    def raised(t, n, m=None, **options):
+        # one count of the first block of a key that recurs raised by one:
+        # its text is written once from that count and printed under every
+        # prefix of the key, each use adding the sum of the counts it shows
+        blocks = list(real(t, n, m, **options))
+        keys = [block[4] for block in blocks]
+        first = next(i for i, key in enumerate(keys) if keys.count(key) > 1)
+        prefix, tails, p, quotients, key = blocks[first]
+        quotients = list(quotients)
+        quotients[-1] += 1
+        blocks[first] = (prefix, tails, p, quotients, key)
+        return iter(blocks)
+
+    real = counting.count_rows
+    monkeypatch.setattr(counting, "count_rows", raised)
+    for (t, n), fmt in product(((6, 12), (16, 7)), ("csv", "pretty")):
         code, out, err = run(capsys, "table", "--t", str(t), "--n", str(n),
                              "--format", fmt)
         assert (code, out, err) == (
@@ -657,6 +724,24 @@ def test_closed_pipe_exit_1_without_traceback():
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_closed_pipe_leaves_no_descriptor_open(monkeypatch):
+    # main sends stdout to devnull through a descriptor it opens and closes
+    def write(text):
+        raise BrokenPipeError
+
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(
+            write=write, flush=lambda: None, fileno=lambda: devnull))
+        before = len(os.listdir("/proc/self/fd"))
+        codes = [main(["paths", "--t", "3", "--n", "2"]) for _ in range(5)]
+        after = len(os.listdir("/proc/self/fd"))
+    finally:
+        os.close(devnull)
+    assert (codes, after) == ([1] * 5, before)
 
 
 def test_triangle_bad_slot(capsys):

@@ -180,6 +180,30 @@ def test_count_table_matches_per_composition_calls_where_quotients_recur(t, n, m
     assert list(count_table(t, n, m).items()) == per_composition(t, n, m)
 
 
+@pytest.mark.parametrize("t, n, m", [(6, 12, None), (6, 14, 3), (8, 9, None),
+                                     (16, 5, None), (16, 16, 14), (5, 12, 2),
+                                     (4, 24, None), (3, 9, None), (2, 6, 1), (1, 4, None)])
+def test_count_rows_key_is_the_blocks_own_pair(t, n, m):
+    # from t = 6 on a block's key is its (remainder, prefix product), read
+    # here from the composition, packed as product * (free + 1) + remainder;
+    # blocks of one key have the same tails and counts.  Below t = 6 every
+    # key is None
+    free, lift = (n - 1, 0) if m is None else (n - m, m)
+    rows: dict = {}
+    for prefix, tails, p, quotients, key in count_rows(t, n, m):
+        if t < 6:
+            assert key is None
+            continue
+        b = [x - (i < lift) for i, x in enumerate(prefix)]
+        left = free - sum(b)
+        assert key == prod(comb(n, x) for x in b) * (free + 1) + left
+        assert len(tails) == left + 1
+        block = (tails, [p * q for q in quotients])
+        assert rows.setdefault(key, block) == block
+    if t >= 6:
+        assert len(rows) < sum(1 for _ in count_rows(t, n, m))
+
+
 @pytest.mark.parametrize("t, n, m", [(3, 4, None), (2, 4, None), (3, 4, 2), (4, 5, 1),
                                      (4, 12, None), (5, 12, 2), (6, 12, None)])
 def test_count_table_inexact_division_raises_like_per_composition_calls(

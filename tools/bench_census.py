@@ -62,7 +62,8 @@ INVERSION_GROUPS = [(3, 12, None), (3, 12, 1), (3, 12, 2),
                     (4, 8, None), (4, 8, 1), (4, 8, 2), (4, 8, 3)]  # (t, n, m)
 BINOMIAL_ROWS = [(3000, 2999), (8000, 7999)]  # (n, top)
 PROCESS_TABLES = [("csv", 6, 22, None), ("pretty", 4, 30, 3), ("csv", 6, 30, None),
-                  ("pretty", 6, 30, None), ("csv", 2, 8000, None)]  # (format, t, n, m)
+                  ("pretty", 6, 30, None), ("csv", 2, 8000, None), ("csv", 4, 100, None),
+                  ("csv", 16, 7, None), ("csv", 3, 300, None)]  # (format, t, n, m)
 PROCESS_TRIANGLES = [("bfile", 3, 2, 150, True), ("bfile", 3, 2, 300, True),
                      ("pretty", 3, 1, 600, False)]  # (format, t, slot, rows, self-check)
 PROCESS_PROBES = [(11, 6)]  # (t, n)

@@ -133,7 +133,8 @@ def count_table(t: int, n: int, m: Optional[int] = None) -> dict[EdgeComposition
     """Closed-form count of every composition of one group, keyed in the order
     of :func:`compositions`: the n-node trees, or with m the m-tree forests.
     The rows of the blocks of :func:`count_rows`."""
-    return {prefix + tail: p * q for prefix, tails, p, quotients, _ in count_rows(t, n, m)
+    return {prefix + tail: p * q
+            for prefix, tails, p, quotients, _ in _group_blocks(t, n, m, _write_tuple, False)
             for tail, q in zip(tails, quotients)}
 
 
@@ -175,13 +176,20 @@ def count_rows(t: int, n: int, m: Optional[int] = None, *,
     table at t = 4 and a fifth at t = 5, against 6-7% at t = 6, and text
     kept per pair would hold that share of the table a second time.
     """
+    return _group_blocks(t, n, m, write, True)
+
+
+def _group_blocks(t: int, n: int, m: Optional[int], write, keyed: bool):
+    """The blocks of :func:`count_rows`, with keys only when ``keyed``:
+    :func:`count_table` reads none and does not pay for them."""
     start, roots, free = shape(t, n, m)
     name = "count_trees" if m is None else "count_forests"
     if t == 1:  # a single row; no binomial row of n entries
         return iter([(write(), [write(free)], 1, [count_trees(1, n, (free,))], None)])
     binom = binomial_row(n, free)
     tails, prefixes = _walk(t, roots, free, binom, write)
-    return _blocks(name, n, start, binom, prefixes, tails, keep=t >= 4, keys=t >= 6)
+    return _blocks(name, n, start, binom, prefixes, tails, keep=t >= 4,
+                   keys=keyed and t >= 6)
 
 
 def _blocks(name: str, n: int, start: int, binom: list[int], prefixes, tails,

@@ -94,9 +94,11 @@ def _table_chunks(fmt: str, t: int, n: int, m: Optional[int] = None) -> list[str
         part, cell = f"%{width}d ", f">{width + 5}"
         foot = "total" + str(total).rjust(len(head) - len("total"))
     lines, chunks, rows_sum, size = [head + "\n"], [], 0, 1
-    texts: dict = {}  # key -> its rows less their prefix, as _shared_rows writes them
-    sums: dict = {}  # key -> the sum of its counts; not paired with the text
-    # in a tuple, which held 0.15 MB more at (6, 30)
+    # per key, its rows less their prefix as _shared_rows writes them, and
+    # the sum of their counts: two dicts, as a (text, sum) tuple per key held
+    # 0.15 MB more at (6, 30)
+    texts: dict = {}
+    sums: dict = {}
     for prefix, tails, p, quotients, key in counting.count_rows(
             t, n, m, write=lambda *parts: part * len(parts) % parts):
         if key is None:

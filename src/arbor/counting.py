@@ -170,11 +170,11 @@ def count_rows(t: int, n: int, m: Optional[int] = None, *,
     its remainder and its prefix product, which fixes g, p and d.  From
     t = 6 on, where a pair recurs under 15 or more prefixes on average
     (12,650 blocks share 833 pairs at (6, 22)), ``key`` is the pair as one
-    integer, product * (free + 1) + remainder; it rests on the
-    block's own numbers and on no symmetry of the slots.  Below t = 6 the
-    key is None: the blocks of distinct pairs hold about half the rows of a
-    table at t = 4 and a fifth at t = 5, against 6-7% at t = 6, and text
-    kept per pair would hold that share of the table a second time.
+    integer, product * (free + 1) + remainder; it rests on the block's own
+    numbers and on no symmetry of the slots.  Below t = 6 the key is None:
+    the blocks of distinct pairs hold about half the rows of a table at
+    t = 4 and a fifth at t = 5, against 6-7% at t = 6, and text kept per
+    pair would hold that share of the table a second time.
     """
     return _group_blocks(t, n, m, write, True)
 

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 import argparse
 import contextlib
+import gc
 import inspect
 import json
 import math
@@ -740,6 +741,68 @@ def test_closed_pipe_leaves_no_descriptor_open(monkeypatch):
     finally:
         os.close(devnull)
     assert (codes, after) == ([1] * 5, before)
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+def test_run_freezes_the_heap_then_exits_with_mains_code(code):
+    # cli.run is the program entry: the command runs with the start-up heap
+    # frozen, so no collection walks it again, and the process exits with
+    # the code main returns
+    done = run_python("-c", textwrap.dedent(f"""\
+        import gc
+        from arbor import cli
+        def main():
+            print(gc.get_freeze_count() > 0)
+            return {code}
+        cli.main = main
+        cli.run()
+        """))
+    assert (done.returncode, done.stdout, done.stderr) == (code, "True\n", "")
+
+
+def test_module_and_console_script_enter_through_run():
+    # python -m arbor.cli runs the module as __main__, and the console script
+    # calls the [project.scripts] target: both freeze before main runs
+    target = re.search(r'^arbor = "(\S+):(\S+)"$', (ROOT / "pyproject.toml").read_text(),
+                       re.M)
+    prelude = textwrap.dedent("""\
+        import gc, sys
+        freeze = gc.freeze
+        def record():
+            print("freeze")
+            freeze()
+        gc.freeze = record
+        sys.argv[1:] = ["count", "--t", "2", "--n", "1", "--composition", "0,0"]
+        """)
+    for entry in ("import runpy\nrunpy.run_module('arbor.cli', run_name='__main__')\n",
+                  f"import importlib\nimportlib.import_module({target[1]!r}).{target[2]}()\n"):
+        done = run_python("-c", prelude + entry)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "freeze\n1\n", ""), entry
+
+
+def test_threaded_census_joins_under_the_frozen_heap(capsys):
+    # (3, 9) is past the split floor, so its census runs on two threads
+    # started after the freeze; the process prints what main prints in
+    # process and exits 0
+    argv = ["verify", "--t", "3", "--max-n", "9", "--mode", "brute", "--workers", "2"]
+    assert treebank._split_pays(counting.total_trees(3, 9), counting.binomial(10, 2))
+    done = run_python("-m", "arbor.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (0, *run(capsys, *argv)[1:])
+
+
+def test_main_in_process_leaves_the_collector_alone(capsys, monkeypatch):
+    # tier-1, perfbench --trace 1 and tools/bench_census.py call main in
+    # process: it freezes nothing and leaves the collector as it found it
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    before = (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold())
+    codes = [main(argv) for argv in (
+        ["count", "--t", "2", "--n", "1", "--composition", "0,0"],
+        ["count", "--t", "2", "--n", "1", "--composition", "0,1"],
+        ["verify", "--t", "3", "--max-n", "7", "--mode", "brute", "--budget", "1"],
+        ["verify", "--t", "3", "--max-n", "4", "--mode", "brute", "--workers", "2"])]
+    after = (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold())
+    assert (codes, calls, after) == ([0, 1, 2, 0], [], before)
 
 
 def test_triangle_bad_slot(capsys):

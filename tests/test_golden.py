@@ -2,33 +2,46 @@
 digest, and every program name its tracer wraps or reads.
 
 ``perfbench/golden.json`` holds the exit code and stdout SHA-256 of each
-command the benchmark runs.  This test runs them in-process through
-``arbor.cli.main`` and only reads the file.  ``perfbench/spans.py`` is read
-as source, not imported.
+command the benchmark runs.  These tests run them in-process through
+``arbor.cli.main``, as the traced benchmark does, and as fresh
+``python -m arbor.cli`` processes, as the timed benchmark does, and only
+read the file.  ``perfbench/spans.py`` is read as source, not imported.
 """
 import ast
 import hashlib
 import importlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from arbor import cli
+from conftest import child_env
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN = PERFBENCH / "golden.json"
 COMMANDS = json.loads(GOLDEN.read_text())["commands"]
 
 
+def outcome(code, out):
+    return {"exit": code, "bytes": len(out), "sha256": hashlib.sha256(out).hexdigest()}
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_golden_digest(command, capsys):
-    want = COMMANDS[command]
     code = cli.main(command.split())
-    out = capsys.readouterr().out.encode()
-    assert code == want["exit"]
-    assert len(out) == want["bytes"]
-    assert hashlib.sha256(out).hexdigest() == want["sha256"]
+    assert outcome(code, capsys.readouterr().out.encode()) == COMMANDS[command]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_golden_digest_in_a_fresh_process(command):
+    # the process path the benchmark times, through cli.run and its frozen heap
+    done = subprocess.run([sys.executable, "-m", "arbor.cli", *command.split()],
+                          env=child_env(), capture_output=True, timeout=60)
+    assert outcome(done.returncode, done.stdout) == COMMANDS[command]
+    assert done.stderr == b""
 
 
 def test_benchmark_names_exist():

@@ -9,10 +9,10 @@ directory; nothing is fetched.  When this tree has a built census kernel in
 ``src/arbor``, the parent's is built there too, so both run the same engine.
 Each argv runs in both trees as ``python -m arbor.cli`` under the same
 environment (``ARBOR_BUDGET`` as its grid sets it, ``PYTHONPATH`` the tree's
-``src``).  Per grid the tool prints the number of argvs by exit code and,
-for the first argv whose exit code, stdout or stderr differ, both sides'
-exit code, stdout length and SHA-256, and stderr.  It exits 1 if any argv
-differs.
+``src``).  Per grid the tool prints the number of argvs by this tree's exit
+code and, for the first argv whose exit code, stdout or stderr differ, both
+sides' exit code, stdout length and SHA-256, and stderr.  It exits 1 if
+any argv differs.
 """
 import hashlib
 import os

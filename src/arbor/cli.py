@@ -529,8 +529,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
-        # the budget already bounds the counts; let any of them print
+    # the budget already bounds the counts, so let any of them print, and
+    # give an in-process caller its digit limit back (no limit before 3.10.7)
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits:
         sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -558,6 +560,9 @@ def main(argv=None) -> int:
         # multiple of n, or a table's rows miss its total
         print(f"FAIL {exc}")
         return EXIT_VERIFY
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 def run() -> None:

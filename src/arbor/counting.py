@@ -134,7 +134,7 @@ def count_table(t: int, n: int, m: Optional[int] = None) -> dict[EdgeComposition
     of :func:`compositions`: the n-node trees, or with m the m-tree forests.
     The rows of the blocks of :func:`count_rows`."""
     return {prefix + tail: p * q
-            for prefix, tails, p, quotients, _ in _group_blocks(t, n, m, _write_tuple, False)
+            for prefix, tails, p, quotients, _ in count_rows(t, n, m)
             for tail, q in zip(tails, quotients)}
 
 
@@ -176,30 +176,19 @@ def count_rows(t: int, n: int, m: Optional[int] = None, *,
     t = 4 and a fifth at t = 5, against 6-7% at t = 6, and text kept per
     pair would hold that share of the table a second time.
     """
-    return _group_blocks(t, n, m, write, True)
+    return _rows(t, n, m, *shape(t, n, m), write)
 
 
-def _group_blocks(t: int, n: int, m: Optional[int], write, keyed: bool):
-    """The blocks of :func:`count_rows`, with keys only when ``keyed``:
-    :func:`count_table` reads none and does not pay for them."""
-    start, roots, free = shape(t, n, m)
-    name = "count_trees" if m is None else "count_forests"
+def _rows(t: int, n: int, m: Optional[int], start: int, roots: int, free: int, write):
+    """The blocks of :func:`count_rows` once :func:`shape` has passed."""
     if t == 1:  # a single row; no binomial row of n entries
-        return iter([(write(), [write(free)], 1, [count_trees(1, n, (free,))], None)])
+        yield write(), [write(free)], 1, [count_trees(1, n, (free,))], None
+        return
+    name = "count_trees" if m is None else "count_forests"
     binom = binomial_row(n, free)
-    tails, prefixes = _walk(t, roots, free, binom, write)
-    return _blocks(name, n, start, binom, prefixes, tails, keep=t >= 4,
-                   keys=keyed and t >= 6)
-
-
-def _blocks(name: str, n: int, start: int, binom: list[int], prefixes, tails,
-            keep: bool, keys: bool):
-    """The blocks of :func:`count_rows`: each prefix product over g, with
-    the pair list of its remainder divided by d and checked exact, kept
-    per (remainder, d) when ``keep``, and with ``keys`` its key, else None."""
     memo: dict[tuple[int, int], list[int]] = {}
-    key, top = None, len(binom)
-    for prefix, left, product in prefixes:
+    key = None
+    for prefix, tails, left, product in _walk(t, roots, free, binom, write):
         g = gcd(product, n)
         d = n // g
         quotients = memo.get((left, d))
@@ -212,11 +201,11 @@ def _blocks(name: str, n: int, start: int, binom: list[int], prefixes, tails,
                     raise _inexact(name, product * inexact[0], n)
                 quotients = [pair // d for pair in pairs]
             del pairs  # the suspended frame would hold it while the rows are read
-            if keep:
+            if t >= 4:
                 memo[left, d] = quotients
-        if keys:
-            key = product * top + left
-        yield prefix, tails[left], product // g, quotients, key
+        if t >= 6:
+            key = product * (free + 1) + left
+        yield prefix, tails, product // g, quotients, key
 
 
 def group_total(t: int, n: int, m: Optional[int] = None) -> int:
@@ -313,46 +302,50 @@ def compositions(t: int, total: int, m: int = 0) -> Iterator[EdgeComposition]:
     if t == 1:
         yield (total,)
         return
-    tails, prefixes = _walk(t, m, base, [1] * (base + 1), _write_tuple)
-    for prefix, left, _ in prefixes:
-        for tail in tails[left]:
+    for prefix, tails, _, _ in _walk(t, m, base, [1] * (base + 1), _write_tuple):
+        for tail in tails:
             yield prefix + tail
 
 
-def _walk(t: int, m: int, free: int, factors: Sequence[int], write) -> tuple[
-        dict[int, list], Iterator[tuple[object, int, int]]]:
+def _walk(t: int, m: int, free: int, factors: Sequence[int], write) -> Iterator[
+        tuple[object, list, int, int]]:
     """The compositions of free + m into t >= 2 parts whose first m < t parts
-    are at least 1, as (tails, prefixes), each run of parts written by
-    write(*parts) and joined by ``+``.
+    are at least 1, in lexicographic order, as blocks (prefix, tails, left,
+    product), each run of parts written by write(*parts) and joined by ``+``.
 
-    A depth-first walk fixes the first t - 2 parts left to right, each
-    counting up from its lower bound, and yields (prefix, left, product):
-    the last two parts sum to left plus their lower bounds, and product is
-    the product of factors[b] over the prefix, b being each part less its
-    lower bound.  tails[left] lists those last two parts in lexicographic
-    order.  The last prefix part is fixed by a plain loop, and each part's
-    text is written once per value.
+    The first t - 2 parts make the prefix, each counting up from its lower
+    bound; the last two parts sum to left plus their lower bounds, and tails
+    lists them in lexicographic order.  product is the product of factors[b]
+    over the prefix, b being each part less its lower bound.  The first
+    t - 3 parts are an odometer (Knuth, TAOCP 4A, 7.2.1.3) on an explicit
+    stack, the last prefix part is a plain loop, and each part's text and
+    each tail list is written once per value.  No frame refers to itself,
+    so nothing of the walk outlives it in a reference cycle.
     """
     lift = 1 if t - 2 < m else 0  # the last part is never lifted, as m < t
-    tails = {left: [write(b + lift, left - b) for b in range(left + 1)]
-             for left in (range(free + 1) if t > 2 else (free,))}
     if t == 2:
-        return tails, iter([(write(), free, 1)])
+        yield write(), [write(b + lift, free - b) for b in range(free + 1)], free, 1
+        return
+    tails = [[write(b + lift, left - b) for b in range(left + 1)] for left in range(free + 1)]
     # texts[slot < m][b]: the text of a part b above its lower bound
     texts = [[write(b + lift) for b in range(free + 1)] for lift in (0, 1)]
-    return tails, _prefixes(t - 3, m, texts, factors, 0, write(), 1, free)
-
-
-def _prefixes(last: int, m: int, texts, factors, slot: int, prefix, product: int,
-              left: int):
-    """The prefixes of :func:`_walk` from part ``slot`` on.  A module-level
-    generator, not a closure over itself, so no reference cycle keeps the
-    walk's texts and factors alive once it is done."""
-    text = texts[slot < m]
-    if slot == last:
+    last, depth = texts[t - 3 < m], t - 3
+    # stack[slot]: part ``slot`` less its lower bound, and the prefix, product
+    # and left before it; prefix, product and left are those after the stack
+    stack: list[tuple[int, object, int, int]] = []
+    b, prefix, product, left = 0, write(), 1, free
+    while True:
+        while len(stack) < depth:  # part len(stack) at b, the parts after it at 0
+            stack.append((b, prefix, product, left))
+            prefix, product, left = (prefix + texts[len(stack) <= m][b],
+                                     product * factors[b], left - b)
+            b = 0
         for b in range(left + 1):
-            yield prefix + text[b], left - b, product * factors[b]
-    else:
-        for b in range(left + 1):
-            yield from _prefixes(last, m, texts, factors, slot + 1, prefix + text[b],
-                                 product * factors[b], left - b)
+            yield prefix + last[b], tails[left - b], left - b, product * factors[b]
+        # the odometer step: the last part with room goes up by one
+        while stack and stack[-1][0] == stack[-1][3]:
+            stack.pop()
+        if not stack:
+            return
+        b, prefix, product, left = stack.pop()
+        b += 1

@@ -526,12 +526,24 @@ def test_triangle_closed_form_error_exit_3(capsys, monkeypatch):
     assert (code, out, err) == (3, "FAIL marginal product 7 not divisible by 1\n", "")
 
 
-def test_count_prints_long_integers(capsys):
+@pytest.fixture
+def digit_limit():
+    """Python's default int-to-str digit limit in force, whatever earlier
+    tests left, and their limit back afterwards."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_count_prints_long_integers(capsys, digit_limit):
     # the count has 12,033 digits, past the 4,300-digit limit that Python
-    # puts on converting an int to text by default
+    # puts on converting an int to text by default; main lifts it only while
+    # it runs, so the reference is written with the limit lifted here
     code, out, err = run(capsys, "count", "--t", "2", "--n", "20000",
                          "--composition", "10000,9999")
-    assert (code, err) == (0, "")
+    assert (code, err, sys.get_int_max_str_digits()) == (0, "", digit_limit)
+    sys.set_int_max_str_digits(0)
     assert out == f"{counting.count_trees(2, 20000, (10000, 9999))}\n"
 
 
@@ -790,18 +802,21 @@ def test_threaded_census_joins_under_the_frozen_heap(capsys):
     assert (done.returncode, done.stdout, done.stderr) == (0, *run(capsys, *argv)[1:])
 
 
-def test_main_in_process_leaves_the_collector_alone(capsys, monkeypatch):
+def test_main_in_process_leaves_the_collector_alone(capsys, monkeypatch, digit_limit):
     # tier-1, perfbench --trace 1 and tools/bench_census.py call main in
-    # process: it freezes nothing and leaves the collector as it found it
+    # process: it freezes nothing and leaves the collector, and the
+    # int-to-str digit limit it lifts while it runs, as it found them
     calls = []
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
-    before = (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold())
+    before = (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold(),
+              sys.get_int_max_str_digits())
     codes = [main(argv) for argv in (
         ["count", "--t", "2", "--n", "1", "--composition", "0,0"],
         ["count", "--t", "2", "--n", "1", "--composition", "0,1"],
         ["verify", "--t", "3", "--max-n", "7", "--mode", "brute", "--budget", "1"],
         ["verify", "--t", "3", "--max-n", "4", "--mode", "brute", "--workers", "2"])]
-    after = (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold())
+    after = (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold(),
+             sys.get_int_max_str_digits())
     assert (codes, calls, after) == ([0, 1, 2, 0], [], before)
 
 

@@ -1,4 +1,5 @@
 """Closed-form counters: frozen brute-force values, structure, properties."""
+import gc
 from collections import Counter
 from itertools import permutations
 from math import comb, gcd, prod
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arbor import counting
+from arbor import cli, counting
 from arbor.counting import (
     binomial,
     compositions,
@@ -136,9 +137,10 @@ def test_marginal_rejects_bad_slots():
 
 
 def test_count_table_matches_per_composition_calls():
-    # same keys in the same order, same counts, for every group up to n=12
-    for t in range(1, 7):
-        for n in range(1, 13):
+    # same keys in the same order, same counts, for every group up to n=12,
+    # and at t = 8 and 16, where the walk's stack holds 5 and 13 parts
+    for t, top in (*((t, 12) for t in range(1, 7)), (8, 9), (16, 6)):
+        for n in range(1, top + 1):
             assert list(count_table(t, n).items()) == per_composition(t, n)
             for m in range(1, min(t - 1, n) + 1):
                 assert list(count_table(t, n, m).items()) == per_composition(t, n, m)
@@ -261,9 +263,10 @@ def test_compositions_examples():
 
 
 def test_compositions_lexicographic_and_complete():
-    for t in range(1, 7):
+    # up to t = 16, where the walk's stack holds 13 parts, at small totals
+    for t in range(1, 17):
         for m in range(t):
-            for total in range(0, 8):
+            for total in range(0, 8 if t < 7 else 5):
                 seq = list(compositions(t, total, m=m))
                 assert seq == sorted(seq)
                 assert len(seq) == len(set(seq)) == comb(total - m + t - 1, t - 1)
@@ -283,6 +286,18 @@ def test_compositions_rejects_bad_m():
         list(compositions(3, 2, m=3))
     with pytest.raises(ConstraintError):
         list(compositions(3, -1))
+
+
+def test_walk_leaves_no_reference_cycle():
+    # whole walks and walks dropped after one item free everything they
+    # made by reference counting, so the collector finds nothing to free
+    gc.collect()
+    count_table(6, 12)
+    list(compositions(16, 3))
+    cli._table_chunks("csv", 6, 14)
+    next(count_rows(8, 9))
+    next(compositions(7, 5))
+    assert gc.collect() == 0
 
 
 def test_sum_identity_small():

@@ -50,8 +50,8 @@ WORKER_SIZES = [(3, 11, None), (8, 6, None), (16, 5, None), (4, 9, None), (5, 8,
                 (3, 10, None), (2, 13, None), (2, 14, None), (6, 7, None),
                 (3, 11, 2)]  # (t, n, m)
 PROBE_SIZES = [(3, 9)]
-COMPOSITION_SIZES = [(6, 21, 0), (6, 29, 0), (4, 30, 3)]  # (t, total, m)
-CLOSED_FORM_SIZES = [(6, 22, None), (6, 30, None), (4, 30, 3)]  # (t, n, m)
+COMPOSITION_SIZES = [(6, 21, 0), (6, 29, 0), (4, 30, 3), (16, 4, 0)]  # (t, total, m)
+CLOSED_FORM_SIZES = [(6, 22, None), (6, 30, None), (4, 30, 3), (16, 8, None)]  # (t, n, m)
 TRIANGLE_SIZES = [(3, 2, 150)]  # (t, slot, rows)
 CSV_SIZES = [(6, 22, None), (4, 30, 3), (3, 300, None)]  # (t, n, m)
 PRETTY_SIZES = [(6, 22, None), (6, 30, None), (4, 30, 3)]  # (t, n, m)

@@ -76,6 +76,12 @@ GRIDS = {
         {"command": "paths", "--t": [1, 2, 3], "--n": [EDGE], "--probe": [True],
          "--budget": [50, 5000]},
     ],
+    # each table's edge, trees and every forest size; not at the default
+    # budget, whose edges hold up to 615 MB of text before they print
+    "tables": [
+        {"command": "table", "--t": [t], "--n": [EDGE], "--forest": [None, *range(1, t)],
+         "--format": ["csv", "pretty"], "budget": [1, 50, 5000, 100000]}
+        for t in (1, 2, 3, 4, 5, 6, 8, 16)],
 }
 
 
@@ -108,8 +114,9 @@ def edge(tree, command, flags, flag, budget):
     low, high = 0, 1  # the largest value known admitted, the least known refused
     while admitted(high):
         low, high = high, 2 * high
-        if high > 1 << 20:
-            raise SystemExit(f"{' '.join(words(command, flags))}: no edge below 2**20")
+        # a one-row t = 1 table admits n up to 6.4M at budget 100,000
+        if high > 1 << 23:
+            raise SystemExit(f"{' '.join(words(command, flags))}: no edge below 2**23")
     while high - low > 1:
         mid = (low + high) // 2
         low, high = (mid, high) if admitted(mid) else (low, mid)

@@ -187,7 +187,6 @@ def _rows(t: int, n: int, m: Optional[int], start: int, roots: int, free: int, w
     name = "count_trees" if m is None else "count_forests"
     binom = binomial_row(n, free)
     memo: dict[tuple[int, int], list[int]] = {}
-    key = None
     for prefix, tails, left, product in _walk(t, roots, free, binom, write):
         g = gcd(product, n)
         d = n // g
@@ -203,8 +202,7 @@ def _rows(t: int, n: int, m: Optional[int], start: int, roots: int, free: int, w
             del pairs  # the suspended frame would hold it while the rows are read
             if t >= 4:
                 memo[left, d] = quotients
-        if t >= 6:
-            key = product * (free + 1) + left
+        key = product * (free + 1) + left if t >= 6 else None
         yield prefix, tails, product // g, quotients, key
 
 

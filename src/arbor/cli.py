@@ -10,10 +10,10 @@ import gc
 import os
 import sys
 from collections import namedtuple
-from itertools import chain, islice, permutations
+from itertools import chain, permutations
 from math import factorial
 from types import SimpleNamespace
-from typing import Optional
+from typing import Iterator, Optional
 
 # treebank, series and paths are imported by the commands that run them, so
 # count, table and triangle load neither the census kernel nor the series ring
@@ -54,31 +54,46 @@ def _check_counts(action: str, count: int, noun: str, bits: int) -> None:
                           (count - (-bits // 64), "compute %d 64-bit words of counts")])
 
 
+#: The most characters a table or triangle hands to one write, unless one
+#: line alone is longer: each write is the most whole lines that fit.
+PIECE = 1 << 16
+
+
+def _write_pieces(write, texts) -> None:
+    """Write ``texts``, each of whole lines, in pieces of PIECE characters or
+    less: each piece the most whole lines that fit, or one line that is
+    longer than PIECE alone.  At most one piece is held."""
+    held, size = [], 0
+    for text in texts:
+        while size + len(text) > PIECE:
+            cut = text.rfind("\n", 0, PIECE - size) + 1 or (0 if size else text.find("\n") + 1)
+            held.append(text[:cut])
+            write("".join(held))
+            held, size, text = [], 0, text[cut:]
+        held.append(text)
+        size += len(text)
+    if size:
+        write("".join(held))
+
+
 def cmd_table(args) -> int:
-    write = sys.stdout.write
-    for chunk in _table_chunks(args.format, args.t, args.n, args.forest):
-        write(chunk)
+    _write_pieces(sys.stdout.write, _table_texts(args.format, args.t, args.n, args.forest))
     return EXIT_OK
 
 
-def _table_chunks(fmt: str, t: int, n: int, m: Optional[int] = None) -> list[str]:
-    """The table as CSV or in right-aligned columns, in pieces of up to 4,096
-    lines that join into the whole output, each line ending in a newline,
-    once the shape and the budget pass.  Each row is written from a block of
-    ``count_rows`` as its parts' text plus its count cell.  The rows must
-    sum to the closed-form total, checked before the pieces are returned, so
-    a failing table prints nothing of itself.
-
-    A block's rows less its prefix depend only on its key, so the rows of
-    a keyed block are written once per key, each led by a NUL, which no row
-    holds, where the prefix goes; each block of the key is that text with
-    the NULs replaced by its prefix, and adds the sum of the counts the
-    text was written from, so every printed count enters the total once.
-    A block without a key has its rows written as they come.
+def _table_texts(fmt: str, t: int, n: int, m: Optional[int] = None) -> Iterator[str]:
+    """The table as CSV or in right-aligned columns, as texts of whole lines
+    that join into the whole output, once the shape, the budget and the
+    check pass: the rows must sum to the closed-form total, so a failing
+    table prints nothing of itself.  The output is never held whole:
+    below t = 6 the blocks of ``count_rows`` are held until they are
+    written, and from t = 6 on one text per (t - 3)-part prefix pair
+    (``_grouped_rows``).
 
     No count exceeds the total and no part exceeds the free edge count, or
     one more in a forest's root slots, and both are reached, so the pretty
-    columns are as wide as the longer of the two."""
+    columns are as wide as the longer of the two, and no line of either
+    format is longer than a pretty line."""
     _, roots, free = counting.shape(t, n, m)
     # one row per weak composition of the free edge count into t parts
     rows = counting.binomial(free + t - 1, t - 1)
@@ -86,44 +101,88 @@ def _table_chunks(fmt: str, t: int, n: int, m: Optional[int] = None) -> list[str
     _check_counts(f"table(t={t}, {forest}n={n})", rows, "rows", rows * t * n)
     total = counting.group_total(t, n, m)
     names = [f"a{i + 1}" for i in range(t)]
+    width = max(len(str(total)), len(str(free + (1 if roots else 0))))
     if fmt == "csv":
         head, part, cell = ",".join(names) + ",count", "%d,", ""
         foot = "total," + "," * (t - 1) + str(total)
     else:
-        width = max(len(str(total)), len(str(free + (1 if roots else 0))))
         head = " ".join(x.rjust(width) for x in names) + "  " + "count".rjust(width + 4)
         part, cell = f"%{width}d ", f">{width + 5}"
         foot = "total" + str(total).rjust(len(head) - len("total"))
-    lines, chunks, rows_sum, size = [head + "\n"], [], 0, 1
-    # per key, its rows less their prefix as _shared_rows writes them, and
-    # the sum of their counts: two dicts, as a (text, sum) tuple per key held
-    # 0.15 MB more at (6, 30)
-    texts: dict = {}
-    sums: dict = {}
-    for prefix, tails, p, quotients, key in counting.count_rows(
-            t, n, m, write=lambda *parts: part * len(parts) % parts):
-        if key is None:
-            for tail, q in zip(tails, quotients):
-                count = p * q
-                rows_sum += count
-                lines.append(f"{prefix}{tail}{count:{cell}}\n")
-        else:
-            text = texts.get(key)
-            if text is None:
-                text, sums[key] = _shared_rows(tails, p, quotients, cell)
-                texts[key] = text
-            lines.append(text.replace("\0", prefix))
-            rows_sum += sums[key]
-        size += len(tails)
-        if size >= 4096:  # one string per chunk holds less than one per row
-            chunks.append("".join(lines))
-            lines.clear()
-            size = 0
+
+    def write(*parts):
+        return part * len(parts) % parts
+
+    if t >= 6:
+        rows_sum, body = _grouped_rows(t, n, m, write, cell)
+    else:
+        # a text of this many rows fits a piece, as no line is longer than
+        # a pretty line
+        rows_sum, body = _block_rows(t, n, m, write, cell,
+                                     max(1, PIECE // (t * (width + 1) + width + 6)))
     if rows_sum != total:
         raise ArithmeticError("table rows do not sum to the closed-form total")
-    lines.append(foot + "\n")
-    chunks.append("".join(lines))
-    return chunks
+    return chain((head + "\n",), body, (foot + "\n",))
+
+
+def _block_rows(t: int, n: int, m: Optional[int], write, cell: str, lines: int):
+    """(sum of the counts, texts of the rows) of a table below t = 6.  The
+    blocks of ``count_rows`` are held, not their text: each block's sum is
+    p times the sum of its quotient list, taken once per list, as blocks
+    share them.  Each text is up to ``lines`` rows of one block, so a block
+    of many rows (t = 2 has one) is never written whole."""
+    blocks = list(counting.count_rows(t, n, m, write=write))
+    sums: dict = {}  # id of a quotient list -> its sum; blocks hold the lists
+    rows_sum = 0
+    for _, _, p, quotients in blocks:
+        if id(quotients) not in sums:
+            sums[id(quotients)] = sum(quotients)
+        rows_sum += p * sums[id(quotients)]
+    return rows_sum, (
+        "".join([f"{prefix}{tail}{p * q:{cell}}\n"
+                 for tail, q in zip(tails[lo:lo + lines], quotients[lo:lo + lines])])
+        for prefix, tails, p, quotients in blocks for lo in range(0, len(tails), lines))
+
+
+def _grouped_rows(t: int, n: int, m: Optional[int], write, cell: str):
+    """(sum of the counts, texts of the rows) of a table from t = 6 on, from
+    two walks of the (t - 3)-part prefixes of ``count_groups``.  The rows
+    under a prefix less the prefix depend on its (remainder, product) pair
+    alone, so the first walk writes them once per pair, each led by a NUL,
+    which no row holds, where the prefix goes, and adds their sum under
+    every prefix of the pair; a later prefix of a pair builds none of its
+    blocks.  The second walk fills each prefix into its pair's text.  From
+    t = 6 on a pair recurs under 5 prefixes or more (405 pairs over 2,024
+    prefixes at (6, 22), 1,855 over 98,280 at (8, 30, 7)); below it under
+    2 at most (420 over 820 at (5, 40), one each at t = 4), and the texts
+    of the pairs would hold half the table or all of it."""
+    groups, rows = counting.count_groups(t, n, m, write=write)
+    texts: dict = {}  # pair -> its rows less the prefix, and their sum
+    shared: dict = {}
+    rows_sum = 0
+    for _, left, product in groups():
+        if (left, product) not in texts:
+            texts[left, product] = _group_rows(rows(left, product), shared, cell)
+        rows_sum += texts[left, product][1]
+    return rows_sum, (texts[left, product][0].replace("\0", prefix)
+                      for prefix, left, product in groups())
+
+
+def _group_rows(blocks, shared: dict, cell: str) -> tuple[str, int]:
+    """The rows of the blocks (part, tails, p, quotients) of one prefix pair,
+    each led by a NUL and its part, and the sum of their counts.  A block's
+    rows less its part depend on its own (remainder, product) pair, which
+    its p and quotient list fix, so ``shared`` keeps each such text and sum
+    once, as ``_shared_rows`` writes them."""
+    parts, group_sum = [], 0
+    for part, tails, p, quotients in blocks:
+        key = p, id(quotients)  # the lists live as long as count_groups' rows
+        if key not in shared:
+            shared[key] = _shared_rows(tails, p, quotients, cell)
+        text, block_sum = shared[key]
+        parts.append(text.replace("\0", "\0" + part))
+        group_sum += block_sum
+    return "".join(parts), group_sum
 
 
 def _shared_rows(tails: list, p: int, quotients: list[int], cell: str) -> tuple[str, int]:
@@ -174,14 +233,13 @@ def cmd_triangle(args) -> int:
             print(failure)
             return EXIT_VERIFY
         print(f"self-check: all {t} slot triangles agree")
-    write = sys.stdout.write
-    if args.format == "bfile":
-        cells = enumerate(chain.from_iterable(triangle), start=args.b_offset)
-        while batch := list(islice(cells, 4096)):
-            write("".join([f"{i} {v}\n" for i, v in batch]))
+    if args.format == "bfile":  # row n (from 0) starts at index n (n + 1) / 2
+        texts = ("".join([f"{i} {v}\n" for i, v in enumerate(row, args.b_offset + n * (n + 1) // 2)])
+                 for n, row in enumerate(triangle))
     else:
-        for n, row in enumerate(triangle, start=1):
-            write(f"n={n} (edges={n - 1}): {' '.join(map(str, row))}\n")
+        texts = (f"n={n} (edges={n - 1}): {' '.join(map(str, row))}\n"
+                 for n, row in enumerate(triangle, start=1))
+    _write_pieces(sys.stdout.write, texts)
     return EXIT_OK
 
 

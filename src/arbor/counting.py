@@ -134,7 +134,7 @@ def count_table(t: int, n: int, m: Optional[int] = None) -> dict[EdgeComposition
     of :func:`compositions`: the n-node trees, or with m the m-tree forests.
     The rows of the blocks of :func:`count_rows`."""
     return {prefix + tail: p * q
-            for prefix, tails, p, quotients, _ in count_rows(t, n, m)
+            for prefix, tails, p, quotients in count_rows(t, n, m)
             for tail, q in zip(tails, quotients)}
 
 
@@ -143,12 +143,11 @@ def _write_tuple(*parts: int) -> EdgeComposition:
 
 
 def count_rows(t: int, n: int, m: Optional[int] = None, *,
-               write=_write_tuple) -> Iterator[tuple[object, list, int, list[int],
-                                                     Optional[int]]]:
+               write=_write_tuple) -> Iterator[tuple[object, list, int, list[int]]]:
     """Every composition of one group with its count, in the order of
     :func:`compositions` and as :func:`count_trees` or :func:`count_forests`
-    gives it, in blocks (prefix, tails, p, quotients, key): row j of a block
-    is the composition prefix + tails[j], and its count is p * quotients[j].
+    gives it, in blocks (prefix, tails, p, quotients): row j of a block is
+    the composition prefix + tails[j], and its count is p * quotients[j].
     The parts come as ``write(*parts)`` writes each run of them, joined by
     ``+``: tuples by default, or text such as a CSV row less its count.  The
     group is checked by :func:`shape` before the first block.
@@ -161,49 +160,72 @@ def count_rows(t: int, n: int, m: Optional[int] = None, *,
     is written once.  With g = gcd(product, n) and d = n // g, product * pair
     is a multiple of n exactly when pair is a multiple of d, and the count
     is then (product / g) * (pair / d).  So a block's pair list is divided
-    by d and checked in one place, and a row costs one multiplication.  From
-    t = 4 on a remainder recurs under many prefixes, and the quotient lists
-    are kept per (remainder, d); below that each remainder comes once, and
-    keeping them would only hold every quotient of the table.
-
-    A block's rows less its prefix, its tails and counts, depend only on
-    its remainder and its prefix product, which fixes g, p and d.  From
-    t = 6 on, where a pair recurs under 15 or more prefixes on average
-    (12,650 blocks share 833 pairs at (6, 22)), ``key`` is the pair as one
-    integer, product * (free + 1) + remainder; it rests on the block's own
-    numbers and on no symmetry of the slots.  Below t = 6 the key is None:
-    the blocks of distinct pairs hold about half the rows of a table at
-    t = 4 and a fifth at t = 5, against 6-7% at t = 6, and text kept per
-    pair would hold that share of the table a second time.
+    by d and checked in one place, and a row costs one multiplication.  The
+    quotient lists are kept per (remainder, d), one list for every block
+    that has both; from t = 4 on a remainder recurs under many prefixes.
     """
-    return _rows(t, n, m, *shape(t, n, m), write)
-
-
-def _rows(t: int, n: int, m: Optional[int], start: int, roots: int, free: int, write):
-    """The blocks of :func:`count_rows` once :func:`shape` has passed."""
+    start, roots, free = shape(t, n, m)
     if t == 1:  # a single row; no binomial row of n entries
-        yield write(), [write(free)], 1, [count_trees(1, n, (free,))], None
-        return
-    name = "count_trees" if m is None else "count_forests"
+        return iter([(write(), [write(free)], 1, [count_trees(1, n, (free,))])])
     binom = binomial_row(n, free)
-    memo: dict[tuple[int, int], list[int]] = {}
-    for prefix, tails, left, product in _walk(t, roots, free, binom, write):
+    return _counted(n, m, start, binom, {}, _walk(t, roots, free, binom, write))
+
+
+def count_groups(t: int, n: int, m: Optional[int] = None, *, write=_write_tuple):
+    """The blocks of :func:`count_rows`, t >= 3, grouped by their first
+    t - 3 parts, as a pair (groups, rows), once :func:`shape` has passed.
+
+    ``groups()`` walks the prefixes of t - 3 parts in the order of
+    :func:`compositions`, as (prefix, left, product): the prefix as
+    ``write`` writes it, the free edges it leaves to the last three parts
+    and the product of its factors C(n, b_i).  It may be walked any number
+    of times.  ``rows(left, product)`` iterates the blocks under a prefix of
+    that pair, less the prefix, as (part, tails, p, quotients): the blocks
+    of count_rows under it are (prefix + part, tails, p, quotients).  The
+    pair fixes every factor and quotient after the prefix, so the rows less
+    the prefix depend on it alone, and rows raises what count_rows would
+    raise under such a prefix.  Quotient lists are shared across calls.
+    """
+    start, roots, free = shape(t, n, m)
+    if t < 3:
+        raise ConstraintError(f"prefixes of t - 3 parts need t >= 3, got t={t}")
+    binom = binomial_row(n, free)
+    texts, tails = _parts(t, roots, free, write)
+    last, memo = texts[t - 3 < roots], {}
+
+    def rows(left: int, product: int):
+        return _counted(n, m, start, binom, memo, (
+            (last[b], tails[left - b], left - b, product * binom[b]) for b in range(left + 1)))
+
+    return (lambda: _groups(t, roots, free, binom, texts, write)), rows
+
+
+def _counted(n: int, m: Optional[int], start: int, binom: list[int], memo: dict, blocks):
+    """(prefix, tails, p, quotients) of each walk block (prefix, tails, left,
+    product), as :func:`count_rows` gives them, each quotient list kept in
+    ``memo`` per (left, d)."""
+    for prefix, tails, left, product in blocks:
         g = gcd(product, n)
         d = n // g
         quotients = memo.get((left, d))
         if quotients is None:
-            pairs = [start * binom[b] * binom[left - b] for b in range(left + 1)]
-            quotients = pairs
-            if d > 1:
-                inexact = [pair for pair in pairs if pair % d]
-                if inexact:
-                    raise _inexact(name, product * inexact[0], n)
-                quotients = [pair // d for pair in pairs]
-            del pairs  # the suspended frame would hold it while the rows are read
-            if t >= 4:
-                memo[left, d] = quotients
-        key = product * (free + 1) + left if t >= 6 else None
-        yield prefix, tails, product // g, quotients, key
+            quotients = memo[left, d] = _quotients(n, m, start, binom, left, d, product)
+        yield prefix, tails, product // g, quotients
+
+
+def _quotients(n: int, m: Optional[int], start: int, binom: list[int], left: int, d: int,
+               product: int) -> list[int]:
+    """The pairs start * C(n, b) * C(n, left - b), b = 0..left, each divided
+    by d; a pair that d does not divide raises the error of its count under
+    a prefix of ``product``."""
+    pairs = [start * binom[b] * binom[left - b] for b in range(left + 1)]
+    if d == 1:
+        return pairs
+    inexact = [pair for pair in pairs if pair % d]
+    if inexact:
+        raise _inexact("count_trees" if m is None else "count_forests",
+                       product * inexact[0], n)
+    return [pair // d for pair in pairs]
 
 
 def group_total(t: int, n: int, m: Optional[int] = None) -> int:
@@ -315,31 +337,48 @@ def _walk(t: int, m: int, free: int, factors: Sequence[int], write) -> Iterator[
     bound; the last two parts sum to left plus their lower bounds, and tails
     lists them in lexicographic order.  product is the product of factors[b]
     over the prefix, b being each part less its lower bound.  The first
-    t - 3 parts are an odometer (Knuth, TAOCP 4A, 7.2.1.3) on an explicit
-    stack, the last prefix part is a plain loop, and each part's text and
-    each tail list is written once per value.  No frame refers to itself,
-    so nothing of the walk outlives it in a reference cycle.
+    t - 3 parts come from :func:`_groups`, the last prefix part is a plain
+    loop, and each part's text and each tail list is written once per value.
     """
-    lift = 1 if t - 2 < m else 0  # the last part is never lifted, as m < t
     if t == 2:
+        lift = 1 if m else 0  # the last part is never lifted, as m < t
         yield write(), [write(b + lift, free - b) for b in range(free + 1)], free, 1
         return
-    tails = [[write(b + lift, left - b) for b in range(left + 1)] for left in range(free + 1)]
-    # texts[slot < m][b]: the text of a part b above its lower bound
-    texts = [[write(b + lift) for b in range(free + 1)] for lift in (0, 1)]
-    last, depth = texts[t - 3 < m], t - 3
+    texts, tails = _parts(t, m, free, write)
+    last = texts[t - 3 < m]
+    for prefix, left, product in _groups(t, m, free, factors, texts, write):
+        for b in range(left + 1):
+            yield prefix + last[b], tails[left - b], left - b, product * factors[b]
+
+
+def _parts(t: int, m: int, free: int, write) -> tuple[list[list], list[list]]:
+    """(texts, tails) of a walk of t >= 3 parts: texts[slot < m][b] the text
+    of a part b above its lower bound, and tails[left] the last two parts
+    that sum to left above their lower bounds, in lexicographic order."""
+    lift = 1 if t - 2 < m else 0  # the last part is never lifted, as m < t
+    texts = [[write(b + low) for b in range(free + 1)] for low in (0, 1)]
+    return texts, [[write(b + lift, left - b) for b in range(left + 1)]
+                   for left in range(free + 1)]
+
+
+def _groups(t: int, m: int, free: int, factors: Sequence[int], texts: list[list],
+            write) -> Iterator[tuple[object, int, int]]:
+    """The first t - 3 parts of the walk of :func:`_walk`, t >= 3, as
+    (prefix, left, product) with the prefix's text from ``texts``: an
+    odometer (Knuth, TAOCP 4A, 7.2.1.3) on an explicit stack.  No frame
+    refers to itself, so nothing of the walk outlives it in a reference
+    cycle."""
     # stack[slot]: part ``slot`` less its lower bound, and the prefix, product
     # and left before it; prefix, product and left are those after the stack
     stack: list[tuple[int, object, int, int]] = []
-    b, prefix, product, left = 0, write(), 1, free
+    b, prefix, product, left, depth = 0, write(), 1, free, t - 3
     while True:
         while len(stack) < depth:  # part len(stack) at b, the parts after it at 0
             stack.append((b, prefix, product, left))
             prefix, product, left = (prefix + texts[len(stack) <= m][b],
                                      product * factors[b], left - b)
             b = 0
-        for b in range(left + 1):
-            yield prefix + last[b], tails[left - b], left - b, product * factors[b]
+        yield prefix, left, product
         # the odometer step: the last part with room goes up by one
         while stack and stack[-1][0] == stack[-1][3]:
             stack.pop()

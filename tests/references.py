@@ -6,7 +6,6 @@ renderings by the rules those commands followed
 before they wrote from the closed-form walk, the triangle's cells computed
 from their binomials here."""
 import sys
-from itertools import chain
 from math import comb
 
 from arbor import counting
@@ -79,53 +78,69 @@ def reference_listing(t, n):
 def per_composition(t, n, m=None):
     """(composition, count) of the n-node trees, or with m the m-forests, in
     ``compositions`` order: one count_trees or count_forests call each."""
+    return list(each_composition(t, n, m))
+
+
+def each_composition(t, n, m=None):
+    """The items of :func:`per_composition` one at a time."""
     if m is None:
-        return [(a, counting.count_trees(t, n, a)) for a in counting.compositions(t, n - 1)]
-    return [(a, counting.count_forests(t, m, n, a)) for a in counting.compositions(t, n, m=m)]
+        return ((a, counting.count_trees(t, n, a)) for a in counting.compositions(t, n - 1))
+    return ((a, counting.count_forests(t, m, n, a)) for a in counting.compositions(t, n, m=m))
 
 
 def old_rule_table(fmt, t, n, m=None):
     """The table rendered from count_table: CSV by per-row %d formatting,
     pretty with every column as wide as the longest of the total and every
     part and count."""
+    rows = counting.count_table(t, n, m).items()
+    return "\n".join(old_rule_lines(fmt, t, n, m, lambda: rows))
+
+
+def old_rule_lines(fmt, t, n, m, rows):
+    """The lines of :func:`old_rule_table`, without their newlines, from
+    ``rows()``, which gives the (composition, count) rows afresh at each
+    call; pretty reads them twice, once for the width."""
     total = (counting.total_trees(t, n) if m is None
              else counting.total_forests(t, m, n))
-    rows = counting.count_table(t, n, m).items()
     if fmt == "csv":
         row = ",".join(["%d"] * (t + 1))
-        lines = [",".join(f"a{i + 1}" for i in range(t)) + ",count"]
-        lines += [row % (*comp, count) for comp, count in rows]
-        lines.append("total," + "," * (t - 1) + str(total))
-        return "\n".join(lines)
-    width = max([len(str(total))]
-                + [len(str(x)) for comp, count in rows for x in comp + (count,)])
+        yield ",".join(f"a{i + 1}" for i in range(t)) + ",count"
+        for comp, count in rows():
+            yield row % (*comp, count)
+        yield "total," + "," * (t - 1) + str(total)
+        return
+    width = max(len(str(total)), max(len(str(x)) for comp, count in rows()
+                                     for x in comp + (count,)))
     head = " ".join(f"a{i + 1}".rjust(width) for i in range(t))
-    lines = [head + "  " + "count".rjust(width + 4)]
-    for comp, count in rows:
-        lines.append(" ".join(str(x).rjust(width) for x in comp)
-                     + "  " + str(count).rjust(width + 4))
-    pad = len(lines[0]) - len("total") - len(str(total))
-    lines.append("total" + " " * max(pad, 2) + str(total))
-    return "\n".join(lines)
+    head += "  " + "count".rjust(width + 4)
+    yield head
+    for comp, count in rows():
+        yield (" ".join(str(x).rjust(width) for x in comp)
+               + "  " + str(count).rjust(width + 4))
+    pad = len(head) - len("total") - len(str(total))
+    yield "total" + " " * max(pad, 2) + str(total)
 
 
 def old_triangle_text(fmt, t, slot, rows, offset=0):
     """The triangle as the one string it was printed as before it was
-    written in pieces.  Each cell is (1/n) * C(n, k) * C((t-1)*n, n-1-k),
-    computed here apart from counting.marginal_row, which the command
-    prints; the count does not depend on which ``slot`` is fixed."""
-    triangle = []
+    written in pieces."""
+    return "".join(line + "\n" for line in old_triangle_lines(fmt, t, slot, rows, offset))
+
+
+def old_triangle_lines(fmt, t, slot, rows, offset=0):
+    """The lines of :func:`old_triangle_text`, without their newlines, one
+    triangle row computed at a time.  Each cell is (1/n) * C(n, k) *
+    C((t-1)*n, n-1-k), computed here apart from counting.marginal_row, which
+    the command prints; the count does not depend on which ``slot`` is
+    fixed."""
     for n in range(1, rows + 1):
         row = []
         for k in range(n):
             cell, rest = divmod(comb(n, k) * comb((t - 1) * n, n - 1 - k), n)
             assert rest == 0, f"cell t={t} n={n} k={k} is not an integer"
             row.append(cell)
-        triangle.append(row)
-    if fmt == "bfile":
-        lines = [f"{i} {v}" for i, v in enumerate(chain.from_iterable(triangle),
-                                                  start=offset)]
-    else:
-        lines = [f"n={n} (edges={n - 1}): " + " ".join(map(str, row))
-                 for n, row in enumerate(triangle, start=1)]
-    return "\n".join(lines) + "\n"
+        if fmt == "bfile":
+            yield from (f"{i} {v}" for i, v in enumerate(row, start=offset))
+            offset += n
+        else:
+            yield f"n={n} (edges={n - 1}): " + " ".join(map(str, row))

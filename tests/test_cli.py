@@ -13,7 +13,8 @@ import textwrap
 import threading
 import time
 import types
-from itertools import permutations, product
+from collections import Counter
+from itertools import chain, permutations, product
 from pathlib import Path
 
 import pytest
@@ -289,10 +290,17 @@ def sweep_grid():
             yield ["paths", "--t", t, "--n", "3", "--budget", v]
 
 
+# The largest text a table within the default budget prints: 614,812,204
+# bytes, once held whole before its check
+BIG_TABLES = [["table", "--t", "8", "--n", "30", "--forest", "7", "--format", "pretty"]]
+
+
 def test_every_command_bounded_without_traceback(kernel_child):
-    # each case of the grid, at the default budget and at $ARBOR_BUDGET=1,
-    # through main in one child limited to 1 GiB of address space: it exits
-    # with a documented code in a few seconds, and no exception escapes
+    # each case of the grid and BIG_TABLES, at the default budget and at
+    # $ARBOR_BUDGET=1, through main in one child limited to 1 GiB of address
+    # space: it exits with a documented code in a few seconds, and no
+    # exception escapes
+    grid = [*sweep_grid(), *BIG_TABLES]
     code = (
         "import contextlib, io, json, os, resource, sys, time\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -303,7 +311,7 @@ def test_every_command_bounded_without_traceback(kernel_child):
         "results = []\n"
         "for budget in ('', '1'):\n"
         "    os.environ['ARBOR_BUDGET'] = budget  # empty: the default budget\n"
-        f"    for argv in {list(sweep_grid())!r}:\n"
+        f"    for argv in {grid!r}:\n"
         "        err = io.StringIO()\n"
         "        start = time.perf_counter()\n"
         "        try:\n"
@@ -317,7 +325,7 @@ def test_every_command_bounded_without_traceback(kernel_child):
     done = kernel_child(code)
     assert (done.returncode, done.stderr) == (0, ""), done.stderr
     results = json.loads(done.stdout)
-    assert len(results) == 2 * len(list(sweep_grid()))
+    assert len(results) == 2 * len(grid)
     bad = [(argv, budget, rc, round(seconds, 2), err)
            for argv, budget, rc, seconds, err in results
            if rc not in (0, 1, 2, 3) or seconds > 5 or "Traceback" in err]
@@ -355,23 +363,25 @@ def test_table_csv(capsys):
 ])
 def test_table_csv_written_from_the_walk(t, n, m):
     # each row is written from the walk; the pretty width is fixed before it.
-    # From t = 6 on the rows of a block less its prefix are written once per
-    # key and reused under every prefix of that key: at (6, 22) and (8, 12)
-    # with d > 1, at (16, 7) with n prime and in the forests of (6, 20, 4)
+    # From t = 6 on the rows under a (t - 3)-part prefix less the prefix are
+    # written once per pair and reused under every prefix of that pair: at
+    # (6, 22) and (8, 12) with d > 1, at (16, 7) with n prime and in the
+    # forests of (6, 20, 4)
     for fmt in ("csv", "pretty"):
-        text = "".join(cli._table_chunks(fmt, t, n, m))
+        text = "".join(cli._table_texts(fmt, t, n, m))
         assert text == old_rule_table(fmt, t, n, m) + "\n", fmt
 
 
-def prefix_keys(t, n, m=None):
-    """The distinct (remainder, prefix product) pairs of a table, read from
-    its compositions apart from the walk: the parts but the last two, each
-    less one in a forest's root slots, and C(n, b) of each."""
+def prefix_keys(t, n, m=None, parts=None):
+    """The distinct (remainder, prefix product) pairs of the prefixes of
+    ``parts`` parts of a table, by default t - 3, the prefixes of
+    ``count_groups``, read from its compositions apart from the walk: the
+    parts, each less one in a forest's root slots, and C(n, b) of each."""
     free, lift = (n - 1, 0) if m is None else (n - m, m)
     table = counting.compositions(t, n - 1) if m is None else counting.compositions(t, n, m=m)
     keys = set()
     for a in table:
-        b = [x - (i < lift) for i, x in enumerate(a[:t - 2])]
+        b = [x - (i < lift) for i, x in enumerate(a[:t - 3 if parts is None else parts])]
         keys.add((free - sum(b), math.prod(math.comb(n, x) for x in b)))
     return keys
 
@@ -381,42 +391,88 @@ def prefix_keys(t, n, m=None):
     (5, 30, 2, 0), (4, 30, 3, 0), (3, 40, None, 0), (2, 6, None, 0), (1, 5, None, 0),
 ])
 def test_table_formats_each_key_once(t, n, m, keys, monkeypatch):
-    # from t = 6 on each distinct (remainder, prefix product) is formatted
-    # once, whatever the number of prefixes that share it; below that no
-    # block is formatted as a shared text
-    calls = []
-    shared_rows = cli._shared_rows
+    # from t = 6 on the blocks under each distinct (t - 3)-part prefix pair
+    # are built once, however many prefixes share the pair, and the rows of
+    # each distinct pair of a block's own t - 2 parts (``keys``) are
+    # formatted once, however many prefix pairs hold it; below t = 6 nothing
+    # is built or formatted per pair.  Each use of a text adds the sum it
+    # was formatted with, so a sum one off in the first block formatted
+    # fails the check
+    built, formatted, off = [], [], []
+    count_groups, shared_rows = counting.count_groups, cli._shared_rows
 
-    def counted(*args):
-        calls.append(args)
-        return shared_rows(*args)
+    def counted_groups(*args, **options):
+        groups, rows = count_groups(*args, **options)
+        return groups, lambda *pair: built.append(pair) or rows(*pair)
 
-    monkeypatch.setattr(cli, "_shared_rows", counted)
+    def counted_rows(*args):
+        formatted.append(args)
+        text, rows_sum = shared_rows(*args)
+        return text, rows_sum + (1 if off and len(formatted) == 1 else 0)
+
+    pairs = 0
     if t >= 6:
-        assert len(prefix_keys(t, n, m)) == keys
+        pairs = len(prefix_keys(t, n, m))
+        assert len(prefix_keys(t, n, m, t - 2)) == keys
+        assert sum(1 for _ in count_groups(t, n, m)[0]()) > pairs
+    monkeypatch.setattr(counting, "count_groups", counted_groups)
+    monkeypatch.setattr(cli, "_shared_rows", counted_rows)
     for fmt in ("csv", "pretty"):
-        calls.clear()
-        cli._table_chunks(fmt, t, n, m)
-        assert len(calls) == keys, fmt
+        built.clear()
+        formatted.clear()
+        "".join(cli._table_texts(fmt, t, n, m))
+        assert (len(built), len(set(built)), len(formatted)) == (pairs, pairs, keys), fmt
+        if keys:
+            formatted.clear()
+            off.append(fmt)
+            with pytest.raises(ArithmeticError, match="closed-form total"):
+                cli._table_texts(fmt, t, n, m)
+            off.clear()
+
+
+def raised_first(blocks):
+    """The blocks (part, tails, p, quotients) with the first count of the
+    first raised by one: that block as p = 1 and its counts as quotients."""
+    blocks = iter(blocks)
+    part, tails, p, quotients = next(blocks)
+    counts = [p * q for q in quotients]
+    counts[0] += 1
+    return chain([(part, tails, 1, counts)], blocks)
+
+
+def raised_groups(count_groups, raise_pair):
+    """``count_groups`` whose rows of each pair that ``raise_pair(pair,
+    calls)`` picks, calls being the pairs built before it, come through
+    :func:`raised_first`."""
+    def groups_raised(*args, **options):
+        groups, rows = count_groups(*args, **options)
+        calls = []
+
+        def raised(*pair):
+            blocks = rows(*pair)
+            if raise_pair(pair, calls):
+                blocks = raised_first(blocks)
+            calls.append(pair)
+            return blocks
+
+        return groups, raised
+
+    return groups_raised
 
 
 def test_table_csv_refuses_rows_off_the_total(capsys, monkeypatch):
-    def raised(t, n, m=None, **options):
-        # the first row's count raised by one: its block as p = 1 and the
-        # counts themselves as quotients
-        blocks = list(real(t, n, m, **options))
-        prefix, tails, p, quotients, key = blocks[0]
-        counts = [p * q for q in quotients]
-        counts[0] += 1
-        blocks[0] = (prefix, tails, 1, counts, key)
-        return iter(blocks)
-
+    # a count raised in the first block the writer reads: below t = 6 the
+    # first block of count_rows, from t = 6 on the first block of the first
+    # prefix pair's rows.  (3, 40) and (6, 12) have 820 and 4,368 rows,
+    # more than one piece, all made before the check
     real = counting.count_rows
-    monkeypatch.setattr(counting, "count_rows", raised)
-    # (6, 12) has 4,368 rows: a piece of its text is made before the check
-    for (t, n), fmt in product(((3, 4), (6, 12)), ("csv", "pretty")):
+    monkeypatch.setattr(counting, "count_rows", lambda *args, **options: raised_first(
+        real(*args, **options)))
+    monkeypatch.setattr(counting, "count_groups", raised_groups(
+        counting.count_groups, lambda pair, calls: not calls))
+    for (t, n), fmt in product(((3, 4), (3, 40), (6, 12)), ("csv", "pretty")):
         with pytest.raises(ArithmeticError, match="closed-form total"):
-            cli._table_chunks(fmt, t, n)
+            cli._table_texts(fmt, t, n)
         # the command prints only a FAIL line and exits 3, as verify does
         code, out, err = run(capsys, "table", "--t", str(t), "--n", str(n),
                              "--format", fmt)
@@ -425,22 +481,29 @@ def test_table_csv_refuses_rows_off_the_total(capsys, monkeypatch):
 
 
 def test_table_refuses_a_count_off_inside_a_recurring_block(capsys, monkeypatch):
-    def raised(t, n, m=None, **options):
-        # one count of the first block of a key that recurs raised by one:
-        # its text is written once from that count and printed under every
-        # prefix of the key, each use adding the sum of the counts it shows
-        blocks = list(real(t, n, m, **options))
-        keys = [block[4] for block in blocks]
-        first = next(i for i, key in enumerate(keys) if keys.count(key) > 1)
-        prefix, tails, p, quotients, key = blocks[first]
-        quotients = list(quotients)
-        quotients[-1] += 1
-        blocks[first] = (prefix, tails, p, quotients, key)
-        return iter(blocks)
+    # from t = 6 on, a count raised in the rows of a (t - 3)-part prefix pair
+    # that recurs: its text is written once and printed under every prefix
+    # of the pair, each use adding the sum of the counts it shows.  Below
+    # t = 6, one count raised in a quotient list that several blocks share:
+    # each block prints p times it and adds p times the list's sum
+    def recurring(t, n):
+        uses = Counter((left, product) for _, left, product in counting.count_groups(t, n)[0]())
+        return next(pair for pair, k in uses.items() if k > 1)
 
-    real = counting.count_rows
-    monkeypatch.setattr(counting, "count_rows", raised)
-    for (t, n), fmt in product(((6, 12), (16, 7)), ("csv", "pretty")):
+    def shared_raised(*args, **options):
+        blocks = list(real(*args, **options))
+        uses = Counter(id(quotients) for *_, quotients in blocks)
+        shared = next(q for *_, q in blocks if uses[id(q)] > 1)
+        raised = shared[:-1] + [shared[-1] + 1]
+        return iter([(prefix, tails, p, raised if q is shared else q)
+                     for prefix, tails, p, q in blocks])
+
+    real, groups = counting.count_rows, counting.count_groups
+    monkeypatch.setattr(counting, "count_rows", shared_raised)
+    for (t, n), fmt in product(((6, 12), (16, 7), (4, 24)), ("csv", "pretty")):
+        pair = recurring(t, n) if t >= 6 else None
+        monkeypatch.setattr(counting, "count_groups", raised_groups(
+            groups, lambda built, calls: built == pair))
         code, out, err = run(capsys, "table", "--t", str(t), "--n", str(n),
                              "--format", fmt)
         assert (code, out, err) == (
@@ -462,24 +525,66 @@ class Writes:
 
 
 def test_table_and_triangle_written_in_pieces():
-    # each write is whole lines: 4,370 table lines in two pieces, the first
-    # of at least 4,096 lines, 11,325 b-file lines in batches of 4,096, one
-    # write per pretty row; no write holds the whole text
-    triangle = ["triangle", "--t", "3", "--marginal"]
+    # each write is whole lines, the most that fit in cli.PIECE characters,
+    # or one longer line alone (7 rows of the t = 16 triangle); no write
+    # holds the whole text.  The t = 2 table is one block of 300 rows
+    triangle = ["triangle", "--marginal", "1", "--t"]
     for argv, want, writes in (
         (["table", "--t", "6", "--n", "12", "--format", "csv"],
          old_rule_table("csv", 6, 12) + "\n", 2),
-        (["table", "--t", "6", "--n", "12"], old_rule_table("pretty", 6, 12) + "\n", 2),
-        (triangle + ["2", "--rows", "150", "--format", "bfile", "--b-offset", "5"],
-         old_triangle_text("bfile", 3, 2, 150, offset=5), 3),
-        (triangle + ["1", "--rows", "40"], old_triangle_text("pretty", 3, 1, 40), 40),
+        (["table", "--t", "6", "--n", "12"], old_rule_table("pretty", 6, 12) + "\n", 7),
+        (["table", "--t", "2", "--n", "300"], old_rule_table("pretty", 2, 300) + "\n", 3),
+        (triangle + ["3", "--rows", "150", "--format", "bfile", "--b-offset", "5"],
+         old_triangle_text("bfile", 3, 1, 150, offset=5), 12),
+        (triangle + ["3", "--rows", "40"], old_triangle_text("pretty", 3, 1, 40), 1),
+        (triangle + ["16", "--rows", "250"], old_triangle_text("pretty", 16, 1, 250), 111),
     ):
         out = Writes()
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0
         assert "".join(out.writes) == want, argv
         assert len(out.writes) == writes, argv
-        assert all(text.endswith("\n") for text in out.writes), argv
+        assert len(want) <= cli.PIECE or len(out.writes) > 1, argv
+        for text, later in zip(out.writes, out.writes[1:] + [""]):
+            assert text.endswith("\n"), argv
+            assert len(text) <= cli.PIECE or text.count("\n") == 1, argv
+            # the next line would not have fit
+            assert not later or len(text) + later.index("\n") + 1 > cli.PIECE, argv
+
+
+# Started from ``python -S``: a child's peak RSS counts the memory of the
+# process it was spawned from, which would be the test runner's
+PEAK_RSS = (
+    "import os, sys\n"
+    "pid = os.fork()\n"
+    "if pid == 0:\n"
+    "    try:\n"
+    "        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)\n"
+    "        os.execv(sys.executable, [sys.executable, '-m', 'arbor.cli', *sys.argv[1:]])\n"
+    "    finally:\n"
+    "        os._exit(127)\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def peak_rss_kb(*argv):
+    """The peak RSS in kB of ``arbor <argv>`` in a fresh process, its
+    stdout sent to /dev/null, once it exits 0."""
+    done = run_python("-S", "-c", PEAK_RSS, *argv)
+    code, kb = map(int, done.stdout.split())
+    assert (code, done.stderr) == (0, ""), argv
+    return kb
+
+
+def test_table_holds_no_text():
+    # table --t 6 --n 30 --format pretty prints 66 MB: written in pieces
+    # after its check, it peaks within 24 MB of a no-work count (about 9 MB
+    # above it on Linux x86-64, Python 3.11; 65 MB above it when the text
+    # was held whole)
+    idle = peak_rss_kb("count", "--t", "2", "--n", "1", "--composition", "0,0")
+    table = peak_rss_kb("table", "--t", "6", "--n", "30", "--format", "pretty")
+    assert table <= idle + 24 * 1024, (idle, table)
 
 
 def test_triangle_reference_sees_a_wrong_row(capsys, monkeypatch):
@@ -497,13 +602,15 @@ def test_triangle_reference_sees_a_wrong_row(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("t, n, m", [(4, 12, None), (3, 4, None), (4, 12, 2),
-                                     (3, 6, 1)])
+                                     (3, 6, 1), (6, 12, None), (8, 12, 7)])
 def test_table_inexact_division_fails_like_per_composition_calls(
         t, n, m, capsys, monkeypatch):
     # a wrong C(n, 1), in the per-composition calls and in the table's
     # binomial row, breaks the exact division in rows whose prefix leaves
     # a divisor of n to their pair of last factors; the table prints the
-    # FAIL line of the first per-composition call that fails, and exits 3
+    # FAIL line of the first per-composition call that fails, and exits 3.
+    # From t = 6 on the first failing row lies under the first prefix of
+    # its (t - 3)-part pair, the only one whose blocks are built
     monkeypatch.setattr(counting, "comb", lambda n, k: math.comb(n, k) + (k == 1))
     monkeypatch.setattr(counting, "binomial_row", lambda n, top: [
         math.comb(n, k) + (k == 1) for k in range(top + 1)])
@@ -569,7 +676,7 @@ def test_table_pretty_has_total(capsys):
 
 
 def test_count_table_invariants():
-    header, *rows, total = "".join(cli._table_chunks("csv", 3, 4)).splitlines()
+    header, *rows, total = "".join(cli._table_texts("csv", 3, 4)).splitlines()
     rows = [tuple(map(int, row.split(","))) for row in rows]
     comps = [row[:-1] for row in rows]
     assert comps == sorted(comps)

@@ -13,6 +13,7 @@ from arbor.counting import (
     binomial,
     compositions,
     count_forests,
+    count_groups,
     count_rows,
     count_table,
     count_trees,
@@ -159,10 +160,11 @@ def test_count_table_refusals_match_per_composition_calls(t, n, m):
     with pytest.raises(ConstraintError) as got:
         count_table(t, n, m)
     assert str(got.value) == str(want.value)
-    with pytest.raises(ConstraintError) as got:
-        # with a text writer, before the first row is asked for
-        count_rows(t, n, m, write=lambda *parts: "%d," * len(parts) % parts)
-    assert str(got.value) == str(want.value)
+    for count in (count_rows, count_groups):
+        with pytest.raises(ConstraintError) as got:
+            # with a text writer, before the first row is asked for
+            count(t, n, m, write=lambda *parts: "%d," * len(parts) % parts)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("t, n, m", [(4, 24, None), (5, 12, 2), (6, 12, None),
@@ -186,24 +188,31 @@ def test_count_table_matches_per_composition_calls_where_quotients_recur(t, n, m
                                      (16, 5, None), (16, 16, 14), (5, 12, 2),
                                      (4, 24, None), (3, 9, None), (2, 6, 1), (1, 4, None)])
 def test_count_rows_key_is_the_blocks_own_pair(t, n, m):
-    # from t = 6 on a block's key is its (remainder, prefix product), read
-    # here from the composition, packed as product * (free + 1) + remainder;
-    # blocks of one key have the same tails and counts.  Below t = 6 every
-    # key is None
+    # the blocks of count_rows grouped by their first t - 3 parts: each
+    # group is keyed by its own (remainder, prefix product), read here from
+    # the prefix, and its rows, with the prefix put back, are the blocks of
+    # count_rows under it, in order; prefixes of one pair have the same rows
+    # less the prefix.  At t <= 2 one block holds every row
+    blocks = list(count_rows(t, n, m))
+    if t < 3:
+        assert len(blocks) == 1
+        return
     free, lift = (n - 1, 0) if m is None else (n - m, m)
-    rows: dict = {}
-    for prefix, tails, p, quotients, key in count_rows(t, n, m):
-        if t < 6:
-            assert key is None
-            continue
+    groups, rows = count_groups(t, n, m)
+    got, pairs, prefixes = [], {}, 0
+    for prefix, left, product in groups():
         b = [x - (i < lift) for i, x in enumerate(prefix)]
-        left = free - sum(b)
-        assert key == prod(comb(n, x) for x in b) * (free + 1) + left
-        assert len(tails) == left + 1
-        block = (tails, [p * q for q in quotients])
-        assert rows.setdefault(key, block) == block
+        assert (len(prefix), left) == (t - 3, free - sum(b))
+        assert product == prod(comb(n, x) for x in b)
+        under = list(rows(left, product))
+        counts = [(part, tails, [p * q for q in quotients])
+                  for part, tails, p, quotients in under]
+        assert pairs.setdefault((left, product), counts) == counts
+        got += [(prefix + part, *block) for part, *block in under]
+        prefixes += 1
+    assert got == blocks
     if t >= 6:
-        assert len(rows) < sum(1 for _ in count_rows(t, n, m))
+        assert len(pairs) < prefixes
 
 
 @pytest.mark.parametrize("t, n, m", [(3, 4, None), (2, 4, None), (3, 4, 2), (4, 5, 1),
@@ -294,8 +303,10 @@ def test_walk_leaves_no_reference_cycle():
     gc.collect()
     count_table(6, 12)
     list(compositions(16, 3))
-    cli._table_chunks("csv", 6, 14)
+    "".join(cli._table_texts("pretty", 6, 14))
     next(count_rows(8, 9))
+    groups, rows = count_groups(8, 9)
+    next(rows(*next(groups())[1:]))
     next(compositions(7, 5))
     assert gc.collect() == 0
 

@@ -32,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from itertools import chain
 from math import comb
 from pathlib import Path
 
@@ -41,7 +42,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 import run as perfbench  # noqa: E402  (perfbench/run.py, for its launcher)
 from references import (  # noqa: E402
-    old_rule_table, old_triangle_text, per_composition, reference_listing)
+    each_composition, old_rule_lines, old_rule_table, old_triangle_lines, per_composition,
+    reference_listing)
 
 OUT = ROOT / "BENCH_census.json"
 SIZES = [(3, 11), (2, 15), (4, 8), (3, 9)]
@@ -63,9 +65,14 @@ INVERSION_GROUPS = [(3, 12, None), (3, 12, 1), (3, 12, 2),
 BINOMIAL_ROWS = [(3000, 2999), (8000, 7999)]  # (n, top)
 PROCESS_TABLES = [("csv", 6, 22, None), ("pretty", 4, 30, 3), ("csv", 6, 30, None),
                   ("pretty", 6, 30, None), ("csv", 2, 8000, None), ("csv", 4, 100, None),
-                  ("csv", 16, 7, None), ("csv", 3, 300, None)]  # (format, t, n, m)
+                  ("csv", 16, 7, None), ("csv", 3, 300, None),
+                  # the largest texts the default budget admits, and large
+                  # pretty tables below t = 6
+                  ("pretty", 8, 30, 7), ("pretty", 16, 10, None), ("pretty", 12, 13, None),
+                  ("pretty", 4, 100, None), ("pretty", 3, 300, None)]  # (format, t, n, m)
 PROCESS_TRIANGLES = [("bfile", 3, 2, 150, True), ("bfile", 3, 2, 300, True),
-                     ("pretty", 3, 1, 600, False)]  # (format, t, slot, rows, self-check)
+                     ("pretty", 3, 1, 600, False),
+                     ("bfile", 3, 1, 850, False)]  # (format, t, slot, rows, self-check)
 PROCESS_PROBES = [(11, 6)]  # (t, n)
 PROCESS_REPEAT = 3
 STARTUP_COMMANDS = [  # run as python <args>; -h times the argparse path
@@ -252,7 +259,8 @@ def process_rows():
     """The start-up rows, each the best of STARTUP_REPEAT runs that must
     exit 0, and the process rows, each of PROCESS_REPEAT runs checked by
     exit code and stdout digest: whole ``table`` and ``triangle`` commands
-    against their renderings in ``tests/references.py``, ``paths --probe``
+    against their renderings in ``tests/references.py``, digested a line at
+    a time from per-composition counts and per-cell binomials, ``paths --probe``
     against the report made in-process, and the PINNED_COMMANDS, started on
     the first CPU this process may run on, against the command run
     in-process.  Every command runs once untimed first, which fills a
@@ -260,15 +268,15 @@ def process_rows():
     compiled modules as an installed package would."""
     commands = [(args, STARTUP_REPEAT, None, None) for args in STARTUP_COMMANDS]
     for fmt, t, n, m in PROCESS_TABLES:
-        want = old_rule_table(fmt, t, n, m) + "\n"
+        want = lines_digest(old_rule_lines(fmt, t, n, m, lambda: each_composition(t, n, m)))
         commands.append((["-m", "arbor.cli", *table_argv(fmt, t, n, m)], PROCESS_REPEAT,
-                         digest(want), None))
+                         want, None))
     for fmt, t, slot, size, check in PROCESS_TRIANGLES:
         argv = ["triangle", "--t", str(t), "--rows", str(size), "--marginal", str(slot),
                 "--format", fmt] + (["--self-check"] if check else [])
-        want = (f"self-check: all {t} slot triangles agree\n" if check else "")
-        want += old_triangle_text(fmt, t, slot, size)
-        commands.append((["-m", "arbor.cli", *argv], PROCESS_REPEAT, digest(want), None))
+        want = [f"self-check: all {t} slot triangles agree"] if check else []
+        want = lines_digest(chain(want, old_triangle_lines(fmt, t, slot, size)))
+        commands.append((["-m", "arbor.cli", *argv], PROCESS_REPEAT, want, None))
     for t, n in PROCESS_PROBES:
         report = paths.residue_distribution_probe(t, n, budget=10**12)
         want = f"{report.to_csv()}\n{report.verdict_line()}\n"
@@ -300,6 +308,15 @@ def process_rows():
 
 def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def lines_digest(lines):
+    """The digest of the lines, each ended by a newline, taken one line at a
+    time, so that no reference text of the largest tables is held."""
+    sha = hashlib.sha256()
+    for line in lines:
+        sha.update(line.encode() + b"\n")
+    return sha.hexdigest()
 
 
 def git(*args):

@@ -9,10 +9,10 @@ directory; nothing is fetched.  When this tree has a built census kernel in
 ``src/arbor``, the parent's is built there too, so both run the same engine.
 Each argv runs in both trees as ``python -m arbor.cli`` under the same
 environment (``ARBOR_BUDGET`` as its grid sets it, ``PYTHONPATH`` the tree's
-``src``).  Per grid the tool prints the number of argvs by this tree's exit
-code and, for the first argv whose exit code, stdout or stderr differ, both
-sides' exit code, stdout length and SHA-256, and stderr.  It exits 1 if
-any argv differs.
+``src``), its stdout digested as it comes.  Per grid the tool prints the
+number of argvs by this tree's exit code and, for the first argv whose exit
+code, stdout or stderr differ, both sides' exit code, stdout length and
+SHA-256, and stderr.  It exits 1 if any argv differs.
 """
 import hashlib
 import os
@@ -76,24 +76,33 @@ GRIDS = {
         {"command": "paths", "--t": [1, 2, 3], "--n": [EDGE], "--probe": [True],
          "--budget": [50, 5000]},
     ],
-    # each table's edge, trees and every forest size; not at the default
-    # budget, whose edges hold up to 615 MB of text before they print
+    # each table's edge, trees and every forest size, up to the default
+    # budget, whose edges print up to 615 MB
     "tables": [
         {"command": "table", "--t": [t], "--n": [EDGE], "--forest": [None, *range(1, t)],
-         "--format": ["csv", "pretty"], "budget": [1, 50, 5000, 100000]}
+         "--format": ["csv", "pretty"], "budget": [1, 50, 5000, 100000, None]}
         for t in (1, 2, 3, 4, 5, 6, 8, 16)],
 }
 
 
 def launch(tree, argv, budget):
-    """(exit code, stdout, stderr) of ``python -m arbor.cli <argv>`` in ``tree``."""
+    """(exit code, stdout length, stdout SHA-256, stderr) of ``python -m
+    arbor.cli <argv>`` in ``tree``.  stdout is digested as it is read, so
+    no output is held, however long."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.pop("ARBOR_BUDGET", None)
     if budget is not None:
         env["ARBOR_BUDGET"] = str(budget)
-    done = subprocess.run([sys.executable, "-m", "arbor.cli", *argv], cwd=tree, env=env,
-                          capture_output=True, timeout=600)
-    return done.returncode, done.stdout, done.stderr
+    sha, size = hashlib.sha256(), 0
+    with tempfile.TemporaryFile() as err, subprocess.Popen(
+            [sys.executable, "-m", "arbor.cli", *argv], cwd=tree, env=env,
+            stdout=subprocess.PIPE, stderr=err) as proc:
+        while chunk := proc.stdout.read(1 << 16):
+            sha.update(chunk)
+            size += len(chunk)
+        code = proc.wait(timeout=600)
+        err.seek(0)
+        return code, size, sha.hexdigest(), err.read()
 
 
 def words(command, flags):
@@ -114,9 +123,9 @@ def edge(tree, command, flags, flag, budget):
     low, high = 0, 1  # the largest value known admitted, the least known refused
     while admitted(high):
         low, high = high, 2 * high
-        # a one-row t = 1 table admits n up to 6.4M at budget 100,000
-        if high > 1 << 23:
-            raise SystemExit(f"{' '.join(words(command, flags))}: no edge below 2**23")
+        # a one-row t = 1 table admits n up to 640M at the default budget
+        if high > 1 << 30:
+            raise SystemExit(f"{' '.join(words(command, flags))}: no edge below 2**30")
     while high - low > 1:
         mid = (low + high) // 2
         low, high = (mid, high) if admitted(mid) else (low, mid)
@@ -161,9 +170,9 @@ def report(name, codes, differ, first):
     if first:
         argv, budget, *sides = first
         lines.append(f"first difference: ARBOR_BUDGET={budget} arbor {' '.join(argv)}")
-        for side, (code, out, err) in zip(("parent", "change"), sides):
-            lines.append(f"  {side}: exit {code}, stdout {len(out)} bytes sha256 "
-                         f"{hashlib.sha256(out).hexdigest()}, stderr {err!r}")
+        for side, (code, size, sha, err) in zip(("parent", "change"), sides):
+            lines.append(f"  {side}: exit {code}, stdout {size} bytes sha256 {sha}, "
+                         f"stderr {err!r}")
     return lines
 
 

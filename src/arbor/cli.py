@@ -233,9 +233,10 @@ def cmd_triangle(args) -> int:
             print(failure)
             return EXIT_VERIFY
         print(f"self-check: all {t} slot triangles agree")
-    if args.format == "bfile":  # row n (from 0) starts at index n (n + 1) / 2
-        texts = ("".join([f"{i} {v}\n" for i, v in enumerate(row, args.b_offset + n * (n + 1) // 2)])
-                 for n, row in enumerate(triangle))
+    if args.format == "bfile":  # row n (from 0) starts n (n + 1) / 2 cells in
+        starts = (args.b_offset + n * (n + 1) // 2 for n in range(rows))
+        texts = ("".join([f"{i} {v}\n" for i, v in enumerate(row, start)])
+                 for row, start in zip(triangle, starts))
     else:
         texts = (f"n={n} (edges={n - 1}): {' '.join(map(str, row))}\n"
                  for n, row in enumerate(triangle, start=1))

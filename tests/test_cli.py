@@ -487,7 +487,8 @@ def test_table_refuses_a_count_off_inside_a_recurring_block(capsys, monkeypatch)
     # t = 6, one count raised in a quotient list that several blocks share:
     # each block prints p times it and adds p times the list's sum
     def recurring(t, n):
-        uses = Counter((left, product) for _, left, product in counting.count_groups(t, n)[0]())
+        groups, _ = counting.count_groups(t, n)
+        uses = Counter((left, product) for _, left, product in groups())
         return next(pair for pair, k in uses.items() if k > 1)
 
     def shared_raised(*args, **options):

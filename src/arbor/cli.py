@@ -197,51 +197,48 @@ def _triangle_rows(t: int, slot: int, rows: int) -> list[list[int]]:
     return [counting.marginal_row(t, n, slot) for n in range(1, rows + 1)]
 
 
-def _triangle_failure(t: int, slot: int, triangle: list[list[int]]) -> Optional[str]:
-    """The FAIL line of ``--self-check``, or None when it passes.  Row n of
-    the triangle must sum to total_trees(t, n) (Vandermonde's identity), and
-    the triangle of every other slot must equal it, so every row of every
-    slot's triangle sums to the total.  Each other slot's rows are computed
-    once and compared as they come, so one triangle is held."""
-    for n, row in enumerate(triangle, start=1):
-        if sum(row) != counting.total_trees(t, n):
-            return f"FAIL slot {slot} row n={n} does not sum to total_trees(t={t}, n={n})"
-    for other in range(1, t + 1):
-        if other != slot and any(counting.marginal_row(t, n, other) != row
-                                 for n, row in enumerate(triangle, start=1)):
-            return f"FAIL slot {other} triangle differs from slot {slot}"
-    return None
-
-
 def cmd_triangle(args) -> int:
-    t, slot = args.t, args.marginal
+    _write_pieces(sys.stdout.write, _triangle_texts(args.format, args.t, args.marginal,
+                                                    args.rows, args.self_check, args.b_offset))
+    return EXIT_OK
+
+
+def _triangle_texts(fmt: str, t: int, slot: int, rows: int, self_check: bool,
+                    offset: int) -> Iterator[str]:
+    """The triangle of ``slot`` as b-file lines from index ``offset`` or as
+    labelled rows, one text per row, once the shape, the budget and
+    ``self_check`` pass; a failed check raises before any text is returned."""
     counting.check_arity(t)
-    if args.rows < 1:
-        raise ConstraintError(f"--rows must be >= 1, got {args.rows}")
+    if rows < 1:
+        raise ConstraintError(f"--rows must be >= 1, got {rows}")
     if not 1 <= slot <= t:
         raise ConstraintError(f"marginal slot {slot} outside 1..{t}")
     # --self-check computes the triangle once per slot; row n has n cells
-    copies, rows = (t if args.self_check else 1), args.rows
+    copies = t if self_check else 1
     _check_counts(f"triangle(t={t}, rows={rows})", copies * rows * (rows + 1) // 2,
                   "cells", copies * t * rows * (rows + 1) * (2 * rows + 1) // 6)
-    # the whole triangle before any output, so a failing check prints only
-    # its FAIL line
     triangle = _triangle_rows(t, slot, rows)
-    if args.self_check:
-        failure = _triangle_failure(t, slot, triangle)
-        if failure:
-            print(failure)
-            return EXIT_VERIFY
-        print(f"self-check: all {t} slot triangles agree")
-    if args.format == "bfile":  # row n (from 0) starts n (n + 1) / 2 cells in
-        starts = (args.b_offset + n * (n + 1) // 2 for n in range(rows))
+    if self_check:
+        # row n sums to total_trees(t, n) (Vandermonde's identity) and equals
+        # row n of every other slot, whose rows are compared as they come,
+        # so one triangle is held
+        for n, row in enumerate(triangle, start=1):
+            if sum(row) != counting.total_trees(t, n):
+                raise ArithmeticError(
+                    f"slot {slot} row n={n} does not sum to total_trees(t={t}, n={n})")
+        for other in range(1, t + 1):
+            if other != slot and any(counting.marginal_row(t, n, other) != row
+                                     for n, row in enumerate(triangle, start=1)):
+                raise ArithmeticError(f"slot {other} triangle differs from slot {slot}")
+    if fmt == "bfile":  # row n (from 0) starts n (n + 1) / 2 cells in
+        starts = (offset + n * (n + 1) // 2 for n in range(rows))
         texts = ("".join([f"{i} {v}\n" for i, v in enumerate(row, start)])
                  for row, start in zip(triangle, starts))
     else:
         texts = (f"n={n} (edges={n - 1}): {' '.join(map(str, row))}\n"
                  for n, row in enumerate(triangle, start=1))
-    _write_pieces(sys.stdout.write, texts)
-    return EXIT_OK
+    return chain([f"self-check: all {t} slot triangles agree\n"] if self_check else [],
+                 texts)
 
 
 # A case yields (where, got, want) tables for the trees when ms is empty, else
@@ -616,7 +613,8 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except ArithmeticError as exc:
         # a check of the closed form failed: a product it divides is not a
-        # multiple of n, or a table's rows miss its total
+        # multiple of n, a table's rows miss its total, or a triangle fails
+        # its self-check
         print(f"FAIL {exc}")
         return EXIT_VERIFY
     finally:

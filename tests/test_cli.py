@@ -291,45 +291,46 @@ def sweep_grid():
 
 
 # The largest text a table within the default budget prints: 614,812,204
-# bytes, once held whole before its check
+# bytes, once held whole before its check; run under 256 MiB of address
+# space, which the 606 MB it then held would not fit
 BIG_TABLES = [["table", "--t", "8", "--n", "30", "--forest", "7", "--format", "pretty"]]
 
 
 def test_every_command_bounded_without_traceback(kernel_child):
-    # each case of the grid and BIG_TABLES, at the default budget and at
-    # $ARBOR_BUDGET=1, through main in one child limited to 1 GiB of address
-    # space: it exits with a documented code in a few seconds, and no
-    # exception escapes
-    grid = [*sweep_grid(), *BIG_TABLES]
-    code = (
-        "import contextlib, io, json, os, resource, sys, time\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "from arbor.cli import main\n"
-        "class Sink(io.StringIO):\n"
-        "    def write(self, text):\n"
-        "        return len(text)\n"
-        "results = []\n"
-        "for budget in ('', '1'):\n"
-        "    os.environ['ARBOR_BUDGET'] = budget  # empty: the default budget\n"
-        f"    for argv in {grid!r}:\n"
-        "        err = io.StringIO()\n"
-        "        start = time.perf_counter()\n"
-        "        try:\n"
-        "            with contextlib.redirect_stdout(Sink()), contextlib.redirect_stderr(err):\n"
-        "                rc = main(argv)\n"
-        "        except BaseException as exc:\n"
-        "            rc = repr(exc)\n"
-        "        results.append([argv, budget, rc, time.perf_counter() - start, err.getvalue()])\n"
-        "print(json.dumps(results))\n"
-    )
-    done = kernel_child(code)
-    assert (done.returncode, done.stderr) == (0, ""), done.stderr
-    results = json.loads(done.stdout)
-    assert len(results) == 2 * len(grid)
-    bad = [(argv, budget, rc, round(seconds, 2), err)
-           for argv, budget, rc, seconds, err in results
-           if rc not in (0, 1, 2, 3) or seconds > 5 or "Traceback" in err]
-    assert bad == []
+    # each case of the grid, at the default budget and at $ARBOR_BUDGET=1,
+    # through main in one child limited to 1 GiB of address space, and
+    # BIG_TABLES likewise in one limited to 256 MiB: it exits with a
+    # documented code in a few seconds, and no exception escapes
+    for grid, limit in (([*sweep_grid()], 1 << 30), (BIG_TABLES, 256 << 20)):
+        code = (
+            "import contextlib, io, json, os, resource, sys, time\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from arbor.cli import main\n"
+            "class Sink(io.StringIO):\n"
+            "    def write(self, text):\n"
+            "        return len(text)\n"
+            "results = []\n"
+            "for budget in ('', '1'):\n"
+            "    os.environ['ARBOR_BUDGET'] = budget  # empty: the default budget\n"
+            f"    for argv in {grid!r}:\n"
+            "        err = io.StringIO()\n"
+            "        start = time.perf_counter()\n"
+            "        try:\n"
+            "            with contextlib.redirect_stdout(Sink()), contextlib.redirect_stderr(err):\n"
+            "                rc = main(argv)\n"
+            "        except BaseException as exc:\n"
+            "            rc = repr(exc)\n"
+            "        results.append([argv, budget, rc, time.perf_counter() - start, err.getvalue()])\n"
+            "print(json.dumps(results))\n"
+        )
+        done = kernel_child(code)
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
+        results = json.loads(done.stdout)
+        assert len(results) == 2 * len(grid)
+        bad = [(argv, budget, rc, round(seconds, 2), err)
+               for argv, budget, rc, seconds, err in results
+               if rc not in (0, 1, 2, 3) or seconds > 5 or "Traceback" in err]
+        assert bad == [], limit
 
 
 def test_deep_chain_probe_with_either_kernel(capsys, monkeypatch, kernel_child):
@@ -625,13 +626,22 @@ def test_table_inexact_division_fails_like_per_composition_calls(
 
 
 def test_triangle_closed_form_error_exit_3(capsys, monkeypatch):
+    # an ArithmeticError of marginal_row prints its FAIL line alone, in
+    # either format, also when another slot's rows raise it under
+    # --self-check
     def marginal_row(t, n, slot):
-        raise ArithmeticError(f"marginal product 7 not divisible by {n}")
+        if slot == failing:
+            raise ArithmeticError(f"marginal product 7 not divisible by {n}")
+        return real(t, n, slot)
 
+    real = counting.marginal_row
     monkeypatch.setattr(counting, "marginal_row", marginal_row)
-    code, out, err = run(capsys, "triangle", "--t", "3", "--rows", "4",
-                         "--marginal", "1")
-    assert (code, out, err) == (3, "FAIL marginal product 7 not divisible by 1\n", "")
+    for failing, flags in ((1, []), (2, ["--self-check"])):
+        for fmt in ("pretty", "bfile"):
+            code, out, err = run(capsys, "triangle", "--t", "3", "--rows", "4",
+                                 "--marginal", "1", "--format", fmt, *flags)
+            assert (code, out, err) == (
+                3, "FAIL marginal product 7 not divisible by 1\n", ""), (flags, fmt)
 
 
 @pytest.fixture
@@ -729,9 +739,10 @@ def test_triangle_self_check_fails_on_a_corrupt_slot(capsys, monkeypatch, corrup
 
     real = counting.marginal_row
     monkeypatch.setattr(counting, "marginal_row", marginal_row)
-    code, out, _ = run(capsys, "triangle", "--t", "3", "--rows", "4",
-                       "--marginal", "1", "--self-check")
-    assert (code, out.splitlines()) == (3, [fail])
+    for fmt in ("pretty", "bfile"):
+        code, out, err = run(capsys, "triangle", "--t", "3", "--rows", "4",
+                             "--marginal", "1", "--self-check", "--format", fmt)
+        assert (code, out, err) == (3, fail + "\n", ""), fmt
 
 
 def test_triangle_self_check_computes_t_triangles(capsys, monkeypatch):
